@@ -13,11 +13,11 @@ import (
 
 // Golden hashes over the Large ladder rung (6 full Aries groups, 2304
 // nodes): a single Job.Run and a two-application RunConcurrent, at tiny
-// iteration counts. They pin the compact-arena refactor — CSR adjacency
-// without the dense mirror (Large is past the cutoff), lazy NIC windows,
-// streaming digests — byte-identical end to end at a machine size the old
-// dense structures made wasteful. Captured at PR 5 after verifying the
-// pre-existing quick-scale goldens (fig3, noisesweep, cotenant) unchanged.
+// iteration counts. They pin the compact-arena refactor — O(links)
+// adjacency, lazy NIC windows, streaming digests — byte-identical end to
+// end at a machine size dense structures would make wasteful. They were
+// captured after verifying the pre-existing quick-scale goldens (fig3,
+// noisesweep, cotenant) unchanged.
 const (
 	goldenLargeSingle     = "b4baddc597a56da2a9da20cfe63969b7fe78024b5c992b40549e01f3f135ed6b"
 	goldenLargeConcurrent = "32171faaf57519179e34241ec13383bbd2b3067e62d7b44db1fb8f0bde12bf9a"

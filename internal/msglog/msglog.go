@@ -246,10 +246,12 @@ type ReplayOptions struct {
 }
 
 // Replay schedules every record of the trace onto the fabric as an open-loop
-// source: each message is posted at its original SendStart (relative to the
-// first record, scaled by TimeScale) regardless of when earlier messages
-// complete. It returns the number of messages scheduled and an error if any
-// endpoint falls outside the target topology.
+// source: each message is posted at its original SendStart relative to the
+// earliest SendStart of the trace, scaled by TimeScale, regardless of when
+// earlier messages complete. The records may come in any order — a captured
+// Log holds them in delivery order, where a message posted early can follow
+// one posted later. It returns the number of messages scheduled and an error
+// if any endpoint falls outside the target topology.
 func Replay(f *network.Fabric, records []Record, opts ReplayOptions) (int, error) {
 	if len(records) == 0 {
 		return 0, nil
@@ -267,6 +269,9 @@ func Replay(f *network.Fabric, records []Record, opts ReplayOptions) (int, error
 		return n
 	}
 	base := records[0].SendStart
+	for _, r := range records[1:] {
+		base = min(base, r.SendStart)
+	}
 	total := f.Topology().NumNodes()
 	now := f.Engine().Now()
 	scheduled := 0

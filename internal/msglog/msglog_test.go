@@ -388,6 +388,47 @@ func TestReplayTimeScaleCompressionPreservesSendOrder(t *testing.T) {
 	}
 }
 
+// TestReplayDeliveryOrderedOffsets replays records in delivery order, where
+// the first record was posted after the others, as a captured log holds
+// them. Every message must be posted at its offset from the earliest
+// SendStart, scaled by TimeScale; none may be clamped to the start.
+func TestReplayDeliveryOrderedOffsets(t *testing.T) {
+	records := []Record{
+		{Src: 0, Dst: 1, Size: 64, SendStart: 5000, DeliveredAt: 5600},
+		{Src: 2, Dst: 3, Size: 128, SendStart: 1000, DeliveredAt: 9000},
+		{Src: 4, Dst: 5, Size: 256, SendStart: 3000, DeliveredAt: 9500},
+	}
+	for _, scale := range []float64{1, 0.5, 3} {
+		tt := topo.MustNew(topo.SmallConfig(2))
+		pol := routing.MustNewPolicy(tt, routing.DefaultParams())
+		eng := sim.NewEngine(16)
+		fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
+		if err := eng.RunUntil(700); err != nil { // replay from a nonzero "now"
+			t.Fatal(err)
+		}
+		start := eng.Now()
+		replayLog := NewLog()
+		replayLog.Attach(fab)
+		if _, err := Replay(fab, records, ReplayOptions{TimeScale: scale}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		posted := make(map[int64]sim.Time) // size -> replayed SendStart
+		for _, r := range replayLog.Records() {
+			posted[r.Size] = r.SendStart
+		}
+		for _, r := range records {
+			want := start + sim.Time(float64(r.SendStart-1000)*scale)
+			if got, ok := posted[r.Size]; !ok || got != want {
+				t.Fatalf("scale %v: %d-byte message posted at %d (replayed: %v), want %d",
+					scale, r.Size, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestReplayEmptyTraceIsNoop(t *testing.T) {
 	tt := topo.MustNew(topo.SmallConfig(2))
 	pol := routing.MustNewPolicy(tt, routing.DefaultParams())

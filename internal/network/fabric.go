@@ -91,6 +91,16 @@ func (ls *linkState) serialization(flits int) int64 {
 	return max(v, 1)
 }
 
+// queue is the link backlog the routing pipeline perceives at now: until
+// creditDelay cycles have elapsed since lastChange it still sees prevFreeAt.
+func (ls *linkState) queue(now, creditDelay int64) int64 {
+	freeAt := ls.freeAt
+	if now-ls.lastChange < creditDelay {
+		freeAt = ls.prevFreeAt
+	}
+	return max(freeAt-now, 0)
+}
+
 func (ls *linkState) advance(now, newFreeAt sim.Time) {
 	ls.prevFreeAt = ls.freeAt
 	ls.lastChange = now
@@ -113,9 +123,9 @@ type nicState struct {
 	readyAt sim.Time
 	// window is a ring buffer of the response times of the last
 	// MaxOutstandingPackets packets, used to enforce the outstanding limit.
-	// It is allocated lazily on the NIC's first injection: at machine scale
-	// most nodes never send (only the measured jobs and noise generators do),
-	// so an idle NIC costs a few words instead of an eager
+	// A NIC takes one on its first injection and returns it at Reset: at
+	// machine scale most nodes never send (only the measured jobs and noise
+	// generators do), so an idle NIC costs a few words instead of an eager
 	// MaxOutstandingPackets-sized ring.
 	window    []sim.Time
 	windowIdx int
@@ -159,12 +169,19 @@ func (n *nicState) popOp() *sendOp {
 	return op
 }
 
-// reset rewinds the dynamic state, returning still-queued ops to the pool.
-func (n *nicState) reset(f *Fabric) {
+// reset rewinds the dynamic state of NIC node, returning still-queued ops to
+// the pool and the outstanding-packet ring to the free list of the node's
+// group. Rings thus stay bounded by the most NICs a group has had injecting
+// in one epoch, not by every node a sweep of trials has touched. A recycled
+// ring is not cleared: windowConstraint reads it only once windowLen shows
+// that this epoch has overwritten every slot.
+func (n *nicState) reset(f *Fabric, node topo.NodeID) {
 	n.counters = counters.NIC{}
 	n.readyAt = 0
-	for i := range n.window {
-		n.window[i] = 0
+	if n.window != nil {
+		free := &f.ringFree[f.topo.GroupOfNode(node)]
+		*free = append(*free, n.window)
+		n.window = nil
 	}
 	n.windowIdx, n.windowLen = 0, 0
 	for i := n.qhead; i < len(n.queue); i++ {
@@ -212,6 +229,11 @@ type Fabric struct {
 	opFree      []*sendOp
 	pending     []pendingDelivery
 	pendingFree []int32
+
+	// ringFree[g] holds the outstanding-packet rings group g's NICs returned
+	// at Reset, for its NICs' first injections to reuse. The lists are per
+	// group because ShardableUGAL injects for different groups concurrently.
+	ringFree [][][]sim.Time
 
 	packetsInjected uint64
 
@@ -265,13 +287,14 @@ func New(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg Confi
 		return nil, err
 	}
 	f := &Fabric{
-		engine: engine,
-		topo:   t,
-		policy: policy,
-		cfg:    cfg,
-		links:  make([]linkState, t.NumLinks()),
-		nics:   make([]nicState, t.NumNodes()),
-		rng:    rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
+		engine:   engine,
+		topo:     t,
+		policy:   policy,
+		cfg:      cfg,
+		links:    make([]linkState, t.NumLinks()),
+		nics:     make([]nicState, t.NumNodes()),
+		ringFree: make([][][]sim.Time, t.Config().Groups),
+		rng:      rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
 	}
 	for i, l := range t.Links() {
 		ls := &f.links[i]
@@ -305,7 +328,7 @@ func (f *Fabric) Reset() {
 		f.links[i].reset()
 	}
 	for i := range f.nics {
-		f.nics[i].reset(f)
+		f.nics[i].reset(f, topo.NodeID(i))
 	}
 	for i := range f.pending {
 		f.pending[i] = pendingDelivery{}
@@ -397,23 +420,11 @@ func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled u
 
 // --- routing.CongestionView implementation -------------------------------
 
-// QueueCycles implements routing.CongestionView with a stale (credit-delayed)
-// view of the link backlog.
-func (f *Fabric) QueueCycles(id topo.LinkID, now int64) int64 {
+// LinkCost implements routing.CongestionView from one linkState read: the
+// stale (credit-delayed) backlog plus propagation plus serialization.
+func (f *Fabric) LinkCost(id topo.LinkID, flits int, now int64) int64 {
 	ls := &f.links[id]
-	freeAt := ls.freeAt
-	if now-ls.lastChange < f.cfg.CreditDelay {
-		freeAt = ls.prevFreeAt
-	}
-	return max(freeAt-now, 0)
-}
-
-// PropagationCycles implements routing.CongestionView.
-func (f *Fabric) PropagationCycles(id topo.LinkID) int64 { return f.links[id].propagation }
-
-// SerializationCycles implements routing.CongestionView.
-func (f *Fabric) SerializationCycles(id topo.LinkID, flits int) int64 {
-	return f.links[id].serialization(flits)
+	return ls.queue(now, f.cfg.CreditDelay) + ls.propagation + ls.serialization(flits)
 }
 
 var _ routing.CongestionView = (*Fabric)(nil)
@@ -575,9 +586,17 @@ func (n *nicState) windowConstraint(maxOutstanding int) sim.Time {
 	return n.window[n.windowIdx]
 }
 
-func (n *nicState) recordResponse(resp sim.Time, maxOutstanding int) {
+// recordResponse enters a packet's response time into the outstanding
+// window. On the NIC's first injection of an epoch it takes a ring from
+// free, the NIC's group's list, or allocates one when the list is empty.
+func (n *nicState) recordResponse(resp sim.Time, maxOutstanding int, free *[][]sim.Time) {
 	if n.window == nil {
-		n.window = make([]sim.Time, maxOutstanding)
+		if k := len(*free); k > 0 {
+			n.window = (*free)[k-1]
+			*free = (*free)[:k-1]
+		} else {
+			n.window = make([]sim.Time, maxOutstanding)
+		}
 	}
 	n.window[n.windowIdx] = resp
 	n.windowIdx = (n.windowIdx + 1) % len(n.window)
@@ -670,7 +689,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	stall := injStart - ready
 	serNIC := int64(chunkFlits) * f.cfg.CyclesPerFlit // NIC pushes one flit per CyclesPerFlit
 	nic.readyAt = injStart + serNIC
-	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets)
+	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets, &f.ringFree[f.topo.GroupOf(srcRouter)])
 	f.packetsInjected += uint64(chunkPackets)
 
 	latency := respArrival - injStart

@@ -241,19 +241,19 @@ func TestQueueCyclesStaleView(t *testing.T) {
 	}
 	id := tt.LinkBetween(tt.RouterOfNode(src), tt.RouterOfNode(dst))
 	now := eng.Now()
-	// The fresh backlog (bypassing staleness by looking far in the future)
-	// must be at least the stale view now.
-	stale := f.QueueCycles(id, now)
-	fresh := f.QueueCycles(id, now+f.Config().CreditDelay)
-	_ = fresh
+	ls := &f.links[id]
+	stale := ls.queue(now, f.Config().CreditDelay)
 	if stale < 0 {
 		t.Fatal("negative backlog")
 	}
-	if f.PropagationCycles(id) <= 0 {
+	if ls.propagation <= 0 {
 		t.Fatal("propagation must be positive")
 	}
-	if f.SerializationCycles(id, 5) <= 0 {
+	if ls.serialization(5) <= 0 {
 		t.Fatal("serialization must be positive")
+	}
+	if got, want := f.LinkCost(id, 5, now), stale+ls.propagation+ls.serialization(5); got != want {
+		t.Fatalf("LinkCost = %d, want backlog + propagation + serialization = %d", got, want)
 	}
 }
 

@@ -159,19 +159,15 @@ type laneView struct {
 	group int32
 }
 
-func (v *laneView) QueueCycles(id topo.LinkID, now int64) int64 {
+func (v *laneView) LinkCost(id topo.LinkID, flits int, now int64) int64 {
+	ls := &v.f.links[id]
+	var queue int64
 	if v.f.groupOfLink[id] == v.group {
-		return v.f.QueueCycles(id, now)
+		queue = ls.queue(now, v.f.cfg.CreditDelay)
+	} else {
+		queue = max(v.lane.replica[id]-now, 0)
 	}
-	return max(v.lane.replica[id]-now, 0)
-}
-
-func (v *laneView) PropagationCycles(id topo.LinkID) int64 {
-	return v.f.links[id].propagation
-}
-
-func (v *laneView) SerializationCycles(id topo.LinkID, flits int) int64 {
-	return v.f.links[id].serialization(flits)
+	return queue + ls.propagation + ls.serialization(flits)
 }
 
 var _ routing.CongestionView = (*laneView)(nil)
@@ -489,7 +485,7 @@ func (f *Fabric) injectLane(sc *sim.ShardContext, src topo.NodeID) {
 	stall := injStart - ready
 	serNIC := int64(chunkFlits) * f.cfg.CyclesPerFlit
 	nic.readyAt = injStart + serNIC
-	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets)
+	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets, &f.ringFree[g])
 	lane.packets += uint64(chunkPackets)
 
 	latency := respArrival - injStart

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 
 	"dragonfly/internal/routing"
@@ -36,9 +37,14 @@ func TestQueueCyclesStaleWindow(t *testing.T) {
 		{1700, 300, "past the window: fresh view (2000-1700)"},
 		{2500, 0, "past freeAt: no backlog"},
 	}
+	fixed := ls.propagation + ls.serialization(5)
 	for _, c := range cases {
-		if got := f.QueueCycles(id, c.now); got != c.want {
-			t.Errorf("QueueCycles(now=%d) = %d, want %d (%s)", c.now, got, c.want, c.why)
+		if got := ls.queue(c.now, f.cfg.CreditDelay); got != c.want {
+			t.Errorf("queue(now=%d) = %d, want %d (%s)", c.now, got, c.want, c.why)
+		}
+		// LinkCost is that backlog plus the link's fixed per-packet cost.
+		if got := f.LinkCost(id, 5, c.now); got != c.want+fixed {
+			t.Errorf("LinkCost(now=%d) = %d, want %d", c.now, got, c.want+fixed)
 		}
 	}
 }
@@ -86,13 +92,13 @@ func TestStaleViewThroughFabric(t *testing.T) {
 	}
 	ls := &f.links[hot]
 	now := ls.lastChange + 1 // just after the last advance: stale window active
-	stale := f.QueueCycles(hot, now)
+	stale := ls.queue(now, f.cfg.CreditDelay)
 	fresh := max(ls.freeAt-now, 0)
 	if stale >= fresh {
 		t.Fatalf("stale view (%d) should underestimate the real backlog (%d)", stale, fresh)
 	}
 	after := ls.lastChange + f.cfg.CreditDelay
-	if got, want := f.QueueCycles(hot, after), max(ls.freeAt-after, 0); got != want {
+	if got, want := ls.queue(after, f.cfg.CreditDelay), max(ls.freeAt-after, 0); got != want {
 		t.Fatalf("post-window view = %d, want the real backlog %d", got, want)
 	}
 }
@@ -106,6 +112,7 @@ func TestStaleViewThroughFabric(t *testing.T) {
 // wrapping modulo the window size.
 func TestWindowRingWraparound(t *testing.T) {
 	var n nicState // window nil: idle NICs never allocate a ring
+	var free [][]sim.Time
 	if got := n.windowConstraint(4); got != 0 {
 		t.Fatalf("empty window constraint = %d, want 0", got)
 	}
@@ -113,7 +120,7 @@ func TestWindowRingWraparound(t *testing.T) {
 		t.Fatal("windowConstraint on an idle NIC must not allocate the ring")
 	}
 	for i, resp := range []sim.Time{10, 20, 30} {
-		n.recordResponse(resp, 4)
+		n.recordResponse(resp, 4, &free)
 		if got := n.windowConstraint(4); got != 0 {
 			t.Fatalf("after %d records (window not full) constraint = %d, want 0", i+1, got)
 		}
@@ -121,7 +128,7 @@ func TestWindowRingWraparound(t *testing.T) {
 	if len(n.window) != 4 {
 		t.Fatalf("ring allocated with %d slots, want 4", len(n.window))
 	}
-	n.recordResponse(40, 4)
+	n.recordResponse(40, 4, &free)
 	// Window full: oldest outstanding response (10) gates injection, and the
 	// ring index has wrapped back to slot 0.
 	if n.windowIdx != 0 || n.windowLen != 4 {
@@ -132,13 +139,78 @@ func TestWindowRingWraparound(t *testing.T) {
 	}
 	// Each further record evicts the oldest and advances the ring.
 	for _, c := range []struct{ resp, want sim.Time }{{50, 20}, {60, 30}, {70, 40}, {80, 50}, {90, 60}} {
-		n.recordResponse(c.resp, 4)
+		n.recordResponse(c.resp, 4, &free)
 		if got := n.windowConstraint(4); got != c.want {
 			t.Fatalf("after recording %d: constraint = %d, want %d", c.resp, got, c.want)
 		}
 	}
 	if n.windowLen != 4 {
 		t.Fatalf("windowLen grew past the window: %d", n.windowLen)
+	}
+}
+
+// TestResetRecyclesRings runs Reset-plus-trial cycles whose senders are
+// placed at random, as noise jobs are, and checks the outstanding-packet
+// rings stay bounded: after every Reset each group holds no more rings than
+// the most its NICs used in any one trial, although the trials together
+// touch far more distinct nodes than that.
+func TestResetRecyclesRings(t *testing.T) {
+	f, tt, eng := testFabric(t, 4, 1)
+	groups := tt.Config().Groups
+	placement := rand.New(rand.NewSource(42))
+	maxUsed := make([]int, groups)
+	touched := make(map[topo.NodeID]bool)
+	for trial := 0; trial < 30; trial++ {
+		eng.Reset(int64(trial))
+		f.Reset()
+		live := make([]int, groups)
+		for i := range f.nics {
+			if f.nics[i].window != nil {
+				t.Fatalf("trial %d: NIC %d kept its ring across Reset", trial, i)
+			}
+		}
+		for g := range live {
+			live[g] = len(f.ringFree[g])
+			if live[g] > maxUsed[g] {
+				t.Fatalf("trial %d: group %d holds %d rings, but no trial used more than %d",
+					trial, g, live[g], maxUsed[g])
+			}
+		}
+
+		for k := 0; k < 8; k++ {
+			src := topo.NodeID(placement.Intn(tt.NumNodes()))
+			dst := topo.NodeID(placement.Intn(tt.NumNodes()))
+			if err := f.Send(src, dst, 4096, SendOptions{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		used := make([]int, groups)
+		for i := range f.nics {
+			if f.nics[i].window != nil {
+				used[tt.GroupOfNode(topo.NodeID(i))]++
+				touched[topo.NodeID(i)] = true
+			}
+		}
+		for g := range used {
+			// Rings come from the free list first, so a list that is not
+			// empty yet has supplied every ring the group used.
+			if free := len(f.ringFree[g]); free > 0 && used[g]+free != live[g] {
+				t.Fatalf("trial %d: group %d used %d rings and has %d free, but started with %d",
+					trial, g, used[g], free, live[g])
+			}
+			maxUsed[g] = max(maxUsed[g], used[g])
+		}
+	}
+	rings := 0
+	for g := range maxUsed {
+		rings += maxUsed[g]
+	}
+	if rings >= len(touched) {
+		t.Fatalf("%d rings for %d distinct senders: random placement should touch more nodes than any trial uses",
+			rings, len(touched))
 	}
 }
 

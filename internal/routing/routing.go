@@ -123,14 +123,11 @@ func (m Mode) IsAdaptive() bool {
 // allowed to be stale (credit information propagates with a delay), which is
 // what produces the phantom-congestion behaviour discussed in the paper.
 type CongestionView interface {
-	// QueueCycles returns the estimated backlog of the link in cycles, as
-	// perceived at time now (subject to credit/propagation staleness).
-	QueueCycles(id topo.LinkID, now int64) int64
-	// PropagationCycles returns the propagation delay of the link in cycles.
-	PropagationCycles(id topo.LinkID) int64
-	// SerializationCycles returns the time needed to serialize the given
-	// number of flits onto the link, in cycles.
-	SerializationCycles(id topo.LinkID, flits int) int64
+	// LinkCost returns the estimated cost, in cycles, of one packet of the
+	// given flit count crossing the link at time now: the link's perceived
+	// backlog (subject to credit/propagation staleness), plus its
+	// propagation delay, plus the time to serialize the flits onto it.
+	LinkCost(id topo.LinkID, flits int, now int64) int64
 }
 
 // Params configures the UGAL cost model and the per-mode biases.
@@ -254,15 +251,9 @@ func (p *Policy) Topology() *topo.Topology { return p.topo }
 func PathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
 	var cost int64
 	for _, id := range path {
-		cost += view.QueueCycles(id, now)
-		cost += view.PropagationCycles(id)
-		cost += view.SerializationCycles(id, flits)
+		cost += view.LinkCost(id, flits, now)
 	}
 	return cost
-}
-
-func (p *Policy) pathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
-	return PathCost(path, flits, view, now)
 }
 
 // hashPath returns a deterministic path for the hashed (non-adaptive) modes.
@@ -329,14 +320,14 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 	switch mode {
 	case MinHash:
 		path := p.hashPath(src, dst, hash, true)
-		return Decision{Path: path, Minimal: true, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: true, Cost: PathCost(path, flits, view, now)}
 	case NonMinHash:
 		path := p.hashPath(src, dst, hash, false)
-		return Decision{Path: path, Minimal: false, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: false, Cost: PathCost(path, flits, view, now)}
 	case InOrder:
 		p.hashScratch = p.topo.AppendMinimalPath(p.hashScratch[:0], src, dst, nil)
 		path := p.hashScratch
-		return Decision{Path: path, Minimal: true, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: true, Cost: PathCost(path, flits, view, now)}
 	}
 
 	// Adaptive modes: sample candidates and pick the cheapest after bias.
@@ -352,7 +343,7 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 		}
 	}
 	for i, cand := range minimal {
-		c := p.pathCost(cand, flits, view, now)
+		c := PathCost(cand, flits, view, now)
 		if c < best.Cost {
 			best = Decision{Path: cand, Minimal: true, Cost: c}
 			bestIdx = i
@@ -360,7 +351,7 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 	}
 	nonMinBias := p.bias(mode, bestMinHops)
 	for i, cand := range nonMinimal {
-		c := p.pathCost(cand, flits, view, now) + nonMinBias
+		c := PathCost(cand, flits, view, now) + nonMinBias
 		if c < best.Cost {
 			best = Decision{Path: cand, Minimal: false, Cost: c}
 			bestIdx = len(minimal) + i
@@ -382,13 +373,8 @@ type ZeroView struct {
 	CyclesPerFlit int64
 }
 
-// QueueCycles implements CongestionView; it always returns 0.
-func (v ZeroView) QueueCycles(topo.LinkID, int64) int64 { return 0 }
-
-// PropagationCycles implements CongestionView.
-func (v ZeroView) PropagationCycles(topo.LinkID) int64 { return v.Propagation }
-
-// SerializationCycles implements CongestionView.
-func (v ZeroView) SerializationCycles(_ topo.LinkID, flits int) int64 {
-	return v.CyclesPerFlit * int64(flits)
+// LinkCost implements CongestionView: no backlog, so the constant
+// propagation plus flits times the constant serialization rate.
+func (v ZeroView) LinkCost(_ topo.LinkID, flits int, _ int64) int64 {
+	return v.Propagation + v.CyclesPerFlit*int64(flits)
 }

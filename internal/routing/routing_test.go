@@ -231,10 +231,8 @@ type congestedView struct {
 	prop      int64
 }
 
-func (v congestedView) QueueCycles(id topo.LinkID, _ int64) int64 { return v.congested[id] }
-func (v congestedView) PropagationCycles(topo.LinkID) int64       { return v.prop }
-func (v congestedView) SerializationCycles(_ topo.LinkID, flits int) int64 {
-	return int64(flits)
+func (v congestedView) LinkCost(id topo.LinkID, flits int, _ int64) int64 {
+	return v.congested[id] + v.prop + int64(flits)
 }
 
 func TestAdaptiveAvoidsCongestedMinimal(t *testing.T) {
@@ -313,14 +311,14 @@ func TestIMBBiasGrowsAsDestinationApproaches(t *testing.T) {
 
 func TestZeroViewCosts(t *testing.T) {
 	v := ZeroView{Propagation: 7, CyclesPerFlit: 3}
-	if v.QueueCycles(0, 0) != 0 {
-		t.Fatal("ZeroView must report empty queues")
+	// No backlog at any time: propagation 7 plus 5 flits at 3 cycles each.
+	for _, now := range []int64{0, 1 << 40} {
+		if got := v.LinkCost(0, 5, now); got != 7+15 {
+			t.Fatalf("LinkCost(now=%d) = %d, want %d", now, got, 7+15)
+		}
 	}
-	if v.PropagationCycles(0) != 7 {
-		t.Fatal("wrong propagation")
-	}
-	if v.SerializationCycles(0, 5) != 15 {
-		t.Fatal("wrong serialization")
+	if got := v.LinkCost(0, 0, 0); got != 7 {
+		t.Fatalf("zero-flit LinkCost = %d, want the propagation 7", got)
 	}
 }
 
@@ -389,8 +387,12 @@ func BenchmarkRouteAdaptive(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := tt.RouterAt(topo.Coord{Group: 0, Chassis: 0, Blade: 0})
 	dst := tt.RouterAt(topo.Coord{Group: 5, Chassis: 3, Blade: 9})
-	view := ZeroView{Propagation: 100, CyclesPerFlit: 1}
+	// Box the view once, as the fabric passes itself: boxing per call would
+	// charge Route an allocation it never makes.
+	var view CongestionView = ZeroView{Propagation: 100, CyclesPerFlit: 1}
+	p.Route(Adaptive, src, dst, 5, 0, view, 0, rng) // size the candidate buffers
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Route(Adaptive, src, dst, 5, uint64(i), view, int64(i), rng)
 	}

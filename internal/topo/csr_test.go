@@ -1,46 +1,103 @@
 package topo
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// csrGeometries are the shapes the CSR adjacency is cross-checked on,
-// including degenerate single-dimension layouts.
-var csrGeometries = []Config{
-	SmallConfig(1),
-	SmallConfig(4),
-	AriesConfig(2),
-	{Groups: 3, ChassisPerGroup: 1, BladesPerChassis: 4, NodesPerBlade: 1,
-		GlobalLinksPerRouter: 2, IntraGroupLinkWidth: 1, IntraChassisLinkWidth: 1, GlobalLinkWidth: 1},
-	{Groups: 2, ChassisPerGroup: 3, BladesPerChassis: 1, NodesPerBlade: 2,
-		GlobalLinksPerRouter: 2, IntraGroupLinkWidth: 2, IntraChassisLinkWidth: 1, GlobalLinkWidth: 1},
+// adjacencyGeometries are the shapes the link lookups are cross-checked on:
+// the facade's geometry ladder (dragonfly.GeometryLadder: small, medium,
+// large, daint), SmallConfig at every group count up to 5, degenerate
+// single-dimension layouts, and a few-group layout whose global port
+// assignments collapse onto already-connected router pairs.
+func adjacencyGeometries() map[string]Config {
+	medium := SmallConfig(6)
+	medium.BladesPerChassis = 8
+	medium.GlobalLinksPerRouter = 4
+	geoms := map[string]Config{
+		"ladder/small":  SmallConfig(4),
+		"ladder/medium": medium,
+		"ladder/large":  AriesConfig(6),
+		"ladder/daint":  AriesConfig(14),
+		"one-chassis": {Groups: 3, ChassisPerGroup: 1, BladesPerChassis: 4, NodesPerBlade: 1,
+			GlobalLinksPerRouter: 2, IntraGroupLinkWidth: 1, IntraChassisLinkWidth: 1, GlobalLinkWidth: 1},
+		"one-blade": {Groups: 2, ChassisPerGroup: 3, BladesPerChassis: 1, NodesPerBlade: 2,
+			GlobalLinksPerRouter: 2, IntraGroupLinkWidth: 2, IntraChassisLinkWidth: 1, GlobalLinkWidth: 1},
+		"collapsing": collapsingConfig,
+	}
+	for g := 1; g <= 5; g++ {
+		geoms[fmt.Sprintf("small-%d", g)] = SmallConfig(g)
+	}
+	return geoms
 }
 
-// TestCSRMatchesLinkList rebuilds the adjacency relation from the flat link
-// list and checks LinkBetween against it for every router pair: the CSR
-// binary search must agree exactly with the ground truth (including
-// InvalidLink for unconnected pairs).
-func TestCSRMatchesLinkList(t *testing.T) {
-	for _, cfg := range csrGeometries {
+// collapsingConfig has 4 global ports per group and 2 peer groups, so each
+// group pair gets q = 2 port assignments. Both land on ports 0-1 (or 2-3) of
+// a group, which belong to one router: the second assignment of every pair
+// joins an already-connected router pair and must collapse into the first.
+var collapsingConfig = Config{Groups: 3, ChassisPerGroup: 1, BladesPerChassis: 2, NodesPerBlade: 1,
+	GlobalLinksPerRouter: 2, IntraGroupLinkWidth: 1, IntraChassisLinkWidth: 1, GlobalLinkWidth: 1}
+
+// TestLinkBetweenMatchesLinkScan is the closed form's property test. A
+// brute-force scan of Links() gives the ground truth; LinkBetween must agree
+// with it for every ordered router pair (InvalidLink where the scan finds no
+// link), and GlobalLinks for every ordered group pair, in wiring order.
+func TestLinkBetweenMatchesLinkScan(t *testing.T) {
+	for name, cfg := range adjacencyGeometries() {
 		tp := MustNew(cfg)
-		want := make(map[adjKey]LinkID, tp.NumLinks())
-		for _, l := range tp.Links() {
-			if prev, dup := want[adjKey{l.Src, l.Dst}]; dup {
-				t.Fatalf("%+v: duplicate link %d and %d for pair (%d,%d)", cfg, prev, l.ID, l.Src, l.Dst)
-			}
-			want[adjKey{l.Src, l.Dst}] = l.ID
+		n, groups := tp.NumRouters(), cfg.Groups
+		want := make([]LinkID, n*n)
+		for i := range want {
+			want[i] = InvalidLink
 		}
-		n := tp.NumRouters()
+		wantGlobal := make([][]LinkID, groups*groups)
+		for i, l := range tp.Links() {
+			if l.ID != LinkID(i) {
+				t.Fatalf("%s: Links()[%d] has ID %d", name, i, l.ID)
+			}
+			k := int(l.Src)*n + int(l.Dst)
+			if want[k] != InvalidLink {
+				t.Fatalf("%s: duplicate links %d and %d for pair (%d,%d)", name, want[k], l.ID, l.Src, l.Dst)
+			}
+			want[k] = l.ID
+			gs, gd := tp.GroupOf(l.Src), tp.GroupOf(l.Dst)
+			if (l.Type == LinkGlobal) != (gs != gd) {
+				t.Fatalf("%s: link %d of type %v joins groups %d and %d", name, l.ID, l.Type, gs, gd)
+			}
+			if l.Type == LinkGlobal {
+				wantGlobal[int(gs)*groups+int(gd)] = append(wantGlobal[int(gs)*groups+int(gd)], l.ID)
+			}
+		}
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				wantID, ok := want[adjKey{RouterID(src), RouterID(dst)}]
-				if !ok {
-					wantID = InvalidLink
+				if got := tp.LinkBetween(RouterID(src), RouterID(dst)); got != want[src*n+dst] {
+					t.Fatalf("%s: LinkBetween(%d,%d) = %d, want %d", name, src, dst, got, want[src*n+dst])
 				}
-				if got := tp.LinkBetween(RouterID(src), RouterID(dst)); got != wantID {
-					t.Fatalf("%+v: LinkBetween(%d,%d) = %d, want %d", cfg, src, dst, got, wantID)
+			}
+		}
+		for g1 := 0; g1 < groups; g1++ {
+			for g2 := 0; g2 < groups; g2++ {
+				if got := tp.GlobalLinks(GroupID(g1), GroupID(g2)); !slices.Equal(got, wantGlobal[g1*groups+g2]) {
+					t.Fatalf("%s: GlobalLinks(%d,%d) = %v, want %v", name, g1, g2, got, wantGlobal[g1*groups+g2])
 				}
+			}
+		}
+	}
+}
+
+// TestGlobalPortsCollapse pins that collapsingConfig really exercises the
+// collapse: every group pair received two port assignments but has one link.
+func TestGlobalPortsCollapse(t *testing.T) {
+	tp := MustNew(collapsingConfig)
+	for g1 := 0; g1 < collapsingConfig.Groups; g1++ {
+		for g2 := 0; g2 < collapsingConfig.Groups; g2++ {
+			if g1 == g2 {
+				continue
+			}
+			if got := len(tp.GlobalLinks(GroupID(g1), GroupID(g2))); got != 1 {
+				t.Fatalf("GlobalLinks(%d,%d) has %d links, want the 2 port assignments collapsed into 1", g1, g2, got)
 			}
 		}
 	}
@@ -50,7 +107,7 @@ func TestCSRMatchesLinkList(t *testing.T) {
 // layout: ascending router order, no duplicates, degree matching the link
 // list.
 func TestCSRNeighborsSortedAndComplete(t *testing.T) {
-	for _, cfg := range csrGeometries {
+	for name, cfg := range adjacencyGeometries() {
 		tp := MustNew(cfg)
 		degree := make(map[RouterID]int)
 		for _, l := range tp.Links() {
@@ -59,66 +116,50 @@ func TestCSRNeighborsSortedAndComplete(t *testing.T) {
 		for r := 0; r < tp.NumRouters(); r++ {
 			nb := tp.Neighbors(RouterID(r))
 			if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i] < nb[j] }) {
-				t.Fatalf("%+v: Neighbors(%d) not sorted: %v", cfg, r, nb)
+				t.Fatalf("%s: Neighbors(%d) not sorted: %v", name, r, nb)
 			}
 			for i := 1; i < len(nb); i++ {
 				if nb[i] == nb[i-1] {
-					t.Fatalf("%+v: Neighbors(%d) has duplicate %d", cfg, r, nb[i])
+					t.Fatalf("%s: Neighbors(%d) has duplicate %d", name, r, nb[i])
 				}
 			}
 			if len(nb) != degree[RouterID(r)] || len(nb) != tp.Degree(RouterID(r)) {
-				t.Fatalf("%+v: router %d degree mismatch: Neighbors=%d Degree()=%d links=%d",
-					cfg, r, len(nb), tp.Degree(RouterID(r)), degree[RouterID(r)])
+				t.Fatalf("%s: router %d degree mismatch: Neighbors=%d Degree()=%d links=%d",
+					name, r, len(nb), tp.Degree(RouterID(r)), degree[RouterID(r)])
 			}
 		}
 	}
 }
 
-// TestCSRMemoryScalesWithLinks is the machine-scale motivation: past the
-// dense-mirror cutoff the adjacency arrays grow with the link count, not
-// quadratically with the router count. On a full Aries 14-group system (1344
-// routers) a dense |R|²-entry matrix would hold ~1.8M entries; the CSR rows
-// plus the reverse-link table stay within a small multiple of the ~29k
-// directed links.
+// TestCSRMemoryScalesWithLinks pins AdjacencyBytes on every geometry: the
+// CSR rows, the reverse-link table and the group-pair global table, all
+// O(links). Local links are computed, so no geometry holds a |R|² matrix; on
+// a full Aries 14-group system (1344 routers) one would be an order of
+// magnitude larger.
 func TestCSRMemoryScalesWithLinks(t *testing.T) {
-	tp := MustNew(AriesConfig(14))
-	if tp.adjDense != nil {
-		t.Fatal("machine-scale topology built the dense mirror despite the size cutoff")
-	}
-	got := tp.AdjacencyBytes()
-	// offsets (n+1), dst, link and reverse-link arrays, 4 bytes each.
-	want := (tp.NumRouters()+1)*4 + tp.NumLinks()*12
-	if got != want {
-		t.Fatalf("AdjacencyBytes = %d, want %d", got, want)
-	}
-	dense := tp.NumRouters() * tp.NumRouters() * 4
-	if got*10 > dense {
-		t.Fatalf("CSR adjacency (%d B) is not an order of magnitude under the dense matrix (%d B)", got, dense)
-	}
-	if tp.buildAdj != nil {
-		t.Fatal("construction scaffolding (buildAdj) must be released after New")
-	}
-	// The CSR row search (the machine-scale LinkBetween path) must agree
-	// with the ground-truth link list; sample pairs around each router.
-	truth := make(map[adjKey]LinkID, tp.NumLinks())
-	for _, l := range tp.Links() {
-		truth[adjKey{l.Src, l.Dst}] = l.ID
-	}
-	for src := 0; src < tp.NumRouters(); src += 7 {
-		for dst := 0; dst < tp.NumRouters(); dst += 11 {
-			wantID, ok := truth[adjKey{RouterID(src), RouterID(dst)}]
-			if !ok {
-				wantID = InvalidLink
-			}
-			if gotID := tp.LinkBetween(RouterID(src), RouterID(dst)); gotID != wantID {
-				t.Fatalf("CSR search LinkBetween(%d,%d) = %d, want %d", src, dst, gotID, wantID)
+	for name, cfg := range adjacencyGeometries() {
+		tp := MustNew(cfg)
+		global := 0
+		for _, l := range tp.Links() {
+			if l.Type == LinkGlobal {
+				global++
 			}
 		}
+		// offsets (n+1), dst, link and reverse-link arrays and the global
+		// link table, 4 bytes per entry.
+		want := (tp.NumRouters()+1)*4 + tp.NumLinks()*12 + global*4
+		if got := tp.AdjacencyBytes(); got != want {
+			t.Fatalf("%s: AdjacencyBytes = %d, want %d", name, got, want)
+		}
+	}
+	tp := MustNew(AriesConfig(14))
+	if got, dense := tp.AdjacencyBytes(), tp.NumRouters()*tp.NumRouters()*4; got*10 > dense {
+		t.Fatalf("adjacency (%d B) is not an order of magnitude under a dense matrix (%d B)", got, dense)
 	}
 }
 
-// TestReverseLinkTable pins ReverseLink against LinkBetween on both the
-// dense-mirrored and the CSR-only regimes.
+// TestReverseLinkTable pins ReverseLink against LinkBetween on a small
+// geometry and on the Daint rung.
 func TestReverseLinkTable(t *testing.T) {
 	for _, cfg := range []Config{SmallConfig(4), AriesConfig(14)} {
 		tp := MustNew(cfg)

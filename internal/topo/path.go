@@ -40,29 +40,18 @@ func (t *Topology) appendIntraGroupPath(p Path, src, dst RouterID, rng *rand.Ran
 	if cs.Group != cd.Group {
 		panic(fmt.Sprintf("topo: intraGroupPath called across groups %d and %d", cs.Group, cd.Group))
 	}
-	if id := t.LinkBetween(src, dst); id != InvalidLink {
+	if id := t.localLink(src, cs, cd); id != InvalidLink {
 		return append(p, id)
 	}
-	// Not directly connected: two hops, either chassis-first or row-first.
-	viaA := t.RouterAt(Coord{cs.Group, cs.Chassis, cd.Blade}) // intra-chassis then row
-	viaB := t.RouterAt(Coord{cs.Group, cd.Chassis, cs.Blade}) // row then intra-chassis
-	via := viaA
+	// Not directly connected, so the two routers differ in both chassis and
+	// blade, and both 2-hop alternatives are wired: chassis-first (to dst's
+	// blade in src's chassis, then along the row) or row-first (to src's
+	// blade in dst's chassis, then within that chassis).
+	via := Coord{cs.Group, cs.Chassis, cd.Blade}
 	if rng != nil && rng.Intn(2) == 1 {
-		via = viaB
+		via = Coord{cs.Group, cd.Chassis, cs.Blade}
 	}
-	first := t.LinkBetween(src, via)
-	second := t.LinkBetween(via, dst)
-	if first == InvalidLink || second == InvalidLink {
-		// Fall back to the other alternative; with full chassis/row wiring this
-		// cannot happen, but degenerate test configs may omit one dimension.
-		other := viaA
-		if via == viaA {
-			other = viaB
-		}
-		first = t.LinkBetween(src, other)
-		second = t.LinkBetween(other, dst)
-	}
-	return append(p, first, second)
+	return append(p, t.localLink(src, cs, via), t.localLink(t.RouterAt(via), via, cd))
 }
 
 // MinimalPath samples one minimal path from src to dst. For inter-group pairs

@@ -189,38 +189,30 @@ type Topology struct {
 	coords []Coord // router -> coordinate
 	links  []Link
 
+	// localDegree is the number of local links each router owns:
+	// BladesPerChassis-1 intra-chassis plus ChassisPerGroup-1 row links.
+	// They are numbered router by router from ID 0, so localLink computes
+	// any same-group link ID from two coordinates, with no table to search.
+	localDegree int
+
 	// Adjacency in CSR (compressed sparse row) form: router r's outgoing
 	// links occupy adjDst/adjLink[adjOff[r]:adjOff[r+1]], sorted by
-	// destination router. Router degree on a Dragonfly is small and bounded
-	// (blades-1 + chassis-1 + global ports), so the per-hop LinkBetween
-	// lookup is a short binary search over one cache line or two, while the
-	// memory cost is O(links) — a dense |R|×|R| matrix at machine scale
-	// (thousands of routers) would dwarf the link state itself.
+	// destination router. Path construction never reads it — local links
+	// are computed and global ones come from globalLinks — so it serves only
+	// cross-group LinkBetween, Neighbors, Degree and the revLink build, at
+	// O(links) memory.
 	adjOff  []int32
 	adjDst  []RouterID
 	adjLink []LinkID
-
-	// adjDense is an optional accelerator over the CSR rows: the flattened
-	// |R|×|R| matrix (src*NumRouters+dst -> LinkID). Path construction runs
-	// several LinkBetween lookups per simulated packet, and on the small
-	// experiment geometries the whole matrix fits in a few KiB of cache, so
-	// the indexed load is measurably faster than the row search. It is built
-	// only while it costs at most denseAdjMaxBytes; machine-scale topologies
-	// leave it nil and answer from the CSR rows alone.
-	adjDense []LinkID
 
 	// revLink maps each link to the link in the opposite direction (or
 	// InvalidLink). The fabric walks the reverse path once per packet chunk;
 	// precomputing it removes every adjacency lookup from that loop.
 	revLink []LinkID
 
-	// buildAdj is construction-only: it detects already-connected router
-	// pairs while links are being wired (global port assignments may collapse
-	// onto one pair). It is released once the CSR arrays are built.
-	buildAdj map[adjKey]LinkID
-
-	// globalByPair[(g1,g2)] lists links from a router of g1 to a router of g2.
-	globalByPair map[[2]GroupID][]LinkID
+	// globalLinks[g1*Groups+g2] lists the links from a router of g1 to a
+	// router of g2, in wiring order.
+	globalLinks [][]LinkID
 
 	// viaGroups[(gs*Groups)+gd] lists the intermediate groups usable for a
 	// Valiant detour between gs and gd (connected to both, excluding the
@@ -235,10 +227,9 @@ func New(cfg Config) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{
-		cfg:          cfg,
-		coords:       make([]Coord, cfg.Routers()),
-		buildAdj:     make(map[adjKey]LinkID),
-		globalByPair: make(map[[2]GroupID][]LinkID),
+		cfg:         cfg,
+		coords:      make([]Coord, cfg.Routers()),
+		globalLinks: make([][]LinkID, cfg.Groups*cfg.Groups),
 	}
 	for r := 0; r < cfg.Routers(); r++ {
 		t.coords[r] = t.coordOf(RouterID(r))
@@ -246,21 +237,11 @@ func New(cfg Config) (*Topology, error) {
 	t.buildLocalLinks()
 	t.buildGlobalLinks()
 	t.buildPathCaches()
-	t.buildAdj = nil // construction scaffolding; the CSR arrays own adjacency now
 	return t, nil
 }
 
-// adjKey identifies a directed router pair during construction.
-type adjKey struct{ src, dst RouterID }
-
-// denseAdjMaxBytes bounds the optional dense adjacency mirror: up to this
-// size (512 routers) the matrix is cheap cache-resident speed for the
-// per-packet path construction; past it — the Large and Daint ladder rungs —
-// adjacency stays CSR-only and memory scales with links, not routers².
-const denseAdjMaxBytes = 1 << 20
-
-// buildPathCaches derives the per-packet lookup structures (CSR adjacency,
-// Valiant intermediate-group candidates) from the link graph.
+// buildPathCaches derives the lookup structures (CSR adjacency, reverse
+// links, Valiant intermediate-group candidates) from the link graph.
 func (t *Topology) buildPathCaches() {
 	n := t.cfg.Routers()
 	// CSR: count degrees, prefix-sum into row offsets, fill, then sort each
@@ -293,15 +274,6 @@ func (t *Topology) buildPathCaches() {
 				j--
 			}
 			t.adjDst[j], t.adjLink[j] = d, id
-		}
-	}
-	if n*n*4 <= denseAdjMaxBytes {
-		t.adjDense = make([]LinkID, n*n)
-		for i := range t.adjDense {
-			t.adjDense[i] = InvalidLink
-		}
-		for _, l := range t.links {
-			t.adjDense[int(l.Src)*n+int(l.Dst)] = l.ID
 		}
 	}
 	t.revLink = make([]LinkID, len(t.links))
@@ -397,13 +369,13 @@ func (t *Topology) NodesOfRouter(r RouterID) []NodeID {
 func (t *Topology) GroupOfNode(n NodeID) GroupID { return t.GroupOf(t.RouterOfNode(n)) }
 
 // LinkBetween returns the link from src to dst, or InvalidLink if the two
-// routers are not directly connected. Small machines answer from the dense
-// mirror (one indexed load); machine-scale topologies binary-search the
-// router's CSR adjacency row — rows are degree-bounded, so that is a handful
-// of compares.
+// routers are not directly connected. Same-group pairs are answered by
+// localLink's closed form; cross-group pairs binary-search src's CSR
+// adjacency row, which is degree-bounded, so a handful of compares.
 func (t *Topology) LinkBetween(src, dst RouterID) LinkID {
-	if t.adjDense != nil {
-		return t.adjDense[int(src)*len(t.coords)+int(dst)]
+	cs, cd := t.coords[src], t.coords[dst]
+	if cs.Group == cd.Group {
+		return t.localLink(src, cs, cd)
 	}
 	lo, hi := t.adjOff[src], t.adjOff[src+1]
 	for lo < hi {
@@ -437,55 +409,75 @@ func (t *Topology) Neighbors(r RouterID) []RouterID {
 	return append([]RouterID(nil), t.adjDst[t.adjOff[r]:t.adjOff[r+1]]...)
 }
 
-// AdjacencyBytes reports the memory held by the adjacency structures: the
-// CSR arrays, the reverse-link table, and — on small machines only — the
-// dense mirror. It is the observable the machine-scale tooling (cmd/topoinfo,
-// EXPERIMENTS.md's memory-budget table) tracks: past the dense cutoff it is
-// O(links), where a mandatory dense matrix would be O(routers²).
+// AdjacencyBytes reports the memory held by the entries of the adjacency
+// structures: the CSR arrays, the reverse-link table and the group-pair
+// global-link table. Local links need no table (localLink computes them), so
+// the total is O(links) on every geometry. It is the observable the
+// machine-scale tooling (cmd/topoinfo, EXPERIMENTS.md's memory-budget table)
+// tracks.
 func (t *Topology) AdjacencyBytes() int {
-	return len(t.adjOff)*4 + len(t.adjDst)*4 + len(t.adjLink)*4 +
-		len(t.revLink)*4 + len(t.adjDense)*4
+	entries := len(t.adjOff) + len(t.adjDst) + len(t.adjLink) + len(t.revLink)
+	for _, pair := range t.globalLinks {
+		entries += len(pair)
+	}
+	return entries * 4
 }
 
 // GlobalLinks returns the links connecting group g1 directly to group g2.
 func (t *Topology) GlobalLinks(g1, g2 GroupID) []LinkID {
-	return t.globalByPair[[2]GroupID{g1, g2}]
+	return t.globalLinks[int(g1)*t.cfg.Groups+int(g2)]
 }
 
-// addLink inserts a directed link and its construction-time adjacency entry.
-func (t *Topology) addLink(src, dst RouterID, typ LinkType, width int) LinkID {
-	id := LinkID(len(t.links))
-	t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: typ, Width: width})
-	t.buildAdj[adjKey{src, dst}] = id
-	return id
+// localLink is the closed form of the local wiring: the ID of the link from
+// src (at coordinate cs) to the router at cd in the same group, or
+// InvalidLink when the two are not directly connected. Router r owns the
+// localDegree IDs from r*localDegree: first its intra-chassis links in blade
+// order, then its row links in chassis order, each order skipping r's own
+// position. buildLocalLinks places every local link through this function,
+// so the formula and the wiring cannot drift apart.
+func (t *Topology) localLink(src RouterID, cs, cd Coord) LinkID {
+	base := int(src) * t.localDegree
+	switch {
+	case cs.Chassis == cd.Chassis && cs.Blade != cd.Blade:
+		return LinkID(base + skipSelf(cd.Blade, cs.Blade))
+	case cs.Blade == cd.Blade && cs.Chassis != cd.Chassis:
+		return LinkID(base + t.cfg.BladesPerChassis - 1 + skipSelf(cd.Chassis, cs.Chassis))
+	}
+	return InvalidLink
+}
+
+// skipSelf is i's position in the sequence 0, 1, ... with self left out.
+func skipSelf(i, self int) int {
+	if i > self {
+		return i - 1
+	}
+	return i
 }
 
 // buildLocalLinks wires intra-chassis (all-to-all within a chassis) and
 // intra-group "row" links (all-to-all among same blade position across the
-// chassis of a group).
+// chassis of a group), each at the ID localLink assigns it.
 func (t *Topology) buildLocalLinks() {
 	cfg := t.cfg
-	for g := 0; g < cfg.Groups; g++ {
+	t.localDegree = cfg.BladesPerChassis - 1 + cfg.ChassisPerGroup - 1
+	t.links = make([]Link, len(t.coords)*t.localDegree)
+	wire := func(src RouterID, cs, cd Coord, typ LinkType, width int) {
+		id := t.localLink(src, cs, cd)
+		t.links[id] = Link{ID: id, Src: src, Dst: t.RouterAt(cd), Type: typ, Width: width}
+	}
+	for r, cs := range t.coords {
+		src := RouterID(r)
+		// Intra-chassis: connect to every other blade in the same chassis.
+		for b := 0; b < cfg.BladesPerChassis; b++ {
+			if b != cs.Blade {
+				wire(src, cs, Coord{cs.Group, cs.Chassis, b}, LinkIntraChassis, cfg.IntraChassisLinkWidth)
+			}
+		}
+		// Intra-group rows: connect to the same blade position in every
+		// other chassis of the group.
 		for c := 0; c < cfg.ChassisPerGroup; c++ {
-			for b := 0; b < cfg.BladesPerChassis; b++ {
-				src := t.RouterAt(Coord{g, c, b})
-				// Intra-chassis: connect to every other blade in the same chassis.
-				for b2 := 0; b2 < cfg.BladesPerChassis; b2++ {
-					if b2 == b {
-						continue
-					}
-					dst := t.RouterAt(Coord{g, c, b2})
-					t.addLink(src, dst, LinkIntraChassis, cfg.IntraChassisLinkWidth)
-				}
-				// Intra-group rows: connect to the same blade position in every
-				// other chassis of the group.
-				for c2 := 0; c2 < cfg.ChassisPerGroup; c2++ {
-					if c2 == c {
-						continue
-					}
-					dst := t.RouterAt(Coord{g, c2, b})
-					t.addLink(src, dst, LinkIntraGroup, cfg.IntraGroupLinkWidth)
-				}
+			if c != cs.Chassis {
+				wire(src, cs, Coord{cs.Group, c, cs.Blade}, LinkIntraGroup, cfg.IntraGroupLinkWidth)
 			}
 		}
 	}
@@ -527,23 +519,27 @@ func (t *Topology) buildGlobalLinks() {
 				}
 				r1 := routerOfPort(g1, p1)
 				r2 := routerOfPort(g2, p2)
-				// A pair of routers may already be connected by an earlier
-				// port assignment; collapse into the existing link by leaving
-				// the adjacency as is (widths already aggregate tiles). The
-				// CSR adjacency is not built yet, so probe the build map.
-				if _, ok := t.buildAdj[adjKey{r1, r2}]; !ok {
-					id := t.addLink(r1, r2, LinkGlobal, cfg.GlobalLinkWidth)
-					t.globalByPair[[2]GroupID{GroupID(g1), GroupID(g2)}] =
-						append(t.globalByPair[[2]GroupID{GroupID(g1), GroupID(g2)}], id)
-				}
-				if _, ok := t.buildAdj[adjKey{r2, r1}]; !ok {
-					id := t.addLink(r2, r1, LinkGlobal, cfg.GlobalLinkWidth)
-					t.globalByPair[[2]GroupID{GroupID(g2), GroupID(g1)}] =
-						append(t.globalByPair[[2]GroupID{GroupID(g2), GroupID(g1)}], id)
-				}
+				t.addGlobalLink(r1, r2, g1*cfg.Groups+g2)
+				t.addGlobalLink(r2, r1, g2*cfg.Groups+g1)
 			}
 		}
 	}
+}
+
+// addGlobalLink wires src -> dst into the group-pair list globalLinks[pair]
+// unless an earlier port assignment already connected the two routers; such
+// assignments collapse into the existing link (widths already aggregate
+// tiles). Only a link of the same group pair can join src and dst, so that
+// list is the whole search.
+func (t *Topology) addGlobalLink(src, dst RouterID, pair int) {
+	for _, id := range t.globalLinks[pair] {
+		if t.links[id].Src == src && t.links[id].Dst == dst {
+			return
+		}
+	}
+	id := LinkID(len(t.links))
+	t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: LinkGlobal, Width: t.cfg.GlobalLinkWidth})
+	t.globalLinks[pair] = append(t.globalLinks[pair], id)
 }
 
 // AllocationClass describes the topological distance between two nodes, in the

@@ -1,167 +1,34 @@
 #!/bin/sh
-# bench_smoke.sh — allocation-regression gate for the experiment suite.
+# bench_smoke.sh — allocation-regression gates.
 #
-# Runs BenchmarkSuiteSerial once (-benchtime=1x) and compares its allocs/op
-# against the budget checked in as BENCH_budget.txt. The run fails when
-# allocs/op exceeds the budget by more than 10%: the hot-path refactors (PR 3
-# onwards) hold their gains through an explicit number, not through vigilance.
+# Every row of BENCH_budget.txt is one gate:
 #
-# After an intentional allocation change, refresh the budget:
+#   key  budget  benchmark-regex  package  benchtime  slack-percent
+#
+# The script runs each row's benchmark once with -benchmem and fails when its
+# allocs/op exceeds budget + budget*slack/100. Slack 0 makes the budget exact,
+# for the paths that must not allocate at all. The hot-path refactors hold
+# their gains through an explicit number, not through vigilance.
+#
+# After an intentional allocation change, rerun the row's benchmark, e.g.
 #   go test -run '^$' -bench '^BenchmarkSuiteSerial$' -benchmem -benchtime 1x .
-# and copy the new allocs/op into BENCH_budget.txt with a justification in
-# the PR description.
+# and copy the new allocs/op into its row with a justification in the PR.
 set -eu
 cd "$(dirname "$0")/.."
 
-budget=$(awk '$1 == "allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$budget" ]; then
-    echo "bench_smoke: no allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkSuiteSerial$' -benchmem -benchtime 1x -timeout 30m .)
-echo "$out"
-allocs=$(echo "$out" | awk '/^BenchmarkSuiteSerial/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$allocs" ]; then
-    echo "bench_smoke: could not find allocs/op in benchmark output" >&2
-    exit 2
-fi
-
-limit=$((budget + budget / 10))
-if [ "$allocs" -gt "$limit" ]; then
-    echo "bench_smoke: FAIL — allocs/op $allocs exceeds budget $budget (+10% = $limit)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — allocs/op $allocs within budget $budget (+10% = $limit)"
-
-# Second gate: the sharded engine path. BenchmarkDaintSharded/shards=4 runs
-# the Daint workload on the group-sharded engine (and fails itself if the
-# output drifts from serial); its allocs/op budget keeps the sharding
-# machinery — mailboxes, window workers, per-shard heaps — from growing an
-# allocation habit on the hot path.
-sbudget=$(awk '$1 == "sharded_allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$sbudget" ]; then
-    echo "bench_smoke: no sharded_allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkDaintSharded/shards=4$' -benchmem -benchtime 1x -timeout 30m .)
-echo "$out"
-sallocs=$(echo "$out" | awk '/^BenchmarkDaintSharded/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$sallocs" ]; then
-    echo "bench_smoke: could not find allocs/op in sharded benchmark output" >&2
-    exit 2
-fi
-
-slimit=$((sbudget + sbudget / 10))
-if [ "$sallocs" -gt "$slimit" ]; then
-    echo "bench_smoke: FAIL — sharded allocs/op $sallocs exceeds budget $sbudget (+10% = $slimit)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — sharded allocs/op $sallocs within budget $sbudget (+10% = $slimit)"
-
-# Third gate: the open-arrival scheduling engine. BenchmarkOpenStream drains
-# 300k job events on the Daint geometry; its allocs/op budget enforces the
-# subsystem's design contract that steady-state operation allocates nothing
-# per job (the count is the fixed system-build cost, not O(events)).
-obudget=$(awk '$1 == "openstream_allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$obudget" ]; then
-    echo "bench_smoke: no openstream_allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkOpenStream$' -benchmem -benchtime 1x -timeout 30m .)
-echo "$out"
-oallocs=$(echo "$out" | awk '/^BenchmarkOpenStream/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$oallocs" ]; then
-    echo "bench_smoke: could not find allocs/op in openstream benchmark output" >&2
-    exit 2
-fi
-
-olimit=$((obudget + obudget / 10))
-if [ "$oallocs" -gt "$olimit" ]; then
-    echo "bench_smoke: FAIL — openstream allocs/op $oallocs exceeds budget $obudget (+10% = $olimit)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — openstream allocs/op $oallocs within budget $obudget (+10% = $olimit)"
-
-# Fourth gate: the shardable-UGAL packet path. The variant=shardable rows of
-# BenchmarkDaintSharded execute ~96% of events as conforming-parallel work
-# inside horizon windows; the budget enforces the variant's design contract
-# that per-group RNG lanes and congestion replicas are allocated once at
-# build/Reset — allocations must stay O(system), never O(windows) (the run
-# executes >1000 windows, so a per-window replica would blow the +10% margin
-# a hundred times over).
-vbudget=$(awk '$1 == "shardable_allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$vbudget" ]; then
-    echo "bench_smoke: no shardable_allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkDaintSharded/variant=shardable/shards=4$' -benchmem -benchtime 1x -timeout 30m .)
-echo "$out"
-vallocs=$(echo "$out" | awk '/^BenchmarkDaintSharded/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$vallocs" ]; then
-    echo "bench_smoke: could not find allocs/op in shardable benchmark output" >&2
-    exit 2
-fi
-
-vlimit=$((vbudget + vbudget / 10))
-if [ "$vallocs" -gt "$vlimit" ]; then
-    echo "bench_smoke: FAIL — shardable allocs/op $vallocs exceeds budget $vbudget (+10% = $vlimit)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — shardable allocs/op $vallocs within budget $vbudget (+10% = $vlimit)"
-
-# Fifth gate: steady-state horizon windows. BenchmarkShardedWindowSteadyState
-# (package internal/sim) advances a warmed sharded engine — worker pool
-# spawned, arenas at capacity — window after window; its budget is exactly 0
-# allocs/op. Unlike the other gates this one has no +10% slack: a single
-# allocation per RunUntil segment means something on the per-window path
-# (worker wake, barrier collect, context reuse, heap growth) regressed.
-wbudget=$(awk '$1 == "window_allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$wbudget" ]; then
-    echo "bench_smoke: no window_allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkShardedWindowSteadyState$' -benchmem -benchtime 50x -timeout 30m ./internal/sim)
-echo "$out"
-wallocs=$(echo "$out" | awk '/^BenchmarkShardedWindowSteadyState/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$wallocs" ]; then
-    echo "bench_smoke: could not find allocs/op in window benchmark output" >&2
-    exit 2
-fi
-
-if [ "$wallocs" -gt "$wbudget" ]; then
-    echo "bench_smoke: FAIL — steady-state window allocs/op $wallocs exceeds budget $wbudget (no slack: windows must be allocation-free)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — steady-state window allocs/op $wallocs within budget $wbudget"
-
-# Sixth gate: the decision-trace data path. BenchmarkCounterfactual runs the
-# counterfactual experiment — recorder on, ~33k adaptive decisions recorded
-# per op — and its budget enforces the recorder's design contract: fixed-size
-# records into rings preallocated at system build, zero allocations per
-# recorded decision (the TestRouteAllocationFree unit test pins the per-call
-# path; this gate pins the end-to-end experiment).
-cbudget=$(awk '$1 == "counterfactual_allocs_per_op" {print $2}' BENCH_budget.txt)
-if [ -z "$cbudget" ]; then
-    echo "bench_smoke: no counterfactual_allocs_per_op entry in BENCH_budget.txt" >&2
-    exit 2
-fi
-
-out=$(go test -run '^$' -bench '^BenchmarkCounterfactual$' -benchmem -benchtime 1x -timeout 30m .)
-echo "$out"
-callocs=$(echo "$out" | awk '/^BenchmarkCounterfactual/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
-if [ -z "$callocs" ]; then
-    echo "bench_smoke: could not find allocs/op in counterfactual benchmark output" >&2
-    exit 2
-fi
-
-climit=$((cbudget + cbudget / 10))
-if [ "$callocs" -gt "$climit" ]; then
-    echo "bench_smoke: FAIL — counterfactual allocs/op $callocs exceeds budget $cbudget (+10% = $climit)" >&2
-    exit 1
-fi
-echo "bench_smoke: OK — counterfactual allocs/op $callocs within budget $cbudget (+10% = $climit)"
+while read -r key budget regex pkg benchtime slack; do
+    case "$key" in '' | '#'*) continue ;; esac
+    out=$(go test -run '^$' -bench "$regex" -benchmem -benchtime "$benchtime" -timeout 30m "$pkg" </dev/null)
+    echo "$out"
+    allocs=$(echo "$out" | awk '/^Benchmark/ {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+    if [ -z "$allocs" ]; then
+        echo "bench_smoke: $key: could not find allocs/op in the output of $regex" >&2
+        exit 2
+    fi
+    limit=$((budget + budget * slack / 100))
+    if [ "$allocs" -gt "$limit" ]; then
+        echo "bench_smoke: FAIL — $key: allocs/op $allocs exceeds budget $budget (+$slack% = $limit)" >&2
+        exit 1
+    fi
+    echo "bench_smoke: OK — $key: allocs/op $allocs within budget $budget (+$slack% = $limit)"
+done <BENCH_budget.txt
