@@ -215,6 +215,7 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 	}
 
 	sched := mpi.NewScheduler(s.engine)
+	defer sched.Shutdown()
 	for _, st := range states {
 		st := st
 		comm, err := mpi.NewComm(s.fabric, st.run.Job.alloc, mpi.Config{
@@ -257,9 +258,6 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 		st.startIteration(sched)
 	}
 	if err := sched.Run(checkAll); err != nil {
-		// Release the rank goroutines the abandoned run left parked; without
-		// this every cancelled RunConcurrent leaks one goroutine per rank.
-		sched.Shutdown()
 		if err2 := checkAll(); err2 != nil && err == err2 {
 			err = fmt.Errorf("dragonfly: cancelled mid-run: %w", err)
 		}

@@ -144,6 +144,13 @@ func (e *Env) MeasureSetups(ctx context.Context, a *alloc.Allocation, setups []R
 	for _, s := range setups {
 		out[s.Name] = &Measurement{}
 	}
+	// One scheduler for every step, so the alternating setups share its
+	// pooled rank coroutines instead of creating them per step.
+	sched := mpi.NewScheduler(e.Engine)
+	defer sched.Shutdown()
+	// The check also interrupts a long-running iteration, not just the gaps
+	// between iterations.
+	check := mpi.ContextCheck(ctx)
 	for iter := 0; iter < iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cancelled at iteration %d: %w", iter, err)
@@ -151,9 +158,10 @@ func (e *Env) MeasureSetups(ctx context.Context, a *alloc.Allocation, setups []R
 		for i, s := range setups {
 			before := JobCounters(e.Fabric, a)
 			start := e.Engine.Now()
-			// RunContext (not Run) so cancellation also interrupts a
-			// long-running iteration, not just the gaps between iterations.
-			if err := comms[i].RunContext(ctx, w.Run); err != nil {
+			if err := comms[i].Start(sched, w.Run); err != nil {
+				return nil, fmt.Errorf("iteration %d, setup %s: %w", iter, s.Name, err)
+			}
+			if err := sched.Run(check); err != nil {
 				return nil, fmt.Errorf("iteration %d, setup %s: %w", iter, s.Name, err)
 			}
 			for r := 0; r < comms[i].Size(); r++ {

@@ -3,10 +3,11 @@
 // non-blocking point-to-point operations, and the collective operations used
 // by the paper's microbenchmarks (barrier, broadcast, allreduce, alltoall).
 //
-// Each rank runs as a goroutine written in ordinary blocking style; a
-// cooperative scheduler interleaves the rank goroutines with the discrete
-// event engine so that exactly one goroutine (either a rank or the engine
-// loop) runs at a time, keeping the simulation deterministic.
+// Each rank program is written in ordinary blocking style and runs on a
+// pooled runtime coroutine; a cooperative scheduler resumes the runnable
+// ranks' coroutines in turn and steps the discrete event engine in between, so
+// exactly one of them (a rank or the engine loop) runs at a time, keeping the
+// simulation deterministic.
 //
 // The per-message routing decision hook sits exactly where the paper's
 // LD_PRELOAD library interposes on uGNI: immediately before handing the
@@ -128,8 +129,8 @@ type Comm struct {
 	// finishedAt is the simulated time the last rank of the most recent program
 	// finished, stamped by the scheduler.
 	finishedAt sim.Time
-	// onFinished, if non-nil, runs (on the scheduler goroutine) when the last
-	// rank of the current program finishes.
+	// onFinished, if non-nil, runs (inside the scheduler's drive loop) when
+	// the last rank of the current program finishes.
 	onFinished func()
 }
 
@@ -161,7 +162,6 @@ func NewComm(fabric *network.Fabric, a *alloc.Allocation, cfg Config) (*Comm, er
 			node:    node,
 			group:   int32(fabric.Topology().GroupOfNode(node)),
 			routing: provider,
-			resume:  make(chan struct{}),
 		})
 	}
 	return c, nil
@@ -193,18 +193,18 @@ func (c *Comm) Rank(i int) *Rank { return c.ranks[i] }
 func (c *Comm) engine() *sim.Engine { return c.fabric.Engine() }
 
 // markRunnable re-queues a rank whose pending operation completed. It must be
-// called from the scheduler goroutine (engine event callbacks qualify).
+// called inside the scheduler's drive loop (engine event callbacks and rank
+// programs qualify).
 func (c *Comm) markRunnable(r *Rank) {
 	c.sched.markRunnable(r)
 }
 
-// OnFinished installs a hook the scheduler invokes (on the scheduler
-// goroutine) when the last rank of the current program finishes. The hook may
-// call Start again to chain another program — the facade's concurrent runner
-// uses this to string measurement iterations together — and may read the
-// fabric, whose state at that moment is exactly the state at this
-// communicator's completion time even while other communicators are still
-// running.
+// OnFinished installs a hook the scheduler invokes (inside its drive loop)
+// when the last rank of the current program finishes. The hook may call Start
+// again to chain another program — the facade's concurrent runner uses this
+// to string measurement iterations together — and may read the fabric, whose
+// state at that moment is exactly the state at this communicator's completion
+// time even while other communicators are still running.
 func (c *Comm) OnFinished(fn func()) { c.onFinished = fn }
 
 // Finished reports whether the most recent program has completed on every
@@ -215,17 +215,15 @@ func (c *Comm) Finished() bool { return c.started && c.remaining == 0 }
 // program finished (0 before the first completion).
 func (c *Comm) FinishedAt() sim.Time { return c.finishedAt }
 
-// Start launches program on every rank (as rank goroutines) and attaches the
-// communicator to the scheduler, which will interleave its ranks with those
-// of every other attached communicator. It returns an error if the previous
-// program has not finished. Start does not advance the simulation: drive it
-// with Scheduler.Run or Scheduler.Drain.
+// Start binds program to every rank, each on a coroutine from the
+// scheduler's pool, and attaches the communicator to the scheduler, which
+// will interleave its ranks with those of every other attached communicator.
+// It returns an error if the previous program has not finished. Start does
+// not advance the simulation: drive it with Scheduler.Run or Scheduler.Drain;
+// a program first runs when the scheduler resumes its rank.
 func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
 	if c.started && c.remaining > 0 {
 		return fmt.Errorf("mpi: Start called on a communicator with %d unfinished ranks", c.remaining)
-	}
-	if c.sched != s {
-		s.comms = append(s.comms, c)
 	}
 	c.sched = s
 	c.started = true
@@ -234,38 +232,17 @@ func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
 	for _, r := range c.ranks {
 		r.finished = false
 		r.queued = false
-		r.aborted = false
-	}
-	for _, r := range c.ranks {
-		r := r
-		go func() {
-			<-r.resume
-			defer func() {
-				// Scheduler.Shutdown unwinds parked ranks with the abort
-				// sentinel; swallow exactly that and re-raise everything else.
-				if e := recover(); e != nil && e != errRankAborted {
-					panic(e)
-				}
-				r.finished = true
-				s.notify <- r
-			}()
-			if r.aborted {
-				// Shutdown reached the rank before it ever ran: skip the
-				// program entirely.
-				return
-			}
-			program(r)
-		}()
+		s.bind(r, program)
 		s.markRunnable(r)
 	}
 	return nil
 }
 
-// Run executes program on every rank (as rank goroutines) and drives the
-// simulation until all ranks return. It returns an error on deadlock (no rank
-// can make progress and no simulation events remain). Run must not be called
-// concurrently with itself on the same engine; to co-run several
-// communicators, Start each of them on one shared Scheduler instead.
+// Run executes program on every rank and drives the simulation until all
+// ranks return. It returns an error on deadlock (no rank can make progress
+// and no simulation events remain). Run must not be called concurrently with
+// itself on the same engine; to co-run several communicators, Start each of
+// them on one shared Scheduler instead.
 func (c *Comm) Run(program func(*Rank)) error {
 	return c.RunContext(nil, program)
 }
@@ -273,9 +250,11 @@ func (c *Comm) Run(program func(*Rank)) error {
 // RunContext is Run with cancellation: the context (when non-nil) is checked
 // periodically while the simulation advances, so a long-running program can
 // be aborted mid-iteration instead of only between iterations. A cancelled
-// run returns the context's error; the communicator's parked rank goroutines
-// are released (Scheduler.Shutdown), but the communicator's state is torn
-// mid-operation and it must not be reused.
+// run returns the context's error; the communicator's parked ranks are
+// released (Scheduler.Shutdown), but the communicator's state is torn
+// mid-operation and it must not be reused. The private scheduler is shut down
+// after every call, so callers that run a communicator many times should
+// Start it on a scheduler of their own instead.
 func (c *Comm) RunContext(ctx context.Context, program func(*Rank)) error {
 	if c.own == nil {
 		c.own = NewScheduler(c.engine())
@@ -283,11 +262,8 @@ func (c *Comm) RunContext(ctx context.Context, program func(*Rank)) error {
 	if err := c.Start(c.own, program); err != nil {
 		return err
 	}
-	if err := c.own.Run(ContextCheck(ctx)); err != nil {
-		c.own.Shutdown()
-		return err
-	}
-	return nil
+	defer c.own.Shutdown()
+	return c.own.Run(ContextCheck(ctx))
 }
 
 // deliver routes an arrived message to a waiting receive request or stores it

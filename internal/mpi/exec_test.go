@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // execFixture builds a fabric plus two disjoint four-node allocations.
-func execFixture(t *testing.T, seed int64) (*network.Fabric, *alloc.Allocation, *alloc.Allocation) {
+func execFixture(t testing.TB, seed int64) (*network.Fabric, *alloc.Allocation, *alloc.Allocation) {
 	t.Helper()
 	tp, err := topo.New(topo.SmallConfig(2))
 	if err != nil {
@@ -66,6 +67,7 @@ func TestSchedulerInterleavesTwoComms(t *testing.T) {
 	measure := func() ([]sim.Time, []sim.Time, sim.Time, sim.Time) {
 		fab, a, b := execFixture(t, 42)
 		s := NewScheduler(fab.Engine())
+		defer s.Shutdown()
 		ca := MustNewComm(fab, a, Config{})
 		cb := MustNewComm(fab, b, Config{})
 		ta := make([]sim.Time, a.Size())
@@ -115,6 +117,7 @@ func TestSchedulerSharedVsPrivate(t *testing.T) {
 	shared := func() sim.Time {
 		fab, a, b := execFixture(t, 7)
 		s := NewScheduler(fab.Engine())
+		defer s.Shutdown()
 		ca := MustNewComm(fab, a, Config{})
 		cb := MustNewComm(fab, b, Config{})
 		ta := make([]sim.Time, a.Size())
@@ -140,6 +143,7 @@ func TestSchedulerSharedVsPrivate(t *testing.T) {
 func TestStartWhileRunningFails(t *testing.T) {
 	fab, a, _ := execFixture(t, 1)
 	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
 	c := MustNewComm(fab, a, Config{})
 	started := false
 	if err := c.Start(s, func(r *Rank) {
@@ -163,6 +167,7 @@ func TestStartWhileRunningFails(t *testing.T) {
 func TestOnFinishedChainsPrograms(t *testing.T) {
 	fab, a, _ := execFixture(t, 1)
 	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
 	c := MustNewComm(fab, a, Config{})
 	rounds := 0
 	var boundaries []sim.Time
@@ -206,6 +211,7 @@ func TestRunContextCancelled(t *testing.T) {
 func TestDrainRunsDynamicallyAttachedComms(t *testing.T) {
 	fab, a, b := execFixture(t, 5)
 	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
 	ca := MustNewComm(fab, a, Config{})
 	ta := make([]sim.Time, a.Size())
 	if err := ca.Start(s, ringProgram(ta)); err != nil {
@@ -238,6 +244,7 @@ func TestSchedulerShutdownReleasesParkedRanks(t *testing.T) {
 	fab, a, _ := execFixture(t, 31)
 	comm := MustNewComm(fab, a, Config{})
 	sched := NewScheduler(fab.Engine())
+	defer sched.Shutdown()
 	// Every rank blocks on a receive that never arrives; with no pending
 	// events Run reports a deadlock and the ranks stay parked.
 	if err := comm.Start(sched, func(r *Rank) { r.Recv(r.Rank()) }); err != nil {
@@ -260,13 +267,14 @@ func TestSchedulerShutdownReleasesParkedRanks(t *testing.T) {
 // TestSchedulerPanicReleasesParkedRanks is the panic half of the leak fix:
 // when a panic escapes the drive loop (here from the check hook, standing in
 // for an engine event callback blowing up) and a caller recovers it — as the
-// trial harness does per trial — the unfinished rank goroutines must still
-// be released, not parked for the life of the process.
+// trial harness does per trial — the unfinished ranks must still be
+// released, not parked for the life of the process.
 func TestSchedulerPanicReleasesParkedRanks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fab, a, _ := execFixture(t, 32)
 	comm := MustNewComm(fab, a, Config{})
 	sched := NewScheduler(fab.Engine())
+	defer sched.Shutdown()
 	if err := comm.Start(sched, func(r *Rank) { r.Recv(r.Rank()) }); err != nil {
 		t.Fatal(err)
 	}
@@ -282,4 +290,153 @@ func TestSchedulerPanicReleasesParkedRanks(t *testing.T) {
 		t.Fatalf("panic unwind left %d live ranks", sched.Live())
 	}
 	testutil.WaitGoroutines(t, base)
+}
+
+// panicAfterCompute is a program whose rank 2 panics with boom after some
+// simulated work, while every other rank is parked on a receive from it.
+func panicAfterCompute(boom error) func(*Rank) {
+	return func(r *Rank) {
+		if r.Rank() != 2 {
+			r.Recv(2)
+			return
+		}
+		r.Compute(100)
+		panic(boom)
+	}
+}
+
+// recovered runs fn and returns the value it panicked with (nil if none).
+func recovered(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestRankPanicReachesRun: a rank program's panic propagates out of
+// Scheduler.Run on the caller's goroutine with the program's own value, and
+// the other ranks, parked mid-program, are released on the way out, instead
+// of the panic killing the process.
+func TestRankPanicReachesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fab, a, _ := execFixture(t, 33)
+	comm := MustNewComm(fab, a, Config{})
+	sched := NewScheduler(fab.Engine())
+	defer sched.Shutdown()
+	boom := errors.New("rank program blew up")
+	if err := comm.Start(sched, panicAfterCompute(boom)); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered(func() { _ = sched.Run(nil) }); got != boom {
+		t.Fatalf("Run panicked with %v, want %v", got, boom)
+	}
+	if sched.Live() != 0 || sched.Idle() != 0 {
+		t.Fatalf("after the panic: %d live ranks, %d idle coroutines; want 0, 0", sched.Live(), sched.Idle())
+	}
+	testutil.WaitGoroutines(t, base)
+}
+
+// TestRankPanicReachesCommRun is the single-communicator path: Comm.Run's
+// private scheduler propagates the panic the same way.
+func TestRankPanicReachesCommRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fab, a, _ := execFixture(t, 34)
+	comm := MustNewComm(fab, a, Config{})
+	boom := errors.New("rank program blew up")
+	if got := recovered(func() { _ = comm.Run(panicAfterCompute(boom)) }); got != boom {
+		t.Fatalf("Comm.Run panicked with %v, want %v", got, boom)
+	}
+	if comm.own.Live() != 0 {
+		t.Fatalf("after the panic: %d live ranks, want 0", comm.own.Live())
+	}
+	testutil.WaitGoroutines(t, base)
+}
+
+// TestSchedulerPoolsCoroutines: programs started one after another on one
+// scheduler reuse the coroutines of the programs that finished before them,
+// so two 4-rank communicators run alternately three times need exactly 4.
+func TestSchedulerPoolsCoroutines(t *testing.T) {
+	fab, a, b := execFixture(t, 35)
+	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
+	ca, cb := MustNewComm(fab, a, Config{}), MustNewComm(fab, b, Config{})
+	times := make([]sim.Time, a.Size())
+	for round := 0; round < 3; round++ {
+		for _, c := range []*Comm{ca, cb} {
+			if err := c.Start(s, ringProgram(times)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+			if !c.Finished() {
+				t.Fatalf("round %d: communicator did not finish", round)
+			}
+		}
+	}
+	if s.Idle() != 4 || len(s.coros) != 4 {
+		t.Fatalf("%d idle of %d coroutines, want 4 of 4", s.Idle(), len(s.coros))
+	}
+}
+
+// TestShutdownEndsIdlePool: Shutdown ends the idle coroutines a completed run
+// leaves parked, is idempotent, and leaves the scheduler usable.
+func TestShutdownEndsIdlePool(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fab, a, _ := execFixture(t, 36)
+	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
+	c := MustNewComm(fab, a, Config{})
+	run := func() {
+		t.Helper()
+		if err := c.Start(s, func(r *Rank) { r.Compute(10) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.Idle() != c.Size() {
+			t.Fatalf("completed run left %d idle coroutines, want %d", s.Idle(), c.Size())
+		}
+	}
+	run()
+	s.Shutdown()
+	if s.Idle() != 0 || s.Live() != 0 {
+		t.Fatalf("Shutdown left %d idle coroutines, %d live ranks", s.Idle(), s.Live())
+	}
+	s.Shutdown() // idempotent
+	testutil.WaitGoroutines(t, base)
+	run() // the next Start creates fresh coroutines
+	s.Shutdown()
+	testutil.WaitGoroutines(t, base)
+}
+
+// BenchmarkRankHandoff measures the rank handoff layer: one rank calls
+// Compute(1) per op, so each op is one typed engine event plus one park and
+// resume of the rank's coroutine. One untimed run warms the scheduler first:
+// the coroutine is pooled and the runnable queue and event heap are at
+// capacity, so a steady-state handoff must not allocate.
+func BenchmarkRankHandoff(b *testing.B) {
+	fab, a, _ := execFixture(b, 1)
+	c := MustNewComm(fab, alloc.NewAllocation(fab.Topology(), a.Nodes()[:1]), Config{})
+	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
+	ops := 100
+	program := func(r *Rank) {
+		for i := 0; i < ops; i++ {
+			r.Compute(1)
+		}
+	}
+	run := func() {
+		if err := c.Start(s, program); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	ops = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	run()
 }

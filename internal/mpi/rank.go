@@ -11,8 +11,8 @@ import (
 )
 
 // Rank is one simulated process. All methods must be called from the rank's
-// own program goroutine (started by Comm.Run); they may block in simulated
-// time.
+// own program (started by Comm.Start or Comm.Run); they may block in
+// simulated time.
 type Rank struct {
 	comm    *Comm
 	rank    int
@@ -20,13 +20,11 @@ type Rank struct {
 	group   int32
 	routing RoutingProvider
 
-	resume   chan struct{}
+	// co is the pooled coroutine running the rank's current program; nil
+	// while no program is bound (before Start, after the program finished).
+	co       *coroutine
 	queued   bool
 	finished bool
-	// aborted is set by Scheduler.Shutdown before the parked goroutine is
-	// resumed for the last time; block() turns it into the unwind panic that
-	// terminates the rank's program.
-	aborted bool
 
 	// computeDone flags the completion of the (single) outstanding Compute
 	// event; see Compute and HandleEvent.
@@ -67,14 +65,12 @@ func (r *Rank) fail(err error) {
 	}
 }
 
-// block suspends the rank goroutine until the scheduler resumes it. A resume
-// issued by Scheduler.Shutdown unwinds the rank's program instead of
-// continuing it: the program goroutine would otherwise stay parked forever
-// when a run is abandoned (cancellation, deadlock).
+// block yields the rank's coroutine back to the scheduler until it resumes
+// the rank. When Scheduler.Shutdown stops the coroutine instead, the yield
+// returns false and block unwinds the rank's program: an abandoned run
+// (cancellation, deadlock) would otherwise leave it parked forever.
 func (r *Rank) block() {
-	r.comm.sched.notify <- r
-	<-r.resume
-	if r.aborted {
+	if !r.co.yield(struct{}{}) {
 		panic(errRankAborted)
 	}
 }
@@ -120,13 +116,13 @@ func (r *Rank) Compute(cycles int64) {
 		if r.comm.fabric.ShardableActive() {
 			// Under the shardable variant the wakeup is a conforming-parallel
 			// event of the rank's group: it executes inside a horizon window
-			// (no state is touched — the rank goroutine is parked until the
-			// scheduler hands it the turn) and defers the markRunnable
-			// callback to the window barrier through the canonical merge, so
-			// compute wakeups neither clip windows nor ride the serial
-			// domain. The rank resumes with the engine clock at the window
-			// maximum rather than exactly at doneAt — the variant's relaxed,
-			// still shard-count-deterministic timing model.
+			// (no state is touched — the rank is parked until the scheduler
+			// resumes it) and defers the markRunnable callback to the window
+			// barrier through the canonical merge, so compute wakeups neither
+			// clip windows nor ride the serial domain. The rank resumes with
+			// the engine clock at the window maximum rather than exactly at
+			// doneAt — the variant's relaxed, still shard-count-deterministic
+			// timing model.
 			sh.ScheduleLocal(r.group, doneAt, r, 0, 0)
 		} else {
 			// Exact variant on a sharded system: the rank is pinned to its

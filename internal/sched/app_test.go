@@ -2,10 +2,13 @@ package sched
 
 import (
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"dragonfly/internal/mpi"
 	"dragonfly/internal/sim"
+	"dragonfly/internal/testutil"
 	"dragonfly/internal/workloads"
 )
 
@@ -21,7 +24,9 @@ func appJob(name string, nodes int, arrival, duration sim.Time, workload string)
 func TestAppJobRunsRealWorkload(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	s := New(f, DefaultConfig())
-	s.AttachExecutor(mpi.NewScheduler(f.Engine()))
+	x := mpi.NewScheduler(f.Engine())
+	defer x.Shutdown()
+	s.AttachExecutor(x)
 	rec := s.MustSubmit(appJob("app", 4, 0, 123_456_789, "alltoall"))
 	s.Start()
 	if err := s.Drive(nil); err != nil {
@@ -56,7 +61,9 @@ func TestAppJobsAreDeterministic(t *testing.T) {
 	measure := func() []sim.Time {
 		f := testFabric(t, 3, 9)
 		s := New(f, Config{Placement: PlaceGroupStriped, Seed: 9})
-		s.AttachExecutor(mpi.NewScheduler(f.Engine()))
+		x := mpi.NewScheduler(f.Engine())
+		defer x.Shutdown()
+		s.AttachExecutor(x)
 		s.MustSubmit(appJob("a", 4, 0, 1_000_000, "alltoall"))
 		s.MustSubmit(appJob("b", 4, 5_000, 1_000_000, "halo3d"))
 		s.MustSubmit(trafficJob("c", 4, 10_000, 500_000))
@@ -75,6 +82,86 @@ func TestAppJobsAreDeterministic(t *testing.T) {
 	}
 	if a, b := measure(), measure(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical scheduler runs diverged:\n%v\n%v", a, b)
+	}
+}
+
+// TestDriveWithAppsNoGoroutineLeak: a Drive that completes its App jobs
+// leaves no rank coroutine behind, idle or not — Drive shuts the executor down
+// on every return, not only on cancellation.
+func TestDriveWithAppsNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	f := testFabric(t, 3, 4)
+	s := New(f, Config{Placement: PlaceGroupStriped, Seed: 4})
+	x := mpi.NewScheduler(f.Engine())
+	defer x.Shutdown()
+	s.AttachExecutor(x)
+	s.MustSubmit(appJob("a", 4, 0, 1_000_000, "alltoall"))
+	s.MustSubmit(appJob("b", 4, 5_000, 1_000_000, "allreduce"))
+	s.Start()
+	if err := s.Drive(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range s.Jobs() {
+		if rec.State != Finished || !rec.RanApp {
+			t.Fatalf("job %s: state %v, ran app %v", rec.Spec.Name, rec.State, rec.RanApp)
+		}
+	}
+	if x.Idle() != 0 || x.Live() != 0 {
+		t.Fatalf("after Drive: %d idle coroutines, %d live ranks; want 0, 0", x.Idle(), x.Live())
+	}
+	testutil.WaitGoroutines(t, base)
+}
+
+// TestAppStreamPoolBoundedByPeak: across a stream of App jobs the executor
+// creates coroutines only up to the peak number of concurrently live ranks,
+// not one per rank started.
+func TestAppStreamPoolBoundedByPeak(t *testing.T) {
+	f := testFabric(t, 3, 6)
+	s := New(f, Config{Placement: PlaceGroupStriped, Seed: 6})
+	x := mpi.NewScheduler(f.Engine())
+	defer x.Shutdown()
+	s.AttachExecutor(x)
+	names := []string{"alltoall", "allreduce"}
+	for i := 0; i < 8; i++ {
+		s.MustSubmit(appJob(names[i%2]+string(rune('a'+i)), 4, sim.Time(i)*200_000, 1_000_000, names[i%2]))
+	}
+	s.Start()
+	if err := x.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+	// The peak of concurrently running App ranks, from the job intervals (a
+	// job ending at t frees its ranks before one starting at t needs them).
+	// Ranks of a job finish one by one, so this bounds the live count from
+	// above.
+	type edge struct {
+		at    sim.Time
+		delta int
+	}
+	var edges []edge
+	started := 0
+	for _, rec := range s.Jobs() {
+		if rec.State != Finished || !rec.RanApp {
+			t.Fatalf("job %s: state %v, ran app %v", rec.Spec.Name, rec.State, rec.RanApp)
+		}
+		started += rec.Spec.Nodes
+		edges = append(edges, edge{rec.StartedAt, rec.Spec.Nodes}, edge{rec.FinishedAt, -rec.Spec.Nodes})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	peak, live := 0, 0
+	for _, e := range edges {
+		live += e.delta
+		peak = max(peak, live)
+	}
+	if x.Idle() > peak || x.Idle() < 4 {
+		t.Fatalf("%d idle coroutines, want between one job's 4 and the peak of %d live ranks", x.Idle(), peak)
+	}
+	if peak >= started {
+		t.Fatalf("the jobs never ran one after another (peak %d of %d ranks): the stream does not exercise reuse", peak, started)
 	}
 }
 
@@ -111,7 +198,9 @@ func TestAppJobFallsBackWithoutExecutor(t *testing.T) {
 func TestAppJobUnknownWorkloadFallsBack(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	s := New(f, DefaultConfig())
-	s.AttachExecutor(mpi.NewScheduler(f.Engine()))
+	x := mpi.NewScheduler(f.Engine())
+	defer x.Shutdown()
+	s.AttachExecutor(x)
 	rec := s.MustSubmit(appJob("app", 4, 0, 200_000, "no-such-workload"))
 	s.Start()
 	if err := s.Drive(nil); err != nil {

@@ -306,15 +306,12 @@ func (s *Scheduler) AttachExecutor(x *mpi.Scheduler) { s.exec = x }
 // Drive runs the simulation to completion: through the attached executor when
 // one is present (so workload-driven jobs co-run with the event queue), with
 // a plain engine run otherwise. The context, when non-nil, cancels the run.
+// Drive owns the executor's coroutines: it shuts the executor down on return,
+// releasing the ranks of an aborted drain and the idle pool of a completed one.
 func (s *Scheduler) Drive(ctx context.Context) error {
 	if s.exec != nil {
-		if err := s.exec.Drain(mpi.ContextCheck(ctx)); err != nil {
-			// Release application ranks an aborted drain left parked, so a
-			// cancelled batch run does not leak one goroutine per rank.
-			s.exec.Shutdown()
-			return err
-		}
-		return nil
+		defer s.exec.Shutdown()
+		return s.exec.Drain(mpi.ContextCheck(ctx))
 	}
 	eng := s.fabric.Engine()
 	if ctx == nil {

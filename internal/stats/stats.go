@@ -91,7 +91,10 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	if lo == hi {
+	// Between two equal samples the weighted sum below can round to one ulp
+	// under them (50·0.65 + 50·0.35 = 49.99999999999999), which breaks
+	// monotonicity in p; return the sample itself.
+	if lo == hi || sorted[lo] == sorted[hi] {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)

@@ -275,4 +275,10 @@ func TestPercentileAgainstSort(t *testing.T) {
 	if Percentile(xs, 0) != sorted[0] || Percentile(xs, 100) != sorted[len(sorted)-1] {
 		t.Fatal("percentile extremes disagree with sort")
 	}
+	// Between two equal samples the percentile is that sample exactly, not a
+	// rounding of it (an input TestPropertyPercentileMonotone drew).
+	dup := []float64{57, 50, 146, 50, 209, 136, 153, 230}
+	if got := Percentile(dup, 5); got != 50 {
+		t.Fatalf("Percentile between two samples of 50 = %v, want 50", got)
+	}
 }

@@ -9,8 +9,8 @@ import (
 
 // WaitGoroutines polls until the goroutine count drops back to the baseline,
 // failing with a full stack dump when it does not within five seconds.
-// Released rank goroutines need a few scheduler passes to actually exit, so
-// leak tests must poll rather than snapshot.
+// Released worker goroutines need a few scheduler passes to actually exit,
+// so leak tests must poll rather than snapshot.
 func WaitGoroutines(t testing.TB, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

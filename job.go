@@ -154,9 +154,9 @@ func (r Result) TimesFloat() []float64 {
 }
 
 // Run executes the workload on the job's ranks under the given options and
-// returns the measurement. Each rank runs the workload body as a goroutine in
-// ordinary blocking style; a cooperative scheduler interleaves them with the
-// event engine, so the run is deterministic.
+// returns the measurement. Each rank runs the workload body in ordinary
+// blocking style on a pooled coroutine; a cooperative scheduler interleaves
+// them with the event engine, so the run is deterministic.
 //
 // Run is the single-job special case of System.RunConcurrent: to measure this
 // job while other real applications load the fabric, put them all in one

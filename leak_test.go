@@ -12,8 +12,8 @@ import (
 )
 
 // TestRunConcurrentNoGoroutineLeak pins the goroutine accounting of the
-// concurrent runner: a completed multi-job run leaves no rank goroutines
-// behind.
+// concurrent runner: a completed multi-job run leaves no rank coroutines
+// behind, parked idle or not.
 func TestRunConcurrentNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sys, runs := concurrentSystem(t, 21)
