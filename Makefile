@@ -33,20 +33,18 @@ test:
 # engine/fabric and cmd tests under the race detector (the full experiment
 # suite under -race is slow; CI runs it, locally target the pool, the facade
 # the pool reuses systems through, the concurrent multi-job path, and the
-# parallel horizon windows of the sharded engine). The facade tests include
-# the ShardableUGAL leak/cancellation regressions (variant_test.go), so the
-# conforming-parallel packet path and its mid-run teardown run under -race
-# at every shard count the tests cover.
+# parallel horizon windows of the sharded engine).
 race:
 	$(GO) test -race ./internal/arrival/... ./internal/harness/... ./internal/mpi/... \
 		./internal/sched/... ./internal/sim/... ./internal/network/... . ./cmd/...
 
-# bench runs the full 19-benchmark suite (one testing.B per paper figure/
-# table plus the serial/parallel executor pair) with -benchmem and stores the
-# raw `go test -json` stream as BENCH_$(BENCH_LABEL).json. The benchmark
-# result lines inside are standard Go benchmark format; extract them for
-# benchstat with:
-#   jq -r 'select(.Action=="output") | .Output' BENCH_a.json > a.txt
+# bench runs the root package's benchmark suite (one testing.B per paper
+# figure/table, the serial/parallel executor pair and the machine-scale runs)
+# with -benchmem and stores the raw `go test -json` stream as
+# BENCH_$(BENCH_LABEL).json (ignored by git). The benchmark result lines
+# inside are standard Go benchmark format; extract them for benchstat, or for
+# appending a before/after pair to BENCH_history.txt, with:
+#   jq -j 'select(.Action=="output") | .Output' BENCH_a.json | grep '^Benchmark' > a.txt
 #   benchstat a.txt b.txt
 # See EXPERIMENTS.md "Benchmarking & regression methodology".
 BENCH_LABEL ?= local
@@ -86,8 +84,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRouting$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRoutingVariant$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseStaleness$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecisionTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc

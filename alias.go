@@ -39,9 +39,6 @@ type (
 	SelectorStats = core.Stats
 	// Mode is an Aries routing mode (ADAPTIVE_0..3, MIN_HASH, ...).
 	Mode = routing.Mode
-	// RoutingVariant selects the UGAL state-partitioning variant (ExactUGAL
-	// or ShardableUGAL); see WithRoutingVariant.
-	RoutingVariant = routing.Variant
 	// Policy is a job allocation policy.
 	Policy = alloc.Policy
 	// AllocationClass is the topological distance class of a node pair.
@@ -107,16 +104,6 @@ const (
 	InOrder                 = routing.InOrder
 )
 
-// Routing variants for WithRoutingVariant. ExactUGAL is the paper's
-// serial-domain algorithm (the default, byte-identical to the unsharded
-// engine at every shard count); ShardableUGAL trades exact global state for
-// per-group RNG streams and bounded-staleness congestion replicas so packet
-// execution parallelizes across shards.
-const (
-	ExactUGAL     = routing.ExactUGAL
-	ShardableUGAL = routing.ShardableUGAL
-)
-
 // Allocation policies.
 const (
 	Contiguous    = alloc.Contiguous
@@ -173,19 +160,6 @@ func AriesGeometry(groups int) Geometry { return topo.AriesConfig(groups) }
 
 // ParseMode converts an MPICH_GNI_ROUTING_MODE-style string to a Mode.
 func ParseMode(s string) (Mode, error) { return routing.ParseMode(s) }
-
-// ParseRoutingVariant converts a -routing-variant flag value to a
-// RoutingVariant: "" or "exact" select ExactUGAL, "shardable" selects
-// ShardableUGAL. Case-insensitive.
-func ParseRoutingVariant(s string) (RoutingVariant, error) { return routing.ParseVariant(s) }
-
-// ParseRoutingVariantSpec is ParseRoutingVariant with the optional replica-
-// staleness suffix: "shardable:staleness=4" selects ShardableUGAL with the
-// congestion replicas refreshed every 4 lookahead windows. The returned K
-// feeds WithReplicaStaleness (1 when no suffix is given).
-func ParseRoutingVariantSpec(s string) (RoutingVariant, int, error) {
-	return routing.ParseVariantSpec(s)
-}
 
 // ParsePolicy converts an allocation-policy name to a Policy.
 func ParsePolicy(s string) (Policy, error) { return alloc.ParsePolicy(s) }

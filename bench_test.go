@@ -12,7 +12,6 @@
 package dragonfly_test
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
 	"testing"
@@ -203,17 +202,18 @@ func BenchmarkModelValidation(b *testing.B) {
 
 // BenchmarkCounterfactual regenerates the decision-trace experiment: the
 // per-group decision recorder, the counterfactual re-biasing replay and the
-// Eq. 2 calibration fit, across both UGAL variants. Its allocs/op is gated by
-// scripts/bench_smoke.sh: the recorder writes into preallocated rings, so the
-// experiment's allocation count must stay O(system build), not O(decisions).
+// Eq. 2 calibration fit, for the Default and AppAware setups. Its allocs/op
+// is gated by scripts/bench_smoke.sh: the recorder writes into preallocated
+// rings, so the experiment's allocation count must stay O(system build), not
+// O(decisions).
 func BenchmarkCounterfactual(b *testing.B) {
 	tables := runExperiment(b, "counterfactual")
-	// Decisions table rows are (variant, setup) x 4 modes; row 3 is
-	// exact/Default scored under Adaptive with High Bias.
-	cellMetric(b, tables[0], 3, 6, "highbias_avoided_per_decision")
-	// Calibration table row 0 is exact/Default: MAPE % and Pearson r.
-	cellMetric(b, tables[1], 0, 5, "calibration_mape_pct")
-	cellMetric(b, tables[1], 0, 6, "calibration_pearson_r")
+	// Decisions table rows are setup x 4 modes; row 3 is Default scored
+	// under Adaptive with High Bias.
+	cellMetric(b, tables[0], 3, 5, "highbias_avoided_per_decision")
+	// Calibration table row 0 is Default: MAPE % and Pearson r.
+	cellMetric(b, tables[1], 0, 4, "calibration_mape_pct")
+	cellMetric(b, tables[1], 0, 5, "calibration_pearson_r")
 }
 
 // BenchmarkFig8Microbenchmarks regenerates Figure 8 (microbenchmarks,
@@ -355,28 +355,17 @@ func BenchmarkMachineScaleDaint(b *testing.B) {
 // counts, with shards=1 as the serial baseline (the facade falls back to
 // the plain engine there). Output is byte-identical at every shard count —
 // the sub-benchmarks cross-check the result against the serial run — so
-// ns/op differences are pure wall-clock. Under the default ExactUGAL
-// variant packet execution stays in the sharded engine's serial domain (the
-// paper's UGAL draws from one shared random stream); the variant=shardable
-// rows rerun the same workload under WithRoutingVariant(ShardableUGAL),
-// where ~90% of events become conforming-parallel and execute inside
-// horizon-window workers. See EXPERIMENTS.md "Intra-run parallelism" and
-// "Shardable UGAL" for the measured scaling tables and the one-CPU caveat
-// that applies to the committed numbers.
+// ns/op differences are pure wall-clock. Packet execution stays in the
+// sharded engine's serial domain (the paper's UGAL draws from one shared
+// random stream), so this measures the engine's overhead, not a speedup.
+// See EXPERIMENTS.md "Intra-run parallelism" for the measured tables.
 func BenchmarkDaintSharded(b *testing.B) {
-	daintRun := func(b *testing.B, shards int, variant dragonfly.RoutingVariant, staleness int) (mean float64, sys *dragonfly.System) {
-		opts := []dragonfly.Option{
+	daintRun := func(b *testing.B, shards int) (mean float64, sys *dragonfly.System) {
+		sys, err := dragonfly.New(
 			dragonfly.WithGeometry(dragonfly.Daint),
 			dragonfly.WithSeed(1),
 			dragonfly.WithShards(shards),
-		}
-		if variant != dragonfly.ExactUGAL {
-			opts = append(opts, dragonfly.WithRoutingVariant(variant))
-		}
-		if staleness > 1 {
-			opts = append(opts, dragonfly.WithReplicaStaleness(staleness))
-		}
-		sys, err := dragonfly.New(opts...)
+		)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +380,7 @@ func BenchmarkDaintSharded(b *testing.B) {
 		}
 		return res.TimeStats.Mean(), sys
 	}
-	exactBaseline, _ := daintRun(b, 1, dragonfly.ExactUGAL, 1)
+	baseline, _ := daintRun(b, 1)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			var mean float64
@@ -399,58 +388,17 @@ func BenchmarkDaintSharded(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var sys *dragonfly.System
-				mean, sys = daintRun(b, shards, dragonfly.ExactUGAL, 1)
+				mean, sys = daintRun(b, shards)
 				if sh := sys.Sharded(); sh != nil {
 					crossPosts = sh.CrossPosts()
 				}
 			}
-			if mean != exactBaseline {
-				b.Fatalf("shards=%d diverges from serial: mean %v vs %v", shards, mean, exactBaseline)
+			if mean != baseline {
+				b.Fatalf("shards=%d diverges from serial: mean %v vs %v", shards, mean, baseline)
 			}
 			b.ReportMetric(mean, "daint_alltoall_mean_cycles")
 			b.ReportMetric(float64(crossPosts), "cross_shard_posts")
 		})
-	}
-	// The shardable variant has its own baseline (shards=1 under the same
-	// variant): its byte stream differs from exact by construction, so the
-	// cross-check is against itself, never against the exact rows above. The
-	// conforming_events_pct metric is the share of the event stream the
-	// horizon-window workers execute — the structural parallelism the variant
-	// unlocks, visible even where core count hides the wall-clock effect.
-	for _, staleness := range []int{1, 4} {
-		// Each staleness K is its own deterministic model with its own
-		// shards=1 baseline; K=4 refreshes the congestion replicas every
-		// fourth lookahead window, cutting the serial sync events the windows
-		// column counts.
-		staleness := staleness
-		shardableBaseline, _ := daintRun(b, 1, dragonfly.ShardableUGAL, staleness)
-		prefix := "variant=shardable/"
-		if staleness > 1 {
-			prefix = fmt.Sprintf("variant=shardable/staleness=%d/", staleness)
-		}
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(prefix+"shards="+strconv.Itoa(shards), func(b *testing.B) {
-				var mean, conforming float64
-				var windows uint64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var sys *dragonfly.System
-					mean, sys = daintRun(b, shards, dragonfly.ShardableUGAL, staleness)
-					sh := sys.Sharded()
-					windows, _ = sh.Windows()
-					if total := sys.Engine().ExecutedEvents(); total > 0 {
-						conforming = 100 * float64(sh.ConformingExecuted()) / float64(total)
-					}
-				}
-				if mean != shardableBaseline {
-					b.Fatalf("variant=shardable staleness=%d shards=%d diverges from its shards=1 run: mean %v vs %v",
-						staleness, shards, mean, shardableBaseline)
-				}
-				b.ReportMetric(mean, "daint_alltoall_mean_cycles")
-				b.ReportMetric(conforming, "conforming_events_pct")
-				b.ReportMetric(float64(windows), "windows")
-			})
-		}
 	}
 }
 

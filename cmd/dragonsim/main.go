@@ -44,8 +44,6 @@ func run(args []string) error {
 		iterations   = fs.Int("iterations", 3, "workload repetitions")
 		seed         = fs.Int64("seed", 1, "random seed")
 		shardsFlag   = fs.String("shards", "", "intra-run engine shards ('auto', or a count; empty = serial; same output either way)")
-		variantFlag  = fs.String("routing-variant", "", "UGAL variant ('exact' = the paper's serial model, 'shardable' = the relaxed parallel model; optional ':staleness=K' suffix; changes results)")
-		staleFlag    = fs.String("staleness", "", "ShardableUGAL replica-sync decimation K (sync period = K x lookahead; empty = 1)")
 		traceFlag    = fs.String("decision-trace", "", "record adaptive routing decisions ('on', a top-k count, or 'k=N'; empty = off) and print a counterfactual scoring table")
 		withNoise    = fs.Bool("noise", false, "add a background interfering job")
 		noiseNodesN  = fs.Int("noise-nodes", 16, "background job size when -noise is set")
@@ -91,23 +89,6 @@ func run(args []string) error {
 			return err
 		}
 		sysOpts = append(sysOpts, dragonfly.WithShards(n))
-	}
-	if *variantFlag != "" {
-		v, k, err := dragonfly.ParseRoutingVariantSpec(*variantFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithRoutingVariant(v))
-		if k > 1 {
-			sysOpts = append(sysOpts, dragonfly.WithReplicaStaleness(k))
-		}
-	}
-	if *staleFlag != "" {
-		k, err := dragonfly.ParseStaleness(*staleFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithReplicaStaleness(k))
 	}
 	traceK, err := dragonfly.ParseDecisionTrace(*traceFlag)
 	if err != nil {

@@ -57,8 +57,6 @@ func run(args []string, out io.Writer) error {
 		csvDir     = fs.String("csv", "", "directory to also write one CSV file per table")
 		parallel   = fs.Int("parallel", 0, "trial worker goroutines (0 = all cores, 1 = serial; same output either way)")
 		shards     = fs.String("shards", "", "intra-run engine shards per trial ('auto', or a count; empty = serial; same output either way)")
-		variant    = fs.String("routing-variant", "", "UGAL variant per trial ('exact' = the paper's serial model, 'shardable' = the relaxed parallel model; optional ':staleness=K' suffix; changes results, see EXPERIMENTS.md)")
-		staleness  = fs.String("staleness", "", "ShardableUGAL replica-sync decimation K per trial (sync period = K x lookahead; empty = 1)")
 		decTrace   = fs.String("decision-trace", "", "record adaptive routing decisions per trial ('on', a top-k count, or 'k=N'; empty = off)")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 		progress   = fs.Bool("progress", false, "print per-trial progress to stderr")
@@ -104,26 +102,6 @@ func run(args []string, out io.Writer) error {
 			n = runtime.GOMAXPROCS(0)
 		}
 		opts.Shards = n
-	}
-	if *variant != "" {
-		v, k, err := dragonfly.ParseRoutingVariantSpec(*variant)
-		if err != nil {
-			return err
-		}
-		opts.Variant = v
-		if k > 1 {
-			opts.Staleness = k
-		}
-	}
-	if *staleness != "" {
-		k, err := dragonfly.ParseStaleness(*staleness)
-		if err != nil {
-			return err
-		}
-		if k > 1 && opts.Variant != dragonfly.ShardableUGAL {
-			return fmt.Errorf("-staleness %d requires -routing-variant shardable", k)
-		}
-		opts.Staleness = k
 	}
 	if *decTrace != "" {
 		k, err := dragonfly.ParseDecisionTrace(*decTrace)

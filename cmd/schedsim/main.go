@@ -69,8 +69,6 @@ func run(args []string, out io.Writer) error {
 		horizon     = fs.Int64("horizon", 0, "open-stream admission horizon in cycles (0: use -jobs as the event budget)")
 		sloClasses  = fs.String("slo-classes", "latency,batch,besteffort", "SLO classes the default clients cycle through")
 		shardsFlag  = fs.String("shards", "", "intra-run engine shards ('auto', or a count; empty = serial; same output either way)")
-		variantFlag = fs.String("routing-variant", "", "UGAL variant ('exact' = the paper's serial model, 'shardable' = the relaxed parallel model; optional ':staleness=K' suffix; changes results)")
-		staleFlag   = fs.String("staleness", "", "ShardableUGAL replica-sync decimation K (sync period = K x lookahead; empty = 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,23 +92,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		sysOpts = append(sysOpts, dragonfly.WithShards(n))
-	}
-	if *variantFlag != "" {
-		v, k, err := dragonfly.ParseRoutingVariantSpec(*variantFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithRoutingVariant(v))
-		if k > 1 {
-			sysOpts = append(sysOpts, dragonfly.WithReplicaStaleness(k))
-		}
-	}
-	if *staleFlag != "" {
-		k, err := dragonfly.ParseStaleness(*staleFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithReplicaStaleness(k))
 	}
 	sys, err := dragonfly.New(sysOpts...)
 	if err != nil {

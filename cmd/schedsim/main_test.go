@@ -159,9 +159,9 @@ func TestSchedsimOpenStreamRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestSchedsimEngineFlags: the -shards / -routing-variant / -staleness flags
-// accepted by dragonsim work identically here, and sharding the engine does
-// not change the schedule (the ExactUGAL byte-identity contract).
+// TestSchedsimEngineFlags: the -shards flag accepted by dragonsim works
+// identically here, and sharding the engine does not change the schedule
+// (the byte-identity contract of the sharded engine).
 func TestSchedsimEngineFlags(t *testing.T) {
 	render := func(extra ...string) string {
 		var out bytes.Buffer
@@ -175,11 +175,8 @@ func TestSchedsimEngineFlags(t *testing.T) {
 	if sharded := render("-shards", "2"); sharded != serial {
 		t.Fatalf("-shards 2 changed the schedule:\n--- serial ---\n%s\n--- sharded ---\n%s", serial, sharded)
 	}
-	if s := render("-routing-variant", "shardable:staleness=2", "-shards", "2"); !strings.Contains(s, "machine utilization") {
-		t.Fatalf("shardable variant run incomplete:\n%s", s)
-	}
-	if s := render("-routing-variant", "shardable", "-staleness", "4"); !strings.Contains(s, "machine utilization") {
-		t.Fatalf("stale-replica run incomplete:\n%s", s)
+	if auto := render("-shards", "auto"); auto != serial {
+		t.Fatalf("-shards auto changed the schedule:\n--- serial ---\n%s\n--- auto ---\n%s", serial, auto)
 	}
 }
 
@@ -187,9 +184,8 @@ func TestSchedsimRejectsBadEngineFlags(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"-shards", "zero"},
-		{"-routing-variant", "quantum"},
-		{"-routing-variant", "shardable:staleness=x"},
-		{"-staleness", "0"},
+		{"-shards", "0"},
+		{"-shards", "-2"},
 	} {
 		if err := run(append([]string{"-jobs", "2", "-groups", "2"}, args...), &out); err == nil {
 			t.Fatalf("bad flag value %v was accepted", args)

@@ -19,7 +19,6 @@ import (
 	"dragonfly/internal/network"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/workloads"
 )
 
 func main() {
@@ -116,76 +115,23 @@ func run(args []string) error {
 }
 
 // printLadder builds every rung of the geometry ladder and tabulates its
-// size, adjacency memory, lookahead horizon, conforming-event fraction and
-// window-barrier behaviour — the quick answer to "what does each rung cost
-// before I run on it". The lookahead column is the minimum global-link
-// latency under the default fabric configuration: the conservative horizon
-// the sharded engine (WithShards) advances per window, and 0 for rungs that
-// cannot shard. The conforming column is the share of executed events
-// eligible for parallel execution under WithRoutingVariant(ShardableUGAL),
-// measured by a small probe alltoall on the rung; the remainder (window-
-// boundary syncs and the serial residue) stays serial even in the shardable
-// variant. The windows/batched/occupancy columns come from the same probe's
-// engine window stats: how many horizon windows the run dispatched, what
-// share followed another window with no serial event between them
-// (back-to-back stretches the persistent workers ride through), and the mean
-// number of shards active per window.
+// size, adjacency memory and lookahead horizon — the quick answer to "what
+// does each rung cost before I run on it". The lookahead column is the
+// minimum global-link latency under the default fabric configuration: the
+// conservative horizon the sharded engine (WithShards) advances per window,
+// and 0 for rungs that cannot shard.
 func printLadder() error {
 	table := trace.NewTable("Geometry ladder",
 		"rung", "groups", "routers", "nodes", "directed links", "adjacency (CSR) KiB",
-		"lookahead (cycles)", "conforming events %", "windows", "batched %", "mean occupancy")
+		"lookahead (cycles)")
 	for _, rung := range dragonfly.GeometryLadder() {
 		t, err := topo.New(rung.Geometry)
 		if err != nil {
 			return err
 		}
-		frac, ws, err := probeRung(rung.Geometry)
-		if err != nil {
-			return err
-		}
-		batched := 0.0
-		if ws.Windows > 0 {
-			batched = float64(ws.BatchedWindows) / float64(ws.Windows) * 100
-		}
 		table.AddRow(rung.Name, rung.Geometry.Groups, t.NumRouters(), t.NumNodes(),
 			t.NumLinks(), fmt.Sprintf("%.1f", float64(t.AdjacencyBytes())/1024),
-			int64(network.LookaheadCycles(network.DefaultConfig(), t)),
-			fmt.Sprintf("%.1f", frac*100), ws.Windows,
-			fmt.Sprintf("%.1f", batched), fmt.Sprintf("%.2f", ws.MeanOccupancy))
+			int64(network.LookaheadCycles(network.DefaultConfig(), t)))
 	}
 	return table.Render(os.Stdout)
-}
-
-// probeRung probes one rung with a 32-node alltoall under the shardable
-// variant (four shards, so the occupancy column is comparable across rungs
-// and machines) and reports ConformingExecuted / ExecutedEvents — the share
-// of the rung's event stream that horizon-window workers may execute
-// concurrently — plus the run's window statistics. The serial residue is the
-// replica-sync boundaries (one per lookahead period while traffic flows), so
-// the fraction reflects how densely the workload packs packet events into
-// each window rather than any serial packet-path work.
-func probeRung(g dragonfly.Geometry) (float64, dragonfly.WindowStats, error) {
-	sys, err := dragonfly.New(
-		dragonfly.WithGeometry(g),
-		dragonfly.WithSeed(1),
-		dragonfly.WithShards(4),
-		dragonfly.WithRoutingVariant(dragonfly.ShardableUGAL),
-	)
-	if err != nil {
-		return 0, dragonfly.WindowStats{}, err
-	}
-	job, err := sys.Allocate(dragonfly.GroupStriped, 32)
-	if err != nil {
-		return 0, dragonfly.WindowStats{}, err
-	}
-	if _, err := job.Run(&workloads.Alltoall{MessageBytes: 8 << 10, Iterations: 1},
-		dragonfly.RunOptions{Iterations: 1}); err != nil {
-		return 0, dragonfly.WindowStats{}, err
-	}
-	ws := sys.Sharded().WindowStats()
-	total := sys.Engine().ExecutedEvents()
-	if total == 0 {
-		return 0, ws, nil
-	}
-	return float64(sys.Sharded().ConformingExecuted()) / float64(total), ws, nil
 }

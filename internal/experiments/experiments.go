@@ -70,19 +70,6 @@ type Options struct {
 	// a fixed Seed the tables are byte-identical at every setting, and the
 	// harness divides its worker budget by the shard count.
 	Shards int
-	// Variant selects the UGAL state-partitioning variant for every trial
-	// (dragonfly.WithRoutingVariant). The zero value is the exact serial
-	// model; ShardableUGAL swaps in the relaxed parallel model, which keeps
-	// per-seed determinism but produces a different byte stream — the golden
-	// hashes cover the default variant only. Experiments that sweep the
-	// variant themselves (fidelity) ignore this field.
-	Variant routing.Variant
-	// Staleness is the per-trial ShardableUGAL replica-sync decimation factor
-	// K (dragonfly.WithReplicaStaleness): 0 and 1 keep the per-lookahead
-	// replica refresh, larger K refreshes the congestion replicas every K
-	// lookahead windows. Only meaningful with Variant == ShardableUGAL.
-	// Experiments that sweep the staleness themselves (fidelity) ignore it.
-	Staleness int
 	// DecisionTrace is the per-trial decision-recorder depth k
 	// (dragonfly.WithDecisionTrace): 0 keeps tracing off, k > 0 records every
 	// adaptive routing decision with its top-k candidate costs. Experiments
@@ -229,20 +216,6 @@ func (o Options) runTrials(specs []harness.TrialSpec) ([]harness.Result, error) 
 			}
 		}
 	}
-	if o.Variant != routing.ExactUGAL {
-		for i := range specs {
-			if specs[i].Variant == routing.ExactUGAL {
-				specs[i].Variant = o.Variant
-			}
-		}
-	}
-	if o.Staleness > 1 {
-		for i := range specs {
-			if specs[i].Staleness == 0 {
-				specs[i].Staleness = o.Staleness
-			}
-		}
-	}
 	if o.DecisionTrace > 0 {
 		for i := range specs {
 			if specs[i].DecisionTraceK == 0 {
@@ -327,7 +300,6 @@ func Registry() map[string]Runner {
 		"biassweep":      BiasSweep,
 		"fullmachine":    FullMachine,
 		"openstream":     OpenStream,
-		"fidelity":       ShardableFidelity,
 		"counterfactual": CounterfactualRouting,
 	}
 }

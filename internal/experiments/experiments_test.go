@@ -50,12 +50,12 @@ func TestOptionsNormalizeAndScale(t *testing.T) {
 
 func TestRegistryAndRun(t *testing.T) {
 	names := Names()
-	if len(names) != 22 {
-		t.Fatalf("expected 22 experiments, got %d: %v", len(names), names)
+	if len(names) != 21 {
+		t.Fatalf("expected 21 experiments, got %d: %v", len(names), names)
 	}
 	for _, want := range []string{"fig3", "tab1", "fig4", "fig5", "fig7", "model", "fig8", "fig9", "fig10",
 		"ablations", "noisesweep", "hysteresis", "sched", "cotenant", "baselines", "collalgos", "telemetry", "biassweep",
-		"fullmachine", "openstream", "fidelity", "counterfactual"} {
+		"fullmachine", "openstream", "counterfactual"} {
 		found := false
 		for _, n := range names {
 			if n == want {

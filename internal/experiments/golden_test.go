@@ -23,21 +23,14 @@ var goldenHashes = map[string]string{
 	// real neighbor applications) end to end through the compact-arena
 	// fabric; captured at PR 5 after verifying fig3/noisesweep unchanged.
 	"cotenant": "8af32d8100a5ce369d0933123945100842adaa97748aca26ab323436c3028795",
-	// fidelity pins the ShardableUGAL variant next to ExactUGAL in one table
-	// (PR 8): the hash covers both variants' byte streams and the slowdown
-	// ratios between them, so it fails if either model — or the relaxation
-	// gap between them — drifts. Re-pinned at PR 9: the experiment now sweeps
-	// the replica-staleness factor K in {1, 2, 4} per rung, and the shardable
-	// byte stream changed when rank wakeups and delivery completions were
-	// promoted to conforming-parallel execution.
-	"fidelity": "54b9da60f2ec152cef458e7f7aade29a59409dbf84ca8cf8d7c7bd902cefd188",
 	// counterfactual pins the decision-trace data path (PR 10): the per-group
 	// decision rings, the counterfactual re-biasing replay, and the Eq. 2
-	// calibration fit, across both UGAL variants. The experiment pins its own
-	// variants and staleness, so the hash holds at every -shards,
-	// -routing-variant and -staleness override; the invariance test below
-	// checks that directly.
-	"counterfactual": "e9578e304f21a1c8007aaf3fba7870cf496d1414b230f89a8254afc2c7da9fb6",
+	// calibration fit. It was re-pinned when the experiment dropped its
+	// second UGAL model: the CSV of the remaining rows is byte-identical to
+	// the exact rows of the previous hash; only the rendered column padding
+	// changed. The hash holds at every -shards setting; the invariance test
+	// in counterfactual_test.go checks that directly.
+	"counterfactual": "a02304c83dd81601d9546ae89899a9f31eee5772dbf2d40f340eb79104ad73f7",
 }
 
 func TestGoldenTables(t *testing.T) {

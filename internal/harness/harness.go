@@ -84,16 +84,6 @@ type TrialSpec struct {
 	// count into its worker budget so trials × shards stays within
 	// GOMAXPROCS.
 	Shards int
-	// Variant selects the UGAL state-partitioning variant for the trial's
-	// system (dragonfly.WithRoutingVariant). The zero value is ExactUGAL;
-	// ShardableUGAL runs the relaxed parallel model, whose output differs
-	// from exact by construction but stays deterministic per seed.
-	Variant routing.Variant
-	// Staleness is the ShardableUGAL replica-sync decimation factor K
-	// (dragonfly.WithReplicaStaleness). Zero and one both select the default
-	// per-lookahead refresh; values above one require Variant ==
-	// ShardableUGAL and are their own deterministic models, pinned per K.
-	Staleness int
 	// DecisionTraceK enables the routing decision recorder for the trial's
 	// system (dragonfly.WithDecisionTrace): 0 leaves tracing off, k > 0
 	// records each adaptive decision with its top-k candidate costs. The

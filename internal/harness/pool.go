@@ -16,8 +16,6 @@ import (
 type envKey struct {
 	geometry      topo.Config
 	shards        int
-	variant       routing.Variant
-	staleness     int
 	decisionTrace int
 	hasRouting    bool
 	routing       routing.Params
@@ -27,8 +25,7 @@ type envKey struct {
 
 // specKey extracts the construction-affecting fields of a spec.
 func specKey(spec TrialSpec) envKey {
-	k := envKey{geometry: spec.Geometry, shards: spec.Shards, variant: spec.Variant,
-		staleness: spec.Staleness, decisionTrace: spec.DecisionTraceK}
+	k := envKey{geometry: spec.Geometry, shards: spec.Shards, decisionTrace: spec.DecisionTraceK}
 	if spec.RoutingParams != nil {
 		k.hasRouting, k.routing = true, *spec.RoutingParams
 	}
@@ -72,12 +69,6 @@ func (p *systemPool) acquire(spec TrialSpec, seed int64) (*dragonfly.System, err
 	}
 	if spec.Shards > 0 {
 		opts = append(opts, dragonfly.WithShards(spec.Shards))
-	}
-	if spec.Variant != routing.ExactUGAL {
-		opts = append(opts, dragonfly.WithRoutingVariant(spec.Variant))
-	}
-	if spec.Staleness > 1 {
-		opts = append(opts, dragonfly.WithReplicaStaleness(spec.Staleness))
 	}
 	if spec.DecisionTraceK > 0 {
 		opts = append(opts, dragonfly.WithDecisionTrace(spec.DecisionTraceK))

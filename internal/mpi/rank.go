@@ -113,24 +113,11 @@ func (r *Rank) Compute(cycles int64) {
 	// and selector overhead charge lands here).
 	r.computeDone = false
 	if sh := r.comm.fabric.Sharding(); sh != nil {
-		if r.comm.fabric.ShardableActive() {
-			// Under the shardable variant the wakeup is a conforming-parallel
-			// event of the rank's group: it executes inside a horizon window
-			// (no state is touched — the rank is parked until the scheduler
-			// resumes it) and defers the markRunnable callback to the window
-			// barrier through the canonical merge, so compute wakeups neither
-			// clip windows nor ride the serial domain. The rank resumes with
-			// the engine clock at the window maximum rather than exactly at
-			// doneAt — the variant's relaxed, still shard-count-deterministic
-			// timing model.
-			sh.ScheduleLocal(r.group, doneAt, r, 0, 0)
-		} else {
-			// Exact variant on a sharded system: the rank is pinned to its
-			// node's group and the wakeup is filed on the owning shard's heap
-			// with its global sequence number intact, so the execution order
-			// stays byte-identical to the serial engine.
-			sh.ScheduleResident(r.group, doneAt, r, 0, 0)
-		}
+		// On a sharded system the rank is pinned to its node's group and the
+		// wakeup is filed on the owning shard's heap with its global sequence
+		// number intact, so the execution order stays byte-identical to the
+		// serial engine.
+		sh.ScheduleResident(r.group, doneAt, r, 0, 0)
 	} else {
 		r.comm.engine().ScheduleCall(doneAt, r, 0, 0)
 	}
@@ -139,18 +126,10 @@ func (r *Rank) Compute(cycles int64) {
 	}
 }
 
-// HandleEvent implements sim.Handler for Compute completion events (and for
-// the barrier action a promoted wakeup defers).
+// HandleEvent implements sim.Handler for Compute completion events.
 func (r *Rank) HandleEvent(_ *sim.Engine, _, _ int64) {
 	r.computeDone = true
 	r.comm.markRunnable(r)
-}
-
-// HandleLocalEvent implements sim.LocalHandler for promoted Compute wakeups:
-// the in-window half does nothing but defer the serial-domain callback
-// (markRunnable needs the scheduler) to the window barrier.
-func (r *Rank) HandleLocalEvent(sc *sim.ShardContext, a, b int64) {
-	sc.Defer(r, a, b)
 }
 
 // hostNoise charges the configured host-side noise, if any.

@@ -169,18 +169,17 @@ func (n *nicState) popOp() *sendOp {
 	return op
 }
 
-// reset rewinds the dynamic state of NIC node, returning still-queued ops to
-// the pool and the outstanding-packet ring to the free list of the node's
-// group. Rings thus stay bounded by the most NICs a group has had injecting
-// in one epoch, not by every node a sweep of trials has touched. A recycled
-// ring is not cleared: windowConstraint reads it only once windowLen shows
-// that this epoch has overwritten every slot.
-func (n *nicState) reset(f *Fabric, node topo.NodeID) {
+// reset rewinds the dynamic state of a NIC, returning still-queued ops to the
+// pool and the outstanding-packet ring to the fabric's free list. Rings thus
+// stay bounded by the most NICs that have injected in one epoch, not by every
+// node a sweep of trials has touched. A recycled ring is not cleared:
+// windowConstraint reads it only once windowLen shows that this epoch has
+// overwritten every slot.
+func (n *nicState) reset(f *Fabric) {
 	n.counters = counters.NIC{}
 	n.readyAt = 0
 	if n.window != nil {
-		free := &f.ringFree[f.topo.GroupOfNode(node)]
-		*free = append(*free, n.window)
+		f.ringFree = append(f.ringFree, n.window)
 		n.window = nil
 	}
 	n.windowIdx, n.windowLen = 0, 0
@@ -200,16 +199,10 @@ type pendingDelivery struct {
 	done func(Delivery)
 }
 
-// Typed-event opcodes dispatched through Fabric.HandleEvent (engine events)
-// and Fabric.HandleLocalEvent (conforming-parallel events, ShardableUGAL).
+// Typed-event opcodes dispatched through Fabric.HandleEvent.
 const (
 	fabricOpInject int64 = iota
 	fabricOpDeliver
-	// fabricOpDeliverLane completes a delivery parked in a lane arena by the
-	// shardable inject path (arg packs group<<40 | index).
-	fabricOpDeliverLane
-	// fabricOpSync is the ShardableUGAL lookahead-boundary replica sync.
-	fabricOpSync
 )
 
 // Fabric simulates the Dragonfly interconnect. It is not safe for concurrent
@@ -230,10 +223,9 @@ type Fabric struct {
 	pending     []pendingDelivery
 	pendingFree []int32
 
-	// ringFree[g] holds the outstanding-packet rings group g's NICs returned
-	// at Reset, for its NICs' first injections to reuse. The lists are per
-	// group because ShardableUGAL injects for different groups concurrently.
-	ringFree [][][]sim.Time
+	// ringFree holds the outstanding-packet rings NICs returned at Reset,
+	// for later first injections to reuse.
+	ringFree [][]sim.Time
 
 	packetsInjected uint64
 
@@ -242,23 +234,6 @@ type Fabric struct {
 	// so the hot-path residency decision is one slice load.
 	sharded     *sim.Sharded
 	groupOfNode []int32
-
-	// ShardableUGAL state (see shardable.go); spolicy non-nil selects the
-	// variant. lanes holds the per-group packet-path partitions, groupOfLink
-	// the owner group of each link's source router, ownStamp the per-link
-	// dirty epoch stamps, syncEpoch/syncArmed the replica sync chain.
-	// staleness is the replica-sync decimation factor K: the sync chain
-	// fires every syncPeriod = K × lookahead cycles (K=1 is the PR 8
-	// behaviour, byte-identical by arithmetic).
-	spolicy     *routing.ShardedPolicy
-	lanes       []laneState
-	groupOfLink []int32
-	ownStamp    []uint32
-	syncEpoch   uint32
-	syncArmed   bool
-	lookahead   sim.Time
-	staleness   int
-	syncPeriod  sim.Time
 
 	// observers are the delivery observers in registration order. Multiple
 	// observers coexist — per-job delivery capture, the message log and
@@ -287,14 +262,13 @@ func New(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg Confi
 		return nil, err
 	}
 	f := &Fabric{
-		engine:   engine,
-		topo:     t,
-		policy:   policy,
-		cfg:      cfg,
-		links:    make([]linkState, t.NumLinks()),
-		nics:     make([]nicState, t.NumNodes()),
-		ringFree: make([][][]sim.Time, t.Config().Groups),
-		rng:      rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
+		engine: engine,
+		topo:   t,
+		policy: policy,
+		cfg:    cfg,
+		links:  make([]linkState, t.NumLinks()),
+		nics:   make([]nicState, t.NumNodes()),
+		rng:    rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
 	}
 	for i, l := range t.Links() {
 		ls := &f.links[i]
@@ -328,7 +302,7 @@ func (f *Fabric) Reset() {
 		f.links[i].reset()
 	}
 	for i := range f.nics {
-		f.nics[i].reset(f, topo.NodeID(i))
+		f.nics[i].reset(f)
 	}
 	for i := range f.pending {
 		f.pending[i] = pendingDelivery{}
@@ -341,9 +315,6 @@ func (f *Fabric) Reset() {
 	}
 	f.observers = f.observers[:0]
 	f.rng.Seed(f.engine.Seed() ^ 0x5f3759df)
-	if f.spolicy != nil {
-		f.resetShardable()
-	}
 }
 
 // Engine returns the simulation engine driving the fabric.
@@ -358,15 +329,8 @@ func (f *Fabric) Config() Config { return f.cfg }
 // Policy returns the routing policy.
 func (f *Fabric) Policy() *routing.Policy { return f.policy }
 
-// PacketsInjected reports the total number of request packets injected so
-// far (summed over the per-group lanes under ShardableUGAL).
-func (f *Fabric) PacketsInjected() uint64 {
-	n := f.packetsInjected
-	for g := range f.lanes {
-		n += f.lanes[g].packets
-	}
-	return n
-}
+// PacketsInjected reports the total number of request packets injected so far.
+func (f *Fabric) PacketsInjected() uint64 { return f.packetsInjected }
 
 // AddDeliveryObserver registers a callback invoked for every completed
 // message transfer on the fabric (including same-node loopback transfers and
@@ -440,10 +404,6 @@ func (f *Fabric) HandleEvent(_ *sim.Engine, op, arg int64) {
 		f.inject(topo.NodeID(arg))
 	case fabricOpDeliver:
 		f.completeDelivery(int32(arg))
-	case fabricOpDeliverLane:
-		f.completeLaneDelivery(arg)
-	case fabricOpSync:
-		f.runSync()
 	}
 }
 
@@ -539,28 +499,6 @@ func (f *Fabric) Send(src, dst topo.NodeID, size int64, opts SendOptions, done f
 		}
 		return nil
 	}
-	if f.spolicy != nil {
-		// ShardableUGAL: the op comes from the source group's lane pool, the
-		// inject event goes into the conforming-parallel class, and posting
-		// traffic (re-)arms the replica sync chain. Send runs in the serial
-		// domain, so no window can span the armed boundary.
-		lane := &f.lanes[f.groupOfNode[src]]
-		op := lane.getOp()
-		op.src, op.dst, op.size, op.opts, op.done = src, dst, size, opts, done
-		op.packetsTotal = f.cfg.PacketsForSize(size)
-		op.start = now
-		op.packetsLeft = op.packetsTotal
-		nic := &f.nics[src]
-		nic.pushOp(op)
-		lane.opsQueued++
-		f.armSync(now)
-		if !nic.injecting {
-			nic.injecting = true
-			nic.readyAt = max(nic.readyAt, now)
-			f.sharded.ScheduleLocal(f.groupOfNode[src], nic.readyAt, f, fabricOpInject, int64(src))
-		}
-		return nil
-	}
 	op := f.getOp()
 	op.src, op.dst, op.size, op.opts, op.done = src, dst, size, opts, done
 	op.packetsTotal = f.cfg.PacketsForSize(size)
@@ -588,7 +526,7 @@ func (n *nicState) windowConstraint(maxOutstanding int) sim.Time {
 
 // recordResponse enters a packet's response time into the outstanding
 // window. On the NIC's first injection of an epoch it takes a ring from
-// free, the NIC's group's list, or allocates one when the list is empty.
+// free, or allocates one when the list is empty.
 func (n *nicState) recordResponse(resp sim.Time, maxOutstanding int, free *[][]sim.Time) {
 	if n.window == nil {
 		if k := len(*free); k > 0 {
@@ -689,7 +627,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	stall := injStart - ready
 	serNIC := int64(chunkFlits) * f.cfg.CyclesPerFlit // NIC pushes one flit per CyclesPerFlit
 	nic.readyAt = injStart + serNIC
-	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets, &f.ringFree[f.topo.GroupOf(srcRouter)])
+	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets, &f.ringFree)
 	f.packetsInjected += uint64(chunkPackets)
 
 	latency := respArrival - injStart

@@ -20,20 +20,13 @@ import (
 // global link), the handoff rides the sharded engine's per-pair SPSC
 // mailboxes.
 //
-// Under the default ExactUGAL variant, packet *execution* stays in the
-// serial domain (sim.Sharded's resident class), because the paper's
-// globally-adaptive UGAL draws every candidate-path sample from one shared
-// random stream and reads a machine-global congestion view — concurrent
-// packet execution cannot reproduce the serial byte stream. Resident events
-// keep the engine's global sequence numbers, so a sharded system's output
-// is byte-identical to serial at every shard count, which is what every
-// golden SHA256 table enforces.
-//
-// The opt-in ShardableUGAL variant (EnableShardable, shardable.go) cuts the
-// two couplings instead — per-group RNG streams and per-group replicated
-// congestion views refreshed at lookahead boundaries — which moves packet
-// injection into the conforming-parallel class. Its output differs from
-// ExactUGAL by construction and is pinned by its own golden family.
+// Packet *execution* stays in the serial domain (sim.Sharded's resident
+// class), because the paper's globally-adaptive UGAL draws every
+// candidate-path sample from one shared random stream and reads a
+// machine-global congestion view — concurrent packet execution cannot
+// reproduce the serial byte stream. Resident events keep the engine's global
+// sequence numbers, so a sharded system's output is byte-identical to serial
+// at every shard count, which is what every golden SHA256 table enforces.
 
 // LookaheadCycles returns the conservative lookahead bound of this fabric:
 // the minimum fixed latency any event needs to cross from one dragonfly

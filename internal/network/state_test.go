@@ -151,30 +151,26 @@ func TestWindowRingWraparound(t *testing.T) {
 
 // TestResetRecyclesRings runs Reset-plus-trial cycles whose senders are
 // placed at random, as noise jobs are, and checks the outstanding-packet
-// rings stay bounded: after every Reset each group holds no more rings than
-// the most its NICs used in any one trial, although the trials together
-// touch far more distinct nodes than that.
+// rings stay bounded: after every Reset the free list holds no more rings
+// than the most any one trial used, although the trials together touch far
+// more distinct nodes than that.
 func TestResetRecyclesRings(t *testing.T) {
 	f, tt, eng := testFabric(t, 4, 1)
-	groups := tt.Config().Groups
 	placement := rand.New(rand.NewSource(42))
-	maxUsed := make([]int, groups)
+	maxUsed := 0
 	touched := make(map[topo.NodeID]bool)
 	for trial := 0; trial < 30; trial++ {
 		eng.Reset(int64(trial))
 		f.Reset()
-		live := make([]int, groups)
 		for i := range f.nics {
 			if f.nics[i].window != nil {
 				t.Fatalf("trial %d: NIC %d kept its ring across Reset", trial, i)
 			}
 		}
-		for g := range live {
-			live[g] = len(f.ringFree[g])
-			if live[g] > maxUsed[g] {
-				t.Fatalf("trial %d: group %d holds %d rings, but no trial used more than %d",
-					trial, g, live[g], maxUsed[g])
-			}
+		live := len(f.ringFree)
+		if live > maxUsed {
+			t.Fatalf("trial %d: free list holds %d rings, but no trial used more than %d",
+				trial, live, maxUsed)
 		}
 
 		for k := 0; k < 8; k++ {
@@ -187,30 +183,24 @@ func TestResetRecyclesRings(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		used := make([]int, groups)
+		used := 0
 		for i := range f.nics {
 			if f.nics[i].window != nil {
-				used[tt.GroupOfNode(topo.NodeID(i))]++
+				used++
 				touched[topo.NodeID(i)] = true
 			}
 		}
-		for g := range used {
-			// Rings come from the free list first, so a list that is not
-			// empty yet has supplied every ring the group used.
-			if free := len(f.ringFree[g]); free > 0 && used[g]+free != live[g] {
-				t.Fatalf("trial %d: group %d used %d rings and has %d free, but started with %d",
-					trial, g, used[g], free, live[g])
-			}
-			maxUsed[g] = max(maxUsed[g], used[g])
+		// Rings come from the free list first, so a list that is not empty
+		// yet has supplied every ring the trial used.
+		if free := len(f.ringFree); free > 0 && used+free != live {
+			t.Fatalf("trial %d: used %d rings and has %d free, but started with %d",
+				trial, used, free, live)
 		}
+		maxUsed = max(maxUsed, used)
 	}
-	rings := 0
-	for g := range maxUsed {
-		rings += maxUsed[g]
-	}
-	if rings >= len(touched) {
+	if maxUsed >= len(touched) {
 		t.Fatalf("%d rings for %d distinct senders: random placement should touch more nodes than any trial uses",
-			rings, len(touched))
+			maxUsed, len(touched))
 	}
 }
 

@@ -108,11 +108,9 @@ type decisionRing struct {
 }
 
 // DecisionTrace records adaptive routing decisions into one ring per
-// dragonfly group. Per-group rings keep sharded runs deterministic: each
-// group's decisions land in its own ring in the group's canonical event
-// order, so the recorded trace is byte-identical across shard counts for both
-// routing variants. A single Route caller per group at a time is assumed
-// (the serial domain for ExactUGAL, the owning lane for ShardableUGAL), so
+// dragonfly group, keyed by the source router's group. Each group's ring
+// keeps that group's most recent decisions, so a busy group cannot evict a
+// quiet group's history. The trace belongs to one simulation goroutine, so
 // recording needs no synchronization.
 type DecisionTrace struct {
 	k        int

@@ -221,42 +221,6 @@ func TestHashedModesAreNotTraced(t *testing.T) {
 	}
 }
 
-func TestShardedPolicyRecordsPerGroupRings(t *testing.T) {
-	tt := topo.MustNew(topo.SmallConfig(3))
-	sp, err := NewShardedPolicy(tt, DefaultParams(), tt.Config().Groups, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDecisionTrace(tt.Config().Groups, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.SetDecisionTrace(tr)
-	if sp.DecisionTrace() != tr {
-		t.Fatal("sharded policy lost the recorder")
-	}
-	view := ZeroView{Propagation: 10, CyclesPerFlit: 2}
-	for g := 0; g < tt.Config().Groups; g++ {
-		src := tt.RouterAt(topo.Coord{Group: g, Chassis: 0, Blade: 0})
-		dst := tt.RouterAt(topo.Coord{Group: (g + 1) % tt.Config().Groups, Chassis: 0, Blade: 0})
-		for i := 0; i < g+1; i++ {
-			sp.Route(g, Adaptive, src, dst, 5, 0, view, 0)
-		}
-	}
-	perGroup := make(map[int]int)
-	tr.ForEach(func(g int, d *TracedDecision) {
-		perGroup[g]++
-		if got := int(tt.GroupOf(d.Src)); got != g {
-			t.Fatalf("group-%d ring holds a decision from group %d", g, got)
-		}
-	})
-	for g := 0; g < tt.Config().Groups; g++ {
-		if perGroup[g] != g+1 {
-			t.Fatalf("group %d recorded %d decisions, want %d", g, perGroup[g], g+1)
-		}
-	}
-}
-
 // TestRouteAllocationFree is the tentpole's hot-path guarantee: Route must
 // not allocate after warm-up, with tracing off (the default) AND with tracing
 // on (rings are preallocated).

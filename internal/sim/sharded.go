@@ -61,11 +61,10 @@ type Sharded struct {
 	nlocal   int         // total local events pending across shards
 
 	// deferred holds serial-domain events produced inside parallel windows
-	// (ShardContext.ScheduleSerial): the shardable fabric's delivery
-	// completions. They are keyed like local events — (at, class, dst, src,
-	// per-src-group seq) — so their order never depends on shard count or
-	// window boundaries, and they execute in the serial domain at the first
-	// barrier at or after their timestamp.
+	// (ShardContext.ScheduleSerial). They are keyed like local events —
+	// (at, class, dst, src, per-src-group seq) — so their order never depends
+	// on shard count or window boundaries, and they execute in the serial
+	// domain at the first barrier at or after their timestamp.
 	deferred shardHeap
 
 	// srcSeq is the per-group schedule counter local event keys embed. Each
@@ -141,9 +140,8 @@ type Sharded struct {
 // event classes, ordered: at equal timestamps serial-domain events execute
 // before conforming-parallel ones (a fixed, shard-count-independent rule).
 // Deferred-serial events (ShardContext.ScheduleSerial) sit between the two:
-// they are serial-domain work produced inside windows — the shardable
-// fabric's delivery completions — that executes at the first barrier at or
-// after its timestamp.
+// they are serial-domain work produced inside windows that executes at the
+// first barrier at or after its timestamp.
 const (
 	classResident   = 0
 	classSerialPost = 1
@@ -445,9 +443,8 @@ func (sc *ShardContext) After(delay Time, h LocalHandler, a, b int64) {
 // shard-count-independent key as local events (at, class, group, src, seq) —
 // it can never preempt the window that scheduled it, so an event whose time
 // falls inside the current window executes "late" with the engine clock
-// already advanced, exactly like an engine event scheduled in the past. The
-// shardable fabric uses this for delivery completions, whose callbacks (rank
-// wakeups, observers) need the full serial-domain API.
+// already advanced, exactly like an engine event scheduled in the past. Use
+// it for follow-up work that needs the full serial-domain API.
 func (sc *ShardContext) ScheduleSerial(at Time, h Handler, a, b int64) {
 	s := sc.s
 	if at < sc.now {

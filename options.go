@@ -108,8 +108,6 @@ type config struct {
 	network       NetworkConfig
 	seed          int64
 	shards        int
-	variant       RoutingVariant
-	staleness     int
 	decisionTrace int
 	noise         *NoiseConfig
 	telemetry     *TelemetryConfig
@@ -119,12 +117,11 @@ type config struct {
 // by hand.
 func defaultConfig() config {
 	return config{
-		geometry:  topo.SmallConfig(4),
-		routing:   routing.DefaultParams(),
-		network:   network.DefaultConfig(),
-		seed:      1,
-		shards:    1,
-		staleness: 1,
+		geometry: topo.SmallConfig(4),
+		routing:  routing.DefaultParams(),
+		network:  network.DefaultConfig(),
+		seed:     1,
+		shards:   1,
 	}
 }
 
@@ -197,60 +194,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithRoutingVariant selects the UGAL state-partitioning variant.
-//
-// The default ExactUGAL is the paper's algorithm: every packet draws its
-// candidate paths from one shared random stream and costs them against an
-// instantaneous machine-global congestion view, so packet execution is
-// order-serial (sharded systems keep it in the serial domain and stay
-// byte-identical to the serial engine).
-//
-// ShardableUGAL relaxes exactly those two couplings — one deterministic RNG
-// stream per dragonfly group, and per-group congestion replicas refreshed
-// every K lookahead windows (K = WithReplicaStaleness, default 1, so the
-// staleness is bounded by K times the minimum global-link latency) — which
-// moves packet execution into the conforming-parallel
-// class of the sharded engine. Its output is deterministic and
-// byte-identical across shard counts and drive modes, but differs from
-// ExactUGAL by construction: it is a different, equally pinned model, not
-// an approximation knob. ShardableUGAL always runs on the sharded driver
-// (even when the resolved shard count is 1, so shard count never changes
-// the byte stream) and therefore requires a multi-group geometry.
-func WithRoutingVariant(v RoutingVariant) Option {
-	return func(c *config) error {
-		switch v {
-		case ExactUGAL, ShardableUGAL:
-			c.variant = v
-			return nil
-		default:
-			return fmt.Errorf("dragonfly: unknown routing variant %v", v)
-		}
-	}
-}
-
-// WithReplicaStaleness sets the ShardableUGAL replica-sync decimation factor
-// K: the per-group congestion replicas are refreshed every K × lookahead
-// cycles instead of at every lookahead boundary. K=1 (the default) is
-// byte-identical to the classic per-boundary sync; larger K trades
-// congestion-view freshness for fewer serial sync events and longer
-// effective parallel stretches. Every K is its own deterministic model —
-// output stays byte-identical across shard counts and drive modes for a
-// fixed K, and the `fidelity` experiment measures the K ∈ {1,2,4} trade
-// against ExactUGAL. The knob requires WithRoutingVariant(ShardableUGAL)
-// when K > 1; ExactUGAL has no replicas to grow stale.
-func WithReplicaStaleness(k int) Option {
-	return func(c *config) error {
-		if k < 1 {
-			return fmt.Errorf("dragonfly: WithReplicaStaleness needs k >= 1, got %d", k)
-		}
-		if k > routing.MaxStaleness {
-			return fmt.Errorf("dragonfly: WithReplicaStaleness %d exceeds the maximum %d", k, routing.MaxStaleness)
-		}
-		c.staleness = k
-		return nil
-	}
-}
-
 // WithDecisionTrace enables the routing decision recorder: every adaptive
 // routing decision is captured with its top-k candidate paths and their
 // congestion costs at decision time, into one preallocated ring per dragonfly
@@ -277,13 +220,6 @@ func WithDecisionTrace(k int) Option {
 // "on" selects the default k, otherwise "N" or "k=N".
 func ParseDecisionTrace(s string) (int, error) {
 	return routing.ParseDecisionTrace(s)
-}
-
-// ParseStaleness maps a command-line -staleness flag to a
-// WithReplicaStaleness argument: the empty string means the default K=1,
-// otherwise a positive integer, optionally spelled "staleness=K".
-func ParseStaleness(s string) (int, error) {
-	return routing.ParseStaleness(s)
 }
 
 // ParseShards maps a command-line shard-count flag to a WithShards argument:
