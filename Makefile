@@ -29,11 +29,10 @@ examples:
 test:
 	$(GO) test ./...
 
-# race runs the harness, facade, rank-scheduler, batch-scheduler, sharded
-# engine/fabric and cmd tests under the race detector (the full experiment
-# suite under -race is slow; CI runs it, locally target the pool, the facade
-# the pool reuses systems through, the concurrent multi-job path, and the
-# parallel horizon windows of the sharded engine).
+# race runs the harness, facade, rank-scheduler, batch-scheduler, engine,
+# fabric and cmd tests under the race detector (the full experiment suite
+# under -race is slow; CI runs it, locally target the pool, the facade the
+# pool reuses systems through, and the concurrent multi-job path).
 race:
 	$(GO) test -race ./internal/arrival/... ./internal/harness/... ./internal/mpi/... \
 		./internal/sched/... ./internal/sim/... ./internal/network/... . ./cmd/...
@@ -83,7 +82,6 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRouting$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecisionTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc

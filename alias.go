@@ -15,7 +15,6 @@ import (
 	"dragonfly/internal/network"
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
-	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topo"
@@ -72,10 +71,6 @@ type (
 	// TracedDecision is one recorded adaptive routing decision with its
 	// top-k candidate paths and congestion costs at decision time.
 	TracedDecision = routing.TracedDecision
-	// WindowStats summarizes the sharded engine's horizon-window behaviour —
-	// window and batched-window counts, mean shard occupancy, cumulative
-	// barrier wait; read it back with System.Sharded().WindowStats.
-	WindowStats = sim.WindowStats
 	// Digest is the fixed-size streaming statistics digest backing
 	// Result.TimeStats (exact at small sample counts, P² beyond).
 	Digest = stats.Digest

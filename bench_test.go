@@ -350,58 +350,6 @@ func BenchmarkMachineScaleDaint(b *testing.B) {
 	b.ReportMetric(meanCycles, "daint_alltoall_mean_cycles")
 }
 
-// BenchmarkDaintSharded runs the Daint-class workload of
-// BenchmarkMachineScaleDaint on the group-sharded engine at several shard
-// counts, with shards=1 as the serial baseline (the facade falls back to
-// the plain engine there). Output is byte-identical at every shard count —
-// the sub-benchmarks cross-check the result against the serial run — so
-// ns/op differences are pure wall-clock. Packet execution stays in the
-// sharded engine's serial domain (the paper's UGAL draws from one shared
-// random stream), so this measures the engine's overhead, not a speedup.
-// See EXPERIMENTS.md "Intra-run parallelism" for the measured tables.
-func BenchmarkDaintSharded(b *testing.B) {
-	daintRun := func(b *testing.B, shards int) (mean float64, sys *dragonfly.System) {
-		sys, err := dragonfly.New(
-			dragonfly.WithGeometry(dragonfly.Daint),
-			dragonfly.WithSeed(1),
-			dragonfly.WithShards(shards),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		job, err := sys.Allocate(dragonfly.GroupStriped, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := job.Run(&workloads.Alltoall{MessageBytes: 2 << 10, Iterations: 1},
-			dragonfly.RunOptions{Iterations: 2, StreamStats: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.TimeStats.Mean(), sys
-	}
-	baseline, _ := daintRun(b, 1)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			var mean float64
-			var crossPosts uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var sys *dragonfly.System
-				mean, sys = daintRun(b, shards)
-				if sh := sys.Sharded(); sh != nil {
-					crossPosts = sh.CrossPosts()
-				}
-			}
-			if mean != baseline {
-				b.Fatalf("shards=%d diverges from serial: mean %v vs %v", shards, mean, baseline)
-			}
-			b.ReportMetric(mean, "daint_alltoall_mean_cycles")
-			b.ReportMetric(float64(crossPosts), "cross_shard_posts")
-		})
-	}
-}
-
 // BenchmarkOpenStream measures the open-arrival scheduling engine at machine
 // scale: 300k compute-only job events admitted, placed and drained on the
 // full Daint geometry. The job_events_per_sec metric is the subsystem's

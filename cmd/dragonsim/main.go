@@ -43,7 +43,6 @@ func run(args []string) error {
 		allocPolicy  = fs.String("alloc", "group-striped", "allocation policy: contiguous, random, group-striped")
 		iterations   = fs.Int("iterations", 3, "workload repetitions")
 		seed         = fs.Int64("seed", 1, "random seed")
-		shardsFlag   = fs.String("shards", "", "intra-run engine shards ('auto', or a count; empty = serial; same output either way)")
 		traceFlag    = fs.String("decision-trace", "", "record adaptive routing decisions ('on', a top-k count, or 'k=N'; empty = off) and print a counterfactual scoring table")
 		withNoise    = fs.Bool("noise", false, "add a background interfering job")
 		noiseNodesN  = fs.Int("noise-nodes", 16, "background job size when -noise is set")
@@ -83,13 +82,6 @@ func run(args []string) error {
 		dragonfly.WithGeometry(geometry),
 		dragonfly.WithSeed(*seed),
 	}
-	if *shardsFlag != "" {
-		n, err := dragonfly.ParseShards(*shardsFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithShards(n))
-	}
 	traceK, err := dragonfly.ParseDecisionTrace(*traceFlag)
 	if err != nil {
 		return err
@@ -107,8 +99,8 @@ func run(args []string) error {
 		return err
 	}
 	t := sys.Topology()
-	fmt.Printf("system: %d nodes, %d routers, %d groups, %d engine shards; job: %s\n",
-		t.NumNodes(), t.NumRouters(), t.Config().Groups, sys.Shards(), job)
+	fmt.Printf("system: %d nodes, %d routers, %d groups; job: %s\n",
+		t.NumNodes(), t.NumRouters(), t.Config().Groups, job)
 
 	// Optional background noise. StartNoise silently caps the job to the free
 	// nodes; the user asked for a specific interference scenario, so reject

@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -56,7 +55,6 @@ func run(args []string, out io.Writer) error {
 		quick      = fs.Bool("quick", false, "shrink sizes and iteration counts (smoke test)")
 		csvDir     = fs.String("csv", "", "directory to also write one CSV file per table")
 		parallel   = fs.Int("parallel", 0, "trial worker goroutines (0 = all cores, 1 = serial; same output either way)")
-		shards     = fs.String("shards", "", "intra-run engine shards per trial ('auto', or a count; empty = serial; same output either way)")
 		decTrace   = fs.String("decision-trace", "", "record adaptive routing decisions per trial ('on', a top-k count, or 'k=N'; empty = off)")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 		progress   = fs.Bool("progress", false, "print per-trial progress to stderr")
@@ -93,16 +91,6 @@ func run(args []string, out io.Writer) error {
 	opts.FullAries = *fullAries
 	opts.Quick = *quick
 	opts.Parallel = *parallel
-	if *shards != "" {
-		n, err := dragonfly.ParseShards(*shards)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		opts.Shards = n
-	}
 	if *decTrace != "" {
 		k, err := dragonfly.ParseDecisionTrace(*decTrace)
 		if err != nil {

@@ -68,7 +68,6 @@ func run(args []string, out io.Writer) error {
 		clients     = fs.Int("clients", 0, "number of default open-arrival clients; enables open-stream mode")
 		horizon     = fs.Int64("horizon", 0, "open-stream admission horizon in cycles (0: use -jobs as the event budget)")
 		sloClasses  = fs.String("slo-classes", "latency,batch,besteffort", "SLO classes the default clients cycle through")
-		shardsFlag  = fs.String("shards", "", "intra-run engine shards ('auto', or a count; empty = serial; same output either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,18 +81,7 @@ func run(args []string, out io.Writer) error {
 	if *fullAries {
 		geometry = dragonfly.AriesGeometry(*groups)
 	}
-	sysOpts := []dragonfly.Option{
-		dragonfly.WithGeometry(geometry),
-		dragonfly.WithSeed(*seed),
-	}
-	if *shardsFlag != "" {
-		n, err := dragonfly.ParseShards(*shardsFlag)
-		if err != nil {
-			return err
-		}
-		sysOpts = append(sysOpts, dragonfly.WithShards(n))
-	}
-	sys, err := dragonfly.New(sysOpts...)
+	sys, err := dragonfly.New(dragonfly.WithGeometry(geometry), dragonfly.WithSeed(*seed))
 	if err != nil {
 		return err
 	}

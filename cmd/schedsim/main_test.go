@@ -158,37 +158,3 @@ func TestSchedsimOpenStreamRejectsBadSpec(t *testing.T) {
 		t.Fatal("unknown SLO class was accepted")
 	}
 }
-
-// TestSchedsimEngineFlags: the -shards flag accepted by dragonsim works
-// identically here, and sharding the engine does not change the schedule
-// (the byte-identity contract of the sharded engine).
-func TestSchedsimEngineFlags(t *testing.T) {
-	render := func(extra ...string) string {
-		var out bytes.Buffer
-		args := append([]string{"-jobs", "5", "-groups", "3", "-apps", "0.7"}, extra...)
-		if err := run(args, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	serial := render()
-	if sharded := render("-shards", "2"); sharded != serial {
-		t.Fatalf("-shards 2 changed the schedule:\n--- serial ---\n%s\n--- sharded ---\n%s", serial, sharded)
-	}
-	if auto := render("-shards", "auto"); auto != serial {
-		t.Fatalf("-shards auto changed the schedule:\n--- serial ---\n%s\n--- auto ---\n%s", serial, auto)
-	}
-}
-
-func TestSchedsimRejectsBadEngineFlags(t *testing.T) {
-	var out bytes.Buffer
-	for _, args := range [][]string{
-		{"-shards", "zero"},
-		{"-shards", "0"},
-		{"-shards", "-2"},
-	} {
-		if err := run(append([]string{"-jobs", "2", "-groups", "2"}, args...), &out); err == nil {
-			t.Fatalf("bad flag value %v was accepted", args)
-		}
-	}
-}

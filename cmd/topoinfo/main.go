@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"dragonfly"
-	"dragonfly/internal/network"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
 )
@@ -115,23 +114,18 @@ func run(args []string) error {
 }
 
 // printLadder builds every rung of the geometry ladder and tabulates its
-// size, adjacency memory and lookahead horizon — the quick answer to "what
-// does each rung cost before I run on it". The lookahead column is the
-// minimum global-link latency under the default fabric configuration: the
-// conservative horizon the sharded engine (WithShards) advances per window,
-// and 0 for rungs that cannot shard.
+// size and adjacency memory — the quick answer to "what does each rung cost
+// before I run on it".
 func printLadder() error {
 	table := trace.NewTable("Geometry ladder",
-		"rung", "groups", "routers", "nodes", "directed links", "adjacency (CSR) KiB",
-		"lookahead (cycles)")
+		"rung", "groups", "routers", "nodes", "directed links", "adjacency (CSR) KiB")
 	for _, rung := range dragonfly.GeometryLadder() {
 		t, err := topo.New(rung.Geometry)
 		if err != nil {
 			return err
 		}
 		table.AddRow(rung.Name, rung.Geometry.Groups, t.NumRouters(), t.NumNodes(),
-			t.NumLinks(), fmt.Sprintf("%.1f", float64(t.AdjacencyBytes())/1024),
-			int64(network.LookaheadCycles(network.DefaultConfig(), t)))
+			t.NumLinks(), fmt.Sprintf("%.1f", float64(t.AdjacencyBytes())/1024))
 	}
 	return table.Render(os.Stdout)
 }

@@ -65,7 +65,6 @@ type System struct {
 	policy    *routing.Policy
 	engine    *sim.Engine
 	fabric    *network.Fabric
-	sharded   *sim.Sharded
 	rng       *rand.Rand
 	collector *telemetry.Collector
 	decisions *routing.DecisionTrace
@@ -119,20 +118,8 @@ func New(opts ...Option) (*System, error) {
 		rng:    rand.New(rand.NewSource(cfg.seed)),
 		used:   make(map[topo.NodeID]bool),
 	}
-	lookahead := fab.LookaheadCycles()
-	groups := t.Config().Groups
-	if n := resolveShards(cfg.shards, groups, int64(lookahead)); n > 1 {
-		sh, err := sim.NewSharded(engine, groups, n, lookahead)
-		if err != nil {
-			return nil, err
-		}
-		if err := fab.AttachSharding(sh); err != nil {
-			return nil, err
-		}
-		s.sharded = sh
-	}
 	if cfg.decisionTrace > 0 {
-		tr, err := routing.NewDecisionTrace(groups, cfg.decisionTrace, routing.DefaultTraceCapacity)
+		tr, err := routing.NewDecisionTrace(t.Config().Groups, cfg.decisionTrace, routing.DefaultTraceCapacity)
 		if err != nil {
 			return nil, err
 		}
@@ -212,22 +199,6 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // Fabric returns the simulated network, for subsystems that attach to it
 // directly (telemetry collectors, message logs, the batch scheduler).
 func (s *System) Fabric() *network.Fabric { return s.fabric }
-
-// Shards returns the effective shard count of the intra-run parallel engine:
-// 1 for a serial system (the default, single-group geometries, or
-// WithShards(1)), otherwise the resolved WithShards request.
-func (s *System) Shards() int {
-	if s.sharded == nil {
-		return 1
-	}
-	return s.sharded.Shards()
-}
-
-// Sharded returns the group-sharded engine driver, or nil for a serial
-// system. It is an escape hatch like Engine and Fabric: harnesses read its
-// window/cross-post statistics, and conforming-parallel workloads schedule
-// through it.
-func (s *System) Sharded() *sim.Sharded { return s.sharded }
 
 // Rand returns the system's allocation random stream. The trial harness
 // exposes it so trial bodies draw from the same deterministic stream the

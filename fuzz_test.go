@@ -38,37 +38,6 @@ func FuzzParseRouting(f *testing.F) {
 	})
 }
 
-// FuzzParseShards fuzzes the shard-count parser: no panics, every accepted
-// input maps to a valid WithShards argument (0 = auto or a positive count),
-// and acceptance is stable under the documented normalization.
-func FuzzParseShards(f *testing.F) {
-	for _, seed := range []string{
-		"", "auto", "AUTO", " auto ", "1", "2", "4", "8", "16", "64",
-		"0", "-1", "-8", "four", "4.5", "1e3", "0x4", "+3", " 2 ",
-		"auto:2", "99999999999999999999", "∞",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		n, err := dragonfly.ParseShards(s)
-		if err != nil {
-			if n != 0 {
-				t.Fatalf("ParseShards(%q) errored but returned %d", s, n)
-			}
-			return
-		}
-		if n < 0 {
-			t.Fatalf("ParseShards(%q) accepted a negative count %d", s, n)
-		}
-		if opt := dragonfly.WithShards(n); opt == nil {
-			t.Fatalf("ParseShards(%q) = %d does not build a WithShards option", s, n)
-		}
-		if n2, err := dragonfly.ParseShards(strings.ToUpper(" " + s + " ")); err != nil || n2 != n {
-			t.Fatalf("ParseShards(%q) is not normalization-stable: %v / %d", s, err, n2)
-		}
-	})
-}
-
 // FuzzParseDecisionTrace fuzzes the decision-trace flag parser: no panics,
 // errors return the zero value, every accepted k is in [0, 8], every accepted
 // k >= 1 is a usable WithDecisionTrace argument, and acceptance is stable

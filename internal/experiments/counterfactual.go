@@ -43,9 +43,8 @@ func cfModes() []routing.Mode {
 // policy avoided relative to that mode's counterfactual pick, and (2) fits
 // the Eq. 2 performance model (L, s) against the captured message log and
 // reports MAPE and Pearson-r — the trace → replay → calibrate loop. The
-// output is byte-identical across shard counts (decision rings are per-group
-// and group order is canonical), which the golden hash and the determinism
-// suite pin.
+// output is byte-identical for a fixed seed at every -parallel setting,
+// which the golden hash and the determinism suite pin.
 func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 	opts = opts.normalize()
 	size := opts.scaleSize(4 << 10)

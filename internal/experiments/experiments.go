@@ -64,12 +64,6 @@ type Options struct {
 	// 0 means GOMAXPROCS, 1 runs serially. For a fixed Seed the resulting
 	// tables are byte-identical at every setting.
 	Parallel int
-	// Shards is the per-trial intra-run shard count (dragonfly.WithShards):
-	// 0 keeps the serial engine, n > 0 partitions each trial's machine by
-	// dragonfly group. Like Parallel, it changes wall-clock time only — for
-	// a fixed Seed the tables are byte-identical at every setting, and the
-	// harness divides its worker budget by the shard count.
-	Shards int
 	// DecisionTrace is the per-trial decision-recorder depth k
 	// (dragonfly.WithDecisionTrace): 0 keeps tracing off, k > 0 records every
 	// adaptive routing decision with its top-k candidate costs. Experiments
@@ -209,13 +203,6 @@ func (o Options) noiseSpec(pattern noise.Pattern) *harness.NoiseSpec {
 // runTrials executes trial specs through the worker-pool harness configured
 // by the options (seed, parallelism, progress callback, cancellation).
 func (o Options) runTrials(specs []harness.TrialSpec) ([]harness.Result, error) {
-	if o.Shards > 0 {
-		for i := range specs {
-			if specs[i].Shards == 0 {
-				specs[i].Shards = o.Shards
-			}
-		}
-	}
 	if o.DecisionTrace > 0 {
 		for i := range specs {
 			if specs[i].DecisionTraceK == 0 {

@@ -28,8 +28,7 @@ var goldenHashes = map[string]string{
 	// calibration fit. It was re-pinned when the experiment dropped its
 	// second UGAL model: the CSV of the remaining rows is byte-identical to
 	// the exact rows of the previous hash; only the rendered column padding
-	// changed. The hash holds at every -shards setting; the invariance test
-	// in counterfactual_test.go checks that directly.
+	// changed.
 	"counterfactual": "a02304c83dd81601d9546ae89899a9f31eee5772dbf2d40f340eb79104ad73f7",
 }
 

@@ -31,8 +31,7 @@ type openstreamResult struct {
 //
 // Every metric is folded streaming (stats.Digest), so the same experiment
 // scales from the CI-sized quick run to million-event horizons without
-// growing memory; and because the open stream schedules only serial-domain
-// events, its tables are byte-identical at every shard count.
+// growing memory.
 func OpenStream(opts Options) ([]*trace.Table, error) {
 	opts = opts.normalize()
 	geometry := opts.pizDaintGeometry()

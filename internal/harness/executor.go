@@ -78,10 +78,7 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 	defer cancelRun()
 	workers := x.Parallel
 	if workers <= 0 {
-		// The default budget is trials × shards ≤ GOMAXPROCS: a suite of
-		// sharded trials divides the machine between inter-trial and
-		// intra-trial parallelism instead of oversubscribing it.
-		workers = runtime.GOMAXPROCS(0) / maxShards(specs)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(specs) {
 		workers = len(specs)
@@ -190,18 +187,6 @@ func (x *Executor) runOne(ctx context.Context, i int, spec TrialSpec, pool *syst
 	}
 	res.Value, res.Err = body(ctx, env)
 	return res
-}
-
-// maxShards returns the largest per-trial shard request in the suite
-// (minimum 1), the divisor of the default worker budget.
-func maxShards(specs []TrialSpec) int {
-	m := 1
-	for _, s := range specs {
-		if s.Shards > m {
-			m = s.Shards
-		}
-	}
-	return m
 }
 
 // validateIDs rejects suites with duplicate (or empty) trial ids, which would

@@ -77,13 +77,6 @@ type TrialSpec struct {
 
 	// Geometry is the Dragonfly topology to build.
 	Geometry topo.Config
-	// Shards enables the intra-run parallel event engine for the trial's
-	// system (dragonfly.WithShards): 0 leaves the engine serial, n > 0
-	// requests n group shards (clamped by the facade). Output is
-	// byte-identical either way; the executor folds the per-trial shard
-	// count into its worker budget so trials × shards stays within
-	// GOMAXPROCS.
-	Shards int
 	// DecisionTraceK enables the routing decision recorder for the trial's
 	// system (dragonfly.WithDecisionTrace): 0 leaves tracing off, k > 0
 	// records each adaptive decision with its top-k candidate costs. The

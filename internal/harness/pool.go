@@ -15,7 +15,6 @@ import (
 // All fields are comparable value types, so key equality is plain ==.
 type envKey struct {
 	geometry      topo.Config
-	shards        int
 	decisionTrace int
 	hasRouting    bool
 	routing       routing.Params
@@ -25,7 +24,7 @@ type envKey struct {
 
 // specKey extracts the construction-affecting fields of a spec.
 func specKey(spec TrialSpec) envKey {
-	k := envKey{geometry: spec.Geometry, shards: spec.Shards, decisionTrace: spec.DecisionTraceK}
+	k := envKey{geometry: spec.Geometry, decisionTrace: spec.DecisionTraceK}
 	if spec.RoutingParams != nil {
 		k.hasRouting, k.routing = true, *spec.RoutingParams
 	}
@@ -66,9 +65,6 @@ func (p *systemPool) acquire(spec TrialSpec, seed int64) (*dragonfly.System, err
 	opts := []dragonfly.Option{
 		dragonfly.WithGeometry(spec.Geometry),
 		dragonfly.WithSeed(seed),
-	}
-	if spec.Shards > 0 {
-		opts = append(opts, dragonfly.WithShards(spec.Shards))
 	}
 	if spec.DecisionTraceK > 0 {
 		opts = append(opts, dragonfly.WithDecisionTrace(spec.DecisionTraceK))

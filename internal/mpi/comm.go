@@ -155,12 +155,10 @@ func NewComm(fabric *network.Fabric, a *alloc.Allocation, cfg Config) (*Comm, er
 		} else {
 			provider = DefaultRouting()
 		}
-		node := a.Node(i)
 		c.ranks = append(c.ranks, &Rank{
 			comm:    c,
 			rank:    i,
-			node:    node,
-			group:   int32(fabric.Topology().GroupOfNode(node)),
+			node:    a.Node(i),
 			routing: provider,
 		})
 	}

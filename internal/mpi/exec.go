@@ -192,7 +192,6 @@ func (s *Scheduler) stepUntil(check func() error) error {
 // Start; the owner's deferred Shutdown ends them.
 func (s *Scheduler) Run(check func() error) error {
 	defer s.shutdownOnPanic()
-	defer s.releaseEngineWorkers()
 	for s.live > 0 {
 		if check != nil {
 			if err := check(); err != nil {
@@ -223,7 +222,6 @@ func (s *Scheduler) Run(check func() error) error {
 // the idle pool are handled as in Run.
 func (s *Scheduler) Drain(check func() error) error {
 	defer s.shutdownOnPanic()
-	defer s.releaseEngineWorkers()
 	for {
 		if check != nil {
 			if err := check(); err != nil {
@@ -283,19 +281,6 @@ func (s *Scheduler) Shutdown() {
 	}
 	s.coros, s.idle = nil, nil
 	s.runnable = s.runnable[:0]
-	s.releaseEngineWorkers()
-}
-
-// releaseEngineWorkers tears down the sharded driver's persistent window
-// workers, if any. Run and Drain call it on every exit (the pool is an
-// intra-run optimization — a finished or abandoned run must leave no parked
-// goroutines), and Shutdown calls it so direct shutdown paths reap the pool
-// too. Safe mid-panic: the window barrier collects every woken worker before
-// a worker panic is re-raised, so the pool is always parked here.
-func (s *Scheduler) releaseEngineWorkers() {
-	if sh := s.engine.Sharded(); sh != nil {
-		sh.Shutdown()
-	}
 }
 
 // ContextCheck adapts a context to the scheduler's cancellation hook shape.

@@ -17,7 +17,6 @@ type Rank struct {
 	comm    *Comm
 	rank    int
 	node    topo.NodeID
-	group   int32
 	routing RoutingProvider
 
 	// co is the pooled coroutine running the rank's current program; nil
@@ -106,21 +105,12 @@ func (r *Rank) Compute(cycles int64) {
 	if cycles <= 0 || r.err != nil {
 		return
 	}
-	doneAt := r.comm.engine().Now() + cycles
 	// Compute blocks until its completion event has fired, so at most one is
 	// outstanding per rank and a flag on the rank replaces a per-call closure
 	// (this is the hottest non-fabric scheduling site: every host-noise sample
 	// and selector overhead charge lands here).
 	r.computeDone = false
-	if sh := r.comm.fabric.Sharding(); sh != nil {
-		// On a sharded system the rank is pinned to its node's group and the
-		// wakeup is filed on the owning shard's heap with its global sequence
-		// number intact, so the execution order stays byte-identical to the
-		// serial engine.
-		sh.ScheduleResident(r.group, doneAt, r, 0, 0)
-	} else {
-		r.comm.engine().ScheduleCall(doneAt, r, 0, 0)
-	}
+	r.comm.engine().AfterCall(cycles, r, 0, 0)
 	for !r.computeDone {
 		r.block()
 	}

@@ -229,12 +229,6 @@ type Fabric struct {
 
 	packetsInjected uint64
 
-	// sharded, when non-nil, is the intra-run parallel driver packet events
-	// are filed under (see shard.go); groupOfNode caches each node's group
-	// so the hot-path residency decision is one slice load.
-	sharded     *sim.Sharded
-	groupOfNode []int32
-
 	// observers are the delivery observers in registration order. Multiple
 	// observers coexist — per-job delivery capture, the message log and
 	// telemetry can all watch one concurrent run — so the slot is a dispatch
@@ -407,18 +401,6 @@ func (f *Fabric) HandleEvent(_ *sim.Engine, op, arg int64) {
 	}
 }
 
-// scheduleInject arms the NIC injection event for node src at time at. On a
-// sharded fabric the event is filed under the source node's group — the
-// shard that owns the NIC — with its global sequence number intact, so the
-// handoff changes where the event is parked, never when it runs.
-func (f *Fabric) scheduleInject(at sim.Time, src topo.NodeID) {
-	if f.sharded != nil {
-		f.sharded.ScheduleResident(f.groupOfNode[src], at, f, fabricOpInject, int64(src))
-		return
-	}
-	f.engine.ScheduleCall(at, f, fabricOpInject, int64(src))
-}
-
 // scheduleDelivery parks (d, done) in a pooled pending slot and schedules the
 // typed completion event at d.DeliveredAt.
 func (f *Fabric) scheduleDelivery(d Delivery, done func(Delivery)) {
@@ -431,13 +413,6 @@ func (f *Fabric) scheduleDelivery(d Delivery, done func(Delivery)) {
 		idx = int32(len(f.pending) - 1)
 	}
 	f.pending[idx] = pendingDelivery{d: d, done: done}
-	if f.sharded != nil {
-		// Delivery completes at the destination NIC: file it under the
-		// destination group. A cross-group message scheduled while another
-		// shard's inject executes rides the engine's SPSC mailboxes.
-		f.sharded.ScheduleResident(f.groupOfNode[d.Dst], d.DeliveredAt, f, fabricOpDeliver, int64(idx))
-		return
-	}
 	f.engine.ScheduleCall(d.DeliveredAt, f, fabricOpDeliver, int64(idx))
 }
 
@@ -509,7 +484,7 @@ func (f *Fabric) Send(src, dst topo.NodeID, size int64, opts SendOptions, done f
 	if !nic.injecting {
 		nic.injecting = true
 		nic.readyAt = max(nic.readyAt, now)
-		f.scheduleInject(nic.readyAt, src)
+		f.engine.ScheduleCall(nic.readyAt, f, fabricOpInject, int64(src))
 	}
 	return nil
 }
@@ -669,5 +644,5 @@ func (f *Fabric) inject(src topo.NodeID) {
 		nic.injecting = false
 		return
 	}
-	f.scheduleInject(nic.readyAt, src)
+	f.engine.ScheduleCall(nic.readyAt, f, fabricOpInject, int64(src))
 }

@@ -68,9 +68,6 @@ type openJob struct {
 // Jain fairness index, utilization and fragmentation. Live heap is O(machine
 // + concurrent jobs), independent of how many million job events the horizon
 // spans.
-//
-// OpenStream schedules only engine-level (serial-domain) events, so its
-// output is byte-identical at every shard count.
 type OpenStream struct {
 	fabric *network.Fabric
 	topo   *topo.Topology

@@ -68,11 +68,6 @@ type Engine struct {
 	nexec  uint64
 	limit  uint64 // safety limit on executed events; 0 means unlimited
 	halted bool
-
-	// owner is the sharded driver attached by NewSharded, nil for a plain
-	// serial engine. When set, Run/Step/RunUntil/Pending delegate to it so
-	// every existing drive path observes the events parked in shard heaps.
-	owner *Sharded
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose random stream
@@ -107,9 +102,6 @@ func (e *Engine) Reset(seed int64) {
 	e.limit = 0
 	e.seed = seed
 	e.rng.Seed(seed)
-	if e.owner != nil {
-		e.owner.reset()
-	}
 }
 
 // Now returns the current simulated time in cycles.
@@ -155,9 +147,6 @@ func (e *Engine) AfterCall(delay Time, h Handler, a, b int64) EventID {
 // schedule places one event (closure or typed) into a recycled slot and the
 // heap, and returns its generation-counted handle.
 func (e *Engine) schedule(at Time, fn func(), h Handler, a, b int64) EventID {
-	if e.owner != nil && e.owner.windowActive.Load() {
-		panic("sim: Engine scheduling API called from a conforming-parallel handler; use ShardContext.Schedule")
-	}
 	at = max(at, e.now)
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -202,30 +191,16 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Pending reports the number of events waiting in the queue, including any
-// parked in an attached sharded driver's shard heaps.
-func (e *Engine) Pending() int {
-	if e.owner != nil {
-		return len(e.heap) + e.owner.pending()
-	}
-	return len(e.heap)
-}
-
-// Sharded returns the sharded driver attached to this engine, or nil.
-func (e *Engine) Sharded() *Sharded { return e.owner }
+// Pending reports the number of events waiting in the queue.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Halt stops the run loop after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
 // Run executes events in time order until the queue is empty, Halt is called,
 // or the configured event limit is exceeded (in which case an error is
-// returned). On an engine with a sharded driver attached, Run drives the
-// sharded loop (same canonical order, horizon windows for conforming
-// events).
+// returned).
 func (e *Engine) Run() error {
-	if e.owner != nil {
-		return e.owner.run()
-	}
 	e.halted = false
 	for len(e.heap) > 0 && !e.halted {
 		if err := e.dispatch(); err != nil {
@@ -238,9 +213,6 @@ func (e *Engine) Run() error {
 // Step executes exactly one event (the earliest pending one). It returns false
 // when the queue is empty. The error mirrors Run's event-limit behaviour.
 func (e *Engine) Step() (bool, error) {
-	if e.owner != nil {
-		return e.owner.step()
-	}
 	if len(e.heap) == 0 {
 		return false, nil
 	}
@@ -254,9 +226,6 @@ func (e *Engine) Step() (bool, error) {
 // event would fire after deadline. The clock is advanced to deadline if the
 // queue empties earlier.
 func (e *Engine) RunUntil(deadline Time) error {
-	if e.owner != nil {
-		return e.owner.runUntil(deadline)
-	}
 	e.halted = false
 	for len(e.heap) > 0 && !e.halted {
 		if e.slots[e.heap[0]].at > deadline {

@@ -275,14 +275,109 @@ func TestRunUntilAdvancesClockWhenEmpty(t *testing.T) {
 	}
 }
 
+// drives are the three ways to run an engine dry: one Run call, a Step loop
+// and a sequence of short RunUntil segments. All three must execute the same
+// events in the same order.
+var drives = []struct {
+	name string
+	run  func(e *Engine) error
+}{
+	{"Run", (*Engine).Run},
+	{"Step", func(e *Engine) error {
+		for {
+			ok, err := e.Step()
+			if !ok || err != nil {
+				return err
+			}
+		}
+	}},
+	{"RunUntil", func(e *Engine) error {
+		for e.Pending() > 0 {
+			if err := e.RunUntil(e.Now() + 7); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+}
+
+// randomWalk is a self-rescheduling typed workload. Each event folds its
+// time, its arguments and one draw from the engine's random stream into an
+// FNV-1a trace hash, then schedules one follow-up (two, one time in four) at
+// a random delay of 0–4 cycles until the hop budget runs out. Zero delays
+// exercise same-time FIFO order, and the draws tie the trace to the order
+// the events ran in.
+type randomWalk struct {
+	walkers int64
+	hops    int64
+	trace   uint64
+}
+
+func (w *randomWalk) HandleEvent(e *Engine, walker, hop int64) {
+	r := e.Rand().Int63()
+	for _, v := range []int64{e.Now(), walker, hop, r} {
+		w.trace = (w.trace ^ uint64(v)) * 1099511628211
+	}
+	if hop == w.hops {
+		return
+	}
+	e.AfterCall(r%5, w, (walker+(r>>8))%w.walkers, hop+1)
+	if (r>>16)%4 == 0 {
+		e.AfterCall((r>>20)%5, w, walker, hop+1)
+	}
+}
+
+// start seeds one event per walker on e.
+func (w *randomWalk) start(e *Engine) {
+	w.trace = 14695981039346656037
+	for i := int64(0); i < w.walkers; i++ {
+		e.ScheduleCall(i, w, i, 0)
+	}
+}
+
+// TestDrivesExecuteSameEvents checks that a Step loop and RunUntil segments
+// execute exactly the events a single Run does: same trace hash (times,
+// arguments and random draws, in order) and same executed count.
+func TestDrivesExecuteSameEvents(t *testing.T) {
+	var wantTrace, wantEvents uint64
+	for i, d := range drives {
+		e := NewEngine(3)
+		w := &randomWalk{walkers: 8, hops: 24}
+		w.start(e)
+		if err := d.run(e); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%s left %d events pending", d.name, e.Pending())
+		}
+		if i == 0 {
+			wantTrace, wantEvents = w.trace, e.ExecutedEvents()
+			if wantEvents < 1000 {
+				t.Fatalf("workload executed only %d events", wantEvents)
+			}
+			continue
+		}
+		if w.trace != wantTrace || e.ExecutedEvents() != wantEvents {
+			t.Fatalf("%s: trace %x after %d events, %s gave %x after %d",
+				d.name, w.trace, e.ExecutedEvents(), drives[0].name, wantTrace, wantEvents)
+		}
+	}
+}
+
 func TestEventLimit(t *testing.T) {
-	e := NewEngine(1)
-	e.SetEventLimit(5)
-	var reschedule func()
-	reschedule = func() { e.After(1, reschedule) }
-	e.After(1, reschedule)
-	if err := e.Run(); err == nil {
-		t.Fatal("expected event limit error")
+	const limit = 1000
+	for _, d := range drives {
+		t.Run(d.name, func(t *testing.T) {
+			e := NewEngine(3)
+			e.SetEventLimit(limit)
+			(&randomWalk{walkers: 8, hops: 24}).start(e)
+			if err := d.run(e); err == nil {
+				t.Fatal("expected event limit error")
+			}
+			if got := e.ExecutedEvents(); got != limit+1 {
+				t.Fatalf("stopped after %d events, want %d", got, limit+1)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package dragonfly
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -107,7 +106,6 @@ type config struct {
 	routing       RoutingParams
 	network       NetworkConfig
 	seed          int64
-	shards        int
 	decisionTrace int
 	noise         *NoiseConfig
 	telemetry     *TelemetryConfig
@@ -121,7 +119,6 @@ func defaultConfig() config {
 		routing:  routing.DefaultParams(),
 		network:  network.DefaultConfig(),
 		seed:     1,
-		shards:   1,
 	}
 }
 
@@ -174,30 +171,10 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithShards enables the intra-run parallel event engine: the machine is
-// partitioned by dragonfly group into n shards with their own event heaps,
-// advanced together in conservative lookahead windows (the minimum global-link
-// latency bounds how far any shard can run ahead). Output is byte-identical
-// to the serial engine at every shard count — same seed, same counters, same
-// telemetry stream — so sharding is purely a wall-clock knob.
-//
-// n = 0 selects automatic sizing (GOMAXPROCS). Whatever is requested is
-// clamped to the number of dragonfly groups, and single-group geometries fall
-// back to the serial engine (there is no cross-group lookahead to exploit).
-func WithShards(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("dragonfly: WithShards needs n >= 0 (0 = auto), got %d", n)
-		}
-		c.shards = n
-		return nil
-	}
-}
-
 // WithDecisionTrace enables the routing decision recorder: every adaptive
 // routing decision is captured with its top-k candidate paths and their
 // congestion costs at decision time, into one preallocated ring per dragonfly
-// group (so sharded runs stay deterministic and recording never allocates).
+// group, so recording never allocates.
 // Read the trace back with System.DecisionTrace and score it with the
 // counterfactual package. Tracing observes the selection — it never changes
 // which path is routed — and is off by default; the disabled cost is one nil
@@ -220,39 +197,6 @@ func WithDecisionTrace(k int) Option {
 // "on" selects the default k, otherwise "N" or "k=N".
 func ParseDecisionTrace(s string) (int, error) {
 	return routing.ParseDecisionTrace(s)
-}
-
-// ParseShards maps a command-line shard-count flag to a WithShards argument:
-// "auto" (or the empty string) selects automatic sizing, otherwise a positive
-// integer. Names are case-insensitive.
-func ParseShards(s string) (int, error) {
-	v := strings.ToLower(strings.TrimSpace(s))
-	if v == "" || v == "auto" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("dragonfly: bad shard count %q (want auto or a positive integer)", s)
-	}
-	return n, nil
-}
-
-// resolveShards turns the configured shard request into the effective shard
-// count for a machine with the given number of groups and lookahead bound.
-func resolveShards(requested, groups int, lookahead int64) int {
-	if requested == 0 {
-		requested = runtime.GOMAXPROCS(0)
-	}
-	if requested > groups {
-		requested = groups
-	}
-	if groups < 2 || lookahead <= 0 {
-		return 1
-	}
-	if requested < 1 {
-		return 1
-	}
-	return requested
 }
 
 // WithNoise declares a background interfering job. It is started when the
