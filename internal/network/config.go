@@ -73,10 +73,6 @@ type Config struct {
 	GetRequestFlits int
 	// ResponseFlits is the number of response flits per packet.
 	ResponseFlits int
-	// PacketsPerChunk aggregates consecutive packets of one message into a
-	// single simulation event. 1 is the most faithful; larger values trade
-	// fidelity for speed on very large messages.
-	PacketsPerChunk int
 }
 
 // DefaultConfig returns the parameters used by the experiments. The absolute
@@ -98,7 +94,6 @@ func DefaultConfig() Config {
 		PutRequestFlits:       5,
 		GetRequestFlits:       1,
 		ResponseFlits:         1,
-		PacketsPerChunk:       1,
 	}
 }
 
@@ -119,8 +114,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("network: PacketBytes must be > 0")
 	case c.PutRequestFlits <= 0 || c.GetRequestFlits <= 0 || c.ResponseFlits <= 0:
 		return fmt.Errorf("network: flits per packet must be > 0")
-	case c.PacketsPerChunk <= 0:
-		return fmt.Errorf("network: PacketsPerChunk must be > 0")
 	case c.LoopbackCyclesPerByte < 0 || c.LoopbackBaseCycles < 0:
 		return fmt.Errorf("network: loopback costs must be >= 0")
 	}

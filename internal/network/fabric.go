@@ -64,10 +64,10 @@ type sendOp struct {
 	delta        counters.NIC
 }
 
-// linkState is the dynamic state of one directed link. States live in one
-// flat slice indexed by LinkID; the fields a packet hop touches (the timing
-// words and the tile counters) sit together so a hop stays within one or two
-// cache lines.
+// linkState is the dynamic timing of one directed link: 24 bytes in one flat
+// slice indexed by LinkID, so the backlog reads of path costing touch few
+// cache lines. A link's fixed costs live in its kind's linkKind entry and its
+// tile counters in Fabric.tiles, which only the chosen path writes.
 type linkState struct {
 	// freeAt is the time the link finishes serializing the last accepted packet.
 	freeAt sim.Time
@@ -76,19 +76,6 @@ type linkState struct {
 	// still observes prevFreeAt.
 	prevFreeAt sim.Time
 	lastChange sim.Time
-
-	cyclesPerFlitNum int64 // serialization = flits * num / den
-	cyclesPerFlitDen int64
-	propagation      int64
-	bufferCycles     int64 // input buffer capacity expressed in cycles
-
-	tile counters.Tile
-}
-
-func (ls *linkState) serialization(flits int) int64 {
-	v := int64(flits) * ls.cyclesPerFlitNum
-	v = (v + ls.cyclesPerFlitDen - 1) / ls.cyclesPerFlitDen
-	return max(v, 1)
 }
 
 // queue is the link backlog the routing pipeline perceives at now: until
@@ -107,11 +94,49 @@ func (ls *linkState) advance(now, newFreeAt sim.Time) {
 	ls.freeAt = newFreeAt
 }
 
-// reset rewinds the dynamic fields (timing view, counters) while keeping the
-// topology-derived constants.
-func (ls *linkState) reset() {
-	ls.freeAt, ls.prevFreeAt, ls.lastChange = 0, 0, 0
-	ls.tile = counters.Tile{}
+// numLinkKinds is the number of link tiers, topo.LinkType's values.
+const numLinkKinds = int(topo.LinkGlobal) + 1
+
+// linkKind holds the fixed costs every link of one tier shares: topo wires
+// all links of a LinkType at that tier's width, so propagation, buffer depth
+// and serialization depend on the tier alone.
+type linkKind struct {
+	propagation  int64
+	bufferCycles int64 // input buffer capacity expressed in cycles
+	// ser[n] is the serialization time of n flits for every packet size the
+	// fabric sends, so the hot path does no division; cyclesPerFlit and
+	// width serve larger counts.
+	ser           []int64
+	cyclesPerFlit int64
+	width         int64
+}
+
+func newLinkKind(cfg Config, t topo.LinkType, width int) linkKind {
+	k := linkKind{
+		propagation:   cfg.propagationFor(t),
+		cyclesPerFlit: cfg.CyclesPerFlit,
+		width:         max(int64(width), 1),
+	}
+	k.ser = make([]int64, max(cfg.PutRequestFlits, cfg.GetRequestFlits, cfg.ResponseFlits)+1)
+	for n := range k.ser {
+		k.ser[n] = k.divide(n)
+	}
+	k.bufferCycles = k.serialization(cfg.BufferFlits)
+	return k
+}
+
+// divide is the serialization time of flits: ⌈flits·cyclesPerFlit/width⌉,
+// at least one cycle.
+func (k *linkKind) divide(flits int) int64 {
+	v := int64(flits) * k.cyclesPerFlit
+	return max((v+k.width-1)/k.width, 1)
+}
+
+func (k *linkKind) serialization(flits int) int64 {
+	if uint(flits) < uint(len(k.ser)) {
+		return k.ser[flits]
+	}
+	return k.divide(flits)
 }
 
 // nicState is the dynamic state of one NIC. Like linkState, NICs live in one
@@ -213,9 +238,16 @@ type Fabric struct {
 	policy *routing.Policy
 	cfg    Config
 
+	// links, kind and tiles are indexed by LinkID: the dynamic timing the
+	// routing pipeline reads, the tier that selects the link's entry in
+	// kinds, and the tile counters only a traversal writes.
 	links []linkState
-	nics  []nicState
-	rng   *rand.Rand
+	kind  []topo.LinkType
+	kinds [numLinkKinds]linkKind
+	tiles []counters.Tile
+
+	nics []nicState
+	rng  *rand.Rand
 
 	// opFree and pending/pendingFree pool the per-message bookkeeping so the
 	// steady-state send path performs no allocation.
@@ -261,15 +293,22 @@ func New(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg Confi
 		policy: policy,
 		cfg:    cfg,
 		links:  make([]linkState, t.NumLinks()),
+		kind:   make([]topo.LinkType, t.NumLinks()),
+		tiles:  make([]counters.Tile, t.NumLinks()),
 		nics:   make([]nicState, t.NumNodes()),
 		rng:    rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
 	}
+	var widths [numLinkKinds]int
 	for i, l := range t.Links() {
-		ls := &f.links[i]
-		ls.cyclesPerFlitNum = cfg.CyclesPerFlit
-		ls.cyclesPerFlitDen = max(int64(l.Width), 1)
-		ls.propagation = cfg.propagationFor(l.Type)
-		ls.bufferCycles = ls.serialization(cfg.BufferFlits)
+		if w := widths[l.Type]; w != 0 && w != l.Width {
+			return nil, fmt.Errorf("network: %v links have widths %d and %d; costs need one width per tier",
+				l.Type, w, l.Width)
+		}
+		widths[l.Type] = l.Width
+		f.kind[i] = l.Type
+	}
+	for k, w := range widths {
+		f.kinds[k] = newLinkKind(cfg, topo.LinkType(k), w)
 	}
 	return f, nil
 }
@@ -287,14 +326,13 @@ func MustNew(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg C
 // reset engine: link timing views, NIC counters and windows, injection
 // queues, the packet counter, the delivery observer and the private random
 // stream (reseeded from the engine's current seed). Topology-derived
-// constants (serialization rates, propagation, buffer depths) are kept, which
-// is the point: resetting is O(state) instead of O(topology construction).
-// Reset must be called after the engine's own Reset so no stale packet events
-// remain scheduled.
+// constants (link kinds and their cost tables) are kept, which is the point:
+// resetting is O(state) instead of O(topology construction). Reset must be
+// called after the engine's own Reset so no stale packet events remain
+// scheduled.
 func (f *Fabric) Reset() {
-	for i := range f.links {
-		f.links[i].reset()
-	}
+	clear(f.links)
+	clear(f.tiles)
 	for i := range f.nics {
 		f.nics[i].reset(f)
 	}
@@ -360,7 +398,7 @@ func (f *Fabric) NodeCounters(n topo.NodeID) counters.NIC {
 
 // TileCounters returns the cumulative tile counters of a link.
 func (f *Fabric) TileCounters(id topo.LinkID) counters.Tile {
-	return f.links[id].tile
+	return f.tiles[id]
 }
 
 // IncomingFlits sums the flits forwarded by all links terminating at any of
@@ -369,8 +407,8 @@ func (f *Fabric) TileCounters(id topo.LinkID) counters.Tile {
 func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled uint64) {
 	for _, l := range f.topo.Links() {
 		if routers[l.Dst] {
-			flits += f.links[l.ID].tile.FlitsTraversed
-			stalled += f.links[l.ID].tile.StalledCycles
+			flits += f.tiles[l.ID].FlitsTraversed
+			stalled += f.tiles[l.ID].StalledCycles
 		}
 	}
 	return flits, stalled
@@ -378,11 +416,34 @@ func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled u
 
 // --- routing.CongestionView implementation -------------------------------
 
-// LinkCost implements routing.CongestionView from one linkState read: the
-// stale (credit-delayed) backlog plus propagation plus serialization.
-func (f *Fabric) LinkCost(id topo.LinkID, flits int, now int64) int64 {
-	ls := &f.links[id]
-	return ls.queue(now, f.cfg.CreditDelay) + ls.propagation + ls.serialization(flits)
+// kindOf returns the fixed costs of link id's tier.
+func (f *Fabric) kindOf(id topo.LinkID) *linkKind { return &f.kinds[f.kind[id]] }
+
+// CostBelow implements routing.CongestionView in two passes. The first sums
+// the hops' fixed costs (propagation plus serialization, one entry per tier)
+// and stops once that floor reaches bound. Only then are the links' stale
+// (credit-delayed) backlogs added, stopping as soon as the running sum
+// reaches bound: backlogs are never negative, so such a path cannot end
+// below it.
+func (f *Fabric) CostBelow(path topo.Path, flits int, now, bound int64) (int64, bool) {
+	var fixed [numLinkKinds]int64
+	for k := range f.kinds {
+		fixed[k] = f.kinds[k].propagation + f.kinds[k].serialization(flits)
+	}
+	var cost int64
+	for _, id := range path {
+		cost += fixed[f.kind[id]]
+	}
+	if cost >= bound {
+		return cost, false
+	}
+	for _, id := range path {
+		cost += f.links[id].queue(now, f.cfg.CreditDelay)
+		if cost >= bound {
+			return cost, false
+		}
+	}
+	return cost, true
 }
 
 var _ routing.CongestionView = (*Fabric)(nil)
@@ -518,8 +579,14 @@ func (n *nicState) recordResponse(resp sim.Time, maxOutstanding int, free *[][]s
 	}
 }
 
-// inject processes one chunk of packets from the head of the NIC's queue and
-// reschedules itself until the queue drains.
+// acceptFrom is the earliest time a packet may start onto a link whose next
+// hop is id: id's input buffer must be able to absorb it.
+func (f *Fabric) acceptFrom(id topo.LinkID) sim.Time {
+	return f.links[id].freeAt - f.kindOf(id).bufferCycles
+}
+
+// inject routes one packet from the head of the NIC's queue and reschedules
+// itself until the queue drains.
 func (f *Fabric) inject(src topo.NodeID) {
 	nic := &f.nics[src]
 	if nic.queueLen() == 0 {
@@ -530,9 +597,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	now := f.engine.Now()
 	nic.readyAt = max(nic.readyAt, now)
 
-	chunkPackets := min(int64(f.cfg.PacketsPerChunk), op.packetsLeft)
-	flitsPerPacket := f.cfg.RequestFlitsPerPacket(op.opts.Verb)
-	chunkFlits := int(chunkPackets) * flitsPerPacket
+	flits := f.cfg.RequestFlitsPerPacket(op.opts.Verb)
 
 	// Window constraint: the oldest outstanding packet must have been
 	// acknowledged before a new one can enter the request window.
@@ -541,47 +606,47 @@ func (f *Fabric) inject(src topo.NodeID) {
 	srcRouter := f.topo.RouterOfNode(op.src)
 	dstRouter := f.topo.RouterOfNode(op.dst)
 
-	// Per-packet (per-chunk) adaptive routing decision.
+	// Per-packet adaptive routing decision.
 	hash := uint64(op.src)<<40 ^ uint64(op.dst)<<16 ^ f.packetsInjected
-	dec := f.policy.Route(op.opts.Mode, srcRouter, dstRouter, flitsPerPacket, hash, f, ready, f.rng)
+	dec := f.policy.Route(op.opts.Mode, srcRouter, dstRouter, flits, hash, f, ready, f.rng)
 
 	// Traverse the selected path, accumulating per-link waits.
 	injStart := ready
 	var arrival sim.Time
 	if len(dec.Path) == 0 {
 		// Same router: deliver through the processor tiles only.
-		arrival = injStart + int64(chunkFlits)*f.cfg.CyclesPerFlit + 2*f.cfg.ProcessorDelay
+		arrival = injStart + int64(flits)*f.cfg.CyclesPerFlit + 2*f.cfg.ProcessorDelay
 	} else {
-		first := &f.links[dec.Path[0]]
-		injStart = max(ready, first.freeAt)
+		injStart = max(ready, f.links[dec.Path[0]].freeAt)
 		// Credit back-pressure from the second hop propagates to the NIC when
 		// the downstream buffer cannot absorb the packet.
 		if len(dec.Path) > 1 {
-			second := &f.links[dec.Path[1]]
-			injStart = max(injStart, second.freeAt-second.bufferCycles)
+			injStart = max(injStart, f.acceptFrom(dec.Path[1]))
 		}
 		t := injStart
 		for i, id := range dec.Path {
 			ls := &f.links[id]
+			k := f.kindOf(id)
 			start := max(t, ls.freeAt)
 			if i+1 < len(dec.Path) {
-				next := &f.links[dec.Path[i+1]]
-				start = max(start, next.freeAt-next.bufferCycles)
+				start = max(start, f.acceptFrom(dec.Path[i+1]))
 			}
-			ser := ls.serialization(chunkFlits)
-			ls.tile.FlitsTraversed += uint64(chunkFlits)
-			ls.tile.BusyCycles += uint64(ser)
+			ser := k.serialization(flits)
+			tile := &f.tiles[id]
+			tile.FlitsTraversed += uint64(flits)
+			tile.BusyCycles += uint64(ser)
 			if wait := start - t; wait > 0 {
-				ls.tile.StalledCycles += uint64(wait)
+				tile.StalledCycles += uint64(wait)
 			}
 			ls.advance(start, start+ser)
-			t = start + ser + ls.propagation
+			t = start + ser + k.propagation
 		}
 		arrival = t + 2*f.cfg.ProcessorDelay
 	}
 
-	// Response traversal over the reverse path.
-	respFlits := f.cfg.ResponseFlits * int(chunkPackets)
+	// Response traversal over the reverse path. A link and its reverse are
+	// of one tier, so the forward hop's kind serves both.
+	respFlits := f.cfg.ResponseFlits
 	respArrival := arrival
 	for i := len(dec.Path) - 1; i >= 0; i-- {
 		revID := f.topo.ReverseLink(dec.Path[i])
@@ -589,38 +654,39 @@ func (f *Fabric) inject(src topo.NodeID) {
 			continue
 		}
 		ls := &f.links[revID]
+		k := f.kindOf(dec.Path[i])
 		start := max(respArrival, ls.freeAt)
-		ser := ls.serialization(respFlits)
-		ls.tile.FlitsTraversed += uint64(respFlits)
-		ls.tile.BusyCycles += uint64(ser)
+		ser := k.serialization(respFlits)
+		tile := &f.tiles[revID]
+		tile.FlitsTraversed += uint64(respFlits)
+		tile.BusyCycles += uint64(ser)
 		ls.advance(start, start+ser)
-		respArrival = start + ser + ls.propagation
+		respArrival = start + ser + k.propagation
 	}
 	respArrival += f.cfg.ProcessorDelay
 
-	// NIC accounting for this chunk.
+	// NIC accounting for this packet.
 	stall := injStart - ready
-	serNIC := int64(chunkFlits) * f.cfg.CyclesPerFlit // NIC pushes one flit per CyclesPerFlit
+	serNIC := int64(flits) * f.cfg.CyclesPerFlit // NIC pushes one flit per CyclesPerFlit
 	nic.readyAt = injStart + serNIC
 	nic.recordResponse(respArrival, f.cfg.MaxOutstandingPackets, &f.ringFree)
-	f.packetsInjected += uint64(chunkPackets)
+	f.packetsInjected++
 
-	latency := respArrival - injStart
 	delta := counters.NIC{
-		RequestFlits:              uint64(chunkFlits),
+		RequestFlits:              uint64(flits),
 		RequestFlitsStalledCycles: uint64(stall),
-		RequestPackets:            uint64(chunkPackets),
-		RequestPacketsCumLatency:  uint64(latency) * uint64(chunkPackets),
+		RequestPackets:            1,
+		RequestPacketsCumLatency:  uint64(respArrival - injStart),
 	}
 	if dec.Minimal {
-		delta.MinimalPackets = uint64(chunkPackets)
+		delta.MinimalPackets = 1
 	} else {
-		delta.NonMinimalPackets = uint64(chunkPackets)
+		delta.NonMinimalPackets = 1
 	}
 	nic.counters.Add(delta)
 	op.delta.Add(delta)
 
-	op.packetsLeft -= chunkPackets
+	op.packetsLeft--
 	op.deliveredAt = max(op.deliveredAt, arrival)
 	op.lastResponse = max(op.lastResponse, respArrival)
 

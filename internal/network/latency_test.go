@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dragonfly/internal/routing"
@@ -33,9 +34,11 @@ func idleHopCycles(t *testing.T, cfg Config, l topo.Link, flits int) int64 {
 // with F = PutRequestFlits, or SendStart + F·CyclesPerFlit + 2·ProcessorDelay
 // when both nodes share a router. The NIC always needs F·CyclesPerFlit to push
 // the packet out, so SenderDone − SendStart is that on every route. Expected
-// values come only from the Config and the links' widths and tiers. The pairs
-// stay inside one group: a Delivery does not show which gateway an
-// inter-group packet used.
+// values come only from the Config and the links' widths and tiers. The
+// intra-group pairs run under four modes. The inter-group pair, which pins
+// the optical tier, runs only InOrder: a Delivery does not show which gateway
+// an adaptive packet used, while InOrder always takes
+// MinimalPath(src, dst, nil).
 func TestIdleFabricAnalyticLatency(t *testing.T) {
 	const sendAt = 1000
 	tt := topo.MustNew(topo.SmallConfig(2))
@@ -72,19 +75,31 @@ func TestIdleFabricAnalyticLatency(t *testing.T) {
 		t.Fatalf("the two minimal paths cost %d and %d cycles; the expectation is ambiguous", twoHops, other)
 	}
 
+	// The inter-group pair's path crosses a global (optical, width-2) link.
+	interSrc, interDst := nodeAt(tt, 0, 1, 2, 0), nodeAt(tt, 1, 0, 3, 1)
+	var interLinks []topo.Link
+	for _, id := range tt.MinimalPath(tt.RouterOfNode(interSrc), tt.RouterOfNode(interDst), nil) {
+		interLinks = append(interLinks, tt.Link(id))
+	}
+	if n := len(interLinks); n < 2 || !slices.ContainsFunc(interLinks, func(l topo.Link) bool { return l.Type == topo.LinkGlobal }) {
+		t.Fatalf("inter-group path %v should cross a global link and at least one local one", interLinks)
+	}
+
+	allModes := []routing.Mode{routing.InOrder, routing.MinHash, routing.Adaptive, routing.AdaptiveHighBias}
 	routes := []struct {
 		name     string
 		src, dst topo.NodeID
 		hops     int64 // Σ over the hops; 0 for the same router
+		modes    []routing.Mode
 	}{
-		{"same-router", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 0, 0, 1), 0},
+		{"same-router", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 0, 0, 1), 0, allModes},
 		{"intra-chassis", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 0, 1, 0),
-			pathCycles(link(r00, r01, topo.LinkIntraChassis))},
+			pathCycles(link(r00, r01, topo.LinkIntraChassis)), allModes},
 		{"intra-group", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 1, 0, 0),
-			pathCycles(link(r00, r10, topo.LinkIntraGroup))},
-		{"two-hops", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 1, 1, 0), twoHops},
+			pathCycles(link(r00, r10, topo.LinkIntraGroup)), allModes},
+		{"two-hops", nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 0, 1, 1, 0), twoHops, allModes},
+		{"inter-group", interSrc, interDst, pathCycles(interLinks...), []routing.Mode{routing.InOrder}},
 	}
-	modes := []routing.Mode{routing.InOrder, routing.MinHash, routing.Adaptive, routing.AdaptiveHighBias}
 	nicCycles := int64(flits) * cfg.CyclesPerFlit
 
 	for _, r := range routes {
@@ -92,7 +107,7 @@ func TestIdleFabricAnalyticLatency(t *testing.T) {
 		if r.hops == 0 {
 			want = nicCycles + 2*cfg.ProcessorDelay
 		}
-		for _, mode := range modes {
+		for _, mode := range r.modes {
 			t.Run(fmt.Sprintf("%s/%s", r.name, mode.Name()), func(t *testing.T) {
 				f, _, eng := testFabric(t, 2, 7)
 				var got *Delivery

@@ -55,7 +55,7 @@ func (f *Fabric) Report(topN int) UtilizationReport {
 	perTier := map[topo.LinkType]*TierUsage{}
 	var all []LinkUsage
 	for _, l := range f.topo.Links() {
-		tile := f.links[l.ID].tile
+		tile := f.tiles[l.ID]
 		u := tile.Utilization(window)
 		all = append(all, LinkUsage{Link: l, Tile: tile, Utilization: u})
 		tu, ok := perTier[l.Type]

@@ -37,14 +37,15 @@ func TestQueueCyclesStaleWindow(t *testing.T) {
 		{1700, 300, "past the window: fresh view (2000-1700)"},
 		{2500, 0, "past freeAt: no backlog"},
 	}
-	fixed := ls.propagation + ls.serialization(5)
+	k := f.kindOf(id)
+	fixed := k.propagation + k.serialization(5)
 	for _, c := range cases {
 		if got := ls.queue(c.now, f.cfg.CreditDelay); got != c.want {
 			t.Errorf("queue(now=%d) = %d, want %d (%s)", c.now, got, c.want, c.why)
 		}
-		// LinkCost is that backlog plus the link's fixed per-packet cost.
-		if got := f.LinkCost(id, 5, c.now); got != c.want+fixed {
-			t.Errorf("LinkCost(now=%d) = %d, want %d", c.now, got, c.want+fixed)
+		// A one-hop path costs that backlog plus the link's fixed per-packet cost.
+		if got := routing.PathCost(topo.Path{id}, 5, f, c.now); got != c.want+fixed {
+			t.Errorf("PathCost(now=%d) = %d, want %d", c.now, got, c.want+fixed)
 		}
 	}
 }

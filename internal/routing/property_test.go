@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -183,5 +184,118 @@ func TestPropertyAdaptiveCandidatesRespectBounds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// backlogView is a congestion view with a fixed non-negative backlog per
+// link. Its CostBelow prunes like the fabric's: it sums the fixed per-hop
+// floor, then adds backlogs until the running sum reaches the bound, and a
+// path that is not below the bound reports that partial sum (or the bound
+// itself), not its cost, so a caller that used the value would go wrong.
+type backlogView struct {
+	backlog []int64
+	prop    int64
+	pruned  *int // CostBelow calls that answered "not below"
+}
+
+func (v backlogView) fullCost(path topo.Path, flits int) int64 {
+	cost := int64(len(path)) * (v.prop + int64(flits))
+	for _, id := range path {
+		cost += v.backlog[id]
+	}
+	return cost
+}
+
+func (v backlogView) CostBelow(path topo.Path, flits int, _, bound int64) (int64, bool) {
+	cost := int64(len(path)) * (v.prop + int64(flits))
+	if cost >= bound {
+		*v.pruned++
+		return bound, false
+	}
+	for _, id := range path {
+		cost += v.backlog[id]
+		if cost >= bound {
+			*v.pruned++
+			return cost, false
+		}
+	}
+	return cost, true
+}
+
+// fullArgmin is the reference UGAL decision: it samples the candidates Route
+// samples, costs every one in full and takes the strict-< argmin of the
+// biased costs, minimal candidates first.
+func fullArgmin(tp *topo.Topology, p Params, mode Mode, src, dst topo.RouterID, flits int,
+	view backlogView, rng *rand.Rand, buf *topo.PathBuffer) Decision {
+	minimal, nonMinimal := tp.SamplePathsInto(buf, src, dst, p.MinimalCandidates, p.NonMinimalCandidates, rng)
+	bestMinHops := topo.MaxMinimalHops
+	for _, cand := range minimal {
+		bestMinHops = min(bestMinHops, len(cand))
+	}
+	best := Decision{Cost: math.MaxInt64}
+	for _, cand := range minimal {
+		if c := view.fullCost(cand, flits); c < best.Cost {
+			best = Decision{Path: cand, Minimal: true, Cost: c}
+		}
+	}
+	bias := p.BiasFor(mode, bestMinHops)
+	for _, cand := range nonMinimal {
+		if c := view.fullCost(cand, flits) + bias; c < best.Cost {
+			best = Decision{Path: cand, Minimal: false, Cost: c}
+		}
+	}
+	return best
+}
+
+// TestPropertyPrunedRouteMatchesFullArgmin checks how Route bounds each
+// candidate's costing: on randomized geometries with random non-negative
+// per-link backlogs, for every adaptive mode, Route returns the Decision
+// (path, minimal, cost) of the reference full-costing argmin, and leaves its
+// RNG where the reference leaves an identically seeded one.
+func TestPropertyPrunedRouteMatchesFullArgmin(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	params := DefaultParams()
+	adaptive := []Mode{Adaptive, IncreasinglyMinimalBias, AdaptiveLowBias, AdaptiveHighBias}
+	var pruned, decisions, nonMinimal int
+	var buf topo.PathBuffer
+	for g := 0; g < 12; g++ {
+		tp := topo.MustNew(randomGeometry(rng))
+		pol := MustNewPolicy(tp, params)
+		view := backlogView{backlog: make([]int64, tp.NumLinks()), prop: 1 + rng.Int63n(200), pruned: &pruned}
+		for trial := 0; trial < 60; trial++ {
+			for i := range view.backlog {
+				view.backlog[i] = 0
+				if rng.Intn(2) == 0 {
+					view.backlog[i] = rng.Int63n(3 * params.HighBiasCycles)
+				}
+			}
+			src := topo.RouterID(rng.Intn(tp.NumRouters()))
+			dst := topo.RouterID(rng.Intn(tp.NumRouters()))
+			if src == dst {
+				continue
+			}
+			for _, mode := range adaptive {
+				seed := rng.Int63()
+				gotRng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := pol.Route(mode, src, dst, 5, 0, view, 0, gotRng)
+				want := fullArgmin(tp, params, mode, src, dst, 5, view, refRng, &buf)
+				if !pathsEqual(got.Path, want.Path) || got.Minimal != want.Minimal || got.Cost != want.Cost {
+					t.Fatalf("%s %d->%d: Route = (%v, minimal=%v, cost=%d), full argmin = (%v, minimal=%v, cost=%d)",
+						mode, src, dst, got.Path, got.Minimal, got.Cost, want.Path, want.Minimal, want.Cost)
+				}
+				if a, b := gotRng.Int63(), refRng.Int63(); a != b {
+					t.Fatalf("%s %d->%d: Route left its RNG at a different position than the reference", mode, src, dst)
+				}
+				decisions++
+				if !got.Minimal {
+					nonMinimal++
+				}
+			}
+		}
+	}
+	// The property is only as strong as the cases it met: pruning must have
+	// happened and both kinds of candidate must have won.
+	if pruned == 0 || nonMinimal == 0 || nonMinimal == decisions {
+		t.Fatalf("weak coverage: %d pruned costings, %d of %d decisions non-minimal", pruned, nonMinimal, decisions)
 	}
 }

@@ -10,6 +10,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dragonfly/internal/topo"
@@ -123,11 +124,15 @@ func (m Mode) IsAdaptive() bool {
 // allowed to be stale (credit information propagates with a delay), which is
 // what produces the phantom-congestion behaviour discussed in the paper.
 type CongestionView interface {
-	// LinkCost returns the estimated cost, in cycles, of one packet of the
-	// given flit count crossing the link at time now: the link's perceived
-	// backlog (subject to credit/propagation staleness), plus its
-	// propagation delay, plus the time to serialize the flits onto it.
-	LinkCost(id topo.LinkID, flits int, now int64) int64
+	// CostBelow estimates the cost, in cycles, of one packet of the given
+	// flit count crossing path at time now: the sum over its hops of the
+	// link's perceived backlog (never negative, subject to credit
+	// staleness), plus its propagation delay, plus the time to serialize the
+	// flits onto it. below reports cost < bound. When the cost is not below
+	// bound the view may stop summing early and return any value >= bound,
+	// which lets Route skip the backlog reads of a candidate that can no
+	// longer win.
+	CostBelow(path topo.Path, flits int, now, bound int64) (cost int64, below bool)
 }
 
 // Params configures the UGAL cost model and the per-mode biases.
@@ -249,10 +254,7 @@ func (p *Policy) Topology() *topo.Topology { return p.topo }
 // backlog of each link. This mirrors the UGAL decision of comparing
 // queue-depth x hop-count between minimal and non-minimal candidates.
 func PathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
-	var cost int64
-	for _, id := range path {
-		cost += view.LinkCost(id, flits, now)
-	}
+	cost, _ := view.CostBelow(path, flits, now, math.MaxInt64)
 	return cost
 }
 
@@ -342,18 +344,19 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 			bestMinHops = len(cand)
 		}
 	}
+	// Each candidate is costed against the best biased cost so far, so the
+	// view stops reading a candidate's backlogs once it can no longer win the
+	// strict-< argmin; the winner and its cost are those of a full costing.
 	for i, cand := range minimal {
-		c := PathCost(cand, flits, view, now)
-		if c < best.Cost {
+		if c, below := view.CostBelow(cand, flits, now, best.Cost); below {
 			best = Decision{Path: cand, Minimal: true, Cost: c}
 			bestIdx = i
 		}
 	}
 	nonMinBias := p.bias(mode, bestMinHops)
 	for i, cand := range nonMinimal {
-		c := PathCost(cand, flits, view, now) + nonMinBias
-		if c < best.Cost {
-			best = Decision{Path: cand, Minimal: false, Cost: c}
+		if c, below := view.CostBelow(cand, flits, now, best.Cost-nonMinBias); below {
+			best = Decision{Path: cand, Minimal: false, Cost: c + nonMinBias}
 			bestIdx = len(minimal) + i
 		}
 	}
@@ -373,8 +376,9 @@ type ZeroView struct {
 	CyclesPerFlit int64
 }
 
-// LinkCost implements CongestionView: no backlog, so the constant
-// propagation plus flits times the constant serialization rate.
-func (v ZeroView) LinkCost(_ topo.LinkID, flits int, _ int64) int64 {
-	return v.Propagation + v.CyclesPerFlit*int64(flits)
+// CostBelow implements CongestionView: no backlog, so every hop costs the
+// constant propagation plus flits times the constant serialization rate.
+func (v ZeroView) CostBelow(path topo.Path, flits int, _, bound int64) (int64, bool) {
+	cost := int64(len(path)) * (v.Propagation + v.CyclesPerFlit*int64(flits))
+	return cost, cost < bound
 }

@@ -231,8 +231,12 @@ type congestedView struct {
 	prop      int64
 }
 
-func (v congestedView) LinkCost(id topo.LinkID, flits int, _ int64) int64 {
-	return v.congested[id] + v.prop + int64(flits)
+func (v congestedView) CostBelow(path topo.Path, flits int, _, bound int64) (int64, bool) {
+	var cost int64
+	for _, id := range path {
+		cost += v.congested[id] + v.prop + int64(flits)
+	}
+	return cost, cost < bound
 }
 
 func TestAdaptiveAvoidsCongestedMinimal(t *testing.T) {
@@ -313,12 +317,23 @@ func TestZeroViewCosts(t *testing.T) {
 	v := ZeroView{Propagation: 7, CyclesPerFlit: 3}
 	// No backlog at any time: propagation 7 plus 5 flits at 3 cycles each.
 	for _, now := range []int64{0, 1 << 40} {
-		if got := v.LinkCost(0, 5, now); got != 7+15 {
-			t.Fatalf("LinkCost(now=%d) = %d, want %d", now, got, 7+15)
+		if got := PathCost(topo.Path{0}, 5, v, now); got != 7+15 {
+			t.Fatalf("PathCost(now=%d) = %d, want %d", now, got, 7+15)
 		}
 	}
-	if got := v.LinkCost(0, 0, 0); got != 7 {
-		t.Fatalf("zero-flit LinkCost = %d, want the propagation 7", got)
+	if got := PathCost(topo.Path{0}, 0, v, 0); got != 7 {
+		t.Fatalf("zero-flit PathCost = %d, want the propagation 7", got)
+	}
+	// Every hop costs the same; below is cost < bound.
+	three := topo.Path{0, 1, 2}
+	if got := PathCost(three, 5, v, 0); got != 3*22 {
+		t.Fatalf("three-hop PathCost = %d, want %d", got, 3*22)
+	}
+	if _, below := v.CostBelow(three, 5, 0, 3*22); below {
+		t.Fatal("CostBelow reported a cost equal to the bound as below it")
+	}
+	if c, below := v.CostBelow(three, 5, 0, 3*22+1); !below || c != 3*22 {
+		t.Fatalf("CostBelow(bound=cost+1) = %d, %v; want %d, true", c, below, 3*22)
 	}
 }
 

@@ -159,13 +159,20 @@ func TestCSRMemoryScalesWithLinks(t *testing.T) {
 }
 
 // TestReverseLinkTable pins ReverseLink against LinkBetween on a small
-// geometry and on the Daint rung.
+// geometry and on the Daint rung, and checks a link and its reverse share a
+// tier and width: the fabric costs a response hop with its request hop's
+// tier.
 func TestReverseLinkTable(t *testing.T) {
 	for _, cfg := range []Config{SmallConfig(4), AriesConfig(14)} {
 		tp := MustNew(cfg)
 		for _, l := range tp.Links() {
-			if got, want := tp.ReverseLink(l.ID), tp.LinkBetween(l.Dst, l.Src); got != want {
+			got, want := tp.ReverseLink(l.ID), tp.LinkBetween(l.Dst, l.Src)
+			if got != want {
 				t.Fatalf("%+v: ReverseLink(%d) = %d, want %d", cfg, l.ID, got, want)
+			}
+			if r := tp.Link(got); r.Type != l.Type || r.Width != l.Width {
+				t.Fatalf("%+v: link %d is %v of width %d, its reverse %d is %v of width %d",
+					cfg, l.ID, l.Type, l.Width, got, r.Type, r.Width)
 			}
 		}
 	}

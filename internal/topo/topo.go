@@ -206,7 +206,7 @@ type Topology struct {
 	adjLink []LinkID
 
 	// revLink maps each link to the link in the opposite direction (or
-	// InvalidLink). The fabric walks the reverse path once per packet chunk;
+	// InvalidLink). The fabric walks the reverse path once per packet;
 	// precomputing it removes every adjacency lookup from that loop.
 	revLink []LinkID
 
