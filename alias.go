@@ -71,9 +71,6 @@ type (
 	// TracedDecision is one recorded adaptive routing decision with its
 	// top-k candidate paths and congestion costs at decision time.
 	TracedDecision = routing.TracedDecision
-	// Digest is the fixed-size streaming statistics digest backing
-	// Result.TimeStats (exact at small sample counts, P² beyond).
-	Digest = stats.Digest
 	// Summary is the box-plot style description of a sample distribution
 	// (median, quartiles, QCD) produced by Result.TimeSummary.
 	Summary = stats.Summary

@@ -165,20 +165,20 @@ func run(args []string, out io.Writer) error {
 
 // scanBody builds the trial body measuring one routing mode with telemetry.
 // jobNodes is the shared measured-job allocation, identical across modes.
-func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.Context, *harness.Env) (any, error) {
-	return func(ctx context.Context, e *harness.Env) (any, error) {
+func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.Context, *dragonfly.System) (any, error) {
+	return func(ctx context.Context, sys *dragonfly.System) (any, error) {
 		rc, err := dragonfly.ParseRouting(mode)
 		if err != nil {
 			return nil, err
 		}
-		job := e.Sys.JobFromNodes(jobNodes)
+		job := sys.JobFromNodes(jobNodes)
 		var noiseDesc string
 		if cfg.noiseKind != "none" {
 			pattern, err := dragonfly.ParseNoisePattern(cfg.noiseKind)
 			if err != nil {
 				return nil, err
 			}
-			if g := e.Sys.StartNoise(dragonfly.NoiseConfig{Pattern: pattern, Nodes: cfg.noiseNodes}); g != nil {
+			if g := sys.StartNoise(dragonfly.NoiseConfig{Pattern: pattern, Nodes: cfg.noiseNodes}); g != nil {
 				noiseDesc = fmt.Sprintf("%d nodes, %s pattern", g.NumNodes(), pattern)
 			}
 		}
@@ -187,7 +187,7 @@ func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.
 		if err != nil {
 			return nil, err
 		}
-		col, err := telemetry.NewCollector(e.Fabric, telemetry.Config{
+		col, err := telemetry.NewCollector(sys.Fabric(), telemetry.Config{
 			IntervalCycles:   cfg.interval,
 			TopLinks:         cfg.topLinks,
 			TrackGroupMatrix: true,
@@ -195,7 +195,7 @@ func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.
 		if err != nil {
 			return nil, err
 		}
-		col.Start(harness.DefaultHorizon)
+		col.Start(dragonfly.DefaultHorizon)
 
 		res, err := job.Run(w, dragonfly.RunOptions{
 			Routing:    rc,

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"dragonfly/internal/mpi"
-	"dragonfly/internal/network"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/stats"
-	"dragonfly/internal/topo"
 )
 
 // JobRun pairs one job with the workload and options it runs under inside a
@@ -24,94 +21,122 @@ type JobRun struct {
 	Options RunOptions
 }
 
-// jobRunState is the per-job bookkeeping of one RunConcurrent call: it tracks
-// the iteration the job is on, the counter snapshots its deltas are computed
-// from, and the job's partial Result. Iteration boundaries are private to the
-// job — its snapshots are taken at the simulated times *its* iterations start
-// and finish, which is what isolates per-job deltas when jobs finish at
-// different times.
+// jobRunState is the bookkeeping of one measured routing configuration inside
+// a RunConcurrent or Compare call: it tracks the iteration the configuration
+// is on, the counter snapshots its deltas are computed from, and its partial
+// Result. Iteration boundaries are private to the state — its snapshots are
+// taken at the simulated times *its* iterations start and finish, which is
+// what isolates per-job deltas when jobs finish at different times, and
+// per-setup deltas when Compare interleaves setups on one job.
 type jobRunState struct {
 	sys     *System
 	run     JobRun
-	comm    *mpi.Comm
 	routing Routing
 	iters   int
+	// program is the workload's rank body, bound once for all iterations.
+	program func(*Rank)
+	// next is the state whose iteration starts when one of this state's
+	// iterations finishes: the state itself in RunConcurrent, the following
+	// setup (the first one after the last) in Compare.
+	next *jobRunState
+	// namesSetup makes rank errors name the routing setup (Compare).
+	namesSetup bool
+	comm       *mpi.Comm
 
 	res              Result
-	routers          map[topo.RouterID]bool
-	flits0, stalled0 uint64
 	before           Counters
+	flits0, stalled0 uint64
 	start            sim.Time
 	iter             int
 	err              error
-
-	obsID  network.ObserverID
-	hasObs bool
 }
 
-// startIteration snapshots the job's counters and launches one iteration of
+// newRunState prepares the measurement of run under routing rc; a zero rc
+// means DefaultRouting.
+func (s *System) newRunState(run JobRun, rc Routing) *jobRunState {
+	if rc.Provider == nil {
+		rc = DefaultRouting()
+	}
+	iters := run.Options.Iterations
+	if iters < 1 {
+		iters = 1
+	}
+	return &jobRunState{sys: s, run: run, routing: rc, iters: iters, program: run.Workload.Run,
+		res: Result{
+			Setup:  rc.Name,
+			Times:  make([]sim.Time, 0, iters),
+			Deltas: make([]Counters, 0, iters),
+		}}
+}
+
+// startIteration snapshots the state's counters and launches one iteration of
 // the workload on the shared scheduler.
 func (st *jobRunState) startIteration(sched *mpi.Scheduler) {
 	st.before = st.run.Job.Counters()
+	st.flits0, st.stalled0 = st.sys.fabric.IncomingFlits(st.run.Job.routerSet())
 	st.start = st.sys.engine.Now()
 	// Start cannot fail here: the scheduler only calls onFinished (which is
 	// the only caller besides the initial launch) when every rank finished.
-	if err := st.comm.Start(sched, st.run.Workload.Run); err != nil {
+	if err := st.comm.Start(sched, st.program); err != nil {
 		st.err = err
 	}
 }
 
 // finishIteration records one completed iteration; it runs on the scheduler
-// goroutine at the simulated time the job's last rank finished. It returns
-// true when the job should start another iteration.
+// goroutine at the simulated time the state's last rank finished. It returns
+// true when st.next should start an iteration. The tile deltas are taken per
+// iteration, so a state's TileFlits cover only its own iterations; when a
+// state's iterations run back to back they telescope to the whole window.
 func (st *jobRunState) finishIteration() bool {
 	for r := 0; r < st.comm.Size(); r++ {
 		if err := st.comm.Rank(r).Err(); err != nil {
-			st.err = fmt.Errorf("dragonfly: rank %d: %w", r, err)
+			setup := ""
+			if st.namesSetup {
+				setup = "setup " + st.routing.Name + ": "
+			}
+			st.err = fmt.Errorf("dragonfly: %srank %d: %w", setup, r, err)
 			return false
 		}
 	}
-	elapsed := st.sys.engine.Now() - st.start
 	delta := st.run.Job.Counters().Sub(st.before)
-	st.res.TimeStats.Add(float64(elapsed))
-	st.res.totalTime += elapsed
-	if st.run.Options.StreamStats {
-		// O(1) memory: the digest plus the aggregate counter total stand in
-		// for the per-iteration slices.
-		st.res.Counters.Add(delta)
-	} else {
-		st.res.Times = append(st.res.Times, elapsed)
-		st.res.Deltas = append(st.res.Deltas, delta)
-	}
+	flits, stalled := st.sys.fabric.IncomingFlits(st.run.Job.routerSet())
+	st.res.Times = append(st.res.Times, st.sys.engine.Now()-st.start)
+	st.res.Deltas = append(st.res.Deltas, delta)
+	st.res.Counters.Add(delta)
+	st.res.TileFlits += flits - st.flits0
+	st.res.TileStalled += stalled - st.stalled0
 	st.iter++
-	if st.iter >= st.iters {
-		st.complete()
+	if st.iter == st.iters && st.routing.Stats != nil {
+		st.res.SelectorStats = st.routing.Stats()
+		st.res.HasSelectorStats = true
+	}
+	next := st.next
+	if next.iter >= next.iters {
 		return false
 	}
-	if ctx := st.run.Options.Context; ctx != nil {
+	if ctx := next.run.Options.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
-			st.err = fmt.Errorf("dragonfly: cancelled at iteration %d: %w", st.iter, err)
+			st.err = fmt.Errorf("dragonfly: cancelled at iteration %d: %w", next.iter, err)
 			return false
 		}
 	}
 	return true
 }
 
-// complete closes out the job's measurement at its own completion time: the
-// tile deltas cover exactly the window from the job's first iteration to its
-// last, regardless of how long the other jobs keep running.
-func (st *jobRunState) complete() {
-	flits1, stalled1 := st.sys.fabric.IncomingFlits(st.routers)
-	st.res.TileFlits, st.res.TileStalled = flits1-st.flits0, stalled1-st.stalled0
-	// StreamStats runs fold deltas into Counters at every iteration; the
-	// slice-backed path sums them here.
-	for _, d := range st.res.Deltas {
-		st.res.Counters.Add(d)
+// validateRun checks that job j may run workload w on the system; prefix
+// names the job in the error.
+func (s *System) validateRun(prefix string, j *Job, w Workload) error {
+	switch {
+	case j == nil:
+		return fmt.Errorf("dragonfly: %snil job", prefix)
+	case j.sys != s:
+		return fmt.Errorf("dragonfly: %sjob belongs to a different system", prefix)
+	case j.epoch != s.epoch:
+		return fmt.Errorf("dragonfly: %sjob is stale: it was allocated before System.Reset", prefix)
+	case w == nil:
+		return fmt.Errorf("dragonfly: %snil workload", prefix)
 	}
-	if st.routing.Stats != nil {
-		st.res.SelectorStats = st.routing.Stats()
-		st.res.HasSelectorStats = true
-	}
+	return nil
 }
 
 // RunConcurrent executes N jobs concurrently on the shared fabric and returns
@@ -146,42 +171,33 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 		return nil, fmt.Errorf("dragonfly: RunConcurrent needs at least one job")
 	}
 	multi := len(runs) > 1
-	jobAt := func(i int) string {
-		if multi {
-			return fmt.Sprintf("job %d: ", i)
-		}
-		return ""
-	}
 	seen := make(map[*Job]bool, len(runs))
 	for i, r := range runs {
-		switch {
-		case r.Job == nil:
-			return nil, fmt.Errorf("dragonfly: %snil job", jobAt(i))
-		case r.Job.sys != s:
-			return nil, fmt.Errorf("dragonfly: %sjob belongs to a different system", jobAt(i))
-		case r.Job.epoch != s.epoch:
-			return nil, fmt.Errorf("dragonfly: %sjob is stale: it was allocated before System.Reset", jobAt(i))
-		case r.Workload == nil:
-			return nil, fmt.Errorf("dragonfly: %snil workload", jobAt(i))
-		case seen[r.Job]:
+		prefix := ""
+		if multi {
+			prefix = fmt.Sprintf("job %d: ", i)
+		}
+		if err := s.validateRun(prefix, r.Job, r.Workload); err != nil {
+			return nil, err
+		}
+		if seen[r.Job] {
 			return nil, fmt.Errorf("dragonfly: job %d appears more than once", i)
 		}
 		seen[r.Job] = true
 	}
-
 	states := make([]*jobRunState, len(runs))
 	for i, r := range runs {
-		rc := r.Options.Routing
-		if rc.Provider == nil {
-			rc = DefaultRouting()
-		}
-		iters := r.Options.Iterations
-		if iters < 1 {
-			iters = 1
-		}
-		states[i] = &jobRunState{sys: s, run: r, routing: rc, iters: iters,
-			res: Result{Setup: rc.Name, TimeStats: stats.NewDigest()}}
+		states[i] = s.newRunState(r, r.Options.Routing)
+		states[i].next = states[i]
 	}
+	return s.measure(states, states, multi)
+}
+
+// measure runs the prepared states on one scheduler: it builds every state's
+// communicator up front, in order, launches the states in launch, and drives
+// the simulation until no state starts another iteration. multi restricts
+// each state's delivery capture to its own job's nodes.
+func (s *System) measure(states, launch []*jobRunState, multi bool) ([]Result, error) {
 	results := func() []Result {
 		out := make([]Result, len(states))
 		for i, st := range states {
@@ -229,7 +245,7 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 		st.comm = comm
 		comm.OnFinished(func() {
 			if st.finishIteration() {
-				st.startIteration(sched)
+				st.next.startIteration(sched)
 			}
 		})
 		if st.run.Options.RecordDeliveries {
@@ -240,21 +256,16 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 					filter[n] = true
 				}
 			}
-			st.obsID = s.fabric.AddDeliveryObserver(func(d Delivery) {
+			id := s.fabric.AddDeliveryObserver(func(d Delivery) {
 				if filter != nil && !filter[d.Src] && !filter[d.Dst] {
 					return
 				}
 				st.res.Deliveries = append(st.res.Deliveries, d)
 			})
-			st.hasObs = true
-			defer s.fabric.RemoveDeliveryObserver(st.obsID)
+			defer s.fabric.RemoveDeliveryObserver(id)
 		}
 	}
-	for _, st := range states {
-		st.routers = st.run.Job.alloc.Routers()
-		st.flits0, st.stalled0 = s.fabric.IncomingFlits(st.routers)
-	}
-	for _, st := range states {
+	for _, st := range launch {
 		st.startIteration(sched)
 	}
 	if err := sched.Run(checkAll); err != nil {

@@ -200,9 +200,9 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // directly (telemetry collectors, message logs, the batch scheduler).
 func (s *System) Fabric() *network.Fabric { return s.fabric }
 
-// Rand returns the system's allocation random stream. The trial harness
-// exposes it so trial bodies draw from the same deterministic stream the
-// facade uses for placement.
+// Rand returns the system's allocation random stream, for callers such as
+// trial bodies that make their own random choices from the same deterministic
+// stream the facade uses for placement.
 func (s *System) Rand() *rand.Rand { return s.rng }
 
 // Seed returns the seed the system was built from.
@@ -234,8 +234,8 @@ func (s *System) MachineCounters() Counters {
 }
 
 // Allocate places an n-node job with the given policy on free nodes. Unlike
-// the historical harness helper, it never clamps: a job larger than the free
-// nodes fails with an error wrapping ErrJobTooLarge.
+// the trial harness's declarative JobNodes, it never clamps: a job larger than
+// the free nodes fails with an error wrapping ErrJobTooLarge.
 func (s *System) Allocate(policy Policy, n int) (*Job, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dragonfly: job size must be positive, got %d", n)

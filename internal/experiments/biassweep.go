@@ -93,8 +93,9 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m := res["HighBias"]
-			med := stats.Median(m.Times)
+			m := res[0]
+			times := m.TimesFloat()
+			med := stats.Median(times)
 			if bi == 0 {
 				zeroBiasMedian = med
 			}
@@ -102,15 +103,11 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 			if zeroBiasMedian > 0 {
 				norm = med / zeroBiasMedian
 			}
-			var delta = m.Deltas[0]
-			for _, d := range m.Deltas[1:] {
-				delta.Add(d)
-			}
 			minPct := 0.0
-			if delta.RequestPackets > 0 {
-				minPct = 100 * float64(delta.MinimalPackets) / float64(delta.RequestPackets)
+			if m.Counters.RequestPackets > 0 {
+				minPct = 100 * float64(m.Counters.MinimalPackets) / float64(m.Counters.RequestPackets)
 			}
-			table.AddRow(c.label, r.Spec.Meta, med, norm, stats.QCD(m.Times), minPct)
+			table.AddRow(c.label, r.Spec.Meta, med, norm, stats.QCD(times), minPct)
 		}
 	}
 	return []*trace.Table{table}, nil

@@ -62,7 +62,7 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 				ID:       fmt.Sprintf("cotenant/%s/%s", setupName, neighbor),
 				Meta:     [2]string{setupName, neighbor},
 				Geometry: opts.pizDaintGeometry(),
-				Body: func(ctx context.Context, e *harness.Env) (any, error) {
+				Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 					setup := StandardSetups()[si]
 					n := opts.Nodes / 2
 					if n < 8 {
@@ -70,10 +70,10 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 					}
 					// Leave room for an equally sized real neighbor plus some
 					// free nodes for the synthetic generator scenario.
-					if limit := e.Topo.NumNodes() / 3; n > limit {
+					if limit := sys.Topology().NumNodes() / 3; n > limit {
 						n = limit
 					}
-					victim, err := e.Sys.Allocate(dragonfly.GroupStriped, n)
+					victim, err := sys.Allocate(dragonfly.GroupStriped, n)
 					if err != nil {
 						return nil, err
 					}
@@ -90,11 +90,11 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 					switch neighbor {
 					case "alone":
 					case "noise":
-						if e.Sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
+						if sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
 							return nil, fmt.Errorf("no room for the background generator")
 						}
 					default:
-						nb, err := e.Sys.Allocate(dragonfly.GroupStriped, n)
+						nb, err := sys.Allocate(dragonfly.GroupStriped, n)
 						if err != nil {
 							return nil, err
 						}
@@ -112,7 +112,7 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 							},
 						})
 					}
-					rs, err := e.Sys.RunConcurrent(runs)
+					rs, err := sys.RunConcurrent(runs)
 					if err != nil {
 						return nil, err
 					}

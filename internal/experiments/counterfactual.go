@@ -76,9 +76,8 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 			ID:             "counterfactual/exact/" + setup.name,
 			Geometry:       dragonfly.Small,
 			DecisionTraceK: routing.DefaultDecisionCandidates,
-			Setups:         singleSetup(build),
-			Body: func(ctx context.Context, e *harness.Env) (any, error) {
-				return runCounterfactualTrial(ctx, e, build(), size, jobNodes, iters,
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+				return runCounterfactualTrial(ctx, sys, build(), size, jobNodes, iters,
 					opts.noiseSpec(noise.UniformRandom))
 			},
 		}
@@ -121,40 +120,40 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 // the calibration data, since Eq. 2 models uncongested transmission and needs
 // size variation to separate L from s — then, after resetting the decision
 // rings, the noisy measured alltoall whose recorded decisions get scored.
-func runCounterfactualTrial(ctx context.Context, e *harness.Env, setup RoutingSetup,
-	size int64, jobNodes, iters int, noiseSpec *harness.NoiseSpec) (any, error) {
+func runCounterfactualTrial(ctx context.Context, sys *dragonfly.System, setup RoutingSetup,
+	size int64, jobNodes, iters int, noiseSpec *dragonfly.NoiseConfig) (any, error) {
 
-	tr := e.Sys.DecisionTrace()
+	tr := sys.DecisionTrace()
 	if tr == nil {
 		return nil, fmt.Errorf("counterfactual trial needs DecisionTraceK > 0 in its spec")
 	}
-	job, err := e.AllocateJob(dragonfly.GroupStriped, jobNodes)
+	job, err := sys.Allocate(dragonfly.GroupStriped, jobNodes)
 	if err != nil {
 		return nil, err
 	}
 
 	log := msglog.NewLog()
-	log.Attach(e.Fabric)
+	log.Attach(sys.Fabric())
 	for _, s := range []int64{size / 4, size / 2, size, 2 * size, 4 * size} {
 		// Ping-pong serializes the transfers, so each logged record observes
 		// an uncongested network — the regime Eq. 2 actually models.
 		w := &workloads.PingPong{MessageBytes: s, Iterations: 2}
-		if _, err := e.MeasureSingle(ctx, job, setup, nil, w, 1); err != nil {
-			log.Detach(e.Fabric)
+		if _, err := job.Run(w, dragonfly.RunOptions{Routing: setup, Context: ctx}); err != nil {
+			log.Detach(sys.Fabric())
 			return nil, err
 		}
 	}
-	log.Detach(e.Fabric)
+	log.Detach(sys.Fabric())
 	samples := counterfactual.CalibrationSamples(log.Records())
 
 	// The quiet phase's decisions are calibration traffic, not the subject of
 	// the counterfactual question; score only the noisy measured phase.
 	tr.Reset()
 	if noiseSpec != nil {
-		e.StartNoise(*noiseSpec, job)
+		sys.StartNoise(*noiseSpec)
 	}
 	w := &workloads.Alltoall{MessageBytes: size, Iterations: 1}
-	if _, err := e.MeasureSingle(ctx, job, setup, nil, w, iters); err != nil {
+	if _, err := job.Run(w, dragonfly.RunOptions{Routing: setup, Iterations: iters, Context: ctx}); err != nil {
 		return nil, err
 	}
 

@@ -34,6 +34,7 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkPinned(t, id, serial)
 			parallelOpts := QuickOptions()
 			parallelOpts.Parallel = 8
 			parallel, err := Run(id, parallelOpts)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dragonfly"
 	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
@@ -115,21 +116,22 @@ func runComparison(opts Options, geometry topo.Config, idPrefix, title string, j
 		if err != nil {
 			return nil, err
 		}
-		defMedian := stats.Median(res["Default"].Times)
-		norm := func(name string) (median, iqr float64) {
-			xs := stats.Normalize(res[name].Times, defMedian)
+		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
+		defMedian := stats.Median(def.TimesFloat())
+		norm := func(m dragonfly.Result) (median, iqr float64) {
+			xs := stats.Normalize(m.TimesFloat(), defMedian)
 			return stats.Median(xs), stats.IQR(xs)
 		}
-		dm, di := norm("Default")
-		hm, hi := norm("HighBias")
-		am, ai := norm("AppAware")
+		dm, di := norm(def)
+		hm, hi := norm(hb)
+		am, ai := norm(aa)
 		worst := dm
 		if hm > worst {
 			worst = hm
 		}
 		table.AddRow(r.Spec.Meta, defMedian,
 			dm, di, hm, hi, am, ai,
-			res["AppAware"].SelectorStats.DefaultTrafficFraction()*100,
+			aa.SelectorStats.DefaultTrafficFraction()*100,
 			boolLabel(am <= worst*1.05))
 	}
 	return table, nil
@@ -321,8 +323,8 @@ func Ablations(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		m := res["AppAware"]
-		return stats.Median(m.Times), m.SelectorStats.DefaultTrafficFraction(), m.SelectorStats.Switches, nil
+		m := res[0]
+		return stats.Median(m.TimesFloat()), m.SelectorStats.DefaultTrafficFraction(), m.SelectorStats.Switches, nil
 	}
 
 	next := 0

@@ -30,13 +30,9 @@ import (
 	"dragonfly/internal/trace"
 )
 
-// RoutingSetup names a routing configuration under test; it is the harness
-// type re-exported for convenience.
-type RoutingSetup = harness.RoutingSetup
-
-// Measurement is the per-setup result of one trial; it is the harness type
-// re-exported for convenience.
-type Measurement = harness.Measurement
+// RoutingSetup names a routing configuration under test; it is the facade's
+// Routing type.
+type RoutingSetup = dragonfly.Routing
 
 // Options control the scale of every experiment.
 type Options struct {
@@ -187,12 +183,12 @@ func (o Options) coriGeometry() topo.Config {
 }
 
 // noiseSpec maps the option scale onto a concrete background-job declaration.
-func (o Options) noiseSpec(pattern noise.Pattern) *harness.NoiseSpec {
+func (o Options) noiseSpec(pattern noise.Pattern) *dragonfly.NoiseConfig {
 	n := o.NoiseNodes
 	if o.Quick && n > 8 {
 		n = 8
 	}
-	return &harness.NoiseSpec{
+	return &dragonfly.NoiseConfig{
 		Pattern:        pattern,
 		Nodes:          n,
 		IntervalCycles: o.NoiseIntervalCycles,
@@ -214,9 +210,10 @@ func (o Options) runTrials(specs []harness.TrialSpec) ([]harness.Result, error) 
 	return ex.Run(o.context(), specs)
 }
 
-// measurements extracts the default-body result of a trial.
-func measurements(r harness.Result) (map[string]*Measurement, error) {
-	m, ok := r.Value.(harness.Measurements)
+// measurements extracts the default-body result of a trial: one Result per
+// setup, in the order the spec's Setups factory returned them.
+func measurements(r harness.Result) ([]dragonfly.Result, error) {
+	m, ok := r.Value.([]dragonfly.Result)
 	if !ok {
 		return nil, fmt.Errorf("experiments: trial %q returned %T, want measurements", r.Spec.ID, r.Value)
 	}
@@ -255,8 +252,10 @@ func HighBiasSetup() RoutingSetup {
 // per rank.
 func AppAwareSetup(cfg core.Config) RoutingSetup { return dragonfly.AppAwareWith(cfg) }
 
-// StandardSetups returns the three configurations compared in Figures 8-10.
-// It has the harness setup-factory signature, so specs can use it directly.
+// StandardSetups returns the three configurations compared in Figures 8-10,
+// in the order Default, HighBias, AppAware; declarative measurements return
+// their Results in this order. It has the harness setup-factory signature, so
+// specs can use it directly.
 func StandardSetups() []RoutingSetup {
 	return []RoutingSetup{DefaultSetup(), HighBiasSetup(), AppAwareSetup(core.DefaultConfig())}
 }

@@ -106,6 +106,7 @@ func TestTable1IdleFlits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "tab1", tables)
 	tbl := tables[0]
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(tbl.Rows))
@@ -127,6 +128,7 @@ func TestFigure4OnNodeAlltoall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig4", tables)
 	tbl := tables[0]
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("expected 4 sizes, got %d", len(tbl.Rows))
@@ -151,6 +153,7 @@ func TestFigure5QCD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig5", tables)
 	tbl := tables[0]
 	if len(tbl.Rows) < 3 {
 		t.Fatalf("expected at least 3 sizes, got %d", len(tbl.Rows))
@@ -175,6 +178,7 @@ func TestFigure7RoutingPingPong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig7", tables)
 	if len(tables) != 4 {
 		t.Fatalf("expected 4 sub-figure tables, got %d", len(tables))
 	}
@@ -233,6 +237,7 @@ func TestModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "model", tables)
 	tbl := tables[0]
 	if len(tbl.Rows) < 3 {
 		t.Fatalf("expected at least 3 rows, got %d", len(tbl.Rows))
@@ -252,6 +257,7 @@ func TestFigure8Microbenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig8", tables)
 	tbl := tables[0]
 	if len(tbl.Rows) < 5 {
 		t.Fatalf("expected at least 5 benchmark rows, got %d", len(tbl.Rows))
@@ -264,6 +270,7 @@ func TestFigure9MicrobenchmarksCori(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig9", tables)
 	if !strings.Contains(tables[0].Title, "Cori") {
 		t.Fatalf("title should mention Cori: %q", tables[0].Title)
 	}
@@ -275,6 +282,7 @@ func TestFigure10Applications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "fig10", tables)
 	if len(tables) != 2 {
 		t.Fatalf("expected application table plus small-FFT table, got %d", len(tables))
 	}
@@ -338,6 +346,7 @@ func TestHysteresisStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "hysteresis", tables)
 	if len(tables) != 2 {
 		t.Fatalf("expected 2 workload tables, got %d", len(tables))
 	}
@@ -361,6 +370,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "ablations", tables)
 	if len(tables) != 4 {
 		t.Fatalf("expected 4 ablation tables, got %d", len(tables))
 	}

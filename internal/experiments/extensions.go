@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dragonfly"
 	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
@@ -41,7 +42,7 @@ func NoiseSweep(opts Options) ([]*trace.Table, error) {
 	}
 	specs := make([]harness.TrialSpec, len(intervals))
 	for i, interval := range intervals {
-		var ns *harness.NoiseSpec
+		var ns *dragonfly.NoiseConfig
 		if interval > 0 {
 			runOpts := opts
 			runOpts.NoiseIntervalCycles = interval
@@ -69,15 +70,16 @@ func NoiseSweep(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dm := stats.Median(res["Default"].Times)
-		hm := stats.Median(res["HighBias"].Times)
-		am := stats.Median(res["AppAware"].Times)
+		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
+		dm := stats.Median(def.TimesFloat())
+		hm := stats.Median(hb.TimesFloat())
+		am := stats.Median(aa.TimesFloat())
 		label := "none"
 		if intervals[i] > 0 {
 			label = fmt.Sprintf("%d", intervals[i])
 		}
 		table.AddRow(label, dm, hm, am, hm/dm, am/dm,
-			res["AppAware"].SelectorStats.DefaultTrafficFraction()*100)
+			aa.SelectorStats.DefaultTrafficFraction()*100)
 	}
 	return []*trace.Table{table}, nil
 }
@@ -150,9 +152,10 @@ func HysteresisStudy(opts Options) ([]*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m := res["AppAware"]
+			m := res[0]
+			times := m.TimesFloat()
 			st := m.SelectorStats
-			table.AddRow(r.Spec.Meta, stats.Median(m.Times), stats.QCD(m.Times),
+			table.AddRow(r.Spec.Meta, stats.Median(times), stats.QCD(times),
 				st.Switches, st.DefaultTrafficFraction()*100)
 		}
 		tables = append(tables, table)

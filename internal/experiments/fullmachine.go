@@ -11,7 +11,7 @@ import (
 	"dragonfly/internal/workloads"
 )
 
-// fullmachineResult is the payload of one machine-scale trial: the streaming
+// fullmachineResult is the payload of one machine-scale trial: the
 // measurement plus the machine shape it ran on.
 type fullmachineResult struct {
 	Res     dragonfly.Result
@@ -25,10 +25,7 @@ type fullmachineResult struct {
 // topology/link-state arenas: it climbs the geometry ladder (Small → Medium →
 // Large, plus Daint under -full-aries) and, on every rung, measures a
 // group-striped job under each routing configuration, for each workload, with
-// and without background interference. All runs use the streaming-stats path
-// (RunOptions.StreamStats), so per-trial memory is independent of the
-// iteration count — the same property that lets a Daint-class rung sweep
-// millions of iterations without growing result slices.
+// and without background interference.
 //
 // The point of the family is not one figure of the paper but the claim behind
 // all of them: the routing effects measured on toy geometries persist (or
@@ -72,20 +69,21 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 						ID:       fmt.Sprintf("fullmachine/%s/%s/%s/%s", rung.Name, setupName, wname, noiseCase),
 						Meta:     [4]string{rung.Name, setupName, wname, noiseCase},
 						Geometry: rung.Geometry,
-						Body: func(ctx context.Context, e *harness.Env) (any, error) {
+						Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+							tp := sys.Topology()
 							n := opts.Nodes
-							if limit := e.Topo.NumNodes() / 3; n > limit {
+							if limit := tp.NumNodes() / 3; n > limit {
 								n = limit
 							}
 							if n < 4 {
 								n = 4
 							}
-							job, err := e.Sys.Allocate(dragonfly.GroupStriped, n)
+							job, err := sys.Allocate(dragonfly.GroupStriped, n)
 							if err != nil {
 								return nil, err
 							}
 							if noiseCase == "noise" {
-								if e.Sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
+								if sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
 									return nil, fmt.Errorf("no room for the background generator")
 								}
 							}
@@ -94,20 +92,19 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 								return nil, err
 							}
 							res, err := job.Run(w, dragonfly.RunOptions{
-								Routing:     StandardSetups()[si],
-								Iterations:  iters,
-								Context:     ctx,
-								StreamStats: true,
+								Routing:    StandardSetups()[si],
+								Iterations: iters,
+								Context:    ctx,
 							})
 							if err != nil {
 								return nil, err
 							}
 							return fullmachineResult{
 								Res:     res,
-								Nodes:   e.Topo.NumNodes(),
-								Routers: e.Topo.NumRouters(),
-								Links:   e.Topo.NumLinks(),
-								AdjKiB:  float64(e.Topo.AdjacencyBytes()) / 1024,
+								Nodes:   tp.NumNodes(),
+								Routers: tp.NumRouters(),
+								Links:   tp.NumLinks(),
+								AdjKiB:  float64(tp.AdjacencyBytes()) / 1024,
 							}, nil
 						},
 					})

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"dragonfly/internal/trace"
 )
 
 // goldenHashes pins the rendered quick-scale output of two representative
@@ -50,5 +52,46 @@ func TestGoldenTables(t *testing.T) {
 					"If the model change is intentional, update goldenHashes.", id, got, want)
 			}
 		})
+	}
+}
+
+// pinnedHashes pins the rendered output of the experiments goldenHashes does
+// not cover, captured when the harness's declarative trials moved onto
+// dragonfly.Job.Compare (the commit before measured exactly these bytes).
+// Each hash is checked by the test that already runs its experiment with the
+// same options, so pinning them runs no experiment twice: QuickOptions() for
+// the first group, QuickOptions() with Iterations = 3 (as the smoke tests run
+// them) for the second.
+var pinnedHashes = map[string]string{
+	"tab1":        "1dc4d31098c77ee2b75de3f00e98f93f9620e3ec9fa9e38435f82e7bd2752375",
+	"fig4":        "35967e7930d68630bf0f3adf4fac24fbfde023ce1de9cb8887e4979e477ef883",
+	"fig5":        "4377b5b6ef1712ba434f1e91f62a4a9e09dca5efbce912a2715599c49fbde8bd",
+	"fig7":        "405d9bf932d56ed901405155cab65c89500f1df636fbfb0546ed8a0048269073",
+	"model":       "21c3c226c3ba810a58b58186f5725980f7d8f0396d862ee98501f1a27d1102c4",
+	"fig8":        "7972d8bd9465e45506c032fa82cf79bcbdaf08a5dd889d6aee1de3fb6f7e0eb7",
+	"fig9":        "641c9c3347c8f76b2dae5a9ea9b5cb46366d0b8781622b72a9563cffd790171c",
+	"fig10":       "fca769533f977686d7e8ef842757b0703640dfca828090c36d679e90239aa72d",
+	"hysteresis":  "87df42109b7968ef07d39cd0fd5de52de07a677bfc998496718e22a403eea80c",
+	"ablations":   "4c346a07e0ef20c36caa69144d0f12949f7f7ee4ddad87208122701b206ec4bc",
+	"fullmachine": "27a380c19c7fee964936d44bafeefc736b0f1636a579df9bde804027079aaf87",
+	"biassweep":   "a5b6523fe6ac688de2c50a0908bb386c0eb29fe772cfd769c56ce5307c8ad443",
+	// Iterations = 3.
+	"sched":     "3b4bb689636d3be386978609933318f0fb97fe2ce2c9233119781885034e4aa1",
+	"baselines": "db2cb845dccfc971c112b20f333a8d54cc2b42ae83a58b81d5522982782fa076",
+	"collalgos": "4acda6a5f7275b47151af8f994062cdc8e2d59594c35662344018516c8ec176d",
+	"telemetry": "947e4e6ecd7430b1abfeab281095c4742dafffc0d36b8df7fb5fbea91967b30b",
+}
+
+// checkPinned fails the test when tables do not render to the pinned hash of
+// experiment id; experiments without a pinned hash pass.
+func checkPinned(t *testing.T, id string, tables []*trace.Table) {
+	t.Helper()
+	want, ok := pinnedHashes[id]
+	if !ok {
+		return
+	}
+	sum := sha256.Sum256([]byte(renderAll(t, tables)))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s output drifted from the pinned hash:\n got %s\nwant %s", id, got, want)
 	}
 }

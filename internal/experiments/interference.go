@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"dragonfly"
 	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
@@ -57,7 +58,7 @@ func baselineSetups() []RoutingSetup {
 
 // schedTrialResult is the payload of one scheduler-interference trial.
 type schedTrialResult struct {
-	Res        map[string]*Measurement
+	Res        []dragonfly.Result
 	SchedStats sched.Stats
 }
 
@@ -87,12 +88,9 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 			ID:       "sched/" + placement.String(),
 			Meta:     placement.String(),
 			Geometry: opts.pizDaintGeometry(),
-			Body: func(ctx context.Context, e *harness.Env) (any, error) {
-				n := jobNodes
-				if n > e.Topo.NumNodes()/2 {
-					n = e.Topo.NumNodes() / 2
-				}
-				job, err := e.AllocateJob(alloc.GroupStriped, n)
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+				machine := sys.Topology().NumNodes()
+				job, err := sys.Allocate(dragonfly.GroupStriped, min(jobNodes, machine/2))
 				if err != nil {
 					return nil, err
 				}
@@ -101,7 +99,7 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 				// run. Its spec is seeded from the suite seed — NOT the trial
 				// seed — so every placement policy faces the same job mix and
 				// the rows differ only by placement.
-				s := sched.New(e.Fabric, sched.Config{Placement: placement, Backfill: true, Seed: e.Seed})
+				s := sched.New(sys.Fabric(), sched.Config{Placement: placement, Backfill: true, Seed: sys.Seed()})
 				s.Reserve(job.Nodes())
 				mixCfg := sched.DefaultMixConfig()
 				mixCfg.Seed = opts.Seed + 17
@@ -110,10 +108,10 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 					mixCfg.Jobs = 8
 					mixCfg.IntervalCycles *= 3
 				}
-				mixCfg.MaxNodes = e.Topo.NumNodes() / 4
+				mixCfg.MaxNodes = machine / 4
 				mixCfg.MinDurationCycles = 2_000_000
 				mixCfg.MaxDurationCycles = 20_000_000
-				mixSpecs, err := sched.GenerateMix(mixCfg, e.Topo.NumNodes()-job.Size())
+				mixSpecs, err := sched.GenerateMix(mixCfg, machine-job.Size())
 				if err != nil {
 					return nil, err
 				}
@@ -125,7 +123,10 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 				s.Start()
 
 				w := workloads.NewHalo3D(job.Size(), opts.scaleSize(256), 2)
-				res, err := e.MeasureSetups(ctx, job, StandardSetups(), nil, w, opts.iters())
+				res, err := job.Compare(w, StandardSetups(), dragonfly.RunOptions{
+					Iterations: opts.iters(),
+					Context:    ctx,
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -137,25 +138,24 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	setupNames := namesOf(StandardSetups())
 	for _, r := range results {
 		tr, ok := r.Value.(schedTrialResult)
 		if !ok {
 			return nil, fmt.Errorf("experiments: sched trial %q returned %T", r.Spec.ID, r.Value)
 		}
-		defMedian := stats.Median(tr.Res["Default"].Times)
-		for _, name := range setupNames {
-			m := tr.Res[name]
-			med := stats.Median(m.Times)
+		defMedian := stats.Median(tr.Res[0].TimesFloat())
+		for _, m := range tr.Res {
+			times := m.TimesFloat()
+			med := stats.Median(times)
 			norm := 0.0
 			if defMedian > 0 {
 				norm = med / defMedian
 			}
 			pct := 0.0
-			if name == "AppAware" {
+			if m.Setup == "AppAware" {
 				pct = m.SelectorStats.DefaultTrafficFraction() * 100
 			}
-			table.AddRow(r.Spec.Meta, name, med, norm, stats.QCD(m.Times),
+			table.AddRow(r.Spec.Meta, m.Setup, med, norm, stats.QCD(times),
 				pct, tr.SchedStats.Finished, tr.SchedStats.MeanGroupsSpanned)
 		}
 	}
@@ -206,28 +206,27 @@ func BaselineComparison(opts Options) ([]*trace.Table, error) {
 	table := trace.NewTable(
 		fmt.Sprintf("Selector baselines: AppAware (paper) vs PatternAware (related work) vs static, %d nodes", opts.Nodes),
 		"benchmark", "setup", "median (cycles)", "norm median", "qcd", "% default traffic")
-	setupNames := namesOf(baselineSetups())
 	for _, r := range results {
 		res, err := measurements(r)
 		if err != nil {
 			return nil, err
 		}
-		defMedian := stats.Median(res["Default"].Times)
-		for _, name := range setupNames {
-			m := res[name]
-			med := stats.Median(m.Times)
+		defMedian := stats.Median(res[0].TimesFloat())
+		for _, m := range res {
+			times := m.TimesFloat()
+			med := stats.Median(times)
 			norm := 0.0
 			if defMedian > 0 {
 				norm = med / defMedian
 			}
 			pct := m.SelectorStats.DefaultTrafficFraction() * 100
-			if name == "Default" {
+			if m.Setup == "Default" {
 				pct = 100
 			}
-			if name == "HighBias" {
+			if m.Setup == "HighBias" {
 				pct = 0
 			}
-			table.AddRow(r.Spec.Meta, name, med, norm, stats.QCD(m.Times), pct)
+			table.AddRow(r.Spec.Meta, m.Setup, med, norm, stats.QCD(times), pct)
 		}
 	}
 	return []*trace.Table{table}, nil
@@ -288,9 +287,10 @@ func CollectiveAlgorithms(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		defMedian := stats.Median(res["Default"].Times)
-		hbMedian := stats.Median(res["HighBias"].Times)
-		aaMedian := stats.Median(res["AppAware"].Times)
+		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
+		defMedian := stats.Median(def.TimesFloat())
+		hbMedian := stats.Median(hb.TimesFloat())
+		aaMedian := stats.Median(aa.TimesFloat())
 		norm := func(v float64) float64 {
 			if defMedian > 0 {
 				return v / defMedian
@@ -302,7 +302,7 @@ func CollectiveAlgorithms(opts Options) ([]*trace.Table, error) {
 			best = "HighBias"
 		}
 		table.AddRow(r.Spec.Meta, defMedian, norm(hbMedian), norm(aaMedian),
-			res["AppAware"].SelectorStats.DefaultTrafficFraction()*100, best)
+			aa.SelectorStats.DefaultTrafficFraction()*100, best)
 	}
 	return []*trace.Table{table}, nil
 }
@@ -343,33 +343,27 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 			ID:       "telemetry/" + s.name,
 			Meta:     s.name,
 			Geometry: opts.pizDaintGeometry(),
-			Body: func(ctx context.Context, e *harness.Env) (any, error) {
-				n := opts.Nodes / 2
-				if n < 8 {
-					n = 8
-				}
-				if n > e.Topo.NumNodes()/2 {
-					n = e.Topo.NumNodes() / 2
-				}
-				job, err := e.AllocateJob(alloc.GroupStriped, n)
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+				n := min(max(opts.Nodes/2, 8), sys.Topology().NumNodes()/2)
+				job, err := sys.Allocate(dragonfly.GroupStriped, n)
 				if err != nil {
 					return nil, err
 				}
-				e.StartNoise(*opts.noiseSpec(noise.AlltoallBully), job)
+				sys.StartNoise(*opts.noiseSpec(noise.AlltoallBully))
 
-				col := telemetry.MustNewCollector(e.Fabric, telemetry.Config{
+				col := telemetry.MustNewCollector(sys.Fabric(), telemetry.Config{
 					IntervalCycles:   50_000,
 					TopLinks:         3,
 					TrackGroupMatrix: true,
 				})
-				col.Start(harness.DefaultHorizon)
+				col.Start(dragonfly.DefaultHorizon)
 
 				w := &workloads.Alltoall{MessageBytes: opts.scaleSize(16 << 10), Iterations: 1}
-				iters := opts.iters()
-				if iters > 10 {
-					iters = 10
-				}
-				if _, err := e.MeasureSingle(ctx, job, build(), nil, w, iters); err != nil {
+				if _, err := job.Run(w, dragonfly.RunOptions{
+					Routing:    build(),
+					Iterations: min(opts.iters(), 10),
+					Context:    ctx,
+				}); err != nil {
 					return nil, err
 				}
 				col.Stop()

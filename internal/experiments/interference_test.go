@@ -14,6 +14,7 @@ func TestSchedulerInterferenceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "sched", tables)
 	if len(tables) != 1 {
 		t.Fatalf("got %d tables, want 1", len(tables))
 	}
@@ -38,6 +39,7 @@ func TestBaselineComparisonSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "baselines", tables)
 	out := tables[0].String()
 	if !strings.Contains(out, "PatternAware") || !strings.Contains(out, "AppAware") {
 		t.Fatalf("baseline table missing setups:\n%s", out)
@@ -51,6 +53,7 @@ func TestCollectiveAlgorithmsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "collalgos", tables)
 	out := tables[0].String()
 	for _, algo := range []string{"alltoall/pairwise", "alltoall/bruck", "allreduce/doubling", "allreduce/ring"} {
 		if !strings.Contains(out, algo) {
@@ -66,6 +69,7 @@ func TestTelemetryCongestionSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPinned(t, "telemetry", tables)
 	if len(tables) < 3 {
 		t.Fatalf("got %d tables, want summary plus two group matrices", len(tables))
 	}

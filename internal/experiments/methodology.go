@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"dragonfly/internal/alloc"
+	"dragonfly"
 	"dragonfly/internal/counters"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/noise"
@@ -54,8 +54,8 @@ func Figure3Allocations(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := res["Default"]
-		summaryRow(table, classes[i].String(), m.Times, stats.Max(m.Times))
+		times := res[0].TimesFloat()
+		summaryRow(table, classes[i].String(), times, stats.Max(times))
 	}
 	return []*trace.Table{table}, nil
 }
@@ -81,30 +81,28 @@ func Table1IdleFlits(opts Options) ([]*trace.Table, error) {
 	spec := harness.TrialSpec{
 		ID:       "tab1/idle",
 		Geometry: opts.pizDaintGeometry(),
-		Body: func(ctx context.Context, e *harness.Env) (any, error) {
+		Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 			// The idle job: 16 nodes (or fewer on tiny systems), as in the
-			// paper, placed contiguously and deterministically (nil RNG).
-			jobNodes := 16
-			if jobNodes > e.Topo.NumNodes()/2 {
-				jobNodes = e.Topo.NumNodes() / 2
-			}
-			job, err := alloc.Allocate(e.Topo, alloc.Contiguous, jobNodes, nil, nil)
+			// paper, placed contiguously (which draws no randomness).
+			jobNodes := min(16, sys.Topology().NumNodes()/2)
+			job, err := sys.Allocate(dragonfly.Contiguous, jobNodes)
 			if err != nil {
 				return nil, err
 			}
-			e.StartNoise(*opts.noiseSpec(noise.UniformRandom), job)
-			routers := job.Routers()
+			sys.StartNoise(*opts.noiseSpec(noise.UniformRandom))
+			routers := job.Allocation().Routers()
+			fabric, engine := sys.Fabric(), sys.Engine()
 			var rows []idleObservation
 			for _, mult := range []int64{1, 2} {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				beforeFlits, beforeStalls := e.Fabric.IncomingFlits(routers)
-				deadline := e.Engine.Now() + baseIdle*mult
-				if err := e.Engine.RunUntil(deadline); err != nil {
+				beforeFlits, beforeStalls := fabric.IncomingFlits(routers)
+				deadline := engine.Now() + baseIdle*mult
+				if err := engine.RunUntil(deadline); err != nil {
 					return nil, err
 				}
-				afterFlits, afterStalls := e.Fabric.IncomingFlits(routers)
+				afterFlits, afterStalls := fabric.IncomingFlits(routers)
 				rows = append(rows, idleObservation{
 					Mult: mult, IdleCycles: baseIdle * mult,
 					Flits: afterFlits - beforeFlits, StalledCycles: afterStalls - beforeStalls,
@@ -169,12 +167,8 @@ func Figure4OnNodeAlltoall(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := res["Default"]
-		var packets uint64
-		for _, d := range m.Deltas {
-			packets += d.RequestPackets
-		}
-		summaryRow(table, fmt.Sprintf("%d", r.Spec.Meta), m.Times, packets)
+		m := res[0]
+		summaryRow(table, fmt.Sprintf("%d", r.Spec.Meta), m.TimesFloat(), m.Counters.RequestPackets)
 	}
 	return []*trace.Table{table}, nil
 }
@@ -221,14 +215,15 @@ func Figure5QCD(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := res["Default"]
+		m := res[0]
+		times := m.TimesFloat()
 		latencies := make([]float64, 0, len(m.Deltas))
 		for _, d := range m.Deltas {
 			latencies = append(latencies, d.AvgPacketLatency())
 		}
 		table.AddRow(fmt.Sprintf("%d", r.Spec.Meta),
-			stats.QCD(m.Times), stats.QCD(latencies),
-			stats.Median(m.Times), stats.Median(latencies))
+			stats.QCD(times), stats.QCD(latencies),
+			stats.Median(times), stats.Median(latencies))
 	}
 	return []*trace.Table{table}, nil
 }
@@ -289,13 +284,13 @@ func ModelValidation(opts Options) ([]*trace.Table, error) {
 				return nil, err
 			}
 			next++
-			m := res["Default"]
+			m := res[0]
 			for i, d := range m.Deltas {
 				// The delta covers a full round trip (two messages); halve it
 				// to approximate one transmission, matching T_msg.
 				params := perfmodel.ParamsFromCounters(halveDelta(d))
 				estimated = append(estimated, perfmodel.EstimateForSize(size, params))
-				measured = append(measured, m.Times[i]/2)
+				measured = append(measured, float64(m.Times[i])/2)
 			}
 		}
 		r, err := stats.PearsonCorrelation(measured, estimated)

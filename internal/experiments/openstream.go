@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"dragonfly"
 	"dragonfly/internal/arrival"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/noise"
@@ -67,11 +68,11 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 				ID:       fmt.Sprintf("openstream/%s/%s", placement, trafficCase),
 				Meta:     [2]string{placement.String(), trafficCase},
 				Geometry: geometry,
-				Body: func(ctx context.Context, e *harness.Env) (any, error) {
+				Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 					spec := arrival.Spec{Clients: arrival.DefaultClients(3, meanGap)}.Normalize()
 					cfg := sched.OpenConfig{
 						Placement:    placement,
-						Seed:         e.Seed,
+						Seed:         sys.Seed(),
 						MaxJobEvents: events,
 					}
 					if trafficCase == "traffic" {
@@ -82,7 +83,7 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 							Mode:           routing.Adaptive,
 						}
 					}
-					o, err := sched.NewOpenStream(e.Fabric, spec, cfg)
+					o, err := sched.NewOpenStream(sys.Fabric(), spec, cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -92,7 +93,7 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 					}
 					return openstreamResult{
 						St:      o.Stats(),
-						Packets: e.Sys.MachineCounters().RequestPackets,
+						Packets: sys.MachineCounters().RequestPackets,
 					}, nil
 				},
 			})

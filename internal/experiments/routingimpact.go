@@ -50,7 +50,6 @@ func Figure7RoutingPingPong(opts Options) ([]*trace.Table, error) {
 			{Name: "HighBias", Provider: func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.AdaptiveHighBias} }},
 		}
 	}
-	modeNames := []string{"Adaptive", "HighBias"}
 
 	specs := make([]harness.TrialSpec, len(cases))
 	for i, c := range cases {
@@ -77,9 +76,8 @@ func Figure7RoutingPingPong(opts Options) ([]*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range modeNames {
-			meas := res[name]
-			label := fmt.Sprintf("%s/%s", r.Spec.Meta, name)
+		for _, meas := range res {
+			label := fmt.Sprintf("%s/%s", r.Spec.Meta, meas.Setup)
 			var stallsSeries, latSeries, estSeries []float64
 			for _, d := range meas.Deltas {
 				half := halveDelta(d)
@@ -88,7 +86,7 @@ func Figure7RoutingPingPong(opts Options) ([]*trace.Table, error) {
 				latSeries = append(latSeries, params.LatencyCycles)
 				estSeries = append(estSeries, perfmodel.EstimateForSize(msgSize, params))
 			}
-			summaryRow(timeTbl, label, meas.Times)
+			summaryRow(timeTbl, label, meas.TimesFloat())
 			summaryRow(stallTbl, label, stallsSeries)
 			summaryRow(latTbl, label, latSeries)
 			summaryRow(estTbl, label, estSeries)

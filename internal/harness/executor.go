@@ -33,8 +33,8 @@ type Result struct {
 	Spec TrialSpec
 	// Seed is the derived seed the trial used.
 	Seed int64
-	// Value is what the trial body returned (Measurements for the default
-	// declarative body).
+	// Value is what the trial body returned ([]dragonfly.Result, one per
+	// setup, for the default declarative body).
 	Value any
 	// Err is the trial error: a build/measure failure, a captured panic, or
 	// the context error for trials skipped after cancellation.
@@ -44,9 +44,9 @@ type Result struct {
 }
 
 // Executor fans trials out across a pool of worker goroutines. Trials are
-// independent by construction (each builds a private Env from a seed derived
-// only from Seed and the trial id), so the worker count changes wall-clock
-// time but never results.
+// independent by construction (each runs on a private System seeded only from
+// Seed and the trial id), so the worker count changes wall-clock time but
+// never results.
 type Executor struct {
 	// Parallel is the worker count: 0 means GOMAXPROCS, 1 runs serially.
 	Parallel int
@@ -55,10 +55,6 @@ type Executor struct {
 	// OnProgress, if non-nil, receives one serialized callback per finished
 	// trial, in completion order.
 	OnProgress func(Progress)
-	// OnResult, if non-nil, receives every result in spec order as soon as
-	// the trial and all its predecessors have finished — a reorder buffer, so
-	// streaming aggregation sees the same order a serial run would produce.
-	OnResult func(Result)
 }
 
 // Run executes the trials and returns their results indexed like specs. The
@@ -89,10 +85,8 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 
 	results := make([]Result, len(specs))
 	var (
-		mu        sync.Mutex // guards done, completed, next and the callbacks
-		done      int
-		completed = make([]bool, len(specs))
-		next      int
+		mu   sync.Mutex // guards done and the progress callback
+		done int
 	)
 	finish := func(i int, res Result) {
 		if res.Err != nil {
@@ -101,19 +95,12 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 		mu.Lock()
 		defer mu.Unlock()
 		results[i] = res
-		completed[i] = true
 		done++
 		if x.OnProgress != nil {
 			x.OnProgress(Progress{
 				Completed: done, Total: len(specs),
 				Index: i, ID: res.Spec.ID, Err: res.Err, Elapsed: res.Elapsed,
 			})
-		}
-		if x.OnResult != nil {
-			for next < len(specs) && completed[next] {
-				x.OnResult(results[next])
-				next++
-			}
 		}
 	}
 
@@ -124,9 +111,9 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 		go func() {
 			defer wg.Done()
 			// Each worker owns a single-slot system pool: consecutive trials
-			// with the same geometry/routing/fabric configuration reuse one
-			// constructed System through Reset instead of rebuilding topology
-			// and routing tables from scratch.
+			// with the same construction key (geometry, routing parameters,
+			// decision trace) reuse one constructed System through Reset
+			// instead of rebuilding topology and routing tables from scratch.
 			pool := &systemPool{}
 			for i := range indexes {
 				finish(i, x.runOne(runCtx, i, specs[i], pool))
@@ -176,16 +163,16 @@ func (x *Executor) runOne(ctx context.Context, i int, spec TrialSpec, pool *syst
 		res.Err = err
 		return res
 	}
-	env, err := newEnv(spec, res.Seed, pool)
+	sys, err := pool.acquire(spec, res.Seed)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	body := spec.Body
-	if body == nil {
-		body = runDeclarative
+	if spec.Body != nil {
+		res.Value, res.Err = spec.Body(ctx, sys)
+	} else {
+		res.Value, res.Err = runDeclarative(ctx, spec, sys)
 	}
-	res.Value, res.Err = body(ctx, env)
 	return res
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"dragonfly"
 	"dragonfly/internal/topo"
 )
 
@@ -23,8 +24,8 @@ func valueSpec(id string) TrialSpec {
 	return TrialSpec{
 		ID:       id,
 		Geometry: testGeometry(),
-		Body: func(ctx context.Context, e *Env) (any, error) {
-			return fmt.Sprintf("%s:%d", e.Spec.ID, e.Seed), nil
+		Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+			return fmt.Sprintf("%s:%d", id, sys.Seed()), nil
 		},
 	}
 }
@@ -95,35 +96,6 @@ func TestExecutorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestExecutorOnResultStreamsInOrder(t *testing.T) {
-	var specs []TrialSpec
-	for i := 0; i < 16; i++ {
-		specs = append(specs, valueSpec(fmt.Sprintf("trial-%d", i)))
-	}
-	var mu sync.Mutex
-	var order []int
-	ex := &Executor{
-		Parallel: 8,
-		Seed:     1,
-		OnResult: func(r Result) {
-			mu.Lock()
-			order = append(order, r.Index)
-			mu.Unlock()
-		},
-	}
-	if _, err := ex.Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(specs) {
-		t.Fatalf("OnResult called %d times, want %d", len(order), len(specs))
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("OnResult delivered index %d at position %d; want spec order", idx, i)
-		}
-	}
-}
-
 func TestExecutorProgressCounts(t *testing.T) {
 	var specs []TrialSpec
 	for i := 0; i < 10; i++ {
@@ -161,7 +133,7 @@ func TestExecutorPanicCapture(t *testing.T) {
 		{
 			ID:       "boom",
 			Geometry: testGeometry(),
-			Body: func(ctx context.Context, e *Env) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 				panic("kaboom")
 			},
 		},
@@ -194,7 +166,7 @@ func TestExecutorFailFastCancelsRemaining(t *testing.T) {
 		{
 			ID:       "fails-first",
 			Geometry: testGeometry(),
-			Body: func(ctx context.Context, e *Env) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 				return nil, wantErr
 			},
 		},
@@ -251,7 +223,7 @@ func TestExecutorTrialErrorPropagates(t *testing.T) {
 		{
 			ID:       "fails",
 			Geometry: testGeometry(),
-			Body: func(ctx context.Context, e *Env) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
 				return nil, wantErr
 			},
 		},

@@ -14,45 +14,14 @@ package harness
 
 import (
 	"context"
+	"fmt"
 
 	"dragonfly"
 	"dragonfly/internal/alloc"
-	"dragonfly/internal/core"
-	"dragonfly/internal/counters"
-	"dragonfly/internal/network"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/workloads"
 )
-
-// DefaultHorizon is the deadline handed to background noise generators;
-// trials complete far before it.
-const DefaultHorizon = dragonfly.DefaultHorizon
-
-// RoutingSetup names a routing configuration under test. It is the facade's
-// Routing type: the standard configurations come from dragonfly.DefaultRouting,
-// dragonfly.StaticRouting and dragonfly.AppAware.
-type RoutingSetup = dragonfly.Routing
-
-// Measurement is the result of measuring one routing setup on one workload.
-type Measurement struct {
-	// Times holds one execution time (cycles) per iteration.
-	Times []float64
-	// Deltas holds the per-iteration NIC counter deltas summed over the job.
-	Deltas []counters.NIC
-	// SelectorStats aggregates selector statistics (zero for static setups).
-	SelectorStats core.Stats
-}
-
-// Measurements maps setup names to their measurement; it is the value the
-// default (declarative) trial body returns.
-type Measurements = map[string]*Measurement
-
-// NoiseSpec declares the background (interfering) job of a trial. All values
-// are concrete — callers apply their own scaling before declaring the spec —
-// and the generator seed is derived from the trial seed. It is the facade's
-// NoiseConfig type.
-type NoiseSpec = dragonfly.NoiseConfig
 
 // TrialSpec declares one simulated run: how to build the system and what to
 // measure on it. The zero values of the system fields select the library
@@ -61,10 +30,11 @@ type NoiseSpec = dragonfly.NoiseConfig
 // The common case is fully declarative: set the geometry, an allocation
 // (JobNodes+Placement, PairClass, or FixedNodes), optional Noise and
 // HostNoise, the Setups under test, a Workload factory and the iteration
-// count, and the executor runs the standard allocate/noise/measure sequence.
+// count, and the executor runs the standard allocate/noise/measure sequence
+// (runDeclarative), whose value is the []dragonfly.Result of Job.Compare.
 // Experiments that need bespoke instrumentation (telemetry collectors, batch
 // schedulers, raw engine control) set Body instead, which replaces the
-// declarative path entirely and receives the constructed Env.
+// declarative path entirely and receives the trial's System.
 type TrialSpec struct {
 	// ID uniquely names the trial within one Executor.Run call. The trial's
 	// random streams are derived from (Executor.Seed, ID), so renaming a
@@ -85,8 +55,6 @@ type TrialSpec struct {
 	DecisionTraceK int
 	// RoutingParams overrides routing.DefaultParams() when non-nil.
 	RoutingParams *routing.Params
-	// Network overrides network.DefaultConfig() when non-nil.
-	Network *network.Config
 
 	// FixedNodes pins the job to explicit nodes (repeats allowed: several
 	// ranks on one node). Takes precedence over PairAlloc and JobNodes.
@@ -95,16 +63,20 @@ type TrialSpec struct {
 	PairAlloc bool
 	// PairClass is the topological distance of the pair when PairAlloc is set.
 	PairClass topo.AllocationClass
-	// JobNodes is the requested job size (capped at the machine size).
+	// JobNodes is the requested job size. Unlike System.Allocate, which fails
+	// with ErrJobTooLarge, the request is clamped to the free nodes: suite-level
+	// flags like -nodes apply one job size to several geometries, and trials
+	// on the smaller geometries run machine-filling jobs rather than fail.
 	JobNodes int
 	// Placement is the allocation policy for JobNodes-style jobs.
 	Placement alloc.Policy
-	// Noise, if non-nil, starts a background job before the measurement.
-	Noise *NoiseSpec
+	// Noise, if non-nil, starts a background job after the measured job is
+	// placed, on the remaining nodes.
+	Noise *dragonfly.NoiseConfig
 	// Setups builds the routing configurations under test. It is a factory —
 	// called once inside the trial — because selector-backed setups carry
 	// per-trial mutable state that must not be shared across trials.
-	Setups func() []RoutingSetup
+	Setups func() []dragonfly.Routing
 	// HostNoise, if non-nil, builds the host-side delay sampler for the trial.
 	HostNoise func() func(rank int) int64
 	// Workload builds the measured workload for the allocated rank count.
@@ -113,6 +85,42 @@ type TrialSpec struct {
 	Iterations int
 
 	// Body replaces the declarative measurement when non-nil. It runs on the
-	// trial's private Env and returns the trial's result value.
-	Body func(ctx context.Context, env *Env) (any, error)
+	// trial's private System (seeded with the trial seed, sys.Seed()) and
+	// returns the trial's result value.
+	Body func(ctx context.Context, sys *dragonfly.System) (any, error)
+}
+
+// runDeclarative is the default trial body: place the job as declared, start
+// the background noise, and measure every setup on the workload with
+// Job.Compare, alternating the setups on successive iterations.
+func runDeclarative(ctx context.Context, spec TrialSpec, sys *dragonfly.System) ([]dragonfly.Result, error) {
+	if spec.Workload == nil || spec.Setups == nil {
+		return nil, fmt.Errorf("declarative spec incomplete: need Workload and Setups (or a Body)")
+	}
+	var job *dragonfly.Job
+	var err error
+	switch {
+	case len(spec.FixedNodes) > 0:
+		job = sys.JobFromNodes(spec.FixedNodes)
+	case spec.PairAlloc:
+		job, err = sys.AllocatePair(spec.PairClass)
+	default:
+		job, err = sys.Allocate(spec.Placement, min(spec.JobNodes, sys.FreeNodes()))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if spec.Noise != nil {
+		sys.StartNoise(*spec.Noise)
+	}
+	var hostNoise func(int) int64
+	if spec.HostNoise != nil {
+		hostNoise = spec.HostNoise()
+	}
+	setups := spec.Setups()
+	return job.Compare(spec.Workload(job.Size()), setups, dragonfly.RunOptions{
+		Iterations: spec.Iterations,
+		HostNoise:  hostNoise,
+		Context:    ctx,
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dragonfly"
 	"dragonfly/internal/mpi"
 	"dragonfly/internal/testutil"
 	"dragonfly/internal/workloads"
@@ -37,7 +38,7 @@ func TestExecutorNoGoroutineLeak(t *testing.T) {
 
 // TestExecutorCancelNoGoroutineLeak is the ctx-cancellation half: a suite
 // cancelled while trials are mid-simulation must release the in-flight rank
-// coroutines (MeasureSetups shuts its scheduler down), not leave them parked
+// coroutines (Job.Compare shuts its scheduler down), not leave them parked
 // for the life of the process.
 func TestExecutorCancelNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -49,14 +50,9 @@ func TestExecutorCancelNoGoroutineLeak(t *testing.T) {
 		// Cancel from inside the first trial body, so later trials are
 		// skipped and in-flight measurements abort mid-iteration.
 		inner := spec
-		spec.Body = func(c context.Context, e *Env) (any, error) {
+		spec.Body = func(c context.Context, sys *dragonfly.System) (any, error) {
 			cancel()
-			job, err := e.AllocateJob(inner.Placement, inner.JobNodes)
-			if err != nil {
-				return nil, err
-			}
-			return e.MeasureSetups(c, job, inner.Setups(), nil,
-				inner.Workload(job.Size()), inner.Iterations)
+			return runDeclarative(c, inner, sys)
 		}
 		specs = append(specs, spec)
 	}
@@ -94,9 +90,7 @@ func TestExecutorRankPanicFailsTrial(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("trial %s failed: %v", res.Spec.ID, res.Err)
 		}
-		if _, ok := res.Value.(Measurements); !ok {
-			t.Fatalf("trial %s returned %T, want Measurements", res.Spec.ID, res.Value)
-		}
+		setupResults(t, res)
 	}
 	if res := results[2]; res.Err == nil || !strings.Contains(res.Err.Error(), "panicked: rank program blew up") {
 		t.Fatalf("panicked trial error = %v", res.Err)

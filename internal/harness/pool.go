@@ -2,41 +2,35 @@ package harness
 
 import (
 	"dragonfly"
-	"dragonfly/internal/network"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topo"
 )
 
-// envKey is the system-construction configuration of a TrialSpec: two specs
+// systemKey is the system-construction configuration of a TrialSpec: two specs
 // with equal keys hand dragonfly.New identical options and therefore build
 // byte-identical machines (up to the seed). The nil-ness of the optional
-// overrides is part of the key — the harness deliberately does not resolve
+// override is part of the key — the harness deliberately does not resolve
 // defaults itself, so it can never drift from the facade's own resolution.
 // All fields are comparable value types, so key equality is plain ==.
-type envKey struct {
+type systemKey struct {
 	geometry      topo.Config
 	decisionTrace int
 	hasRouting    bool
 	routing       routing.Params
-	hasNetwork    bool
-	network       network.Config
 }
 
 // specKey extracts the construction-affecting fields of a spec.
-func specKey(spec TrialSpec) envKey {
-	k := envKey{geometry: spec.Geometry, decisionTrace: spec.DecisionTraceK}
+func specKey(spec TrialSpec) systemKey {
+	k := systemKey{geometry: spec.Geometry, decisionTrace: spec.DecisionTraceK}
 	if spec.RoutingParams != nil {
 		k.hasRouting, k.routing = true, *spec.RoutingParams
-	}
-	if spec.Network != nil {
-		k.hasNetwork, k.network = true, *spec.Network
 	}
 	return k
 }
 
 // systemPool is a single-slot, single-goroutine cache of the most recently
 // built System. Experiment sweeps run many trials over the same geometry and
-// fabric configuration, differing only in seed and measurement; reusing the
+// routing configuration, differing only in seed and measurement; reusing the
 // System through dragonfly.System.Reset skips topology construction and
 // routing-table derivation entirely, which used to dominate trial setup.
 // Reset is byte-identical to a fresh build (the facade guarantees it, and the
@@ -44,7 +38,7 @@ func specKey(spec TrialSpec) envKey {
 // pooling never changes results. Each executor worker owns one pool; pools
 // are never shared across goroutines.
 type systemPool struct {
-	key   envKey
+	key   systemKey
 	sys   *dragonfly.System
 	valid bool
 }
@@ -52,7 +46,7 @@ type systemPool struct {
 // acquire returns a System for the spec, reusing the cached one when the
 // construction key matches. A nil pool always builds fresh.
 func (p *systemPool) acquire(spec TrialSpec, seed int64) (*dragonfly.System, error) {
-	var key envKey
+	var key systemKey
 	if p != nil {
 		key = specKey(spec)
 		if p.valid && p.key == key {
@@ -71,9 +65,6 @@ func (p *systemPool) acquire(spec TrialSpec, seed int64) (*dragonfly.System, err
 	}
 	if spec.RoutingParams != nil {
 		opts = append(opts, dragonfly.WithRouting(*spec.RoutingParams))
-	}
-	if spec.Network != nil {
-		opts = append(opts, dragonfly.WithNetworkConfig(*spec.Network))
 	}
 	sys, err := dragonfly.New(opts...)
 	if err != nil {

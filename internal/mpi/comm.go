@@ -92,9 +92,6 @@ type Config struct {
 	Routing func(rank int) RoutingProvider
 	// Verb is the RDMA verb used for payload transfers.
 	Verb network.Verb
-	// EagerLimit is reserved for future use (all transfers currently follow
-	// the same completion semantics).
-	EagerLimit int64
 	// HostNoise, if non-nil, returns a host-side delay in cycles sampled at
 	// every point-to-point operation, modelling OS noise and node-level
 	// contention (used by the Figure 4 experiment).

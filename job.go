@@ -2,10 +2,12 @@ package dragonfly
 
 import (
 	"context"
+	"fmt"
 
 	"dragonfly/internal/alloc"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
+	"dragonfly/internal/topo"
 )
 
 // Job is a set of nodes allocated to one application on a System. Running a
@@ -18,13 +20,26 @@ type Job struct {
 	sys   *System
 	alloc *alloc.Allocation
 	epoch uint64
+	// routers is the set of routers the job's nodes attach to, built by the
+	// job's first measurement and shared by the later ones.
+	routers map[topo.RouterID]bool
 }
 
 // System returns the system the job is allocated on.
 func (j *Job) System() *System { return j.sys }
 
+// routerSet returns the set of routers the job's nodes attach to, whose
+// incoming tile counters each measurement snapshots.
+func (j *Job) routerSet() map[topo.RouterID]bool {
+	if j.routers == nil {
+		j.routers = j.alloc.Routers()
+	}
+	return j.routers
+}
+
 // Allocation returns the underlying allocation (escape hatch for subsystems
-// that work on allocations, like the trial harness and the scheduler).
+// that work on allocations, like the batch scheduler and router-tile
+// observers).
 func (j *Job) Allocation() *alloc.Allocation { return j.alloc }
 
 // Nodes returns the allocated nodes in rank order.
@@ -72,42 +87,24 @@ type RunOptions struct {
 	// (Job.Run), only the deliveries touching the job's nodes inside a
 	// multi-job RunConcurrent. The capture uses one of the fabric's delivery
 	// observer slots and coexists with a message log or telemetry attached to
-	// the same fabric.
+	// the same fabric. Job.Compare rejects it: a log of interleaved setups has
+	// no single owner.
 	RecordDeliveries bool
-	// StreamStats drops the unbounded per-iteration slices (Result.Times,
-	// Result.Deltas) and keeps only the fixed-size streaming digest
-	// (Result.TimeStats) plus the aggregate counters, so a machine-scale run
-	// with millions of iterations measures in O(1) memory. The digest is
-	// exact below stats.DefaultExactSamples iterations, so small runs lose
-	// nothing but the raw slices.
-	StreamStats bool
 }
 
-// Result is what one Job.Run measured.
+// Result is what one Job.Run measured, or one setup of a Job.Compare.
 type Result struct {
 	// Setup is the name of the routing configuration that ran.
 	Setup string
-	// Times holds one execution time (cycles) per iteration. Empty when the
-	// run used RunOptions.StreamStats; use TimeStats then.
+	// Times holds one execution time (cycles) per iteration.
 	Times []sim.Time
 	// Deltas holds the per-iteration NIC counter deltas summed over the job.
-	// Empty when the run used RunOptions.StreamStats (Counters still carries
-	// the total).
 	Deltas []Counters
-	// TimeStats is the fixed-size streaming digest of the per-iteration
-	// times. It is populated on every run — exact below the digest's sample
-	// limit, P²-approximate beyond it — and is the only per-iteration timing
-	// record of a StreamStats run.
-	TimeStats *stats.Digest
-
-	// totalTime is the exact integer sum of the iteration times, maintained
-	// by the runner so Time() stays precise for StreamStats runs whose
-	// float64 digest sum would round past 2^53 cycles.
-	totalTime sim.Time
 	// Counters is the total NIC counter delta over all iterations.
 	Counters Counters
 	// TileFlits and TileStalled are the router-tile deltas (incoming flits
-	// and stalled flits) over the routers the job's nodes attach to.
+	// and stalled flits) over the routers the job's nodes attach to, summed
+	// over the run's iterations.
 	TileFlits, TileStalled uint64
 	// SelectorStats aggregates the application-aware selector statistics
 	// when the routing configuration provides them (see HasSelectorStats).
@@ -119,12 +116,8 @@ type Result struct {
 	Deliveries []Delivery
 }
 
-// Time returns the total execution time over all iterations, exact for both
-// slice-backed and StreamStats runs.
+// Time returns the total execution time over all iterations.
 func (r Result) Time() sim.Time {
-	if len(r.Times) == 0 {
-		return r.totalTime
-	}
 	var total sim.Time
 	for _, t := range r.Times {
 		total += t
@@ -133,15 +126,8 @@ func (r Result) Time() sim.Time {
 }
 
 // TimeSummary condenses the per-iteration times into the box-plot summary the
-// experiment tables render. It reads the streaming digest, so it works
-// identically for slice-backed and StreamStats runs (and is bit-identical to
-// stats.Summarize over Times while the digest is in its exact regime).
-func (r Result) TimeSummary() stats.Summary {
-	if r.TimeStats != nil {
-		return r.TimeStats.Summary()
-	}
-	return stats.Summarize(r.TimesFloat())
-}
+// experiment tables render.
+func (r Result) TimeSummary() stats.Summary { return stats.Summarize(r.TimesFloat()) }
 
 // TimesFloat returns the per-iteration times as float64s, the shape the stats
 // helpers consume.
@@ -167,4 +153,43 @@ func (j *Job) Run(w Workload, opts RunOptions) (Result, error) {
 		return Result{}, err
 	}
 	return rs[0], err
+}
+
+// Compare measures the workload on the job under every routing setup,
+// alternating the setups on successive iterations as the paper does, so that
+// transient noise does not penalize a single configuration: iteration i runs
+// setups[0] … setups[K-1] back to back, each starting at the simulated time
+// the previous one finished. It returns one Result per setup, in setup order,
+// each covering only that setup's iterations (times, counter and tile deltas,
+// selector statistics).
+//
+// Every setup gets its own communicator, built once up front in setup order:
+// each Provider is called once per rank, and selector state persists across
+// the setup's iterations. opts applies to every setup; its Routing must be
+// left zero (the setups name the routings) and RecordDeliveries unset. A rank
+// error names the setup it happened under; on error the returned slice still
+// carries each setup's partial Result.
+func (j *Job) Compare(w Workload, setups []Routing, opts RunOptions) ([]Result, error) {
+	switch {
+	case len(setups) == 0:
+		return nil, fmt.Errorf("dragonfly: Compare needs at least one setup")
+	case opts.Routing.Name != "" || opts.Routing.Provider != nil || opts.Routing.Stats != nil:
+		return nil, fmt.Errorf("dragonfly: Compare takes its routings from setups; RunOptions.Routing must be zero")
+	case opts.RecordDeliveries:
+		return nil, fmt.Errorf("dragonfly: Compare cannot record deliveries: interleaved setups share one log")
+	}
+	s := j.sys
+	if err := s.validateRun("", j, w); err != nil {
+		return nil, err
+	}
+	run := JobRun{Job: j, Workload: w, Options: opts}
+	states := make([]*jobRunState, len(setups))
+	for i, rc := range setups {
+		states[i] = s.newRunState(run, rc)
+		states[i].namesSetup = true
+	}
+	for i, st := range states {
+		st.next = states[(i+1)%len(states)]
+	}
+	return s.measure(states, states[:1], false)
 }

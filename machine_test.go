@@ -62,49 +62,6 @@ func TestGeometryLadderValidAscending(t *testing.T) {
 	}
 }
 
-// TestStreamStatsMatchesSliceRun pins the streaming-stats contract: a
-// StreamStats run produces the same aggregate counters and the same digest
-// summary as the slice-backed run of an identically-built system, with the
-// per-iteration slices elided.
-func TestStreamStatsMatchesSliceRun(t *testing.T) {
-	run := func(stream bool) dragonfly.Result {
-		sys, err := dragonfly.New(
-			dragonfly.WithGeometry(dragonfly.SmallGeometry(4)),
-			dragonfly.WithSeed(5),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := sys.Allocate(dragonfly.GroupStriped, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := job.Run(&workloads.Alltoall{MessageBytes: 2 << 10, Iterations: 1},
-			dragonfly.RunOptions{Iterations: 5, StreamStats: stream})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	slice, stream := run(false), run(true)
-	if len(stream.Times) != 0 || len(stream.Deltas) != 0 {
-		t.Fatalf("StreamStats run kept per-iteration slices: %d times, %d deltas",
-			len(stream.Times), len(stream.Deltas))
-	}
-	if len(slice.Times) != 5 {
-		t.Fatalf("slice run recorded %d times, want 5", len(slice.Times))
-	}
-	if slice.Counters != stream.Counters {
-		t.Fatalf("aggregate counters diverge:\nslice  %+v\nstream %+v", slice.Counters, stream.Counters)
-	}
-	if got, want := stream.TimeSummary(), slice.TimeSummary(); got != want {
-		t.Fatalf("digest summaries diverge:\nslice  %+v\nstream %+v", want, got)
-	}
-	if got, want := stream.Time(), slice.Time(); got != want {
-		t.Fatalf("total time diverges: stream %d, slice %d", got, want)
-	}
-}
-
 // TestGeometryLadderMemoryBudget walks the full ladder, building each rung
 // and running a short workload on it, and enforces a per-rung live-heap
 // budget. The logged numbers are the source of EXPERIMENTS.md's
@@ -132,7 +89,7 @@ func TestGeometryLadderMemoryBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := job.Run(&workloads.Alltoall{MessageBytes: 2 << 10, Iterations: 1},
-				dragonfly.RunOptions{Iterations: 2, StreamStats: true}); err != nil {
+				dragonfly.RunOptions{Iterations: 2}); err != nil {
 				t.Fatal(err)
 			}
 			runtime.GC()
@@ -151,8 +108,8 @@ func TestGeometryLadderMemoryBudget(t *testing.T) {
 
 // TestDaintScaleBuildsAndRuns is the machine-scale acceptance test: a
 // Daint-class system (14 full Aries groups, 5376 nodes) builds, allocates a
-// job, runs a short workload under the streaming-stats path, and stays far
-// inside the 2 GiB budget the compact arenas exist for.
+// job, runs a short workload, and stays far inside the 2 GiB budget the
+// compact arenas exist for.
 func TestDaintScaleBuildsAndRuns(t *testing.T) {
 	sys, err := dragonfly.New(
 		dragonfly.WithGeometry(dragonfly.Daint),
@@ -170,12 +127,12 @@ func TestDaintScaleBuildsAndRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := job.Run(&workloads.Alltoall{MessageBytes: 2 << 10, Iterations: 1},
-		dragonfly.RunOptions{Iterations: 2, StreamStats: true})
+		dragonfly.RunOptions{Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TimeStats.Count() != 2 || res.TimeStats.Mean() <= 0 {
-		t.Fatalf("Daint run measured nothing: %+v", res.TimeStats)
+	if len(res.Times) != 2 || res.Time() <= 0 {
+		t.Fatalf("Daint run measured nothing: %v", res.Times)
 	}
 	runtime.GC()
 	var ms runtime.MemStats
