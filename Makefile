@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecisionTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

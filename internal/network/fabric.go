@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dragonfly/internal/counters"
 	"dragonfly/internal/routing"
@@ -384,7 +385,7 @@ func (f *Fabric) AddDeliveryObserver(fn func(Delivery)) ObserverID {
 func (f *Fabric) RemoveDeliveryObserver(id ObserverID) bool {
 	for i := range f.observers {
 		if f.observers[i].id == id {
-			f.observers = append(f.observers[:i], f.observers[i+1:]...)
+			f.observers = slices.Delete(f.observers, i, i+1)
 			return true
 		}
 	}

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
@@ -91,4 +93,29 @@ func TestResetClearsObservers(t *testing.T) {
 	if fired != 0 || kept != 1 {
 		t.Fatalf("fired/kept = %d/%d, want 0/1", fired, kept)
 	}
+}
+
+// TestRemovedObserverUnreachable: removing an observer drops the fabric's
+// last reference to it, so whatever its closure captured can be collected
+// (a pooled system must not keep a finished job's state alive).
+func TestRemovedObserverUnreachable(t *testing.T) {
+	f := observerFixture(t)
+	var ref weak.Pointer[[64]byte]
+	id := func() ObserverID {
+		obj := new([64]byte)
+		ref = weak.Make(obj)
+		return f.AddDeliveryObserver(func(Delivery) { obj[0]++ })
+	}()
+	runtime.GC()
+	if ref.Value() == nil {
+		t.Fatal("a registered observer's captured state was collected")
+	}
+	if !f.RemoveDeliveryObserver(id) {
+		t.Fatal("RemoveDeliveryObserver did not find a registered observer")
+	}
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a removed observer's captured state is still reachable from the fabric")
+	}
+	runtime.KeepAlive(f)
 }

@@ -3,27 +3,49 @@
 // (int64). All randomness is derived from explicitly seeded streams so that
 // every experiment is reproducible given a seed.
 //
-// The engine is built for allocation-free steady state: events are value
-// types stored in a slot array recycled through a free-list, ordered by an
-// indexed 4-ary min-heap of slot ids. Hot paths (the network fabric, the
-// background-noise generators, rank compute delays) schedule typed events —
-// a Handler plus two integer arguments — so that a simulated packet hop costs
-// no heap allocation at all; closure-based scheduling remains available for
-// cold paths. Events fire in strict (At, seq) order, where seq is the
-// schedule order, so execution order is a total order independent of the heap
-// shape: the engine is byte-compatible with the historical container/heap
-// implementation.
+// Every event is a Handler plus two integer arguments. Hot paths (the network
+// fabric, the background-noise generators, rank compute delays) pass a
+// pointer-shaped Handler, so a simulated packet hop costs no heap allocation;
+// Schedule and After wrap a closure as a func-typed Handler, which is
+// pointer-shaped too.
+//
+// The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990): the
+// clock never runs backwards, so events are ordered by bucket index with no
+// comparisons. The engine keeps last, the time of the events in bucket 0, and
+// an event at time at lives in bucket bits.Len64(at ^ last). Scheduling is
+// one append. When bucket 0 runs dry, dispatch refills it: it takes the
+// lowest non-empty bucket, sets last to that bucket's least time and moves
+// the bucket's events, in order, into the buckets their times now select,
+// each strictly lower than the one they left.
+//
+// Events fire in exact (at, seq) order, where seq is the schedule order, with
+// no seq stored:
+//
+//   - every pending event has at ≥ last, and last ≤ now whenever anything is
+//     scheduled (ScheduleCall clamps at to now);
+//   - equal times always land in the same bucket;
+//   - all times in bucket i are below all times in bucket j for i < j, since
+//     an event's bucket is the highest bit in which its time differs from
+//     last, and there its time has a 1 where last has a 0;
+//   - buckets are FIFO and a refill moves a bucket in order, so events of
+//     equal time keep schedule order.
+//
+// RunUntil never refills: it peeks by scanning the lowest non-empty bucket
+// without moving anything. A refill would set last to the next event's time,
+// which may lie past the deadline RunUntil then moves the clock to, and an
+// event scheduled afterwards but before that time would break at ≥ last.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
 // Time is a point in simulated time, in NIC clock cycles.
 type Time = int64
 
-// Handler receives typed events. Implementations are pointer-shaped (the
+// Handler receives events. Implementations are pointer-shaped (the
 // scheduling site converts a pointer into the interface), so scheduling a
 // typed event performs no allocation. The two integer arguments are opaque to
 // the engine; callers use them as an opcode and operand, or as two operands.
@@ -31,38 +53,29 @@ type Handler interface {
 	HandleEvent(e *Engine, a, b int64)
 }
 
-// EventID is a cancellation handle for a scheduled event. The zero EventID is
-// invalid (Cancel ignores it). Handles are generation-counted: once the event
-// has fired or been cancelled, the handle goes stale and cancelling it is a
-// guaranteed no-op even if the underlying slot has been recycled for a newer
-// event.
-type EventID uint64
+// funcHandler adapts a closure to Handler. A func value is pointer-shaped, so
+// boxing one in the interface allocates nothing beyond the closure itself.
+type funcHandler func()
 
-// event is one scheduled unit of work. Events live in Engine.slots and are
-// recycled through the free-list; they are never individually heap-allocated.
+func (f funcHandler) HandleEvent(*Engine, int64, int64) { f() }
+
+// event is one scheduled unit of work, stored by value in the buckets.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: schedule order, unique per engine epoch
-
-	// Exactly one of fn and h is set. Typed events carry (h, a, b); closure
-	// events carry fn.
-	fn   func()
+	at   Time
 	h    Handler
 	a, b int64
-
-	gen     uint32 // bumped on every release; stale EventIDs never match
-	heapIdx int32  // position in Engine.heap, -1 when not queued
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
-	now   Time
-	slots []event
-	heap  []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	free  []int32 // stack of released slot indices
+	now     Time
+	last    Time        // time of the events in buckets[0]
+	buckets [65][]event // an event at time at lives in buckets[bits.Len64(at^last)]
+	mask    uint64      // bit i-1 set when buckets[i] (i ≥ 1) is non-empty
+	head    int         // read index of buckets[0]
+	pending int
 
-	seq    uint64
 	rng    *rand.Rand
 	seed   int64
 	nexec  uint64
@@ -80,26 +93,16 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Reset rewinds the engine to the state NewEngine(seed) would produce while
-// keeping the slot array, heap and free-list storage for reuse. Every pending
-// event is dropped and every outstanding EventID goes permanently stale. It
-// is the engine half of cross-trial system reuse: a Reset engine behaves
+// keeping the bucket storage for reuse. Every pending event is dropped. It is
+// the engine half of cross-trial system reuse: a Reset engine behaves
 // byte-identically to a freshly constructed one.
 func (e *Engine) Reset(seed int64) {
-	for i := range e.slots {
-		s := &e.slots[i]
-		s.fn, s.h = nil, nil
-		s.heapIdx = -1
-		s.gen++
+	for i := range e.buckets {
+		clear(e.buckets[i])
+		e.buckets[i] = e.buckets[i][:0]
 	}
-	// Refill the free stack so slots are handed out in the same (ascending)
-	// order a fresh engine would allocate them.
-	e.free = e.free[:0]
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		e.free = append(e.free, int32(i))
-	}
-	e.heap = e.heap[:0]
-	e.now, e.seq, e.nexec, e.halted = 0, 0, 0, false
-	e.limit = 0
+	e.now, e.last, e.mask, e.head, e.pending = 0, 0, 0, 0, 0
+	e.nexec, e.limit, e.halted = 0, 0, false
 	e.seed = seed
 	e.rng.Seed(seed)
 }
@@ -121,78 +124,45 @@ func (e *Engine) ExecutedEvents() uint64 { return e.nexec }
 func (e *Engine) SetEventLimit(limit uint64) { e.limit = limit }
 
 // Schedule schedules fn to run at absolute time at. Scheduling in the past is
-// clamped to the current time. The returned handle may be passed to Cancel.
-func (e *Engine) Schedule(at Time, fn func()) EventID {
-	return e.schedule(at, fn, nil, 0, 0)
+// clamped to the current time.
+func (e *Engine) Schedule(at Time, fn func()) {
+	e.ScheduleCall(at, funcHandler(fn), 0, 0)
 }
 
 // After schedules fn to run delay cycles from the current time.
-func (e *Engine) After(delay Time, fn func()) EventID {
-	return e.Schedule(e.now+max(delay, 0), fn)
+func (e *Engine) After(delay Time, fn func()) {
+	e.ScheduleCall(e.now+max(delay, 0), funcHandler(fn), 0, 0)
 }
 
 // ScheduleCall schedules a typed event: at time at, h.HandleEvent(e, a, b) is
 // invoked. Unlike Schedule it allocates nothing when h is a pointer, which is
 // what the fabric and noise hot paths rely on. Scheduling in the past is
-// clamped to the current time.
-func (e *Engine) ScheduleCall(at Time, h Handler, a, b int64) EventID {
-	return e.schedule(at, nil, h, a, b)
+// clamped to the current time. The event is appended to the bucket its time
+// selects.
+func (e *Engine) ScheduleCall(at Time, h Handler, a, b int64) {
+	at = max(at, e.now)
+	i := bits.Len64(uint64(at ^ e.last))
+	if i > 0 {
+		e.mask |= 1 << (i - 1)
+	} else if e.head > 32 && e.head*2 >= len(e.buckets[0]) {
+		// Compact bucket 0's consumed prefix once it dominates the backing
+		// array, so a long run of same-time events cannot grow it unboundedly.
+		b0 := e.buckets[0]
+		n := copy(b0, b0[e.head:])
+		clear(b0[n:])
+		e.buckets[0], e.head = b0[:n], 0
+	}
+	e.buckets[i] = append(e.buckets[i], event{at: at, h: h, a: a, b: b})
+	e.pending++
 }
 
 // AfterCall schedules a typed event delay cycles from the current time.
-func (e *Engine) AfterCall(delay Time, h Handler, a, b int64) EventID {
-	return e.ScheduleCall(e.now+max(delay, 0), h, a, b)
-}
-
-// schedule places one event (closure or typed) into a recycled slot and the
-// heap, and returns its generation-counted handle.
-func (e *Engine) schedule(at Time, fn func(), h Handler, a, b int64) EventID {
-	at = max(at, e.now)
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, event{})
-		slot = int32(len(e.slots) - 1)
-	}
-	ev := &e.slots[slot]
-	ev.at, ev.seq = at, e.seq
-	ev.fn, ev.h, ev.a, ev.b = fn, h, a, b
-	e.seq++
-	ev.heapIdx = int32(len(e.heap))
-	e.heap = append(e.heap, slot)
-	e.siftUp(len(e.heap) - 1)
-	return makeEventID(slot, ev.gen)
-}
-
-// makeEventID packs (slot, gen); slot is stored +1 so the zero EventID stays
-// invalid.
-func makeEventID(slot int32, gen uint32) EventID {
-	return EventID(uint64(gen)<<32 | uint64(uint32(slot+1)))
-}
-
-// Cancel removes a previously scheduled event from the queue and reports
-// whether it removed anything. Cancelling the zero EventID, an already-fired
-// or an already-cancelled event is a guaranteed no-op (the handle's
-// generation no longer matches the slot), so stale handles can never corrupt
-// the queue or cancel an unrelated recycled event.
-func (e *Engine) Cancel(id EventID) bool {
-	slot := int32(uint32(id)) - 1
-	if slot < 0 || int(slot) >= len(e.slots) {
-		return false
-	}
-	ev := &e.slots[slot]
-	if ev.gen != uint32(id>>32) || ev.heapIdx < 0 {
-		return false
-	}
-	e.removeAt(int(ev.heapIdx))
-	e.release(slot)
-	return true
+func (e *Engine) AfterCall(delay Time, h Handler, a, b int64) {
+	e.ScheduleCall(e.now+max(delay, 0), h, a, b)
 }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Halt stops the run loop after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
@@ -202,7 +172,7 @@ func (e *Engine) Halt() { e.halted = true }
 // returned).
 func (e *Engine) Run() error {
 	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
+	for e.pending > 0 && !e.halted {
 		if err := e.dispatch(); err != nil {
 			return err
 		}
@@ -213,7 +183,7 @@ func (e *Engine) Run() error {
 // Step executes exactly one event (the earliest pending one). It returns false
 // when the queue is empty. The error mirrors Run's event-limit behaviour.
 func (e *Engine) Step() (bool, error) {
-	if len(e.heap) == 0 {
+	if e.pending == 0 {
 		return false, nil
 	}
 	if err := e.dispatch(); err != nil {
@@ -227,8 +197,8 @@ func (e *Engine) Step() (bool, error) {
 // queue empties earlier.
 func (e *Engine) RunUntil(deadline Time) error {
 	e.halted = false
-	for len(e.heap) > 0 && !e.halted {
-		if e.slots[e.heap[0]].at > deadline {
+	for e.pending > 0 && !e.halted {
+		if e.peek() > deadline {
 			break
 		}
 		if err := e.dispatch(); err != nil {
@@ -241,109 +211,61 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// dispatch pops the earliest event, advances the clock and executes it. The
-// slot is released before the event body runs, so the body may immediately
-// reuse it for a new event (self-rescheduling costs no queue growth).
-func (e *Engine) dispatch() error {
-	slot := e.heap[0]
-	ev := &e.slots[slot]
-	at, fn, h, a, b := ev.at, ev.fn, ev.h, ev.a, ev.b
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.heap[0] = last
-		e.slots[last].heapIdx = 0
-		e.siftDown(0)
+// peek returns the earliest pending time without refilling bucket 0 (see the
+// package comment). The queue must not be empty.
+func (e *Engine) peek() Time {
+	if e.head < len(e.buckets[0]) {
+		return e.last
 	}
-	e.release(slot)
+	b := e.buckets[bits.TrailingZeros64(e.mask)+1]
+	at := b[0].at
+	for _, ev := range b[1:] {
+		at = min(at, ev.at)
+	}
+	return at
+}
 
-	if at > e.now {
-		e.now = at
+// dispatch pops the earliest event, advances the clock and executes it. The
+// queue must not be empty.
+func (e *Engine) dispatch() error {
+	if e.head == len(e.buckets[0]) {
+		e.refill()
+	}
+	b0 := e.buckets[0]
+	ev := b0[e.head]
+	b0[e.head].h = nil // a consumed slot keeps nothing reachable
+	e.head++
+	e.pending--
+
+	if ev.at > e.now {
+		e.now = ev.at
 	}
 	e.nexec++
 	if e.limit > 0 && e.nexec > e.limit {
 		return fmt.Errorf("sim: event limit %d exceeded at t=%d", e.limit, e.now)
 	}
-	if h != nil {
-		h.HandleEvent(e, a, b)
-	} else {
-		fn()
-	}
+	ev.h.HandleEvent(e, ev.a, ev.b)
 	return nil
 }
 
-// release returns a slot to the free-list and invalidates its handles.
-func (e *Engine) release(slot int32) {
-	ev := &e.slots[slot]
-	ev.fn, ev.h = nil, nil
-	ev.heapIdx = -1
-	ev.gen++
-	e.free = append(e.free, slot)
-}
-
-// --- indexed 4-ary min-heap over slot ids --------------------------------
-
-// less orders slots by (at, seq); seq is unique, so the order is total.
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// refill empties the consumed bucket 0, advances last to the least time in
+// the lowest non-empty bucket and redistributes that bucket's events, in
+// order, into the buckets their times now select. Every event moves to a
+// strictly lower bucket, and buckets below the source are empty, so each
+// destination receives the source's events in their original order.
+func (e *Engine) refill() {
+	e.buckets[0], e.head = e.buckets[0][:0], 0
+	e.last = e.peek()
+	i := bits.TrailingZeros64(e.mask) + 1
+	src := e.buckets[i]
+	e.mask &^= 1 << (i - 1)
+	for k, ev := range src {
+		src[k].h = nil // the moved copy is the live one
+		j := bits.Len64(uint64(ev.at ^ e.last))
+		if j > 0 {
+			e.mask |= 1 << (j - 1)
+		}
+		e.buckets[j] = append(e.buckets[j], ev)
 	}
-	return sa.seq < sb.seq
-}
-
-func (e *Engine) siftUp(i int) {
-	slot := e.heap[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.less(slot, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		i = p
-	}
-	e.heap[i] = slot
-	e.slots[slot].heapIdx = int32(i)
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	slot := e.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		for c := first + 1; c < min(first+4, n); c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.heap[best], slot) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		i = best
-	}
-	e.heap[i] = slot
-	e.slots[slot].heapIdx = int32(i)
-}
-
-// removeAt deletes the heap entry at position i (used by Cancel).
-func (e *Engine) removeAt(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i < n {
-		e.heap[i] = last
-		e.slots[last].heapIdx = int32(i)
-		e.siftDown(i)
-		if e.heap[i] == last {
-			e.siftUp(i)
-		}
-	}
+	e.buckets[i] = src[:0]
 }
