@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzCandidates$$' -fuzztime $(FUZZTIME) ./internal/topo
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

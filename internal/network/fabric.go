@@ -95,9 +95,6 @@ func (ls *linkState) advance(now, newFreeAt sim.Time) {
 	ls.freeAt = newFreeAt
 }
 
-// numLinkKinds is the number of link tiers, topo.LinkType's values.
-const numLinkKinds = int(topo.LinkGlobal) + 1
-
 // linkKind holds the fixed costs every link of one tier shares: topo wires
 // all links of a LinkType at that tier's width, so propagation, buffer depth
 // and serialization depend on the tier alone.
@@ -244,7 +241,7 @@ type Fabric struct {
 	// kinds, and the tile counters only a traversal writes.
 	links []linkState
 	kind  []topo.LinkType
-	kinds [numLinkKinds]linkKind
+	kinds [topo.NumLinkTypes]linkKind
 	tiles []counters.Tile
 
 	nics []nicState
@@ -299,7 +296,7 @@ func New(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg Confi
 		nics:   make([]nicState, t.NumNodes()),
 		rng:    rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
 	}
-	var widths [numLinkKinds]int
+	var widths [topo.NumLinkTypes]int
 	for i, l := range t.Links() {
 		if w := widths[l.Type]; w != 0 && w != l.Width {
 			return nil, fmt.Errorf("network: %v links have widths %d and %d; costs need one width per tier",
@@ -405,11 +402,18 @@ func (f *Fabric) TileCounters(id topo.LinkID) counters.Tile {
 // IncomingFlits sums the flits forwarded by all links terminating at any of
 // the given routers. It reproduces the "incoming flits" observation an
 // application makes from its allocated routers' tile counters (Table 1).
+// Every link is wired in both directions, so a router's incoming links are
+// the reverses of its outgoing ones, and the walk costs the routers' degree,
+// not the machine's link count.
 func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled uint64) {
-	for _, l := range f.topo.Links() {
-		if routers[l.Dst] {
-			flits += f.tiles[l.ID].FlitsTraversed
-			stalled += f.tiles[l.ID].StalledCycles
+	for r, in := range routers {
+		if !in || r < 0 || int(r) >= f.topo.NumRouters() {
+			continue
+		}
+		for _, out := range f.topo.OutLinks(r) {
+			tile := &f.tiles[f.topo.ReverseLink(out)]
+			flits += tile.FlitsTraversed
+			stalled += tile.StalledCycles
 		}
 	}
 	return flits, stalled
@@ -420,31 +424,42 @@ func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled u
 // kindOf returns the fixed costs of link id's tier.
 func (f *Fabric) kindOf(id topo.LinkID) *linkKind { return &f.kinds[f.kind[id]] }
 
-// CostBelow implements routing.CongestionView in two passes. The first sums
-// the hops' fixed costs (propagation plus serialization, one entry per tier)
-// and stops once that floor reaches bound. Only then are the links' stale
-// (credit-delayed) backlogs added, stopping as soon as the running sum
+// HopCosts implements routing.CongestionView: each tier's propagation plus
+// the serialization of flits.
+func (f *Fabric) HopCosts(flits int) (hop [topo.NumLinkTypes]int64) {
+	for k := range f.kinds {
+		hop[k] = f.kinds[k].propagation + f.kinds[k].serialization(flits)
+	}
+	return hop
+}
+
+// BacklogBelow implements routing.CongestionView: it adds the links' stale
+// (credit-delayed) backlogs to cost, stopping as soon as the running sum
 // reaches bound: backlogs are never negative, so such a path cannot end
 // below it.
-func (f *Fabric) CostBelow(path topo.Path, flits int, now, bound int64) (int64, bool) {
-	var fixed [numLinkKinds]int64
-	for k := range f.kinds {
-		fixed[k] = f.kinds[k].propagation + f.kinds[k].serialization(flits)
-	}
-	var cost int64
-	for _, id := range path {
-		cost += fixed[f.kind[id]]
-	}
-	if cost >= bound {
-		return cost, false
-	}
+func (f *Fabric) BacklogBelow(path topo.Path, now, cost, bound int64) (int64, bool) {
 	for _, id := range path {
 		cost += f.links[id].queue(now, f.cfg.CreditDelay)
 		if cost >= bound {
 			return cost, false
 		}
 	}
-	return cost, true
+	return cost, cost < bound
+}
+
+// CostBelow implements routing.CongestionView: the hops' fixed costs, one
+// HopCosts entry per link's tier, and then, while that floor is below bound,
+// BacklogBelow.
+func (f *Fabric) CostBelow(path topo.Path, flits int, now, bound int64) (int64, bool) {
+	hop := f.HopCosts(flits)
+	var cost int64
+	for _, id := range path {
+		cost += hop[f.kind[id]]
+	}
+	if cost >= bound {
+		return cost, false
+	}
+	return f.BacklogBelow(path, now, cost, bound)
 }
 
 var _ routing.CongestionView = (*Fabric)(nil)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -331,6 +332,60 @@ func TestIncomingFlits(t *testing.T) {
 	empty := map[topo.RouterID]bool{}
 	if fl, st := f.IncomingFlits(empty); fl != 0 || st != 0 {
 		t.Fatal("empty router set must observe nothing")
+	}
+}
+
+// TestIncomingFlitsMatchesLinkScan pins IncomingFlits, which walks the
+// reverses of the given routers' outgoing links, to a scan of every link
+// whose destination is in the set, on a fabric loaded with random adaptive
+// traffic: over random router subsets, the empty set, every router, entries
+// set to false and a router ID outside the machine.
+func TestIncomingFlitsMatchesLinkScan(t *testing.T) {
+	f, tt, eng := testFabric(t, 4, 12)
+	rng := rand.New(rand.NewSource(12))
+	for k := 0; k < 64; k++ {
+		src := topo.NodeID(rng.Intn(tt.NumNodes()))
+		dst := topo.NodeID(rng.Intn(tt.NumNodes()))
+		if err := f.Send(src, dst, int64(1+rng.Intn(1<<14)), SendOptions{Mode: routing.Adaptive}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(routers map[topo.RouterID]bool) (flits, stalled uint64) {
+		for _, l := range tt.Links() {
+			if routers[l.Dst] {
+				flits += f.TileCounters(l.ID).FlitsTraversed
+				stalled += f.TileCounters(l.ID).StalledCycles
+			}
+		}
+		return flits, stalled
+	}
+	all := map[topo.RouterID]bool{}
+	for r := 0; r < tt.NumRouters(); r++ {
+		all[topo.RouterID(r)] = true
+	}
+	sets := []map[topo.RouterID]bool{{}, all, {topo.RouterID(tt.NumRouters()): true, 0: false}}
+	for range 50 {
+		set := map[topo.RouterID]bool{}
+		for r := 0; r < tt.NumRouters(); r++ {
+			if rng.Intn(4) == 0 {
+				set[topo.RouterID(r)] = rng.Intn(3) > 0
+			}
+		}
+		sets = append(sets, set)
+	}
+	for _, set := range sets {
+		gotFlits, gotStalled := f.IncomingFlits(set)
+		wantFlits, wantStalled := scan(set)
+		if gotFlits != wantFlits || gotStalled != wantStalled {
+			t.Fatalf("IncomingFlits(%v) = %d flits, %d stalled; the link scan gives %d, %d",
+				set, gotFlits, gotStalled, wantFlits, wantStalled)
+		}
+	}
+	if flits, stalled := scan(all); flits == 0 || stalled == 0 {
+		t.Fatalf("weak coverage: the load left %d flits and %d stalled cycles", flits, stalled)
 	}
 }
 

@@ -228,10 +228,10 @@ func (r *decisionRing) slot() *TracedDecision {
 // byte stream; with tracing disabled the only hot-path overhead is one nil
 // check in Route.
 func (t *DecisionTrace) record(group int, mode Mode, src, dst topo.RouterID,
-	flits int, now int64, view CongestionView,
-	minimal, nonMinimal []topo.Path, bestMinHops int, bias int64, chosen int) {
+	flits int, now int64, view CongestionView, hop *[topo.NumLinkTypes]int64,
+	cands []topo.Candidate, nMin, bestMinHops int, bias int64, chosen int) {
 
-	total := len(minimal) + len(nonMinimal)
+	total := len(cands)
 	if total == 0 || chosen < 0 || chosen >= total {
 		return
 	}
@@ -259,18 +259,11 @@ func (t *DecisionTrace) record(group int, mode Mode, src, dst topo.RouterID,
 			// the last slot so counterfactual scoring always sees the choice.
 			i = chosen
 		}
-		var path topo.Path
-		isMin := i < len(minimal)
-		if isMin {
-			path = minimal[i]
-		} else {
-			path = nonMinimal[i-len(minimal)]
-		}
 		c := &d.Candidates[s]
-		n := copy(c.Links[:], path)
+		n := copy(c.Links[:], cands[i].Path())
 		c.PathLen = int8(n)
-		c.Minimal = isMin
-		c.RawCost = PathCost(path, flits, view, now)
+		c.Minimal = i < nMin
+		c.RawCost = fullCost(&cands[i], hop, view, now)
 		if i == chosen {
 			d.Chosen = int8(s)
 		}

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dragonfly/internal/topo"
@@ -129,7 +130,9 @@ func TestPropertyValiantIntermediateGroups(t *testing.T) {
 			if gs == gd {
 				continue
 			}
-			path := tp.NonMinimalPath(src, dst, rng)
+			var c topo.Candidate
+			tp.SampleNonMinimal(&c, src, dst, rng)
+			path := c.Path()
 			if err := tp.ValidatePath(src, dst, path); err != nil {
 				t.Fatalf("geometry %+v: %v", cfg, err)
 			}
@@ -158,6 +161,7 @@ func TestPropertyValiantIntermediateGroups(t *testing.T) {
 // non-minimal candidates within the Valiant bound, on randomized geometries.
 func TestPropertyAdaptiveCandidatesRespectBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var buf topo.PathBuffer
 	for g := 0; g < 25; g++ {
 		cfg := randomGeometry(rng)
 		tp := topo.MustNew(cfg)
@@ -166,7 +170,7 @@ func TestPropertyAdaptiveCandidatesRespectBounds(t *testing.T) {
 			dst := topo.RouterID(rng.Intn(tp.NumRouters()))
 			direct := tp.GroupOf(src) == tp.GroupOf(dst) ||
 				len(tp.GlobalLinks(tp.GroupOf(src), tp.GroupOf(dst))) > 0
-			minimal, nonMinimal := tp.SamplePaths(src, dst, 2, 2, rng)
+			minimal, nonMinimal := tp.SamplePathsInto(&buf, src, dst, 2, 2, rng)
 			for _, p := range minimal {
 				if err := tp.ValidatePath(src, dst, p); err != nil {
 					t.Fatalf("geometry %+v: minimal candidate: %v", cfg, err)
@@ -188,26 +192,52 @@ func TestPropertyAdaptiveCandidatesRespectBounds(t *testing.T) {
 }
 
 // backlogView is a congestion view with a fixed non-negative backlog per
-// link. Its CostBelow prunes like the fabric's: it sums the fixed per-hop
-// floor, then adds backlogs until the running sum reaches the bound, and a
-// path that is not below the bound reports that partial sum (or the bound
-// itself), not its cost, so a caller that used the value would go wrong.
+// link and a fixed hop cost per link tier. It prunes like the fabric: once
+// the running sum reaches the bound it stops and reports that partial sum
+// (or the bound itself), not the path's cost, so a caller that used the
+// value would go wrong.
 type backlogView struct {
 	backlog []int64
-	prop    int64
-	pruned  *int // CostBelow calls that answered "not below"
+	tier    []topo.LinkType
+	prop    [topo.NumLinkTypes]int64
+	pruned  *int // BacklogBelow and CostBelow calls that answered "not below"
+}
+
+func newBacklogView(tp *topo.Topology, rng *rand.Rand, pruned *int) backlogView {
+	v := backlogView{backlog: make([]int64, tp.NumLinks()), tier: make([]topo.LinkType, tp.NumLinks()), pruned: pruned}
+	for i, l := range tp.Links() {
+		v.tier[i] = l.Type
+	}
+	for k := range v.prop {
+		v.prop[k] = 1 + rng.Int63n(200)
+	}
+	return v
+}
+
+func (v backlogView) floor(path topo.Path, flits int) int64 {
+	var cost int64
+	for _, id := range path {
+		cost += v.prop[v.tier[id]] + int64(flits)
+	}
+	return cost
 }
 
 func (v backlogView) fullCost(path topo.Path, flits int) int64 {
-	cost := int64(len(path)) * (v.prop + int64(flits))
+	cost := v.floor(path, flits)
 	for _, id := range path {
 		cost += v.backlog[id]
 	}
 	return cost
 }
 
-func (v backlogView) CostBelow(path topo.Path, flits int, _, bound int64) (int64, bool) {
-	cost := int64(len(path)) * (v.prop + int64(flits))
+func (v backlogView) HopCosts(flits int) (hop [topo.NumLinkTypes]int64) {
+	for k := range hop {
+		hop[k] = v.prop[k] + int64(flits)
+	}
+	return hop
+}
+
+func (v backlogView) BacklogBelow(path topo.Path, _, cost, bound int64) (int64, bool) {
 	if cost >= bound {
 		*v.pruned++
 		return bound, false
@@ -220,6 +250,10 @@ func (v backlogView) CostBelow(path topo.Path, flits int, _, bound int64) (int64
 		}
 	}
 	return cost, true
+}
+
+func (v backlogView) CostBelow(path topo.Path, flits int, now, bound int64) (int64, bool) {
+	return v.BacklogBelow(path, now, v.floor(path, flits), bound)
 }
 
 // fullArgmin is the reference UGAL decision: it samples the candidates Route
@@ -261,7 +295,7 @@ func TestPropertyPrunedRouteMatchesFullArgmin(t *testing.T) {
 	for g := 0; g < 12; g++ {
 		tp := topo.MustNew(randomGeometry(rng))
 		pol := MustNewPolicy(tp, params)
-		view := backlogView{backlog: make([]int64, tp.NumLinks()), prop: 1 + rng.Int63n(200), pruned: &pruned}
+		view := newBacklogView(tp, rng, &pruned)
 		for trial := 0; trial < 60; trial++ {
 			for i := range view.backlog {
 				view.backlog[i] = 0
@@ -297,5 +331,92 @@ func TestPropertyPrunedRouteMatchesFullArgmin(t *testing.T) {
 	// happened and both kinds of candidate must have won.
 	if pruned == 0 || nonMinimal == 0 || nonMinimal == decisions {
 		t.Fatalf("weak coverage: %d pruned costings, %d of %d decisions non-minimal", pruned, nonMinimal, decisions)
+	}
+}
+
+// countingView records the calls Route makes on a backlogView.
+type countingView struct {
+	backlogView
+	hopCalls int
+	reads    []topo.Path // the path of each BacklogBelow call, copied
+}
+
+func (v *countingView) HopCosts(flits int) [topo.NumLinkTypes]int64 {
+	v.hopCalls++
+	return v.backlogView.HopCosts(flits)
+}
+
+func (v *countingView) BacklogBelow(path topo.Path, now, cost, bound int64) (int64, bool) {
+	v.reads = append(v.reads, slices.Clone(path))
+	return v.backlogView.BacklogBelow(path, now, cost, bound)
+}
+
+// TestRouteReadsBacklogsOnlyWhileCandidateCanWin counts Route's view calls on
+// random geometries, backlogs and adaptive modes. A decision asks for one
+// HopCosts table. Walking the reference candidates in Route's order against
+// the running best of a full costing, a candidate whose floor already
+// reaches its bound must get no view call, and every other candidate
+// exactly one BacklogBelow call, in order.
+func TestRouteReadsBacklogsOnlyWhileCandidateCanWin(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	params := DefaultParams()
+	adaptive := []Mode{Adaptive, IncreasinglyMinimalBias, AdaptiveLowBias, AdaptiveHighBias}
+	var pruned, skipped, read int
+	var buf topo.PathBuffer
+	for g := 0; g < 25; g++ {
+		tp := topo.MustNew(randomGeometry(rng))
+		pol := MustNewPolicy(tp, params)
+		view := &countingView{backlogView: newBacklogView(tp, rng, &pruned)}
+		for trial := 0; trial < 40; trial++ {
+			for i := range view.backlog {
+				view.backlog[i] = 0
+				if rng.Intn(2) == 0 {
+					view.backlog[i] = rng.Int63n(3 * params.HighBiasCycles)
+				}
+			}
+			src := topo.RouterID(rng.Intn(tp.NumRouters()))
+			dst := topo.RouterID(rng.Intn(tp.NumRouters()))
+			if src == dst {
+				continue
+			}
+			for _, mode := range adaptive {
+				seed := rng.Int63()
+				minimal, nonMinimal := tp.SamplePathsInto(&buf, src, dst,
+					params.MinimalCandidates, params.NonMinimalCandidates, rand.New(rand.NewSource(seed)))
+				bestMinHops := topo.MaxMinimalHops
+				for _, cand := range minimal {
+					bestMinHops = min(bestMinHops, len(cand))
+				}
+				var want []topo.Path
+				best := int64(1) << 62
+				for i, cand := range append(slices.Clone(minimal), nonMinimal...) {
+					var bias int64
+					if i >= len(minimal) {
+						bias = params.BiasFor(mode, bestMinHops)
+					}
+					if view.floor(cand, 5) >= best-bias {
+						skipped++
+						continue
+					}
+					want = append(want, cand)
+					if c := view.fullCost(cand, 5) + bias; c < best {
+						best = c
+					}
+				}
+				view.hopCalls, view.reads = 0, view.reads[:0]
+				pol.Route(mode, src, dst, 5, 0, view, 0, rand.New(rand.NewSource(seed)))
+				if view.hopCalls != 1 {
+					t.Fatalf("%s %d->%d: %d HopCosts calls, want 1", mode, src, dst, view.hopCalls)
+				}
+				if !slices.EqualFunc(view.reads, want, slices.Equal) {
+					t.Fatalf("%s %d->%d: Route read the backlogs of %v, want %v", mode, src, dst, view.reads, want)
+				}
+				read += len(want)
+			}
+		}
+	}
+	if skipped == 0 || pruned == 0 || read == 0 {
+		t.Fatalf("weak coverage: %d candidates skipped on their floor, %d backlog reads, %d of them stopped early",
+			skipped, read, pruned)
 	}
 }

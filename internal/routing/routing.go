@@ -123,15 +123,27 @@ func (m Mode) IsAdaptive() bool {
 // the network state. It is implemented by the network fabric. The view is
 // allowed to be stale (credit information propagates with a delay), which is
 // what produces the phantom-congestion behaviour discussed in the paper.
+//
+// A path's cost is, per hop, the link's perceived backlog (never negative,
+// subject to credit staleness), plus its propagation delay, plus the time to
+// serialize the packet's flits onto it. The last two are fixed per link
+// tier, so Route prices a candidate's fixed floor from its per-tier hop
+// counts and one HopCosts table, and reads backlogs only for a candidate
+// whose floor can still win.
 type CongestionView interface {
-	// CostBelow estimates the cost, in cycles, of one packet of the given
-	// flit count crossing path at time now: the sum over its hops of the
-	// link's perceived backlog (never negative, subject to credit
-	// staleness), plus its propagation delay, plus the time to serialize the
-	// flits onto it. below reports cost < bound. When the cost is not below
-	// bound the view may stop summing early and return any value >= bound,
-	// which lets Route skip the backlog reads of a candidate that can no
-	// longer win.
+	// HopCosts returns, indexed by link tier, the fixed cost in cycles of
+	// one hop for a packet of the given flit count: propagation plus
+	// serialization.
+	HopCosts(flits int) [topo.NumLinkTypes]int64
+	// BacklogBelow adds to cost the perceived backlog at now of each link
+	// of path, in order, and reports whether the sum is below bound. Once
+	// the sum reaches bound the view may stop and return any value >= bound,
+	// which lets Route skip the rest of a candidate that can no longer win.
+	BacklogBelow(path topo.Path, now, cost, bound int64) (int64, bool)
+	// CostBelow is the cost of one packet of the given flit count crossing
+	// path at now, with below reporting cost < bound; when the cost is not
+	// below bound the view may return any value >= bound. It serves paths
+	// whose tiers the caller does not know (PathCost).
 	CostBelow(path topo.Path, flits int, now, bound int64) (cost int64, below bool)
 }
 
@@ -195,7 +207,7 @@ type Decision struct {
 
 // Policy selects paths for packets according to a routing mode.
 //
-// A Policy owns reusable candidate-path storage: the Path inside a returned
+// A Policy owns reusable candidate storage: the Path inside a returned
 // Decision aliases that storage and is only valid until the next Route call
 // on the same Policy. The fabric consumes the path within the same event;
 // callers that retain paths must copy them. Policies are consequently not
@@ -205,15 +217,12 @@ type Policy struct {
 	topo   *topo.Topology
 	params Params
 
-	// pathBuf holds the adaptive modes' candidate paths; hashScratch holds
-	// the single path of the hashed/in-order modes; hashRng is the
-	// deterministic per-packet stream of the hashed modes, reseeded per
-	// packet instead of reallocated. Together they make Route allocation-free
-	// after warm-up — path sampling runs once per simulated packet and used
-	// to dominate the simulator's allocation profile.
-	pathBuf     topo.PathBuffer
-	hashScratch topo.Path
-	hashRng     *rand.Rand
+	// cands holds one decision's candidates, the minimal ones first; the
+	// single path of the hashed and in-order modes goes in cands[0].
+	// hashRng is the deterministic per-packet stream of the hashed modes,
+	// reseeded per packet instead of reallocated. Route allocates nothing.
+	cands   []topo.Candidate
+	hashRng *rand.Rand
 
 	// trace, when non-nil, records every adaptive decision with its candidate
 	// costs. Off by default; the disabled cost is one nil check per Route.
@@ -225,7 +234,11 @@ func NewPolicy(t *topo.Topology, params Params) (*Policy, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Policy{topo: t, params: params}, nil
+	return &Policy{
+		topo:   t,
+		params: params,
+		cands:  make([]topo.Candidate, params.MinimalCandidates+params.NonMinimalCandidates),
+	}, nil
 }
 
 // MustNewPolicy is like NewPolicy but panics on invalid parameters.
@@ -258,25 +271,19 @@ func PathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
 	return cost
 }
 
-// hashPath returns a deterministic path for the hashed (non-adaptive) modes.
-// The result aliases the policy's scratch storage.
-func (p *Policy) hashPath(src, dst topo.RouterID, hash uint64, minimal bool) topo.Path {
-	// Derive a deterministic RNG from the hash so that different hash values
-	// spread over the available paths while identical headers reuse the path.
-	// Reseeding the policy's private Rand replays the exact stream a freshly
-	// constructed one would produce, without the per-packet allocation.
-	seed := int64(hash ^ uint64(src)<<32 ^ uint64(dst))
-	if p.hashRng == nil {
-		p.hashRng = rand.New(rand.NewSource(seed))
-	} else {
-		p.hashRng.Seed(seed)
+// floor is a candidate's fixed cost, from its hop count on each tier.
+func floor(c *topo.Candidate, hop *[topo.NumLinkTypes]int64) int64 {
+	var f int64
+	for k, n := range c.Tiers() {
+		f += int64(n) * hop[k]
 	}
-	if minimal {
-		p.hashScratch = p.topo.AppendMinimalPath(p.hashScratch[:0], src, dst, p.hashRng)
-	} else {
-		p.hashScratch = p.topo.AppendNonMinimalPath(p.hashScratch[:0], src, dst, p.hashRng)
-	}
-	return p.hashScratch
+	return f
+}
+
+// fullCost is PathCost for a sampled candidate.
+func fullCost(c *topo.Candidate, hop *[topo.NumLinkTypes]int64, view CongestionView, now int64) int64 {
+	cost, _ := view.BacklogBelow(c.Path(), now, floor(c, hop), math.MaxInt64)
+	return cost
 }
 
 // BiasFor returns the additive non-minimal bias for the mode, given the
@@ -320,51 +327,82 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 		return Decision{Path: nil, Minimal: true, Cost: 0}
 	}
 	switch mode {
-	case MinHash:
-		path := p.hashPath(src, dst, hash, true)
-		return Decision{Path: path, Minimal: true, Cost: PathCost(path, flits, view, now)}
-	case NonMinHash:
-		path := p.hashPath(src, dst, hash, false)
-		return Decision{Path: path, Minimal: false, Cost: PathCost(path, flits, view, now)}
-	case InOrder:
-		p.hashScratch = p.topo.AppendMinimalPath(p.hashScratch[:0], src, dst, nil)
-		path := p.hashScratch
-		return Decision{Path: path, Minimal: true, Cost: PathCost(path, flits, view, now)}
+	case MinHash, NonMinHash, InOrder:
+		return p.routeFixed(mode, src, dst, flits, hash, view, now)
 	}
 
 	// Adaptive modes: sample candidates and pick the cheapest after bias.
-	minimal, nonMinimal := p.topo.SamplePathsInto(&p.pathBuf, src, dst,
-		p.params.MinimalCandidates, p.params.NonMinimalCandidates, rng)
-
-	best := Decision{Cost: int64(1) << 62}
-	bestIdx := -1
-	bestMinHops := topo.MaxMinimalHops
-	for _, cand := range minimal {
-		if len(cand) < bestMinHops {
-			bestMinHops = len(cand)
+	nMin := p.params.MinimalCandidates
+	for i := range p.cands {
+		if i < nMin {
+			p.topo.SampleMinimal(&p.cands[i], src, dst, rng)
+		} else {
+			p.topo.SampleNonMinimal(&p.cands[i], src, dst, rng)
 		}
 	}
-	// Each candidate is costed against the best biased cost so far, so the
-	// view stops reading a candidate's backlogs once it can no longer win the
-	// strict-< argmin; the winner and its cost are those of a full costing.
-	for i, cand := range minimal {
-		if c, below := view.CostBelow(cand, flits, now, best.Cost); below {
-			best = Decision{Path: cand, Minimal: true, Cost: c}
+	bestMinHops := topo.MaxMinimalHops
+	for i := range p.cands[:nMin] {
+		bestMinHops = min(bestMinHops, p.cands[i].Hops())
+	}
+	nonMinBias := p.bias(mode, bestMinHops)
+	hop := view.HopCosts(flits)
+
+	// Each candidate is costed against the best biased cost so far. Its
+	// floor needs no view call, and its backlogs are read only while it can
+	// still win the strict-< argmin, so the winner and its cost are those of
+	// a full costing.
+	best := Decision{Cost: int64(1) << 62}
+	bestIdx := -1
+	for i := range p.cands {
+		c := &p.cands[i]
+		var bias int64
+		if i >= nMin {
+			bias = nonMinBias
+		}
+		bound := best.Cost - bias
+		f := floor(c, &hop)
+		if f >= bound {
+			continue
+		}
+		if cost, below := view.BacklogBelow(c.Path(), now, f, bound); below {
+			best = Decision{Path: c.Path(), Minimal: i < nMin, Cost: cost + bias}
 			bestIdx = i
 		}
 	}
-	nonMinBias := p.bias(mode, bestMinHops)
-	for i, cand := range nonMinimal {
-		if c, below := view.CostBelow(cand, flits, now, best.Cost-nonMinBias); below {
-			best = Decision{Path: cand, Minimal: false, Cost: c + nonMinBias}
-			bestIdx = len(minimal) + i
-		}
-	}
 	if p.trace != nil {
-		p.trace.record(int(p.topo.GroupOf(src)), mode, src, dst, flits, now, view,
-			minimal, nonMinimal, bestMinHops, nonMinBias, bestIdx)
+		p.trace.record(int(p.topo.GroupOf(src)), mode, src, dst, flits, now, view, &hop,
+			p.cands, nMin, bestMinHops, nonMinBias, bestIdx)
 	}
 	return best
+}
+
+// routeFixed routes along the single path of a deterministic mode. The
+// hashed modes sample it with a stream seeded from the packet header, so
+// different hash values spread over the available paths while identical
+// headers reuse the path; reseeding the policy's private Rand replays the
+// exact stream a freshly constructed one would produce, without the
+// per-packet allocation. InOrder takes the first alternative everywhere.
+func (p *Policy) routeFixed(mode Mode, src, dst topo.RouterID, flits int, hash uint64,
+	view CongestionView, now int64) Decision {
+
+	c := &p.cands[0]
+	if mode == InOrder {
+		p.topo.SampleMinimal(c, src, dst, nil)
+	} else {
+		seed := int64(hash ^ uint64(src)<<32 ^ uint64(dst))
+		if p.hashRng == nil {
+			p.hashRng = rand.New(rand.NewSource(seed))
+		} else {
+			p.hashRng.Seed(seed)
+		}
+		if mode == MinHash {
+			p.topo.SampleMinimal(c, src, dst, p.hashRng)
+		} else {
+			p.topo.SampleNonMinimal(c, src, dst, p.hashRng)
+		}
+	}
+	hop := view.HopCosts(flits)
+	return Decision{Path: c.Path(), Minimal: mode != NonMinHash, Cost: fullCost(c, &hop, view, now)}
 }
 
 // ZeroView is a CongestionView that reports an idle network. It is useful for
@@ -374,6 +412,20 @@ type ZeroView struct {
 	Propagation int64
 	// CyclesPerFlit is the constant serialization rate returned for every link.
 	CyclesPerFlit int64
+}
+
+// HopCosts implements CongestionView: every tier costs the constant
+// propagation plus flits times the constant serialization rate.
+func (v ZeroView) HopCosts(flits int) (hop [topo.NumLinkTypes]int64) {
+	for k := range hop {
+		hop[k] = v.Propagation + v.CyclesPerFlit*int64(flits)
+	}
+	return hop
+}
+
+// BacklogBelow implements CongestionView: there is no backlog to add.
+func (ZeroView) BacklogBelow(_ topo.Path, _, cost, bound int64) (int64, bool) {
+	return cost, cost < bound
 }
 
 // CostBelow implements CongestionView: no backlog, so every hop costs the

@@ -231,12 +231,22 @@ type congestedView struct {
 	prop      int64
 }
 
-func (v congestedView) CostBelow(path topo.Path, flits int, _, bound int64) (int64, bool) {
-	var cost int64
+func (v congestedView) HopCosts(flits int) (hop [topo.NumLinkTypes]int64) {
+	for k := range hop {
+		hop[k] = v.prop + int64(flits)
+	}
+	return hop
+}
+
+func (v congestedView) BacklogBelow(path topo.Path, _, cost, bound int64) (int64, bool) {
 	for _, id := range path {
-		cost += v.congested[id] + v.prop + int64(flits)
+		cost += v.congested[id]
 	}
 	return cost, cost < bound
+}
+
+func (v congestedView) CostBelow(path topo.Path, flits int, now, bound int64) (int64, bool) {
+	return v.BacklogBelow(path, now, int64(len(path))*(v.prop+int64(flits)), bound)
 }
 
 func TestAdaptiveAvoidsCongestedMinimal(t *testing.T) {

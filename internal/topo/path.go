@@ -20,209 +20,220 @@ const MaxMinimalHops = 5
 // (two concatenated minimal segments via an intermediate group).
 const MaxNonMinimalHops = 10
 
-// The path constructors come in two flavours: the historical allocating form
-// (MinimalPath, NonMinimalPath, SamplePaths) and an appending form
-// (AppendMinimalPath, AppendNonMinimalPath, SamplePathsInto) that reuses
-// caller-owned storage. Both draw from rng in exactly the same order and
-// produce exactly the same links, so they are interchangeable without
-// affecting simulation results; the appending form exists because path
-// sampling runs once per simulated packet and used to dominate the
-// simulator's allocation profile.
+// Candidate is one sampled path in fixed storage: its links and its hop count
+// on each link tier. Path sampling runs once per candidate per simulated
+// packet, so a candidate is filled in place, with no slice to grow, and the
+// router prices its fixed cost from the tier counts without reading a link.
+// The zero value is an empty path.
+type Candidate struct {
+	links [MaxNonMinimalHops]LinkID
+	n     uint8
+	tiers [NumLinkTypes]uint8
+}
 
-// appendIntraGroupPath appends one path between two routers of the same group
-// to p, choosing randomly between the two 2-hop alternatives when they are not
-// directly connected. It panics if the routers are in different groups.
-func (t *Topology) appendIntraGroupPath(p Path, src, dst RouterID, rng *rand.Rand) Path {
+// Path returns the candidate's links. The result aliases c: it is valid
+// until c is sampled again.
+func (c *Candidate) Path() Path { return c.links[:c.n] }
+
+// Hops returns the number of hops of the candidate.
+func (c *Candidate) Hops() int { return int(c.n) }
+
+// Tiers returns the candidate's hop count on each link tier, indexed by
+// LinkType.
+func (c *Candidate) Tiers() [NumLinkTypes]uint8 { return c.tiers }
+
+func (c *Candidate) add(id LinkID, tier LinkType) {
+	c.links[c.n] = id
+	c.n++
+	c.tiers[tier]++
+}
+
+// SampleMinimal fills c with one minimal path from src to dst. For inter-group
+// pairs the gateway global link is chosen uniformly at random among the links
+// connecting the two groups; a local segment between routers that are not
+// directly connected chooses randomly between its two 2-hop alternatives.
+// rng may be nil for a deterministic (first-alternative) choice. Each random
+// choice takes from rng exactly what rng.Intn would, in a fixed order, so the
+// simulated stream does not depend on how the path is built.
+func (t *Topology) SampleMinimal(c *Candidate, src, dst RouterID, rng *rand.Rand) {
+	c.n, c.tiers = 0, [NumLinkTypes]uint8{}
+	t.minimal(c, src, t.places[src], dst, t.places[dst], rng)
+}
+
+// SampleNonMinimal fills c with one Valiant-style non-minimal path from src
+// to dst. With more than two groups an inter-group path traverses a random
+// intermediate group, entering and leaving it through random gateways; other
+// pairs detour through a random router of the source group that is neither
+// endpoint, and fall back to a minimal path after eight draws that hit one.
+// rng may be nil for a deterministic choice; draws are made as in
+// SampleMinimal.
+func (t *Topology) SampleNonMinimal(c *Candidate, src, dst RouterID, rng *rand.Rand) {
+	c.n, c.tiers = 0, [NumLinkTypes]uint8{}
 	if src == dst {
-		return p
+		return
 	}
-	cs, cd := t.coords[src], t.coords[dst]
-	if cs.Group != cd.Group {
-		panic(fmt.Sprintf("topo: intraGroupPath called across groups %d and %d", cs.Group, cd.Group))
+	ps, pd := t.places[src], t.places[dst]
+	if ps.group != pd.group && t.cfg.Groups > 2 {
+		t.valiant(c, src, ps, dst, pd, rng)
+		return
 	}
-	if id := t.localLink(src, cs, cd); id != InvalidLink {
-		return append(p, id)
-	}
-	// Not directly connected, so the two routers differ in both chassis and
-	// blade, and both 2-hop alternatives are wired: chassis-first (to dst's
-	// blade in src's chassis, then along the row) or row-first (to src's
-	// blade in dst's chassis, then within that chassis).
-	via := Coord{cs.Group, cs.Chassis, cd.Blade}
-	if rng != nil && rng.Intn(2) == 1 {
-		via = Coord{cs.Group, cd.Chassis, cs.Blade}
-	}
-	return append(p, t.localLink(src, cs, via), t.localLink(t.RouterAt(via), via, cd))
-}
-
-// MinimalPath samples one minimal path from src to dst. For inter-group pairs
-// the global link is chosen uniformly at random among the links connecting the
-// two groups; local segments choose randomly among equal-length alternatives.
-// rng may be nil for a deterministic (first-alternative) choice.
-func (t *Topology) MinimalPath(src, dst RouterID, rng *rand.Rand) Path {
-	return t.AppendMinimalPath(nil, src, dst, rng)
-}
-
-// AppendMinimalPath is MinimalPath appending into p instead of allocating.
-func (t *Topology) AppendMinimalPath(p Path, src, dst RouterID, rng *rand.Rand) Path {
-	if src == dst {
-		return p
-	}
-	gs, gd := t.GroupOf(src), t.GroupOf(dst)
-	if gs == gd {
-		return t.appendIntraGroupPath(p, src, dst, rng)
-	}
-	links := t.GlobalLinks(gs, gd)
-	if len(links) == 0 {
-		// No direct group-to-group connection: fall back to a Valiant path
-		// through an intermediate group that connects to both.
-		return t.appendThroughIntermediateGroup(p, src, dst, rng)
-	}
-	var gl LinkID
-	if rng != nil {
-		gl = links[rng.Intn(len(links))]
-	} else {
-		gl = links[0]
-	}
-	l := t.Link(gl)
-	p = t.appendIntraGroupPath(p, src, l.Src, rng)
-	p = append(p, gl)
-	return t.appendIntraGroupPath(p, l.Dst, dst, rng)
-}
-
-// appendThroughIntermediateGroup appends a path src -> (router in group gi) ->
-// dst where gi is a randomly chosen group different from both endpoints'
-// groups and connected to both (the candidate set is precomputed per group
-// pair at construction). It is used both for Valiant non-minimal routing and
-// as a fallback when two groups have no direct link. When no usable
-// intermediate group and no direct link exists, p is returned unchanged
-// (the caller treats the pair as unreachable).
-func (t *Topology) appendThroughIntermediateGroup(p Path, src, dst RouterID, rng *rand.Rand) Path {
-	gs, gd := t.GroupOf(src), t.GroupOf(dst)
-	candidates := t.viaGroups[int(gs)*t.cfg.Groups+int(gd)]
-	if len(candidates) == 0 {
-		// No usable intermediate group; as a last resort return a direct
-		// minimal path if one exists.
-		if links := t.GlobalLinks(gs, gd); len(links) > 0 {
-			return t.AppendMinimalPath(p, src, dst, rng)
-		}
-		return p
-	}
-	var gi GroupID
-	if rng != nil {
-		gi = candidates[rng.Intn(len(candidates))]
-	} else {
-		gi = candidates[0]
-	}
-	// Enter the intermediate group through one of its inbound global links and
-	// leave through one of its outbound links towards the destination group.
-	in := t.GlobalLinks(gs, gi)
-	out := t.GlobalLinks(gi, gd)
-	var inL, outL LinkID
-	if rng != nil {
-		inL, outL = in[rng.Intn(len(in))], out[rng.Intn(len(out))]
-	} else {
-		inL, outL = in[0], out[0]
-	}
-	li, lo := t.Link(inL), t.Link(outL)
-	p = t.appendIntraGroupPath(p, src, li.Src, rng)
-	p = append(p, inL)
-	p = t.appendIntraGroupPath(p, li.Dst, lo.Src, rng)
-	p = append(p, outL)
-	return t.appendIntraGroupPath(p, lo.Dst, dst, rng)
-}
-
-// NonMinimalPath samples one Valiant-style non-minimal path from src to dst.
-// For inter-group pairs the path traverses a random intermediate group; for
-// intra-group pairs it traverses a random intermediate router of the same
-// group. rng may be nil for a deterministic choice.
-func (t *Topology) NonMinimalPath(src, dst RouterID, rng *rand.Rand) Path {
-	return t.AppendNonMinimalPath(nil, src, dst, rng)
-}
-
-// AppendNonMinimalPath is NonMinimalPath appending into p instead of
-// allocating.
-func (t *Topology) AppendNonMinimalPath(p Path, src, dst RouterID, rng *rand.Rand) Path {
-	if src == dst {
-		return p
-	}
-	gs, gd := t.GroupOf(src), t.GroupOf(dst)
-	if gs != gd && t.cfg.Groups > 2 {
-		if q := t.appendThroughIntermediateGroup(p, src, dst, rng); len(q) > len(p) {
-			return q
-		}
-	}
-	// Intra-group (or two-group systems): detour through an intermediate
-	// router of the source group.
-	perGroup := t.cfg.RoutersPerGroup()
-	base := int(gs) * perGroup
+	first := src - RouterID(int(ps.chassis)*t.cfg.BladesPerChassis+int(ps.blade)) // the group's router 0
 	var via RouterID
 	for attempt := 0; attempt < 8; attempt++ {
-		idx := 0
+		var idx int
 		if rng != nil {
-			idx = rng.Intn(perGroup)
+			idx = t.drawRouter.from(rng)
 		} else {
-			idx = attempt
+			idx = attempt % t.cfg.RoutersPerGroup()
 		}
-		via = RouterID(base + idx%perGroup)
+		via = first + RouterID(idx)
 		if via != src && via != dst {
 			break
 		}
 	}
 	if via == src || via == dst {
-		return t.AppendMinimalPath(p, src, dst, rng)
+		t.minimal(c, src, ps, dst, pd, rng)
+		return
 	}
-	p = t.appendIntraGroupPath(p, src, via, rng)
-	if gs == gd {
-		return t.appendIntraGroupPath(p, via, dst, rng)
-	}
-	return t.AppendMinimalPath(p, via, dst, rng)
+	pv := t.places[via]
+	t.local(c, src, ps, via, pv, rng)
+	t.minimal(c, via, pv, dst, pd, rng)
 }
 
-// PathBuffer holds reusable candidate-path storage for SamplePathsInto. The
-// zero value is ready to use. A buffer must not be shared across goroutines;
-// the routing policy owns one per simulated system.
-type PathBuffer struct {
-	minimal    []Path
-	nonMinimal []Path
+// minimal appends a minimal path from a to b: a local segment within one
+// group, or local-gateway-local across two.
+func (t *Topology) minimal(c *Candidate, a RouterID, pa place, b RouterID, pb place, rng *rand.Rand) {
+	if pa.group == pb.group {
+		t.local(c, a, pa, b, pb, rng)
+		return
+	}
+	g := t.pickGate(pa.group, pb.group, rng)
+	t.local(c, a, pa, g.src, t.places[g.src], rng)
+	c.add(g.id, LinkGlobal)
+	t.local(c, g.dst, t.places[g.dst], b, pb, rng)
 }
 
-// growPaths extends ps to n entries, keeping the backing arrays of existing
-// entries for reuse.
-func growPaths(ps []Path, n int) []Path {
-	if cap(ps) < n {
-		ps = append(ps[:cap(ps)], make([]Path, n-cap(ps))...)
+// valiant appends a path from a to b through an intermediate group drawn
+// among the groups other than both endpoints'. Every two groups are directly
+// connected (see buildGates), so each of them qualifies.
+func (t *Topology) valiant(c *Candidate, a RouterID, pa place, b RouterID, pb place, rng *rand.Rand) {
+	var via int32
+	if rng != nil {
+		via = int32(t.drawVia.from(rng))
 	}
-	return ps[:n]
+	// via indexes the other groups in ascending order: step over the
+	// endpoints' groups.
+	if via >= min(pa.group, pb.group) {
+		via++
+	}
+	if via >= max(pa.group, pb.group) {
+		via++
+	}
+	in := t.pickGate(pa.group, via, rng)
+	out := t.pickGate(via, pb.group, rng)
+	t.local(c, a, pa, in.src, t.places[in.src], rng)
+	c.add(in.id, LinkGlobal)
+	t.local(c, in.dst, t.places[in.dst], out.src, t.places[out.src], rng)
+	c.add(out.id, LinkGlobal)
+	t.local(c, out.dst, t.places[out.dst], b, pb, rng)
 }
 
-// SamplePaths returns nMin minimal and nNonMin non-minimal candidate paths,
-// mirroring the Aries UGAL implementation which considers two of each per
-// packet. Candidates may coincide when few distinct paths exist.
-func (t *Topology) SamplePaths(src, dst RouterID, nMin, nNonMin int, rng *rand.Rand) (minimal, nonMinimal []Path) {
-	var buf PathBuffer
-	return t.SamplePathsInto(&buf, src, dst, nMin, nNonMin, rng)
+// pickGate returns a gateway from group g1 to group g2: drawn uniformly, or
+// the first one in wiring order when rng is nil.
+func (t *Topology) pickGate(g1, g2 int32, rng *rand.Rand) *gate {
+	pr := &t.pairs[int(g1)*t.cfg.Groups+int(g2)]
+	i := int(pr.off)
+	if rng != nil {
+		i += pr.draw.from(rng)
+	}
+	return &t.gates[i]
 }
 
-// SamplePathsInto is SamplePaths sampling into buf: the returned slices (and
-// the paths they hold) alias the buffer and are valid until the next call
-// with the same buffer. It draws from rng exactly like SamplePaths, so the
-// two are interchangeable without affecting results.
-func (t *Topology) SamplePathsInto(buf *PathBuffer, src, dst RouterID, nMin, nNonMin int, rng *rand.Rand) (minimal, nonMinimal []Path) {
-	buf.minimal = growPaths(buf.minimal, nMin)
-	buf.nonMinimal = growPaths(buf.nonMinimal, nNonMin)
-	for i := 0; i < nMin; i++ {
-		buf.minimal[i] = t.AppendMinimalPath(buf.minimal[i][:0], src, dst, rng)
+// local appends the path between two routers of one group: nothing for the
+// same router, the direct link, or one of the two 2-hop alternatives.
+func (t *Topology) local(c *Candidate, a RouterID, pa place, b RouterID, pb place, rng *rand.Rand) {
+	switch {
+	case a == b:
+	case pa.chassis == pb.chassis:
+		c.add(t.localLink(a, pa, pb), LinkIntraChassis)
+	case pa.blade == pb.blade:
+		c.add(t.localLink(a, pa, pb), LinkIntraGroup)
+	default:
+		// Not directly connected, so the two routers differ in both chassis
+		// and blade, and both 2-hop alternatives are wired: chassis-first
+		// (to b's blade in a's chassis, then along the row) or row-first
+		// (to a's blade in b's chassis, then within that chassis). Either
+		// crosses one link of each local tier. In localLink's numbering the
+		// first hop leaves a by its port towards b's blade (chassis-first)
+		// or b's chassis (row-first); the intermediate router, bladeStep or
+		// chassisStep routers from a, leaves by its port towards the other.
+		// The draw is a fair coin, so the choice is made by masking, not by
+		// a branch that would be mispredicted half the time.
+		toBlade := skipSelf(pb.blade, pa.blade)
+		toChassis := t.cfg.BladesPerChassis - 1 + skipSelf(pb.chassis, pa.chassis)
+		bladeStep := int(pb.blade - pa.blade)
+		chassisStep := int(pb.chassis-pa.chassis) * t.cfg.BladesPerChassis
+		var rowFirst int
+		if rng != nil {
+			rowFirst = t.drawTwo.from(rng)
+		}
+		base := int(a) * t.localDegree
+		c.links[c.n] = LinkID(base + choose(rowFirst, toBlade, toChassis))
+		c.links[c.n+1] = LinkID(base + choose(rowFirst, bladeStep, chassisStep)*t.localDegree +
+			choose(rowFirst, toChassis, toBlade))
+		c.n += 2
+		c.tiers[LinkIntraChassis]++
+		c.tiers[LinkIntraGroup]++
 	}
-	for i := 0; i < nNonMin; i++ {
-		buf.nonMinimal[i] = t.AppendNonMinimalPath(buf.nonMinimal[i][:0], src, dst, rng)
-	}
-	return buf.minimal, buf.nonMinimal
+}
+
+// choose returns x when k is 0 and y when k is 1, by masking.
+func choose(k, x, y int) int { return x ^ (x^y)&-k }
+
+// MinimalPath returns, in a new slice, one minimal path from src to dst
+// sampled as SampleMinimal samples it.
+func (t *Topology) MinimalPath(src, dst RouterID, rng *rand.Rand) Path {
+	var c Candidate
+	t.SampleMinimal(&c, src, dst, rng)
+	return append(Path(nil), c.Path()...)
 }
 
 // MinimalHops returns the number of hops of a minimal path between the two
 // routers (deterministic, no sampling).
 func (t *Topology) MinimalHops(src, dst RouterID) int {
-	return len(t.MinimalPath(src, dst, nil))
+	var c Candidate
+	t.SampleMinimal(&c, src, dst, nil)
+	return c.Hops()
+}
+
+// PathBuffer holds reusable candidate storage for SamplePathsInto. The zero
+// value is ready to use. A buffer must not be shared across goroutines.
+type PathBuffer struct {
+	cands []Candidate
+	paths []Path
+}
+
+// SamplePathsInto samples nMin minimal and then nNonMin non-minimal candidate
+// paths from src to dst into buf, mirroring the Aries UGAL implementation,
+// which considers two of each per packet. Candidates may coincide when few
+// distinct paths exist. The returned slices (and the paths they hold) alias
+// the buffer and are valid until the next call with the same buffer.
+func (t *Topology) SamplePathsInto(buf *PathBuffer, src, dst RouterID, nMin, nNonMin int, rng *rand.Rand) (minimal, nonMinimal []Path) {
+	n := nMin + nNonMin
+	if len(buf.cands) < n {
+		buf.cands = make([]Candidate, n)
+		buf.paths = make([]Path, n)
+	}
+	for i := range n {
+		c := &buf.cands[i]
+		if i < nMin {
+			t.SampleMinimal(c, src, dst, rng)
+		} else {
+			t.SampleNonMinimal(c, src, dst, rng)
+		}
+		buf.paths[i] = c.Path()
+	}
+	return buf.paths[:nMin:nMin], buf.paths[nMin:n]
 }
 
 // ValidatePath reports an error if the path is not a connected chain of links

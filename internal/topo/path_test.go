@@ -74,8 +74,10 @@ func TestNonMinimalPathInterGroup(t *testing.T) {
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{1, 2, 3})
 	sawIntermediate := false
+	var c Candidate
 	for i := 0; i < 50; i++ {
-		p := tt.NonMinimalPath(src, dst, rng)
+		tt.SampleNonMinimal(&c, src, dst, rng)
+		p := c.Path()
 		if len(p) == 0 || len(p) > MaxNonMinimalHops {
 			t.Fatalf("non-minimal path has %d hops, want 1..%d", len(p), MaxNonMinimalHops)
 		}
@@ -102,9 +104,11 @@ func TestNonMinimalPathIntraGroupLongerOrEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{0, 0, 1})
+	var c Candidate
 	for i := 0; i < 30; i++ {
 		pm := tt.MinimalPath(src, dst, rng)
-		pn := tt.NonMinimalPath(src, dst, rng)
+		tt.SampleNonMinimal(&c, src, dst, rng)
+		pn := c.Path()
 		if err := tt.ValidatePath(src, dst, pn); err != nil {
 			t.Fatal(err)
 		}
@@ -119,9 +123,10 @@ func TestSamplePathsCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{2, 1, 2})
-	minimal, nonMinimal := tt.SamplePaths(src, dst, 2, 2, rng)
+	var buf PathBuffer
+	minimal, nonMinimal := tt.SamplePathsInto(&buf, src, dst, 2, 2, rng)
 	if len(minimal) != 2 || len(nonMinimal) != 2 {
-		t.Fatalf("SamplePaths returned %d minimal, %d non-minimal, want 2 and 2", len(minimal), len(nonMinimal))
+		t.Fatalf("SamplePathsInto returned %d minimal, %d non-minimal, want 2 and 2", len(minimal), len(nonMinimal))
 	}
 	for _, p := range minimal {
 		if err := tt.ValidatePath(src, dst, p); err != nil {
@@ -176,7 +181,9 @@ func TestPropertyPathsValid(t *testing.T) {
 		dst := RouterID(int(b) % n)
 		r := rand.New(rand.NewSource(seed))
 		pm := tt.MinimalPath(src, dst, r)
-		pn := tt.NonMinimalPath(src, dst, r)
+		var c Candidate
+		tt.SampleNonMinimal(&c, src, dst, r)
+		pn := c.Path()
 		if tt.ValidatePath(src, dst, pm) != nil || tt.ValidatePath(src, dst, pn) != nil {
 			return false
 		}
@@ -226,9 +233,10 @@ func BenchmarkMinimalPathInterGroup(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{5, 3, 7})
+	var c Candidate
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tt.MinimalPath(src, dst, rng)
+		tt.SampleMinimal(&c, src, dst, rng)
 	}
 }
 
@@ -237,8 +245,9 @@ func BenchmarkNonMinimalPathInterGroup(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{5, 3, 7})
+	var c Candidate
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tt.NonMinimalPath(src, dst, rng)
+		tt.SampleNonMinimal(&c, src, dst, rng)
 	}
 }

@@ -49,6 +49,10 @@ const (
 	LinkGlobal
 )
 
+// NumLinkTypes is the number of link tiers; tables indexed by LinkType have
+// this many entries.
+const NumLinkTypes = int(LinkGlobal) + 1
+
 // String returns a human-readable link type name.
 func (t LinkType) String() string {
 	switch t {
@@ -186,7 +190,7 @@ func (c Config) Nodes() int { return c.Routers() * c.NodesPerBlade }
 type Topology struct {
 	cfg Config
 
-	coords []Coord // router -> coordinate
+	places []place // router -> coordinate
 	links  []Link
 
 	// localDegree is the number of local links each router owns:
@@ -198,9 +202,9 @@ type Topology struct {
 	// Adjacency in CSR (compressed sparse row) form: router r's outgoing
 	// links occupy adjDst/adjLink[adjOff[r]:adjOff[r+1]], sorted by
 	// destination router. Path construction never reads it — local links
-	// are computed and global ones come from globalLinks — so it serves only
-	// cross-group LinkBetween, Neighbors, Degree and the revLink build, at
-	// O(links) memory.
+	// are computed and global ones come from gates — so it serves only
+	// cross-group LinkBetween, Neighbors, OutLinks, Degree and the revLink
+	// build, at O(links) memory.
 	adjOff  []int32
 	adjDst  []RouterID
 	adjLink []LinkID
@@ -210,15 +214,38 @@ type Topology struct {
 	// precomputing it removes every adjacency lookup from that loop.
 	revLink []LinkID
 
-	// globalLinks[g1*Groups+g2] lists the links from a router of g1 to a
-	// router of g2, in wiring order.
-	globalLinks [][]LinkID
+	// gates holds every global link with its endpoints, grouped by ordered
+	// group pair and in wiring order within a pair; pairs[g1*Groups+g2]
+	// locates the g1 -> g2 run. A sampled path reads its gateway's ID and
+	// both endpoints from one entry.
+	gates []gate
+	pairs []gatePair
 
-	// viaGroups[(gs*Groups)+gd] lists the intermediate groups usable for a
-	// Valiant detour between gs and gd (connected to both, excluding the
-	// endpoints). Precomputed so per-packet non-minimal sampling performs no
-	// connectivity scan and no allocation.
-	viaGroups [][]GroupID
+	// The sampler's other draws: one of the two 2-hop alternatives of a
+	// local segment, a router of a group, and an intermediate group (one of
+	// the Groups-2 groups other than the endpoints').
+	drawTwo, drawRouter, drawVia draw
+}
+
+// place is a router's coordinate in int32s, half the size of a Coord: path
+// construction reads two or more per segment.
+type place struct {
+	group, chassis, blade int32
+}
+
+func (p place) coord() Coord { return Coord{int(p.group), int(p.chassis), int(p.blade)} }
+
+// gate is one global link as path construction needs it.
+type gate struct {
+	id       LinkID
+	src, dst RouterID
+}
+
+// gatePair locates one ordered group pair's run of gates, gates[off :
+// off+draw.n], with the draw that picks one of them uniformly.
+type gatePair struct {
+	off  int32
+	draw draw
 }
 
 // New builds the topology described by cfg.
@@ -226,13 +253,13 @@ func New(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{
-		cfg:         cfg,
-		coords:      make([]Coord, cfg.Routers()),
-		globalLinks: make([][]LinkID, cfg.Groups*cfg.Groups),
-	}
-	for r := 0; r < cfg.Routers(); r++ {
-		t.coords[r] = t.coordOf(RouterID(r))
+	t := &Topology{cfg: cfg, places: make([]place, 0, cfg.Routers())}
+	for g := range cfg.Groups {
+		for c := range cfg.ChassisPerGroup {
+			for b := range cfg.BladesPerChassis {
+				t.places = append(t.places, place{int32(g), int32(c), int32(b)})
+			}
+		}
 	}
 	t.buildLocalLinks()
 	t.buildGlobalLinks()
@@ -241,7 +268,7 @@ func New(cfg Config) (*Topology, error) {
 }
 
 // buildPathCaches derives the lookup structures (CSR adjacency, reverse
-// links, Valiant intermediate-group candidates) from the link graph.
+// links, the gate table and the sampler's draws) from the link graph.
 func (t *Topology) buildPathCaches() {
 	n := t.cfg.Routers()
 	// CSR: count degrees, prefix-sum into row offsets, fill, then sort each
@@ -280,21 +307,47 @@ func (t *Topology) buildPathCaches() {
 	for i, l := range t.links {
 		t.revLink[i] = t.LinkBetween(l.Dst, l.Src)
 	}
-	t.viaGroups = make([][]GroupID, t.cfg.Groups*t.cfg.Groups)
-	for gs := 0; gs < t.cfg.Groups; gs++ {
-		for gd := 0; gd < t.cfg.Groups; gd++ {
-			var candidates []GroupID
-			for g := 0; g < t.cfg.Groups; g++ {
-				gi := GroupID(g)
-				if g == gs || g == gd {
-					continue
-				}
-				if len(t.GlobalLinks(GroupID(gs), gi)) > 0 && len(t.GlobalLinks(gi, GroupID(gd))) > 0 {
-					candidates = append(candidates, gi)
-				}
-			}
-			t.viaGroups[gs*t.cfg.Groups+gd] = candidates
+	t.buildGates()
+	t.drawTwo = newDraw(2)
+	t.drawRouter = newDraw(t.cfg.RoutersPerGroup())
+	if t.cfg.Groups > 2 {
+		t.drawVia = newDraw(t.cfg.Groups - 2)
+	}
+}
+
+// buildGates sorts the global links into gates by ordered group pair,
+// keeping wiring order within a pair, and sizes each pair's draw. Every two
+// groups are directly connected: Validate guarantees each group at least
+// Groups-1 ports, so buildGlobalLinks gives every pair at least one port
+// assignment. The sampler relies on it, so a pair without a link is a bug.
+func (t *Topology) buildGates() {
+	groups := t.cfg.Groups
+	global := t.links[len(t.places)*t.localDegree:]
+	pairOf := func(l Link) int {
+		return int(t.places[l.Src].group)*groups + int(t.places[l.Dst].group)
+	}
+	next := make([]int32, groups*groups) // links per pair, then each pair's fill cursor
+	for _, l := range global {
+		next[pairOf(l)]++
+	}
+	t.pairs = make([]gatePair, groups*groups)
+	var off int32
+	for p, n := range next {
+		if g1, g2 := p/groups, p%groups; g1 != g2 && n == 0 {
+			panic(fmt.Sprintf("topo: groups %d and %d have no global link", g1, g2))
 		}
+		t.pairs[p].off = off
+		if n > 0 {
+			t.pairs[p].draw = newDraw(int(n))
+		}
+		next[p] = off
+		off += n
+	}
+	t.gates = make([]gate, len(global))
+	for _, l := range global {
+		p := pairOf(l)
+		t.gates[next[p]] = gate{id: l.ID, src: l.Src, dst: l.Dst}
+		next[p]++
 	}
 }
 
@@ -312,7 +365,7 @@ func MustNew(cfg Config) *Topology {
 func (t *Topology) Config() Config { return t.cfg }
 
 // NumRouters returns the number of routers.
-func (t *Topology) NumRouters() int { return len(t.coords) }
+func (t *Topology) NumRouters() int { return len(t.places) }
 
 // NumNodes returns the number of compute nodes.
 func (t *Topology) NumNodes() int { return t.cfg.Nodes() }
@@ -326,18 +379,6 @@ func (t *Topology) Links() []Link { return t.links }
 // Link returns the link with the given id.
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 
-// coordOf converts a router index to its coordinate.
-func (t *Topology) coordOf(r RouterID) Coord {
-	perGroup := t.cfg.RoutersPerGroup()
-	g := int(r) / perGroup
-	rest := int(r) % perGroup
-	return Coord{
-		Group:   g,
-		Chassis: rest / t.cfg.BladesPerChassis,
-		Blade:   rest % t.cfg.BladesPerChassis,
-	}
-}
-
 // RouterAt returns the router at the given coordinate.
 func (t *Topology) RouterAt(c Coord) RouterID {
 	return RouterID(c.Group*t.cfg.RoutersPerGroup() +
@@ -345,10 +386,10 @@ func (t *Topology) RouterAt(c Coord) RouterID {
 }
 
 // CoordOf returns the coordinate of router r.
-func (t *Topology) CoordOf(r RouterID) Coord { return t.coords[r] }
+func (t *Topology) CoordOf(r RouterID) Coord { return t.places[r].coord() }
 
 // GroupOf returns the group of router r.
-func (t *Topology) GroupOf(r RouterID) GroupID { return GroupID(t.coords[r].Group) }
+func (t *Topology) GroupOf(r RouterID) GroupID { return GroupID(t.places[r].group) }
 
 // RouterOfNode returns the router (blade) a node is attached to.
 func (t *Topology) RouterOfNode(n NodeID) RouterID {
@@ -373,9 +414,9 @@ func (t *Topology) GroupOfNode(n NodeID) GroupID { return t.GroupOf(t.RouterOfNo
 // localLink's closed form; cross-group pairs binary-search src's CSR
 // adjacency row, which is degree-bounded, so a handful of compares.
 func (t *Topology) LinkBetween(src, dst RouterID) LinkID {
-	cs, cd := t.coords[src], t.coords[dst]
-	if cs.Group == cd.Group {
-		return t.localLink(src, cs, cd)
+	ps, pd := t.places[src], t.places[dst]
+	if ps.group == pd.group {
+		return t.localLink(src, ps, pd)
 	}
 	lo, hi := t.adjOff[src], t.adjOff[src+1]
 	for lo < hi {
@@ -409,50 +450,55 @@ func (t *Topology) Neighbors(r RouterID) []RouterID {
 	return append([]RouterID(nil), t.adjDst[t.adjOff[r]:t.adjOff[r+1]]...)
 }
 
+// OutLinks returns the links leaving router r, in the order of Neighbors. The
+// caller must not modify it.
+func (t *Topology) OutLinks(r RouterID) []LinkID { return t.adjLink[t.adjOff[r]:t.adjOff[r+1]] }
+
 // AdjacencyBytes reports the memory held by the entries of the adjacency
-// structures: the CSR arrays, the reverse-link table and the group-pair
-// global-link table. Local links need no table (localLink computes them), so
-// the total is O(links) on every geometry. It is the observable the
-// machine-scale tooling (cmd/topoinfo, EXPERIMENTS.md's memory-budget table)
-// tracks.
+// index: the CSR arrays, the reverse-link table and the link ID of every
+// gate. Local links need no table (localLink computes them), so the total is
+// O(links) on every geometry. The gates' endpoint columns and the router
+// coordinates are path-construction caches and are not counted. It is the
+// observable the machine-scale tooling (cmd/topoinfo, EXPERIMENTS.md's
+// memory-budget table) tracks.
 func (t *Topology) AdjacencyBytes() int {
-	entries := len(t.adjOff) + len(t.adjDst) + len(t.adjLink) + len(t.revLink)
-	for _, pair := range t.globalLinks {
-		entries += len(pair)
-	}
+	entries := len(t.adjOff) + len(t.adjDst) + len(t.adjLink) + len(t.revLink) + len(t.gates)
 	return entries * 4
 }
 
-// GlobalLinks returns the links connecting group g1 directly to group g2.
+// GlobalLinks returns, in a new slice, the links connecting group g1
+// directly to group g2, in wiring order.
 func (t *Topology) GlobalLinks(g1, g2 GroupID) []LinkID {
-	return t.globalLinks[int(g1)*t.cfg.Groups+int(g2)]
+	pr := t.pairs[int(g1)*t.cfg.Groups+int(g2)]
+	ids := make([]LinkID, pr.draw.n)
+	for i := range ids {
+		ids[i] = t.gates[int(pr.off)+i].id
+	}
+	return ids
 }
 
 // localLink is the closed form of the local wiring: the ID of the link from
-// src (at coordinate cs) to the router at cd in the same group, or
-// InvalidLink when the two are not directly connected. Router r owns the
-// localDegree IDs from r*localDegree: first its intra-chassis links in blade
-// order, then its row links in chassis order, each order skipping r's own
-// position. buildLocalLinks places every local link through this function,
-// so the formula and the wiring cannot drift apart.
-func (t *Topology) localLink(src RouterID, cs, cd Coord) LinkID {
+// src (at ps) to the router at pd in the same group, or InvalidLink when the
+// two are not directly connected. Router r owns the localDegree IDs from
+// r*localDegree: first its intra-chassis links in blade order, then its row
+// links in chassis order, each order skipping r's own position.
+// buildLocalLinks places every local link through this function, so the
+// formula and the wiring cannot drift apart.
+func (t *Topology) localLink(src RouterID, ps, pd place) LinkID {
 	base := int(src) * t.localDegree
 	switch {
-	case cs.Chassis == cd.Chassis && cs.Blade != cd.Blade:
-		return LinkID(base + skipSelf(cd.Blade, cs.Blade))
-	case cs.Blade == cd.Blade && cs.Chassis != cd.Chassis:
-		return LinkID(base + t.cfg.BladesPerChassis - 1 + skipSelf(cd.Chassis, cs.Chassis))
+	case ps.chassis == pd.chassis && ps.blade != pd.blade:
+		return LinkID(base + skipSelf(pd.blade, ps.blade))
+	case ps.blade == pd.blade && ps.chassis != pd.chassis:
+		return LinkID(base + t.cfg.BladesPerChassis - 1 + skipSelf(pd.chassis, ps.chassis))
 	}
 	return InvalidLink
 }
 
 // skipSelf is i's position in the sequence 0, 1, ... with self left out.
-func skipSelf(i, self int) int {
-	if i > self {
-		return i - 1
-	}
-	return i
-}
+// (self-i)>>31 is -1 exactly when i > self, so no branch is taken on the
+// coordinates, which path sampling draws at random.
+func skipSelf(i, self int32) int { return int(i + (self-i)>>31) }
 
 // buildLocalLinks wires intra-chassis (all-to-all within a chassis) and
 // intra-group "row" links (all-to-all among same blade position across the
@@ -460,24 +506,24 @@ func skipSelf(i, self int) int {
 func (t *Topology) buildLocalLinks() {
 	cfg := t.cfg
 	t.localDegree = cfg.BladesPerChassis - 1 + cfg.ChassisPerGroup - 1
-	t.links = make([]Link, len(t.coords)*t.localDegree)
-	wire := func(src RouterID, cs, cd Coord, typ LinkType, width int) {
-		id := t.localLink(src, cs, cd)
-		t.links[id] = Link{ID: id, Src: src, Dst: t.RouterAt(cd), Type: typ, Width: width}
+	t.links = make([]Link, len(t.places)*t.localDegree)
+	wire := func(src RouterID, ps, pd place, typ LinkType, width int) {
+		id := t.localLink(src, ps, pd)
+		t.links[id] = Link{ID: id, Src: src, Dst: t.RouterAt(pd.coord()), Type: typ, Width: width}
 	}
-	for r, cs := range t.coords {
+	for r, ps := range t.places {
 		src := RouterID(r)
 		// Intra-chassis: connect to every other blade in the same chassis.
-		for b := 0; b < cfg.BladesPerChassis; b++ {
-			if b != cs.Blade {
-				wire(src, cs, Coord{cs.Group, cs.Chassis, b}, LinkIntraChassis, cfg.IntraChassisLinkWidth)
+		for b := range int32(cfg.BladesPerChassis) {
+			if b != ps.blade {
+				wire(src, ps, place{ps.group, ps.chassis, b}, LinkIntraChassis, cfg.IntraChassisLinkWidth)
 			}
 		}
 		// Intra-group rows: connect to the same blade position in every
 		// other chassis of the group.
-		for c := 0; c < cfg.ChassisPerGroup; c++ {
-			if c != cs.Chassis {
-				wire(src, cs, Coord{cs.Group, c, cs.Blade}, LinkIntraGroup, cfg.IntraGroupLinkWidth)
+		for c := range int32(cfg.ChassisPerGroup) {
+			if c != ps.chassis {
+				wire(src, ps, place{ps.group, c, ps.blade}, LinkIntraGroup, cfg.IntraGroupLinkWidth)
 			}
 		}
 	}
@@ -487,7 +533,8 @@ func (t *Topology) buildLocalLinks() {
 // the other groups, using the canonical consecutive-port assignment: the k-th
 // link between groups g1 < g2 attaches to port index(g2 in g1's peer list)*q+k
 // of g1 and port index(g1 in g2's peer list)*q+k of g2, where q is the number
-// of links per group pair. Ports map to routers round-robin by port/h.
+// of links per group pair. Ports map to routers round-robin by port/h. Each
+// assignment wires both directions.
 func (t *Topology) buildGlobalLinks() {
 	cfg := t.cfg
 	if cfg.Groups < 2 {
@@ -509,37 +556,34 @@ func (t *Topology) buildGlobalLinks() {
 		}
 		return peer - 1
 	}
+	wire := func(src, dst RouterID) {
+		id := LinkID(len(t.links))
+		t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: LinkGlobal, Width: cfg.GlobalLinkWidth})
+	}
 	for g1 := 0; g1 < cfg.Groups; g1++ {
 		for g2 := g1 + 1; g2 < cfg.Groups; g2++ {
+			last := [2]RouterID{-1, -1}
 			for k := 0; k < q; k++ {
 				p1 := peerIndex(g1, g2)*q + k
 				p2 := peerIndex(g2, g1)*q + k
 				if p1 >= portsPerGroup || p2 >= portsPerGroup {
 					continue
 				}
-				r1 := routerOfPort(g1, p1)
-				r2 := routerOfPort(g2, p2)
-				t.addGlobalLink(r1, r2, g1*cfg.Groups+g2)
-				t.addGlobalLink(r2, r1, g2*cfg.Groups+g1)
+				// Ports below portsPerGroup map to routers in port order, so
+				// both routers are non-decreasing in k: an assignment that
+				// joins an already-connected router pair repeats the one
+				// before it, and collapses into that link (widths already
+				// aggregate tiles).
+				pair := [2]RouterID{routerOfPort(g1, p1), routerOfPort(g2, p2)}
+				if pair == last {
+					continue
+				}
+				last = pair
+				wire(pair[0], pair[1])
+				wire(pair[1], pair[0])
 			}
 		}
 	}
-}
-
-// addGlobalLink wires src -> dst into the group-pair list globalLinks[pair]
-// unless an earlier port assignment already connected the two routers; such
-// assignments collapse into the existing link (widths already aggregate
-// tiles). Only a link of the same group pair can join src and dst, so that
-// list is the whole search.
-func (t *Topology) addGlobalLink(src, dst RouterID, pair int) {
-	for _, id := range t.globalLinks[pair] {
-		if t.links[id].Src == src && t.links[id].Dst == dst {
-			return
-		}
-	}
-	id := LinkID(len(t.links))
-	t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: LinkGlobal, Width: t.cfg.GlobalLinkWidth})
-	t.globalLinks[pair] = append(t.globalLinks[pair], id)
 }
 
 // AllocationClass describes the topological distance between two nodes, in the
@@ -586,11 +630,11 @@ func (t *Topology) Classify(a, b NodeID) AllocationClass {
 	if ra == rb {
 		return AllocInterNodes
 	}
-	ca, cb := t.coords[ra], t.coords[rb]
-	if ca.Group != cb.Group {
+	pa, pb := t.places[ra], t.places[rb]
+	if pa.group != pb.group {
 		return AllocInterGroups
 	}
-	if ca.Chassis != cb.Chassis {
+	if pa.chassis != pb.chassis {
 		return AllocInterChassis
 	}
 	return AllocInterBlades
