@@ -117,21 +117,11 @@ const (
 	NoiseUniform = noise.UniformRandom
 	NoiseHotspot = noise.Hotspot
 	NoiseBully   = noise.AlltoallBully
-	NoiseBurst   = noise.Burst
 )
 
-// Traffic kinds for RoutingProvider implementations and custom workloads.
-const (
-	PointToPoint    = core.PointToPoint
-	AlltoallTraffic = core.Alltoall
-)
-
-// SLO classes for open-arrival clients.
-const (
-	SLOLatency    = arrival.Latency
-	SLOBatch      = arrival.Batch
-	SLOBestEffort = arrival.BestEffort
-)
+// PointToPoint is the traffic kind of ordinary messages, for RoutingProvider
+// implementations and custom workloads.
+const PointToPoint = core.PointToPoint
 
 // SmallGeometry returns the reduced geometry used by examples and tests:
 // instant to build, still several groups.

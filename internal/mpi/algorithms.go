@@ -51,17 +51,11 @@ func (r *Rank) AllreduceRing(size int64) {
 	prev := (r.rank - 1 + n) % n
 	// Reduce-scatter phase.
 	for step := 0; step < n-1; step++ {
-		recvReq := r.Irecv(prev)
-		sendReq := r.Isend(next, block, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
 	}
 	// Allgather phase.
 	for step := 0; step < n-1; step++ {
-		recvReq := r.Irecv(prev)
-		sendReq := r.Isend(next, block, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
 	}
 }
 
@@ -135,10 +129,7 @@ func (r *Rank) AlltoallBruck(size int64) {
 		}
 		sendTo := (r.rank + dist) % n
 		recvFrom := (r.rank - dist + n) % n
-		recvReq := r.Irecv(recvFrom)
-		sendReq := r.Isend(sendTo, bytes, core.Alltoall)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, sendTo, bytes, core.Alltoall, &r.recvReq, recvFrom)
 	}
 }
 
@@ -280,10 +271,7 @@ func (r *Rank) AllgatherBruck(size int64) {
 		bytes := send * size
 		sendTo := (r.rank - dist + n) % n
 		recvFrom := (r.rank + dist) % n
-		recvReq := r.Irecv(recvFrom)
-		sendReq := r.Isend(sendTo, bytes, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, sendTo, bytes, core.PointToPoint, &r.recvReq, recvFrom)
 		have += send
 	}
 }

@@ -24,10 +24,7 @@ func (r *Rank) Barrier() {
 	for dist := 1; dist < n; dist *= 2 {
 		to := (r.rank + dist) % n
 		from := (r.rank - dist + n) % n
-		recvReq := r.Irecv(from)
-		sendReq := r.Isend(to, controlMessageBytes, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, to, controlMessageBytes, core.PointToPoint, &r.recvReq, from)
 	}
 }
 
@@ -136,10 +133,7 @@ func (r *Rank) Alltoall(size int64) {
 			sendTo = (r.rank + step) % n
 			recvFrom = (r.rank - step + n) % n
 		}
-		recvReq := r.Irecv(recvFrom)
-		sendReq := r.Isend(sendTo, size, core.Alltoall)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, sendTo, size, core.Alltoall, &r.recvReq, recvFrom)
 	}
 }
 
@@ -154,10 +148,7 @@ func (r *Rank) Allgather(size int64) {
 	next := (r.rank + 1) % n
 	prev := (r.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
-		recvReq := r.Irecv(prev)
-		sendReq := r.Isend(next, size, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, next, size, core.PointToPoint, &r.recvReq, prev)
 	}
 }
 
@@ -217,9 +208,6 @@ func (r *Rank) ReduceScatterBlock(size int64) {
 	for step := 1; step < n; step++ {
 		partner := (r.rank + step) % n
 		from := (r.rank - step + n) % n
-		recvReq := r.Irecv(from)
-		sendReq := r.Isend(partner, size, core.PointToPoint)
-		r.Wait(sendReq)
-		r.Wait(recvReq)
+		r.exchange(&r.sendReq, partner, size, core.PointToPoint, &r.recvReq, from)
 	}
 }

@@ -110,11 +110,6 @@ type Comm struct {
 	cfg    Config
 	ranks  []*Rank
 
-	// mailbox[src][dst] is the FIFO of arrived-but-unmatched deliveries.
-	mailbox map[pairKey][]*network.Delivery
-	// waiting[src][dst] is the FIFO of posted-but-unmatched receive requests.
-	waiting map[pairKey][]*Request
-
 	// sched is the scheduler the communicator is currently attached to (set by
 	// Start); own is the lazily built private scheduler Comm.Run attaches to.
 	sched *Scheduler
@@ -131,20 +126,12 @@ type Comm struct {
 	onFinished func()
 }
 
-type pairKey struct{ src, dst int }
-
 // NewComm builds a communicator with one rank per allocated node.
 func NewComm(fabric *network.Fabric, a *alloc.Allocation, cfg Config) (*Comm, error) {
 	if a.Size() == 0 {
 		return nil, fmt.Errorf("mpi: empty allocation")
 	}
-	c := &Comm{
-		fabric:  fabric,
-		alloc:   a,
-		cfg:     cfg,
-		mailbox: make(map[pairKey][]*network.Delivery),
-		waiting: make(map[pairKey][]*Request),
-	}
+	c := &Comm{fabric: fabric, alloc: a, cfg: cfg}
 	for i := 0; i < a.Size(); i++ {
 		var provider RoutingProvider
 		if cfg.Routing != nil {
@@ -152,12 +139,9 @@ func NewComm(fabric *network.Fabric, a *alloc.Allocation, cfg Config) (*Comm, er
 		} else {
 			provider = DefaultRouting()
 		}
-		c.ranks = append(c.ranks, &Rank{
-			comm:    c,
-			rank:    i,
-			node:    a.Node(i),
-			routing: provider,
-		})
+		r := &Rank{comm: c, rank: i, node: a.Node(i), routing: provider}
+		r.sendReq.owner, r.recvReq.owner = r, r
+		c.ranks = append(c.ranks, r)
 	}
 	return c, nil
 }
@@ -259,32 +243,4 @@ func (c *Comm) RunContext(ctx context.Context, program func(*Rank)) error {
 	}
 	defer c.own.Shutdown()
 	return c.own.Run(ContextCheck(ctx))
-}
-
-// deliver routes an arrived message to a waiting receive request or stores it
-// in the mailbox. It runs inside an engine event callback.
-func (c *Comm) deliver(srcRank, dstRank int, d network.Delivery) {
-	key := pairKey{srcRank, dstRank}
-	if reqs := c.waiting[key]; len(reqs) > 0 {
-		req := reqs[0]
-		c.waiting[key] = reqs[1:]
-		req.complete(&d)
-		return
-	}
-	dd := d
-	c.mailbox[key] = append(c.mailbox[key], &dd)
-}
-
-// matchRecv tries to match a posted receive against an already arrived
-// message; it returns true if the request completed immediately.
-func (c *Comm) matchRecv(req *Request) bool {
-	key := pairKey{req.peer, req.owner.rank}
-	if msgs := c.mailbox[key]; len(msgs) > 0 {
-		msg := msgs[0]
-		c.mailbox[key] = msgs[1:]
-		req.complete(msg)
-		return true
-	}
-	c.waiting[key] = append(c.waiting[key], req)
-	return false
 }

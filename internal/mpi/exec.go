@@ -266,8 +266,8 @@ func (s *Scheduler) shutdownOnPanic() {
 //
 // Shutdown is idempotent. The scheduler may be used again afterwards (the
 // next Start creates fresh coroutines), but the communicators of ranks it
-// unwound must not be reused: their in-flight collectives and mailboxes are
-// torn mid-operation. It must not be called from a rank program.
+// unwound must not be reused: their in-flight collectives and matching queues
+// are torn mid-operation. It must not be called from a rank program.
 func (s *Scheduler) Shutdown() {
 	for _, co := range s.coros {
 		co.stop()

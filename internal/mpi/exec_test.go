@@ -440,3 +440,41 @@ func BenchmarkRankHandoff(b *testing.B) {
 	b.ResetTimer()
 	run()
 }
+
+// BenchmarkRankExchange measures the point-to-point path of the mpi layer:
+// two ranks each make one SendRecv with the other per op, so each op is one
+// single-packet message each way, matched through the receiving rank's
+// queues, on the requests the rank owns. One untimed run warms the
+// scheduler, the fabric's pools and the queues first, so a steady-state
+// exchange must not allocate.
+func BenchmarkRankExchange(b *testing.B) {
+	fab, a, _ := execFixture(b, 1)
+	c := MustNewComm(fab, alloc.NewAllocation(fab.Topology(), a.Nodes()[:2]), Config{})
+	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
+	ops := 100
+	program := func(r *Rank) {
+		peer := 1 - r.Rank()
+		for i := 0; i < ops; i++ {
+			r.SendRecv(peer, controlMessageBytes, peer, core.PointToPoint)
+		}
+	}
+	run := func() {
+		if err := c.Start(s, program); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < c.Size(); i++ {
+			if err := c.Rank(i).Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run()
+	ops = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	run()
+}

@@ -15,12 +15,24 @@ import (
 // group-striped allocation (so traffic crosses groups).
 func testComm(t testing.TB, n int, cfg Config, seed int64) *Comm {
 	t.Helper()
-	tt := topo.MustNew(topo.SmallConfig(3))
+	return testCommOn(t, topo.SmallConfig(3), n, cfg, seed)
+}
+
+// testCommOn is testComm on the given machine.
+func testCommOn(t testing.TB, machine topo.Config, n int, cfg Config, seed int64) *Comm {
+	t.Helper()
+	tt := topo.MustNew(machine)
 	pol := routing.MustNewPolicy(tt, routing.DefaultParams())
 	eng := sim.NewEngine(seed)
 	fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
 	a := alloc.MustAllocate(tt, alloc.GroupStriped, n, nil, nil)
 	return MustNewComm(fab, a, cfg)
+}
+
+// queueLens returns the number of receives r has posted and of messages it
+// holds unmatched.
+func queueLens(r *Rank) (posted, unexpected int) {
+	return len(r.posted.items) - r.posted.head, len(r.unexpected.items) - r.unexpected.head
 }
 
 func TestPingPong(t *testing.T) {
@@ -109,6 +121,43 @@ func TestInvalidPeerSetsErr(t *testing.T) {
 	}
 	if c.Rank(0).Err() == nil {
 		t.Fatal("expected rank error for invalid peer")
+	}
+}
+
+// TestFailedCallLeavesPostedReceive: a SendRecv whose send fails after its
+// receive was posted leaves that receive on the rank's own request, posted.
+// Later blocking calls return nil at once and must not rewrite it, so the
+// message that arrives for it still matches it. A Recv that fails itself
+// returns nil too.
+func TestFailedCallLeavesPostedReceive(t *testing.T) {
+	c := testComm(t, 3, Config{}, 4)
+	var later, failed *network.Delivery
+	err := c.Run(func(r *Rank) {
+		switch r.Rank() {
+		case 0:
+			r.SendRecv(5, 64, 1, core.PointToPoint) // invalid send peer
+			later = r.Recv(2)
+		case 1:
+			r.Send(0, 64, core.PointToPoint)
+		case 2:
+			failed = r.Recv(7) // invalid peer
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if later != nil || failed != nil {
+		t.Fatalf("Recv after a failure returned %v, failed Recv returned %v; want nil", later, failed)
+	}
+	r := c.Rank(0)
+	if r.Err() == nil || c.Rank(2).Err() == nil {
+		t.Fatal("expected rank errors for invalid peers")
+	}
+	if d := r.recvReq.Delivery(); d == nil || d.Tag>>32 != 1 {
+		t.Fatalf("posted receive completed with %+v, want rank 1's message", d)
+	}
+	if posted, unexpected := queueLens(r); posted != 0 || unexpected != 0 {
+		t.Fatalf("rank 0 ended with %d receives posted and %d messages unmatched", posted, unexpected)
 	}
 }
 
@@ -392,7 +441,7 @@ func TestEmptyAllocationRejected(t *testing.T) {
 }
 
 func TestMoreRanksThanOneMessageEach(t *testing.T) {
-	// A mesh of sends: every rank sends to every other rank; ensures mailbox
+	// A mesh of sends: every rank sends to every other rank; ensures message
 	// matching scales beyond a single in-flight message per pair.
 	const n = 5
 	c := testComm(t, n, Config{}, 15)
@@ -408,5 +457,31 @@ func TestMoreRanksThanOneMessageEach(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// On 64 ranks, AlltoallSpread posts 63 receives at once and a linear
+	// Gather's root posts 63 in rank order, so the posted queues run deep and
+	// arrivals are matched and removed from their middle. Every message must
+	// be received, and every queue must end empty.
+	const big, size = 64, 1024
+	c = testCommOn(t, topo.SmallConfig(4), big, Config{}, 15)
+	err = c.Run(func(r *Rank) {
+		r.AlltoallSpread(size)
+		r.Gather(0, size)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < big; i++ {
+		r := c.Rank(i)
+		if r.Err() != nil {
+			t.Fatalf("rank %d: %v", i, r.Err())
+		}
+		if posted, unexpected := queueLens(r); posted != 0 || unexpected != 0 {
+			t.Fatalf("rank %d ended with %d receives posted and %d messages unmatched", i, posted, unexpected)
+		}
+	}
+	if got, want := c.Fabric().PacketsInjected(), uint64(big*(big-1)+big-1)*size/64; got != want {
+		t.Fatalf("alltoall+gather injected %d packets, want %d", got, want)
 	}
 }

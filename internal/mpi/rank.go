@@ -29,6 +29,13 @@ type Rank struct {
 	// event; see Compute and HandleEvent.
 	computeDone bool
 
+	// posted and unexpected are the rank's matching queues (see match.go).
+	posted     fifo[*Request]
+	unexpected fifo[unexpectedMsg]
+	// sendReq and recvReq are the requests every blocking call runs on (see
+	// exchange).
+	sendReq, recvReq Request
+
 	sendSeq uint64
 	err     error
 }
@@ -76,27 +83,59 @@ func (r *Rank) block() {
 
 // Request is a handle for a non-blocking operation.
 type Request struct {
-	owner  *Rank
-	peer   int
-	isSend bool
-
-	done     bool
-	delivery *network.Delivery
+	owner *Rank
+	peer  int
+	done  bool
+	// delivered reports whether delivery holds the operation's record; it
+	// stays false while the operation is pending and when it failed.
+	delivered bool
+	delivery  network.Delivery
+	// observe is the routing provider's counter hook for the message a send
+	// request carries; sent is the request's sendDone, bound on its first
+	// send, so a send allocates no completion closure.
+	observe func(DeliveryCounters)
+	sent    func(network.Delivery)
 }
 
 // Done reports whether the operation completed.
 func (q *Request) Done() bool { return q.done }
 
-// Delivery returns the fabric-level delivery record of a completed receive (or
-// of a completed send). It returns nil for operations that are not complete or
-// that carried no network transfer (same-rank copies).
-func (q *Request) Delivery() *network.Delivery { return q.delivery }
+// Delivery returns the fabric-level delivery record of a completed receive or
+// send. Every completed transfer has one, a same-node copy included; it is
+// nil while the operation is pending and when it failed. The record is part
+// of the request: it stays valid as long as the request is not reused, and
+// the request behind the delivery Rank.Recv and Rank.SendRecv return is
+// reused by the rank's next blocking call.
+func (q *Request) Delivery() *network.Delivery {
+	if !q.delivered {
+		return nil
+	}
+	return &q.delivery
+}
 
-// complete marks the request as done and re-queues its owner if it is waiting.
+// start readies q for an operation with peer.
+func (q *Request) start(peer int) {
+	q.peer, q.done, q.delivered, q.observe = peer, false, false, nil
+}
+
+// complete records the delivery, marks the request as done and re-queues its
+// owner if it is waiting.
 func (q *Request) complete(d *network.Delivery) {
 	q.done = true
-	q.delivery = d
+	q.delivery, q.delivered = *d, true
 	q.owner.comm.markRunnable(q.owner)
+}
+
+// sendDone is the fabric's completion callback for the send q carries: it
+// feeds the routing provider's observer, completes the send and hands the
+// delivery to the destination rank's matching queues, in that order, so the
+// sender becomes runnable before the receiver it may wake.
+func (q *Request) sendDone(d network.Delivery) {
+	if q.observe != nil {
+		q.observe(d)
+	}
+	q.complete(&d)
+	q.owner.comm.ranks[q.peer].arrive(q.owner.rank, &d)
 }
 
 // Compute advances this rank's local time by the given number of cycles,
@@ -136,15 +175,22 @@ func (r *Rank) hostNoise() {
 // describes the traffic for the routing provider (use core.Alltoall inside
 // all-to-all exchanges).
 func (r *Rank) Isend(peer int, size int64, kind core.TrafficKind) *Request {
-	req := &Request{owner: r, peer: peer, isSend: true}
+	q := &Request{owner: r}
+	r.isend(q, peer, size, kind)
+	return q
+}
+
+// isend starts the send of size bytes to peer on q.
+func (r *Rank) isend(q *Request, peer int, size int64, kind core.TrafficKind) {
+	q.start(peer)
 	if r.err != nil {
-		req.done = true
-		return req
+		q.done = true
+		return
 	}
 	if peer < 0 || peer >= r.Size() {
 		r.fail(fmt.Errorf("mpi: rank %d sending to invalid peer %d", r.rank, peer))
-		req.done = true
-		return req
+		q.done = true
+		return
 	}
 	if size < 0 {
 		size = 0
@@ -153,41 +199,42 @@ func (r *Rank) Isend(peer int, size int64, kind core.TrafficKind) *Request {
 	if overhead > 0 {
 		r.Compute(overhead)
 	}
-	dstNode := r.comm.alloc.Node(peer)
-	srcRank, dstRank := r.rank, peer
+	q.observe = observe
+	if q.sent == nil {
+		q.sent = q.sendDone
+	}
 	r.sendSeq++
-	err := r.comm.fabric.Send(r.node, dstNode, size, network.SendOptions{
+	err := r.comm.fabric.Send(r.node, r.comm.alloc.Node(peer), size, network.SendOptions{
 		Mode: mode,
 		Verb: r.comm.cfg.Verb,
-		Tag:  uint64(srcRank)<<32 | r.sendSeq,
-	}, func(d network.Delivery) {
-		if observe != nil {
-			observe(d)
-		}
-		req.complete(&d)
-		r.comm.deliver(srcRank, dstRank, d)
-	})
+		Tag:  uint64(r.rank)<<32 | r.sendSeq,
+	}, q.sent)
 	if err != nil {
 		r.fail(err)
-		req.done = true
+		q.done = true
 	}
-	return req
 }
 
 // Irecv starts a non-blocking receive of the next message from the peer rank.
 func (r *Rank) Irecv(peer int) *Request {
-	req := &Request{owner: r, peer: peer}
+	q := &Request{owner: r}
+	r.irecv(q, peer)
+	return q
+}
+
+// irecv posts the receive of the next message from peer on q.
+func (r *Rank) irecv(q *Request, peer int) {
+	q.start(peer)
 	if r.err != nil {
-		req.done = true
-		return req
+		q.done = true
+		return
 	}
 	if peer < 0 || peer >= r.Size() {
 		r.fail(fmt.Errorf("mpi: rank %d receiving from invalid peer %d", r.rank, peer))
-		req.done = true
-		return req
+		q.done = true
+		return
 	}
-	r.comm.matchRecv(req)
-	return req
+	r.match(q)
 }
 
 // Wait blocks until the request completes.
@@ -207,31 +254,53 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 	}
 }
 
+// exchange is the body of every blocking call: it posts the receive from
+// recvPeer on recv, starts the send of size bytes to sendPeer on send, and
+// waits for both; a nil request leaves its half out. It returns the received
+// delivery, or nil. The callers pass the rank's own sendReq and recvReq. Both
+// complete before exchange returns unless an operation fails and sets r.err,
+// and from then on exchange returns at once, so a receive a failed call left
+// posted is never rewritten.
+func (r *Rank) exchange(send *Request, sendPeer int, size int64, kind core.TrafficKind, recv *Request, recvPeer int) *network.Delivery {
+	if r.err != nil {
+		return nil
+	}
+	if recv != nil {
+		r.irecv(recv, recvPeer)
+	}
+	if send != nil {
+		r.isend(send, sendPeer, size, kind)
+		r.Wait(send)
+	}
+	if recv == nil {
+		return nil
+	}
+	r.Wait(recv)
+	return recv.Delivery()
+}
+
 // Send performs a blocking send. Completion follows rendezvous semantics: the
 // call returns when the payload has been delivered to the destination NIC.
 func (r *Rank) Send(peer int, size int64, kind core.TrafficKind) {
 	r.hostNoise()
-	r.Wait(r.Isend(peer, size, kind))
+	r.exchange(&r.sendReq, peer, size, kind, nil, 0)
 }
 
 // Recv performs a blocking receive of the next message from peer and returns
-// its delivery record (nil for same-rank transfers that used no network).
+// its delivery record (a same-node transfer has one too), or nil when the
+// receive failed (see Err). The record belongs to the rank and is valid until
+// its next blocking call: Send, Recv, SendRecv or a collective.
 func (r *Rank) Recv(peer int) *network.Delivery {
 	r.hostNoise()
-	req := r.Irecv(peer)
-	r.Wait(req)
-	return req.delivery
+	return r.exchange(nil, 0, 0, 0, &r.recvReq, peer)
 }
 
 // SendRecv exchanges messages with two peers concurrently (sends size bytes to
-// sendPeer while receiving from recvPeer) and returns the received delivery.
+// sendPeer while receiving from recvPeer) and returns the received delivery,
+// valid as long as the one Recv returns.
 func (r *Rank) SendRecv(sendPeer int, size int64, recvPeer int, kind core.TrafficKind) *network.Delivery {
 	r.hostNoise()
-	recvReq := r.Irecv(recvPeer)
-	sendReq := r.Isend(sendPeer, size, kind)
-	r.Wait(sendReq)
-	r.Wait(recvReq)
-	return recvReq.delivery
+	return r.exchange(&r.sendReq, sendPeer, size, kind, &r.recvReq, recvPeer)
 }
 
 // NICCounters returns the cumulative NIC counters of the node this rank runs
