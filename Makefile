@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidates$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME) ./internal/mpi
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

@@ -21,16 +21,8 @@ import (
 // large messages because every rank both sends and receives roughly
 // 2*size*(n-1)/n bytes instead of the tree's size*log(n) on the root path.
 func (r *Rank) BroadcastScatterAllgather(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	block := size / int64(n)
-	if block < 1 {
-		block = 1
-	}
-	r.ScatterBinomial(root, block)
-	r.Allgather(block)
+	block := max(1, size/int64(r.Size()))
+	r.collective(opScatterBinomial, opAllgather, root, block, core.PointToPoint)
 }
 
 // AllreduceRing performs an allreduce of size bytes with the ring algorithm:
@@ -38,25 +30,7 @@ func (r *Rank) BroadcastScatterAllgather(root int, size int64) {
 // allgather (another n-1 steps). It is the bandwidth-optimal algorithm for
 // large vectors and generates strictly nearest-rank traffic.
 func (r *Rank) AllreduceRing(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	block := size / int64(n)
-	if block < 1 {
-		block = 1
-	}
-	next := (r.rank + 1) % n
-	prev := (r.rank - 1 + n) % n
-	// Reduce-scatter phase.
-	for step := 0; step < n-1; step++ {
-		r.exchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
-	}
-	// Allgather phase.
-	for step := 0; step < n-1; step++ {
-		r.exchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
-	}
+	r.collective(opAllreduceRing, opNone, 0, size, core.PointToPoint)
 }
 
 // AllreduceRabenseifner performs an allreduce of size bytes with
@@ -66,41 +40,11 @@ func (r *Rank) AllreduceRing(size int64) {
 // doubling it halves the exchanged volume at every reduce-scatter step, which
 // changes the message-size distribution the routing selector observes.
 func (r *Rank) AllreduceRabenseifner(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
+	if n := r.Size(); n&(n-1) != 0 {
 		r.AllreduceRing(size)
 		return
 	}
-	r.hostNoise()
-	// Recursive-halving reduce-scatter: the exchanged block halves each round.
-	chunk := size / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := r.rank ^ mask
-		r.SendRecv(partner, chunk, partner, core.PointToPoint)
-		chunk /= 2
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	// Recursive-doubling allgather: the exchanged block doubles each round.
-	chunk = size / int64(n)
-	if chunk < 1 {
-		chunk = 1
-	}
-	for mask := n >> 1; mask >= 1; mask >>= 1 {
-		partner := r.rank ^ mask
-		r.SendRecv(partner, chunk, partner, core.PointToPoint)
-		chunk *= 2
-		if chunk > size {
-			chunk = size
-		}
-	}
+	r.collective(opAllreduceRabenseifner, opNone, 0, size, core.PointToPoint)
 }
 
 // AlltoallBruck performs an alltoall of size bytes per rank pair using the
@@ -109,28 +53,7 @@ func (r *Rank) AllreduceRabenseifner(size int64) {
 // small messages because it trades bandwidth (each block moves up to log(n)
 // times) for a logarithmic number of message startups.
 func (r *Rank) AlltoallBruck(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	for dist := 1; dist < n; dist <<= 1 {
-		// Count the blocks whose destination-index has bit `dist` set; those are
-		// the blocks forwarded this round.
-		blocks := 0
-		for b := 1; b < n; b++ {
-			if b&dist != 0 {
-				blocks++
-			}
-		}
-		bytes := int64(blocks) * size
-		if bytes < 1 {
-			bytes = 1
-		}
-		sendTo := (r.rank + dist) % n
-		recvFrom := (r.rank - dist + n) % n
-		r.exchange(&r.sendReq, sendTo, bytes, core.Alltoall, &r.recvReq, recvFrom)
-	}
+	r.collective(opAlltoallBruck, opNone, 0, size, core.Alltoall)
 }
 
 // AlltoallSpread performs an alltoall of size bytes per rank pair by posting
@@ -156,79 +79,14 @@ func (r *Rank) AlltoallSpread(size int64) {
 // binomial tree: interior ranks aggregate the blocks of their subtree before
 // forwarding, so the message grows towards the root.
 func (r *Rank) GatherBinomial(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	vrank := (r.rank - root + n) % n
-	// Collect from children (sub-trees at increasing distance).
-	gathered := int64(1)
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			break
-		}
-		childV := vrank | mask
-		if childV < n {
-			r.Recv((childV + root) % n)
-			// The child owned a subtree of up to `mask` ranks.
-			sub := int64(mask)
-			if int64(n)-int64(childV) < sub {
-				sub = int64(n) - int64(childV)
-			}
-			gathered += sub
-		}
-		mask <<= 1
-	}
-	// Forward the aggregated block to the parent.
-	if vrank != 0 {
-		parentV := vrank &^ mask
-		r.Send((parentV+root)%n, gathered*size, core.PointToPoint)
-	}
+	r.collective(opGatherBinomial, opNone, root, size, core.PointToPoint)
 }
 
 // ScatterBinomial distributes one block of size bytes from root to every rank
 // using a binomial tree: the root sends half of all blocks to its first child,
 // which forwards half of that half, and so on.
 func (r *Rank) ScatterBinomial(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	vrank := (r.rank - root + n) % n
-	// Receive the subtree payload from the parent (unless root).
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			parentV := vrank &^ mask
-			r.Recv((parentV + root) % n)
-			break
-		}
-		mask <<= 1
-	}
-	if vrank == 0 {
-		mask = 1
-		for mask < n {
-			mask <<= 1
-		}
-	}
-	// Forward subtree halves to children, largest subtree first.
-	for child := mask >> 1; child >= 1; child >>= 1 {
-		if vrank&child != 0 {
-			continue
-		}
-		childV := vrank | child
-		if childV >= n {
-			continue
-		}
-		sub := int64(child)
-		if int64(n)-int64(childV) < sub {
-			sub = int64(n) - int64(childV)
-		}
-		r.Send((childV+root)%n, sub*size, core.PointToPoint)
-	}
+	r.collective(opScatterBinomial, opNone, root, size, core.PointToPoint)
 }
 
 // AllgatherRecursiveDoubling gathers size bytes from every rank on every rank
@@ -236,44 +94,18 @@ func (r *Rank) ScatterBinomial(root int, size int64) {
 // doubles. It requires a power-of-two communicator; other sizes fall back to
 // the ring algorithm in Allgather.
 func (r *Rank) AllgatherRecursiveDoubling(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
+	if n := r.Size(); n&(n-1) != 0 {
 		r.Allgather(size)
 		return
 	}
-	r.hostNoise()
-	block := size
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := r.rank ^ mask
-		r.SendRecv(partner, block, partner, core.PointToPoint)
-		block *= 2
-	}
+	r.collective(opAllgatherRecursiveDoubling, opNone, 0, size, core.PointToPoint)
 }
 
 // AllgatherBruck gathers size bytes from every rank on every rank using the
 // Bruck algorithm (log rounds, doubling block sizes, ranks at distance 2^k).
 // Unlike recursive doubling it works for any communicator size.
 func (r *Rank) AllgatherBruck(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	have := int64(1)
-	for dist := 1; dist < n; dist <<= 1 {
-		send := have
-		if int64(n)-have < send {
-			send = int64(n) - have
-		}
-		bytes := send * size
-		sendTo := (r.rank - dist + n) % n
-		recvFrom := (r.rank + dist) % n
-		r.exchange(&r.sendReq, sendTo, bytes, core.PointToPoint, &r.recvReq, recvFrom)
-		have += send
-	}
+	r.collective(opAllgatherBruck, opNone, 0, size, core.PointToPoint)
 }
 
 // ReduceScatterHalving reduces and scatters equally sized blocks of size bytes
@@ -281,27 +113,11 @@ func (r *Rank) AllgatherBruck(size int64) {
 // allreduce). Non-power-of-two communicators fall back to the pairwise
 // algorithm in ReduceScatterBlock.
 func (r *Rank) ReduceScatterHalving(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
+	if n := r.Size(); n&(n-1) != 0 {
 		r.ReduceScatterBlock(size)
 		return
 	}
-	r.hostNoise()
-	chunk := size * int64(n) / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := r.rank ^ mask
-		r.SendRecv(partner, chunk, partner, core.PointToPoint)
-		chunk /= 2
-		if chunk < size {
-			chunk = size
-		}
-	}
+	r.collective(opReduceScatterHalving, opNone, 0, size, core.PointToPoint)
 }
 
 // Scan performs an inclusive prefix reduction of size bytes with the linear
@@ -309,15 +125,5 @@ func (r *Rank) ReduceScatterHalving(size int64) {
 // forwards its own partial result to rank k+1. The pattern is a strict chain,
 // the opposite extreme of alltoall's full bisection pressure.
 func (r *Rank) Scan(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	if r.rank > 0 {
-		r.Recv(r.rank - 1)
-	}
-	if r.rank < n-1 {
-		r.Send(r.rank+1, size, core.PointToPoint)
-	}
+	r.collective(opScan, opNone, 0, size, core.PointToPoint)
 }

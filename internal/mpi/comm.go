@@ -7,7 +7,11 @@
 // pooled runtime coroutine; a cooperative scheduler resumes the runnable
 // ranks' coroutines in turn and steps the discrete event engine in between, so
 // exactly one of them (a rank or the engine loop) runs at a time, keeping the
-// simulation deterministic.
+// simulation deterministic. A rank is resumed only when what it waits for is
+// done. Send, Recv, SendRecv and the collectives are plans of rounds (see
+// plan.go) that the scheduler advances from its run queue without resuming
+// the rank, so each blocking call costs the rank at most one resume, however
+// many messages it holds.
 //
 // The per-message routing decision hook sits exactly where the paper's
 // LD_PRELOAD library interposes on uGNI: immediately before handing the
@@ -211,6 +215,8 @@ func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
 	for _, r := range c.ranks {
 		r.finished = false
 		r.queued = false
+		r.waits = 0
+		r.plan = plan{}
 		s.bind(r, program)
 		s.markRunnable(r)
 	}

@@ -24,6 +24,15 @@ const checkEverySteps = 4096
 // runnable queue, and the queue is fed in Start order and then in engine event
 // order.
 //
+// A rank enters the queue only when its whole wait is satisfied: each
+// completion counts down what it waits for. When the rank waits inside a plan
+// (a blocking call made of rounds, see plan.go), the scheduler runs the
+// plan's next rounds at the rank's queue slot, where it would have resumed
+// the coroutine, and resumes the coroutine only after the last round. So a
+// rank costs one resume to start and at most one per blocking call, and the
+// order of everything the ranks do is the order the coroutines would have
+// done it in.
+//
 // The coroutines are pooled: when a rank's program returns, its coroutine
 // parks on the scheduler's idle list and runs the next rank started on the
 // scheduler, so a scheduler creates one coroutine per peak-concurrent rank,
@@ -42,6 +51,8 @@ type Scheduler struct {
 	// idle is the subset parked without a rank, ready for the next Start.
 	coros []*coroutine
 	idle  []*coroutine
+	// resumes counts the coroutine resumes (see Resumes).
+	resumes uint64
 }
 
 // coroutine is one pooled rank executor: a runtime coroutine that runs the
@@ -75,6 +86,11 @@ func (s *Scheduler) Live() int { return s.live }
 
 // Idle reports the number of pooled coroutines parked for the next Start.
 func (s *Scheduler) Idle() int { return len(s.idle) }
+
+// Resumes reports how many times the scheduler has resumed a rank's
+// coroutine: once per program start and once per blocking call that had to
+// wait.
+func (s *Scheduler) Resumes() uint64 { return s.resumes }
 
 // bind attaches program to rank r on a pooled coroutine, creating one only
 // when none is idle. The program starts the first time the scheduler
@@ -127,13 +143,16 @@ func (s *Scheduler) markRunnable(r *Rank) {
 	s.runnable = append(s.runnable, r)
 }
 
-// runRunnable resumes runnable ranks in FIFO order until none are left. When
-// the last rank of a communicator finishes, the communicator's finish time is
-// stamped and its OnFinished hook runs — the hook may Start the communicator
-// again (the facade uses this to chain measurement iterations), which feeds
-// the queue and keeps the loop going. The queue is drained by index and
-// truncated once empty, so it keeps its capacity and a resume never
-// allocates.
+// runRunnable serves runnable ranks in FIFO order until none are left. A
+// rank is queued only when what it waits for is done. If it waits inside a
+// plan, runRunnable runs the plan's next rounds at the rank's slot, and
+// resumes the coroutine there only when the last round is done; otherwise it
+// resumes the coroutine. When the last rank of a communicator finishes, the
+// communicator's finish time is stamped and its OnFinished hook runs — the
+// hook may Start the communicator again (the facade uses this to chain
+// measurement iterations), which feeds the queue and keeps the loop going.
+// The queue is drained by index and truncated once empty, so it keeps its
+// capacity and a resume never allocates.
 func (s *Scheduler) runRunnable() {
 	for i := 0; i < len(s.runnable); i++ {
 		r := s.runnable[i]
@@ -141,7 +160,11 @@ func (s *Scheduler) runRunnable() {
 		if r.finished {
 			continue
 		}
+		if r.plan.op != opNone && !r.step() {
+			continue
+		}
 		co := r.co
+		s.resumes++
 		co.next()
 		if r.finished {
 			co.rank, co.program, r.co = nil, nil, nil
@@ -242,12 +265,14 @@ func (s *Scheduler) Drain(check func() error) error {
 }
 
 // shutdownOnPanic releases the scheduler's coroutines when a panic escapes
-// the drive loop (a rank program, an engine event callback or an OnFinished
-// hook blowing up), then lets the panic continue. Callers that recover such
+// the drive loop (a rank program, a routing provider or host-noise sampler
+// called from a plan round, an engine event callback or an OnFinished hook
+// blowing up), then lets the panic continue. Callers that recover such
 // panics — the trial harness captures them per trial — would otherwise strand
 // every unfinished rank, exactly the leak Shutdown exists to prevent. At every
 // point a panic can escape Run or Drain, the surviving coroutines are parked
-// (a rank only executes inside the drive loop's next() call, and a rank's
+// (a rank's program only executes inside the drive loop's next() call, a plan
+// round runs on the drive loop while its rank stays parked, and a program's
 // panic ends its own coroutine), so Shutdown is safe here.
 func (s *Scheduler) shutdownOnPanic() {
 	if r := recover(); r != nil {

@@ -478,3 +478,199 @@ func BenchmarkRankExchange(b *testing.B) {
 	b.ResetTimer()
 	run()
 }
+
+// TestOneResumePerBlockingCall pins the closed forms of Scheduler.Resumes: a
+// rank is resumed once to start its program and once per blocking call that
+// had to wait, however many rounds, messages and completions the call holds.
+// It also pins the two waits that must not hang: a request listed twice, and
+// a request another rank started.
+func TestOneResumePerBlockingCall(t *testing.T) {
+	resumes := func(c *Comm, program func(*Rank)) uint64 {
+		t.Helper()
+		s := NewScheduler(c.Fabric().Engine())
+		defer s.Shutdown()
+		if err := c.Start(s, program); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.Size(); i++ {
+			if err := c.Rank(i).Err(); err != nil {
+				t.Fatalf("rank %d: %v", i, err)
+			}
+		}
+		return s.Resumes()
+	}
+	for _, k := range []int{1, 4} {
+		got := resumes(testComm(t, 8, Config{}, 51), func(r *Rank) {
+			for i := 0; i < k; i++ {
+				r.Allreduce(64)
+			}
+		})
+		if want := uint64(8 * (k + 1)); got != want {
+			t.Errorf("%d Allreduce calls on 8 ranks: %d resumes, want %d", k, got, want)
+		}
+		got = resumes(testComm(t, 6, Config{}, 52), func(r *Rank) {
+			for i := 0; i < k; i++ {
+				r.Alltoall(256)
+			}
+		})
+		if want := uint64(6 * (k + 1)); got != want {
+			t.Errorf("%d Alltoall calls on 6 ranks: %d resumes, want %d", k, got, want)
+		}
+		// A halo exchange: both neighbours' receives and sends posted, then
+		// one WaitAll per iteration.
+		got = resumes(testComm(t, 5, Config{}, 53), func(r *Rank) {
+			left, right := (r.Rank()+4)%5, (r.Rank()+1)%5
+			for i := 0; i < k; i++ {
+				r.WaitAll(r.Irecv(left), r.Irecv(right),
+					r.Isend(left, 512, core.PointToPoint), r.Isend(right, 512, core.PointToPoint))
+			}
+		})
+		if want := uint64(5 * (k + 1)); got != want {
+			t.Errorf("%d halo iterations on 5 ranks: %d resumes, want %d", k, got, want)
+		}
+	}
+
+	c := testComm(t, 2, Config{}, 54)
+	var shared *Request
+	done := false
+	err := c.Run(func(r *Rank) {
+		if r.Rank() == 0 {
+			q := r.Isend(1, 64, core.PointToPoint)
+			shared = q
+			r.WaitAll(q, q)
+			done = q.Done()
+			return
+		}
+		r.Wait(shared) // rank 0 started it
+		r.Recv(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !done || c.Rank(0).Err() != nil {
+		t.Fatalf("WaitAll(q, q) returned with q done %v, err %v", done, c.Rank(0).Err())
+	}
+	if c.Rank(1).Err() == nil {
+		t.Fatal("waiting on another rank's request did not fail")
+	}
+}
+
+// BenchmarkRankAllreduce measures a latency-bound collective through the mpi
+// layer: 8 ranks on a warmed scheduler make one recursive-doubling Allreduce
+// of one packet per op, so each op is 24 messages in 3 rounds per rank. One
+// untimed run warms the scheduler, the fabric's pools and the queues first,
+// so a steady-state collective must not allocate. It also reports the
+// coroutine resumes per op, one per rank.
+func BenchmarkRankAllreduce(b *testing.B) {
+	c := testCommOn(b, topo.SmallConfig(2), 8, Config{}, 1)
+	s := NewScheduler(c.Fabric().Engine())
+	defer s.Shutdown()
+	ops := 100
+	program := func(r *Rank) {
+		for i := 0; i < ops; i++ {
+			r.Allreduce(controlMessageBytes)
+		}
+	}
+	run := func() {
+		if err := c.Start(s, program); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < c.Size(); i++ {
+			if err := c.Rank(i).Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run()
+	ops = b.N
+	before := s.Resumes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	run()
+	b.StopTimer()
+	b.ReportMetric(float64(s.Resumes()-before)/float64(b.N), "resumes/op")
+}
+
+// TestRestartRunsInStartOrder: a communicator restarted from its OnFinished
+// hook starts its ranks' programs in Start order, even when the rank that
+// finished last ended on a receive whose message had already arrived: a
+// receive matched when posted must not queue the rank that posted it.
+func TestRestartRunsInStartOrder(t *testing.T) {
+	c := testComm(t, 2, Config{}, 3)
+	s := NewScheduler(c.Fabric().Engine())
+	defer s.Shutdown()
+	var order []int
+	restarted := false
+	c.OnFinished(func() {
+		if !restarted {
+			restarted = true
+			if err := c.Start(s, func(r *Rank) { order = append(order, r.Rank()) }); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	err := c.Start(s, func(r *Rank) {
+		if r.Rank() == 0 {
+			r.Send(1, 64, core.PointToPoint)
+			return
+		}
+		r.Compute(1_000_000) // the message arrives meanwhile
+		r.Recv(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1}) {
+		t.Fatalf("restarted programs began in order %v, want [0 1]", order)
+	}
+}
+
+// panicRouting panics on its rank's second SelectMode call.
+type panicRouting struct {
+	boom  error
+	calls int
+}
+
+func (p *panicRouting) SelectMode(int64, core.TrafficKind) (routing.Mode, int64, func(DeliveryCounters)) {
+	if p.calls++; p.calls == 2 {
+		panic(p.boom)
+	}
+	return routing.Adaptive, 0, nil
+}
+
+// TestPlanRoundPanicReachesRun: a routing provider that panics in a plan
+// round the scheduler runs (rank 0's second Allreduce round, after its first
+// wait) propagates out of Run like a program's panic, and the parked ranks
+// are released.
+func TestPlanRoundPanicReachesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fab, a, _ := execFixture(t, 37)
+	boom := errors.New("provider blew up")
+	comm := MustNewComm(fab, a, Config{Routing: func(rank int) RoutingProvider {
+		if rank == 0 {
+			return &panicRouting{boom: boom}
+		}
+		return DefaultRouting()
+	}})
+	sched := NewScheduler(fab.Engine())
+	defer sched.Shutdown()
+	if err := comm.Start(sched, func(r *Rank) { r.Allreduce(64) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered(func() { _ = sched.Run(nil) }); got != boom {
+		t.Fatalf("Run panicked with %v, want %v", got, boom)
+	}
+	if sched.Live() != 0 {
+		t.Fatalf("after the panic: %d live ranks, want 0", sched.Live())
+	}
+	testutil.WaitGoroutines(t, base)
+}

@@ -1,10 +1,14 @@
 package mpi
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"dragonfly/internal/core"
 	"dragonfly/internal/network"
+	"dragonfly/internal/sim"
 )
 
 // FuzzMatch decodes bytes into receives posted and messages arriving at one
@@ -102,4 +106,181 @@ func completed(pending, order []int, done func(int) bool) ([]int, []int) {
 		}
 		return false
 	}), order
+}
+
+// fuzzCall is one whole-communicator step of FuzzCollectives: run makes the
+// call through its plan, ref through the blocking oracle in
+// reference_test.go.
+type fuzzCall struct {
+	name     string
+	run, ref func(r *Rank, root int, size int64)
+}
+
+// fuzzInvalidSend is the index of the call in which rank root sends to a
+// peer that does not exist.
+const fuzzInvalidSend = 22
+
+var fuzzCalls = []fuzzCall{
+	{"Send/Recv",
+		func(r *Rank, _ int, size int64) { pingPong(r, size, r.Send, r.Recv) },
+		func(r *Rank, _ int, size int64) { pingPong(r, size, r.refSend, r.refRecv) }},
+	{"SendRecv",
+		func(r *Rank, _ int, size int64) { r.SendRecv(ringPeers(r, size)) },
+		func(r *Rank, _ int, size int64) { r.refSendRecv(ringPeers(r, size)) }},
+	{"Barrier",
+		func(r *Rank, _ int, _ int64) { r.Barrier() },
+		func(r *Rank, _ int, _ int64) { r.refBarrier() }},
+	{"Broadcast", (*Rank).Broadcast, (*Rank).refBroadcast},
+	{"Reduce", (*Rank).Reduce, (*Rank).refReduce},
+	{"Allreduce",
+		func(r *Rank, _ int, size int64) { r.Allreduce(size) },
+		func(r *Rank, _ int, size int64) { r.refAllreduce(size) }},
+	{"Alltoall",
+		func(r *Rank, _ int, size int64) { r.Alltoall(size) },
+		func(r *Rank, _ int, size int64) { r.refAlltoall(size) }},
+	{"Allgather",
+		func(r *Rank, _ int, size int64) { r.Allgather(size) },
+		func(r *Rank, _ int, size int64) { r.refAllgather(size) }},
+	{"Gather", (*Rank).Gather, (*Rank).refGather},
+	{"Scatter", (*Rank).Scatter, (*Rank).refScatter},
+	{"ReduceScatterBlock",
+		func(r *Rank, _ int, size int64) { r.ReduceScatterBlock(size) },
+		func(r *Rank, _ int, size int64) { r.refReduceScatterBlock(size) }},
+	{"AllreduceRing",
+		func(r *Rank, _ int, size int64) { r.AllreduceRing(size) },
+		func(r *Rank, _ int, size int64) { r.refAllreduceRing(size) }},
+	{"AllreduceRabenseifner",
+		func(r *Rank, _ int, size int64) { r.AllreduceRabenseifner(size) },
+		func(r *Rank, _ int, size int64) { r.refAllreduceRabenseifner(size) }},
+	{"AlltoallBruck",
+		func(r *Rank, _ int, size int64) { r.AlltoallBruck(size) },
+		func(r *Rank, _ int, size int64) { r.refAlltoallBruck(size) }},
+	{"AlltoallSpread",
+		func(r *Rank, _ int, size int64) { r.AlltoallSpread(size) },
+		func(r *Rank, _ int, size int64) { r.AlltoallSpread(size) }},
+	{"AllgatherRecursiveDoubling",
+		func(r *Rank, _ int, size int64) { r.AllgatherRecursiveDoubling(size) },
+		func(r *Rank, _ int, size int64) { r.refAllgatherRecursiveDoubling(size) }},
+	{"AllgatherBruck",
+		func(r *Rank, _ int, size int64) { r.AllgatherBruck(size) },
+		func(r *Rank, _ int, size int64) { r.refAllgatherBruck(size) }},
+	{"ReduceScatterHalving",
+		func(r *Rank, _ int, size int64) { r.ReduceScatterHalving(size) },
+		func(r *Rank, _ int, size int64) { r.refReduceScatterHalving(size) }},
+	{"GatherBinomial", (*Rank).GatherBinomial, (*Rank).refGatherBinomial},
+	{"ScatterBinomial", (*Rank).ScatterBinomial, (*Rank).refScatterBinomial},
+	{"Scan",
+		func(r *Rank, _ int, size int64) { r.Scan(size) },
+		func(r *Rank, _ int, size int64) { r.refScan(size) }},
+	{"BroadcastScatterAllgather", (*Rank).BroadcastScatterAllgather, (*Rank).refBroadcastScatterAllgather},
+	fuzzInvalidSend: {"invalid-peer Send",
+		func(r *Rank, root int, size int64) {
+			if r.rank == root {
+				r.Send(r.Size()+root, size, core.PointToPoint)
+			}
+		},
+		func(r *Rank, root int, size int64) {
+			if r.rank == root {
+				r.refSend(r.Size()+root, size, core.PointToPoint)
+			}
+		}},
+}
+
+// pingPong exchanges size bytes between ranks 2k and 2k+1: the even rank
+// sends first, the odd one receives first.
+func pingPong(r *Rank, size int64, send func(int, int64, core.TrafficKind), recv func(int) *network.Delivery) {
+	peer := r.rank ^ 1
+	if peer >= r.Size() {
+		return
+	}
+	if r.rank%2 == 0 {
+		send(peer, size, core.PointToPoint)
+		recv(peer)
+	} else {
+		recv(peer)
+		send(peer, size, core.PointToPoint)
+	}
+}
+
+// ringPeers returns the arguments of a SendRecv of size bytes around the
+// communicator ring.
+func ringPeers(r *Rank, size int64) (int, int64, int, core.TrafficKind) {
+	n := r.Size()
+	return (r.rank + 1) % n, size, (r.rank - 1 + n) % n, core.PointToPoint
+}
+
+// fuzzStep is one decoded call of FuzzCollectives.
+type fuzzStep struct {
+	call, root int
+	size       int64
+}
+
+// FuzzCollectives decodes bytes into a sequence of blocking calls on a
+// communicator, runs it through the plans and through the blocking oracle on
+// two fresh systems, and checks that both leave the same run: the same error
+// (a deadlock, after an invalid-peer send), the same per-rank finish times
+// and errors, the same host-noise and SelectMode logs, the same per-node NIC
+// counters and the same injected packets. The input is
+//
+//	byte 0      comm size 2 + b%7 (2–8 ranks on SmallConfig(2))
+//	byte 1      bit 0 host noise on; bits 1–2 the overhead period (0: none)
+//	then        1 to 6 calls of 3 bytes: call index (modulo the list),
+//	            root (modulo the size), size b*16 bytes
+//
+// Only the first invalid-peer send of an input runs.
+func FuzzCollectives(f *testing.F) {
+	f.Add([]byte{6, 7, 5, 0, 9, 3, 2, 40})
+	f.Add([]byte{2, 1, 0, 1, 3, 1, 0, 2, 22, 1, 1, 5, 0, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0]%7)
+		noise, period := data[1]&1 != 0, int(data[1]>>1)%4
+		var steps []fuzzStep
+		invalid := false
+		for k := 2; k+2 < len(data) && len(steps) < 6; k += 3 {
+			s := fuzzStep{int(data[k]) % len(fuzzCalls), int(data[k+1]) % n, int64(data[k+2]) * 16}
+			if s.call == fuzzInvalidSend {
+				if invalid {
+					continue
+				}
+				invalid = true
+			}
+			steps = append(steps, s)
+		}
+		if len(steps) == 0 {
+			return
+		}
+		run := func(ref bool) string {
+			p := &probe{noise: noise, period: period}
+			c := probeComm(t, n, p, 61)
+			finish := make([]sim.Time, n)
+			err := c.Run(func(r *Rank) {
+				finish[r.rank] = -1
+				for _, s := range steps {
+					if ref {
+						fuzzCalls[s.call].ref(r, s.root, s.size)
+					} else {
+						fuzzCalls[s.call].run(r, s.root, s.size)
+					}
+				}
+				finish[r.rank] = r.Now()
+			})
+			var b strings.Builder
+			fmt.Fprintf(&b, "run error: %v\n", err)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&b, "rank %d finish %d err %v nic %+v\n", i, finish[i], c.Rank(i).Err(), c.Fabric().NodeCounters(c.Rank(i).Node()))
+			}
+			fmt.Fprintf(&b, "noise %v\nselect %v\npackets %d\n", p.noiseLog, p.selectLog, c.Fabric().PacketsInjected())
+			return b.String()
+		}
+		if got, want := run(false), run(true); got != want {
+			var names []string
+			for _, s := range steps {
+				names = append(names, fmt.Sprintf("%s(root %d, %d B)", fuzzCalls[s.call].name, s.root, s.size))
+			}
+			t.Fatalf("%d ranks, noise %v, overhead period %d, calls %v:\nplans:\n%s\noracle:\n%s", n, noise, period, names, got, want)
+		}
+	})
 }

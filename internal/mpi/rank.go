@@ -6,6 +6,7 @@ import (
 	"dragonfly/internal/core"
 	"dragonfly/internal/counters"
 	"dragonfly/internal/network"
+	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
 )
@@ -25,15 +26,17 @@ type Rank struct {
 	queued   bool
 	finished bool
 
-	// computeDone flags the completion of the (single) outstanding Compute
-	// event; see Compute and HandleEvent.
-	computeDone bool
+	// waits counts what the blocked rank waits for: its pending requests,
+	// each once, or the one Compute, host-noise or overhead event. The rank
+	// is re-queued when it drops to zero (see wake).
+	waits int
+	// plan is the blocking call the rank is running (see plan.go).
+	plan plan
 
 	// posted and unexpected are the rank's matching queues (see match.go).
 	posted     fifo[*Request]
 	unexpected fifo[unexpectedMsg]
-	// sendReq and recvReq are the requests every blocking call runs on (see
-	// exchange).
+	// sendReq and recvReq are the requests every plan round runs on.
 	sendReq, recvReq Request
 
 	sendSeq uint64
@@ -72,9 +75,10 @@ func (r *Rank) fail(err error) {
 }
 
 // block yields the rank's coroutine back to the scheduler until it resumes
-// the rank. When Scheduler.Shutdown stops the coroutine instead, the yield
-// returns false and block unwinds the rank's program: an abandoned run
-// (cancellation, deadlock) would otherwise leave it parked forever.
+// the rank, which it does once what the rank waits for is done. When
+// Scheduler.Shutdown stops the coroutine instead, the yield returns false and
+// block unwinds the rank's program: an abandoned run (cancellation,
+// deadlock) would otherwise leave it parked forever.
 func (r *Rank) block() {
 	if !r.co.yield(struct{}{}) {
 		panic(errRankAborted)
@@ -86,6 +90,9 @@ type Request struct {
 	owner *Rank
 	peer  int
 	done  bool
+	// waited reports whether the owner is blocked on the request and counts
+	// it in its waits.
+	waited bool
 	// delivered reports whether delivery holds the operation's record; it
 	// stays false while the operation is pending and when it failed.
 	delivered bool
@@ -118,12 +125,15 @@ func (q *Request) start(peer int) {
 	q.peer, q.done, q.delivered, q.observe = peer, false, false, nil
 }
 
-// complete records the delivery, marks the request as done and re-queues its
-// owner if it is waiting.
+// complete records the delivery and marks the request as done. If the owner
+// waits on it, it is one fewer thing the owner waits for.
 func (q *Request) complete(d *network.Delivery) {
 	q.done = true
 	q.delivery, q.delivered = *d, true
-	q.owner.comm.markRunnable(q.owner)
+	if q.waited {
+		q.waited = false
+		q.owner.wake()
+	}
 }
 
 // sendDone is the fabric's completion callback for the send q carries: it
@@ -144,31 +154,48 @@ func (r *Rank) Compute(cycles int64) {
 	if cycles <= 0 || r.err != nil {
 		return
 	}
-	// Compute blocks until its completion event has fired, so at most one is
-	// outstanding per rank and a flag on the rank replaces a per-call closure
-	// (this is the hottest non-fabric scheduling site: every host-noise sample
-	// and selector overhead charge lands here).
-	r.computeDone = false
+	r.delay(cycles)
+	r.block()
+}
+
+// delay schedules the completion event of cycles of host time, the one thing
+// the rank then waits for. At most one is outstanding per rank, so the event
+// is the rank itself and needs no closure: every Compute, host-noise sample
+// and selector overhead charge lands here.
+func (r *Rank) delay(cycles int64) {
+	r.waits++
 	r.comm.engine().AfterCall(cycles, r, 0, 0)
-	for !r.computeDone {
-		r.block()
+}
+
+// HandleEvent implements sim.Handler for the events delay schedules.
+func (r *Rank) HandleEvent(_ *sim.Engine, _, _ int64) {
+	r.wake()
+}
+
+// wake counts down one thing the rank waits for and re-queues the rank when
+// none is left, so the scheduler resumes a rank only when its wait is done.
+func (r *Rank) wake() {
+	if r.waits--; r.waits == 0 {
+		r.comm.markRunnable(r)
 	}
 }
 
-// HandleEvent implements sim.Handler for Compute completion events.
-func (r *Rank) HandleEvent(_ *sim.Engine, _, _ int64) {
-	r.computeDone = true
-	r.comm.markRunnable(r)
+// sampleNoise samples the configured host noise, if any, and returns the
+// delay to charge: none once r.err is set, as Compute charges none.
+func (r *Rank) sampleNoise() int64 {
+	if r.comm.cfg.HostNoise == nil {
+		return 0
+	}
+	d := r.comm.cfg.HostNoise(r.rank)
+	if r.err != nil {
+		return 0
+	}
+	return d
 }
 
 // hostNoise charges the configured host-side noise, if any.
 func (r *Rank) hostNoise() {
-	if r.comm.cfg.HostNoise == nil {
-		return
-	}
-	if d := r.comm.cfg.HostNoise(r.rank); d > 0 {
-		r.Compute(d)
-	}
+	r.Compute(r.sampleNoise())
 }
 
 // Isend starts a non-blocking send of size bytes to the peer rank. kind
@@ -180,31 +207,46 @@ func (r *Rank) Isend(peer int, size int64, kind core.TrafficKind) *Request {
 	return q
 }
 
-// isend starts the send of size bytes to peer on q.
+// isend starts the send of size bytes to peer on q, charging the selector's
+// overhead in between as a Compute.
 func (r *Rank) isend(q *Request, peer int, size int64, kind core.TrafficKind) {
+	size = max(size, 0)
+	mode, overhead := r.selectSend(q, peer, size, kind)
+	r.Compute(overhead)
+	r.inject(q, size, mode)
+}
+
+// selectSend readies q for a send of size >= 0 bytes to peer and asks the
+// routing provider for its mode. It returns the mode and the overhead to
+// charge before inject. A send that cannot start (an earlier error, an
+// invalid peer, which sets r.err) completes q at once with no overhead.
+func (r *Rank) selectSend(q *Request, peer int, size int64, kind core.TrafficKind) (routing.Mode, int64) {
 	q.start(peer)
 	if r.err != nil {
 		q.done = true
-		return
+		return 0, 0
 	}
 	if peer < 0 || peer >= r.Size() {
 		r.fail(fmt.Errorf("mpi: rank %d sending to invalid peer %d", r.rank, peer))
 		q.done = true
-		return
-	}
-	if size < 0 {
-		size = 0
+		return 0, 0
 	}
 	mode, overhead, observe := r.routing.SelectMode(size, kind)
-	if overhead > 0 {
-		r.Compute(overhead)
-	}
 	q.observe = observe
+	return mode, overhead
+}
+
+// inject hands the send selectSend readied on q to the fabric, unless it
+// could not start.
+func (r *Rank) inject(q *Request, size int64, mode routing.Mode) {
+	if q.done {
+		return
+	}
 	if q.sent == nil {
 		q.sent = q.sendDone
 	}
 	r.sendSeq++
-	err := r.comm.fabric.Send(r.node, r.comm.alloc.Node(peer), size, network.SendOptions{
+	err := r.comm.fabric.Send(r.node, r.comm.alloc.Node(q.peer), size, network.SendOptions{
 		Mode: mode,
 		Verb: r.comm.cfg.Verb,
 		Tag:  uint64(r.rank)<<32 | r.sendSeq,
@@ -237,53 +279,47 @@ func (r *Rank) irecv(q *Request, peer int) {
 	r.match(q)
 }
 
-// Wait blocks until the request completes.
+// Wait blocks until the request completes (see WaitAll).
 func (r *Rank) Wait(req *Request) {
-	if req == nil {
+	r.WaitAll(req)
+}
+
+// WaitAll blocks until all requests complete; nil requests and repeats are
+// allowed. The rank is resumed once, when the last one completes. Waiting on
+// a request this rank did not start fails the call (see Err), and after an
+// error WaitAll returns at once.
+func (r *Rank) WaitAll(reqs ...*Request) {
+	for _, q := range reqs {
+		if q != nil && q.owner != r {
+			r.fail(fmt.Errorf("mpi: rank %d waiting on a request it did not start", r.rank))
+		}
+	}
+	if r.err != nil {
 		return
 	}
-	for !req.done && r.err == nil {
+	for _, q := range reqs {
+		if q != nil {
+			r.count(q)
+		}
+	}
+	if r.waits > 0 {
 		r.block()
 	}
 }
 
-// WaitAll blocks until all requests complete.
-func (r *Rank) WaitAll(reqs ...*Request) {
-	for _, q := range reqs {
-		r.Wait(q)
+// count adds q to what the rank waits for, once, unless it completed.
+func (r *Rank) count(q *Request) {
+	if !q.done && !q.waited {
+		q.waited = true
+		r.waits++
 	}
-}
-
-// exchange is the body of every blocking call: it posts the receive from
-// recvPeer on recv, starts the send of size bytes to sendPeer on send, and
-// waits for both; a nil request leaves its half out. It returns the received
-// delivery, or nil. The callers pass the rank's own sendReq and recvReq. Both
-// complete before exchange returns unless an operation fails and sets r.err,
-// and from then on exchange returns at once, so a receive a failed call left
-// posted is never rewritten.
-func (r *Rank) exchange(send *Request, sendPeer int, size int64, kind core.TrafficKind, recv *Request, recvPeer int) *network.Delivery {
-	if r.err != nil {
-		return nil
-	}
-	if recv != nil {
-		r.irecv(recv, recvPeer)
-	}
-	if send != nil {
-		r.isend(send, sendPeer, size, kind)
-		r.Wait(send)
-	}
-	if recv == nil {
-		return nil
-	}
-	r.Wait(recv)
-	return recv.Delivery()
 }
 
 // Send performs a blocking send. Completion follows rendezvous semantics: the
 // call returns when the payload has been delivered to the destination NIC.
 func (r *Rank) Send(peer int, size int64, kind core.TrafficKind) {
-	r.hostNoise()
-	r.exchange(&r.sendReq, peer, size, kind, nil, 0)
+	r.plan = plan{op: opSend, to: peer, size: size, kind: kind}
+	r.run()
 }
 
 // Recv performs a blocking receive of the next message from peer and returns
@@ -291,16 +327,29 @@ func (r *Rank) Send(peer int, size int64, kind core.TrafficKind) {
 // receive failed (see Err). The record belongs to the rank and is valid until
 // its next blocking call: Send, Recv, SendRecv or a collective.
 func (r *Rank) Recv(peer int) *network.Delivery {
-	r.hostNoise()
-	return r.exchange(nil, 0, 0, 0, &r.recvReq, peer)
+	failed := r.err != nil
+	r.plan = plan{op: opRecv, from: peer}
+	r.run()
+	return r.received(failed)
 }
 
 // SendRecv exchanges messages with two peers concurrently (sends size bytes to
 // sendPeer while receiving from recvPeer) and returns the received delivery,
 // valid as long as the one Recv returns.
 func (r *Rank) SendRecv(sendPeer int, size int64, recvPeer int, kind core.TrafficKind) *network.Delivery {
-	r.hostNoise()
-	return r.exchange(&r.sendReq, sendPeer, size, kind, &r.recvReq, recvPeer)
+	failed := r.err != nil
+	r.plan = plan{op: opSendRecv, to: sendPeer, size: size, from: recvPeer, kind: kind}
+	r.run()
+	return r.received(failed)
+}
+
+// received returns the delivery of the receive the call just made, or nil
+// when the call failed before posting it or the receive is not done.
+func (r *Rank) received(failed bool) *network.Delivery {
+	if failed {
+		return nil
+	}
+	return r.recvReq.Delivery()
 }
 
 // NICCounters returns the cumulative NIC counters of the node this rank runs

@@ -1,6 +1,9 @@
 package mpi
 
-import "dragonfly/internal/network"
+import (
+	"dragonfly/internal/core"
+	"dragonfly/internal/network"
+)
 
 // refMatcher is the matcher the per-rank queues replaced, kept as the oracle
 // for FuzzMatch: one FIFO of posted receives and one of arrived messages per
@@ -59,4 +62,492 @@ func (c *refMatcher) matchRecv(req *refRequest) {
 		return
 	}
 	c.waiting[key] = append(c.waiting[key], req)
+}
+
+// The blocking calls as they were before plans, kept as the oracle for
+// FuzzCollectives: each round is a blocking Send, Recv or SendRecv, or a
+// refExchange on the rank's own requests, and the rank's coroutine waits out
+// each host-noise sample, overhead charge and transfer in turn.
+
+// refExchange posts the receive from recvPeer on recv, starts the send of
+// size bytes to sendPeer on send, and waits for both; a nil request leaves
+// its half out. It returns the received delivery, or nil, and returns at once
+// once r.err is set.
+func (r *Rank) refExchange(send *Request, sendPeer int, size int64, kind core.TrafficKind, recv *Request, recvPeer int) *network.Delivery {
+	if r.err != nil {
+		return nil
+	}
+	if recv != nil {
+		r.irecv(recv, recvPeer)
+	}
+	if send != nil {
+		r.isend(send, sendPeer, size, kind)
+		r.Wait(send)
+	}
+	if recv == nil {
+		return nil
+	}
+	r.Wait(recv)
+	return recv.Delivery()
+}
+
+// refSend is Send as host noise and a blocking exchange.
+func (r *Rank) refSend(peer int, size int64, kind core.TrafficKind) {
+	r.hostNoise()
+	r.refExchange(&r.sendReq, peer, size, kind, nil, 0)
+}
+
+// refRecv is Recv as host noise and a blocking exchange.
+func (r *Rank) refRecv(peer int) *network.Delivery {
+	r.hostNoise()
+	return r.refExchange(nil, 0, 0, 0, &r.recvReq, peer)
+}
+
+// refSendRecv is SendRecv as host noise and a blocking exchange.
+func (r *Rank) refSendRecv(sendPeer int, size int64, recvPeer int, kind core.TrafficKind) *network.Delivery {
+	r.hostNoise()
+	return r.refExchange(&r.sendReq, sendPeer, size, kind, &r.recvReq, recvPeer)
+}
+
+// refBarrier is Barrier as a loop of blocking calls.
+func (r *Rank) refBarrier() {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	for dist := 1; dist < n; dist *= 2 {
+		to := (r.rank + dist) % n
+		from := (r.rank - dist + n) % n
+		r.refExchange(&r.sendReq, to, controlMessageBytes, core.PointToPoint, &r.recvReq, from)
+	}
+}
+
+// refBroadcast is Broadcast as a loop of blocking calls.
+func (r *Rank) refBroadcast(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	// Re-number ranks so the root is virtual rank 0.
+	vrank := (r.rank - root + n) % n
+	// Receive from the parent (unless root).
+	if vrank != 0 {
+		mask := 1
+		for mask < n {
+			if vrank&mask != 0 {
+				parent := ((vrank - mask) + root) % n
+				r.refRecv(parent)
+				break
+			}
+			mask <<= 1
+		}
+	}
+	// Forward to children.
+	mask := 1
+	for mask < n {
+		if vrank&mask != 0 {
+			break
+		}
+		mask <<= 1
+	}
+	for child := mask >> 1; child >= 1; child >>= 1 {
+		if vrank&child == 0 && vrank+child < n {
+			dest := ((vrank + child) + root) % n
+			r.refSend(dest, size, core.PointToPoint)
+		}
+	}
+}
+
+// refReduce is Reduce as a loop of blocking calls.
+func (r *Rank) refReduce(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	vrank := (r.rank - root + n) % n
+	mask := 1
+	for mask < n {
+		if vrank&mask != 0 {
+			parent := ((vrank &^ mask) + root) % n
+			r.refSend(parent, size, core.PointToPoint)
+			return
+		}
+		partner := vrank | mask
+		if partner < n {
+			r.refRecv((partner + root) % n)
+		}
+		mask <<= 1
+	}
+}
+
+// refAllreduce is Allreduce as a loop of blocking calls.
+func (r *Rank) refAllreduce(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	if n&(n-1) != 0 {
+		r.refReduce(0, size)
+		r.refBroadcast(0, size)
+		return
+	}
+	r.hostNoise()
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := r.rank ^ mask
+		r.refSendRecv(partner, size, partner, core.PointToPoint)
+	}
+}
+
+// refAlltoall is Alltoall as a loop of blocking calls.
+func (r *Rank) refAlltoall(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	for step := 1; step < n; step++ {
+		var partner int
+		if n&(n-1) == 0 {
+			partner = r.rank ^ step
+		} else {
+			partner = (r.rank + step) % n
+		}
+		sendTo := partner
+		recvFrom := partner
+		if n&(n-1) != 0 {
+			sendTo = (r.rank + step) % n
+			recvFrom = (r.rank - step + n) % n
+		}
+		r.refExchange(&r.sendReq, sendTo, size, core.Alltoall, &r.recvReq, recvFrom)
+	}
+}
+
+// refAllgather is Allgather as a loop of blocking calls.
+func (r *Rank) refAllgather(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	next := (r.rank + 1) % n
+	prev := (r.rank - 1 + n) % n
+	for step := 0; step < n-1; step++ {
+		r.refExchange(&r.sendReq, next, size, core.PointToPoint, &r.recvReq, prev)
+	}
+}
+
+// refGather is Gather as a loop of blocking calls.
+func (r *Rank) refGather(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	if r.rank == root {
+		reqs := make([]*Request, 0, n-1)
+		for p := 0; p < n; p++ {
+			if p == root {
+				continue
+			}
+			reqs = append(reqs, r.Irecv(p))
+		}
+		r.WaitAll(reqs...)
+		return
+	}
+	r.refSend(root, size, core.PointToPoint)
+}
+
+// refScatter is Scatter as a loop of blocking calls.
+func (r *Rank) refScatter(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	if r.rank == root {
+		reqs := make([]*Request, 0, n-1)
+		for p := 0; p < n; p++ {
+			if p == root {
+				continue
+			}
+			reqs = append(reqs, r.Isend(p, size, core.PointToPoint))
+		}
+		r.WaitAll(reqs...)
+		return
+	}
+	r.refRecv(root)
+}
+
+// refReduceScatterBlock is ReduceScatterBlock as a loop of blocking calls.
+func (r *Rank) refReduceScatterBlock(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	for step := 1; step < n; step++ {
+		partner := (r.rank + step) % n
+		from := (r.rank - step + n) % n
+		r.refExchange(&r.sendReq, partner, size, core.PointToPoint, &r.recvReq, from)
+	}
+}
+
+// refBroadcastScatterAllgather is BroadcastScatterAllgather as a loop of blocking calls.
+func (r *Rank) refBroadcastScatterAllgather(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	block := size / int64(n)
+	if block < 1 {
+		block = 1
+	}
+	r.refScatterBinomial(root, block)
+	r.refAllgather(block)
+}
+
+// refAllreduceRing is AllreduceRing as a loop of blocking calls.
+func (r *Rank) refAllreduceRing(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	block := size / int64(n)
+	if block < 1 {
+		block = 1
+	}
+	next := (r.rank + 1) % n
+	prev := (r.rank - 1 + n) % n
+	// Reduce-scatter phase.
+	for step := 0; step < n-1; step++ {
+		r.refExchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
+	}
+	// Allgather phase.
+	for step := 0; step < n-1; step++ {
+		r.refExchange(&r.sendReq, next, block, core.PointToPoint, &r.recvReq, prev)
+	}
+}
+
+// refAllreduceRabenseifner is AllreduceRabenseifner as a loop of blocking calls.
+func (r *Rank) refAllreduceRabenseifner(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	if n&(n-1) != 0 {
+		r.refAllreduceRing(size)
+		return
+	}
+	r.hostNoise()
+	// Recursive-halving reduce-scatter: the exchanged block halves each round.
+	chunk := size / 2
+	if chunk < 1 {
+		chunk = 1
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := r.rank ^ mask
+		r.refSendRecv(partner, chunk, partner, core.PointToPoint)
+		chunk /= 2
+		if chunk < 1 {
+			chunk = 1
+		}
+	}
+	// Recursive-doubling allgather: the exchanged block doubles each round.
+	chunk = size / int64(n)
+	if chunk < 1 {
+		chunk = 1
+	}
+	for mask := n >> 1; mask >= 1; mask >>= 1 {
+		partner := r.rank ^ mask
+		r.refSendRecv(partner, chunk, partner, core.PointToPoint)
+		chunk *= 2
+		if chunk > size {
+			chunk = size
+		}
+	}
+}
+
+// refAlltoallBruck is AlltoallBruck as a loop of blocking calls.
+func (r *Rank) refAlltoallBruck(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	for dist := 1; dist < n; dist <<= 1 {
+		// Count the blocks whose destination-index has bit `dist` set; those are
+		// the blocks forwarded this round.
+		blocks := 0
+		for b := 1; b < n; b++ {
+			if b&dist != 0 {
+				blocks++
+			}
+		}
+		bytes := int64(blocks) * size
+		if bytes < 1 {
+			bytes = 1
+		}
+		sendTo := (r.rank + dist) % n
+		recvFrom := (r.rank - dist + n) % n
+		r.refExchange(&r.sendReq, sendTo, bytes, core.Alltoall, &r.recvReq, recvFrom)
+	}
+}
+
+// refGatherBinomial is GatherBinomial as a loop of blocking calls.
+func (r *Rank) refGatherBinomial(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	vrank := (r.rank - root + n) % n
+	// Collect from children (sub-trees at increasing distance).
+	gathered := int64(1)
+	mask := 1
+	for mask < n {
+		if vrank&mask != 0 {
+			break
+		}
+		childV := vrank | mask
+		if childV < n {
+			r.refRecv((childV + root) % n)
+			// The child owned a subtree of up to `mask` ranks.
+			sub := int64(mask)
+			if int64(n)-int64(childV) < sub {
+				sub = int64(n) - int64(childV)
+			}
+			gathered += sub
+		}
+		mask <<= 1
+	}
+	// Forward the aggregated block to the parent.
+	if vrank != 0 {
+		parentV := vrank &^ mask
+		r.refSend((parentV+root)%n, gathered*size, core.PointToPoint)
+	}
+}
+
+// refScatterBinomial is ScatterBinomial as a loop of blocking calls.
+func (r *Rank) refScatterBinomial(root int, size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	vrank := (r.rank - root + n) % n
+	// Receive the subtree payload from the parent (unless root).
+	mask := 1
+	for mask < n {
+		if vrank&mask != 0 {
+			parentV := vrank &^ mask
+			r.refRecv((parentV + root) % n)
+			break
+		}
+		mask <<= 1
+	}
+	if vrank == 0 {
+		mask = 1
+		for mask < n {
+			mask <<= 1
+		}
+	}
+	// Forward subtree halves to children, largest subtree first.
+	for child := mask >> 1; child >= 1; child >>= 1 {
+		if vrank&child != 0 {
+			continue
+		}
+		childV := vrank | child
+		if childV >= n {
+			continue
+		}
+		sub := int64(child)
+		if int64(n)-int64(childV) < sub {
+			sub = int64(n) - int64(childV)
+		}
+		r.refSend((childV+root)%n, sub*size, core.PointToPoint)
+	}
+}
+
+// refAllgatherRecursiveDoubling is AllgatherRecursiveDoubling as a loop of blocking calls.
+func (r *Rank) refAllgatherRecursiveDoubling(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	if n&(n-1) != 0 {
+		r.refAllgather(size)
+		return
+	}
+	r.hostNoise()
+	block := size
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := r.rank ^ mask
+		r.refSendRecv(partner, block, partner, core.PointToPoint)
+		block *= 2
+	}
+}
+
+// refAllgatherBruck is AllgatherBruck as a loop of blocking calls.
+func (r *Rank) refAllgatherBruck(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	have := int64(1)
+	for dist := 1; dist < n; dist <<= 1 {
+		send := have
+		if int64(n)-have < send {
+			send = int64(n) - have
+		}
+		bytes := send * size
+		sendTo := (r.rank - dist + n) % n
+		recvFrom := (r.rank + dist) % n
+		r.refExchange(&r.sendReq, sendTo, bytes, core.PointToPoint, &r.recvReq, recvFrom)
+		have += send
+	}
+}
+
+// refReduceScatterHalving is ReduceScatterHalving as a loop of blocking calls.
+func (r *Rank) refReduceScatterHalving(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	if n&(n-1) != 0 {
+		r.refReduceScatterBlock(size)
+		return
+	}
+	r.hostNoise()
+	chunk := size * int64(n) / 2
+	if chunk < 1 {
+		chunk = 1
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := r.rank ^ mask
+		r.refSendRecv(partner, chunk, partner, core.PointToPoint)
+		chunk /= 2
+		if chunk < size {
+			chunk = size
+		}
+	}
+}
+
+// refScan is Scan as a loop of blocking calls.
+func (r *Rank) refScan(size int64) {
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	r.hostNoise()
+	if r.rank > 0 {
+		r.refRecv(r.rank - 1)
+	}
+	if r.rank < n-1 {
+		r.refSend(r.rank+1, size, core.PointToPoint)
+	}
 }

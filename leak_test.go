@@ -46,33 +46,44 @@ func TestRunConcurrentCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestJobRunCancelNoGoroutineLeak covers the single-job path (Comm.RunContext
-// shutdown) through the facade.
+// shutdown) through the facade, for a rank parked in an Alltoall and for one
+// parked in an Allreduce, whose rounds the scheduler advances without
+// resuming the rank: the cancellation must still release it.
 func TestJobRunCancelNoGoroutineLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	sys, err := dragonfly.New(
-		dragonfly.WithGeometry(dragonfly.SmallGeometry(4)),
-		dragonfly.WithSeed(23),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := sys.Allocate(dragonfly.GroupStriped, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err = job.Run(&workloads.Alltoall{MessageBytes: 4 << 10, Iterations: 1},
-		dragonfly.RunOptions{
+	for _, w := range []dragonfly.Workload{
+		&workloads.Alltoall{MessageBytes: 4 << 10, Iterations: 1},
+		&workloads.Allreduce{Elements: 64, Iterations: 1},
+	} {
+		base := runtime.NumGoroutine()
+		sys, err := dragonfly.New(
+			dragonfly.WithGeometry(dragonfly.SmallGeometry(4)),
+			dragonfly.WithSeed(23),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := sys.Allocate(dragonfly.GroupStriped, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		samples := 0
+		_, err = job.Run(w, dragonfly.RunOptions{
 			Iterations: 50,
 			Context:    ctx,
+			// Cancel at a host-noise sample once every rank is inside a
+			// call: for the Allreduce, at a round the scheduler runs.
 			HostNoise: func(rank int) int64 {
-				cancel()
+				if samples++; samples == 20 {
+					cancel()
+				}
 				return 0
 			},
 		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Job.Run returned %v, want context.Canceled", err)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled Job.Run returned %v, want context.Canceled", w.Name(), err)
+		}
+		testutil.WaitGoroutines(t, base)
 	}
-	testutil.WaitGoroutines(t, base)
 }
