@@ -139,9 +139,9 @@ func run(args []string, out io.Writer) error {
 				app = rec.Spec.App.Workload
 				traffic = rec.AppPackets
 			}
+			routers, groups := s.Spans(rec)
 			table.AddRow(rec.Spec.Name, rec.Spec.Nodes, app, rec.Spec.CommIntensive,
-				rec.WaitCycles(), rec.FinishedAt-rec.StartedAt,
-				rec.RoutersSpanned, rec.GroupsSpanned, traffic)
+				rec.WaitCycles(), rec.FinishedAt-rec.StartedAt, routers, groups, traffic)
 		}
 		if err := table.Render(out); err != nil {
 			return err

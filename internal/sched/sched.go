@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dragonfly/internal/alloc"
@@ -29,6 +30,7 @@ import (
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/workloads"
 )
@@ -195,11 +197,10 @@ type JobRecord struct {
 	SubmittedAt sim.Time
 	StartedAt   sim.Time
 	FinishedAt  sim.Time
-	// Allocation is the node set assigned to the job (nil while queued).
-	Allocation *alloc.Allocation
-	// RoutersSpanned and GroupsSpanned record the placement fragmentation.
-	RoutersSpanned int
-	GroupsSpanned  int
+	// Nodes is the node set assigned to the job in rank order (empty while
+	// queued). It stays set after the job finishes; Scheduler.Spans reports
+	// the placement fragmentation it implies.
+	Nodes []topo.NodeID
 	// MessagesSent is the traffic the job injected while running (generator
 	// jobs only; workload-driven jobs report AppPackets instead).
 	MessagesSent uint64
@@ -219,9 +220,9 @@ type JobRecord struct {
 	// without this field that degradation was silent.
 	TrafficErr error
 
-	generator  *noise.Generator
-	comm       *mpi.Comm
-	appPackets uint64 // injected-packet snapshot at application start
+	seed      int64 // traffic-generator seed, set by the job's source
+	client    int   // submitting client of an open-stream job
+	generator *noise.Generator
 }
 
 // WaitCycles returns how long the job waited in the queue (0 while queued).
@@ -250,6 +251,16 @@ func DefaultConfig() Config {
 	return Config{Placement: PlaceContiguous, Seed: 1}
 }
 
+// fragSampleEvery is how many job starts lie between two samples of the
+// machine fragmentation (the scan is O(machine/64) words).
+const fragSampleEvery = 16
+
+// Event opcodes of the scheduler's typed events; the operand is the record ID.
+const (
+	opArrival int64 = iota
+	opFinish
+)
+
 // Scheduler places jobs on the fabric's nodes and drives their lifecycle with
 // simulation events. It is not safe for concurrent use; all methods must be
 // called from the simulation goroutine.
@@ -259,9 +270,14 @@ type Scheduler struct {
 	cfg    Config
 	rng    *rand.Rand
 
+	// jobs holds every record by ID. Records of submitted jobs are kept;
+	// when retire is set (an open stream's scheduler), each finished record
+	// is handed to it and then reused from free, so the arena tracks peak
+	// concurrency rather than the number of jobs.
 	jobs    []*JobRecord
+	free    []*JobRecord
+	retire  func(*JobRecord)
 	queue   []*JobRecord
-	running map[int]*JobRecord
 	started bool
 
 	// nodes tracks the busy/free state of every machine node incrementally
@@ -272,12 +288,19 @@ type Scheduler struct {
 	// job). Both are also marked busy in the tracker.
 	busyCount     int
 	reservedCount int
-	// scratch is the recycled destination for tracker allocations.
-	scratch []topo.NodeID
 
 	// exec, when attached, runs workload-driven jobs (JobSpec.App) as real
 	// co-scheduled applications instead of synthetic generators.
 	exec *mpi.Scheduler
+
+	// origin is the engine time when Start ran; every statistic measures
+	// from it. lastEnd is the time of the last job completion (origin
+	// before any).
+	origin   sim.Time
+	lastEnd  sim.Time
+	startedN int
+	maxQueue int
+	frag     *stats.Digest // fragmentation sampled every fragSampleEvery starts
 
 	busyNodeCycles uint64
 	lastAccounting sim.Time
@@ -286,12 +309,12 @@ type Scheduler struct {
 // New builds a scheduler over the fabric's machine.
 func New(f *network.Fabric, cfg Config) *Scheduler {
 	return &Scheduler{
-		fabric:  f,
-		topo:    f.Topology(),
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		running: make(map[int]*JobRecord),
-		nodes:   alloc.NewTracker(f.Topology()),
+		fabric: f,
+		topo:   f.Topology(),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		nodes:  alloc.NewTracker(f.Topology()),
+		frag:   stats.NewDigest(),
 	}
 }
 
@@ -303,32 +326,18 @@ func New(f *network.Fabric, cfg Config) *Scheduler {
 // application ranks interleave with the scheduler's events.
 func (s *Scheduler) AttachExecutor(x *mpi.Scheduler) { s.exec = x }
 
-// Drive runs the simulation to completion: through the attached executor when
-// one is present (so workload-driven jobs co-run with the event queue), with
-// a plain engine run otherwise. The context, when non-nil, cancels the run.
-// Drive owns the executor's coroutines: it shuts the executor down on return,
-// releasing the ranks of an aborted drain and the idle pool of a completed one.
+// Drive runs the simulation to completion by draining the attached executor,
+// or a fresh one when none is attached, so workload-driven jobs co-run with
+// the event queue. The context, when non-nil, cancels the run. Drive owns the
+// executor's coroutines: it shuts the executor down on return, releasing the
+// ranks of an aborted drain and the idle pool of a completed one.
 func (s *Scheduler) Drive(ctx context.Context) error {
-	if s.exec != nil {
-		defer s.exec.Shutdown()
-		return s.exec.Drain(mpi.ContextCheck(ctx))
+	x := s.exec
+	if x == nil {
+		x = mpi.NewScheduler(s.fabric.Engine())
 	}
-	eng := s.fabric.Engine()
-	if ctx == nil {
-		return eng.Run()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stepped, err := eng.Step()
-		if err != nil {
-			return err
-		}
-		if !stepped {
-			return nil
-		}
-	}
+	defer x.Shutdown()
+	return x.Drain(mpi.ContextCheck(ctx))
 }
 
 // Reserve excludes the given nodes from scheduling. It is used to protect the
@@ -352,15 +361,15 @@ func (s *Scheduler) Jobs() []*JobRecord {
 // QueueLength returns the number of jobs currently waiting.
 func (s *Scheduler) QueueLength() int { return len(s.queue) }
 
-// RunningJobs returns the number of jobs currently holding nodes.
-func (s *Scheduler) RunningJobs() int { return len(s.running) }
-
 // FreeNodes returns the number of nodes that are neither busy nor reserved.
 func (s *Scheduler) FreeNodes() int { return s.nodes.FreeNodes() }
 
-// Fragmentation returns how shattered the free capacity currently is
-// (1 − largest free run / free nodes; see alloc.Tracker.Fragmentation).
-func (s *Scheduler) Fragmentation() float64 { return s.nodes.Fragmentation() }
+// Spans returns how many routers and groups the job's nodes touch, the
+// placement fragmentation of a started job (0, 0 while it is queued).
+func (s *Scheduler) Spans(rec *JobRecord) (routers, groups int) {
+	a := alloc.NewAllocation(s.topo, rec.Nodes)
+	return a.NumRouters(), a.NumGroups()
+}
 
 // Submit registers a job. Jobs submitted before Start are scheduled at their
 // arrival time; jobs submitted after Start are scheduled relative to the
@@ -369,8 +378,9 @@ func (s *Scheduler) Submit(spec JobSpec) (*JobRecord, error) {
 	if err := spec.Validate(s.topo.NumNodes() - s.reservedCount); err != nil {
 		return nil, err
 	}
-	rec := &JobRecord{ID: len(s.jobs), Spec: spec, State: Queued}
-	s.jobs = append(s.jobs, rec)
+	rec := s.record()
+	rec.Spec = spec
+	rec.seed = s.cfg.Seed*1_000_003 + int64(rec.ID)
 	if s.started {
 		s.scheduleArrival(rec)
 	}
@@ -386,14 +396,30 @@ func (s *Scheduler) MustSubmit(spec JobSpec) *JobRecord {
 	return rec
 }
 
-// Start schedules the arrival events of every submitted job. It must be called
-// once, before or during the simulation run.
+// record returns a blank queued record: a recycled one when retire has
+// freed any, else a new one appended to the arena.
+func (s *Scheduler) record() *JobRecord {
+	if n := len(s.free); n > 0 {
+		rec := s.free[n-1]
+		s.free = s.free[:n-1]
+		*rec = JobRecord{ID: rec.ID, Nodes: rec.Nodes[:0]}
+		return rec
+	}
+	rec := &JobRecord{ID: len(s.jobs)}
+	s.jobs = append(s.jobs, rec)
+	return rec
+}
+
+// Start schedules the arrival events of every submitted job and sets the
+// origin the statistics measure from. It must be called once, before or
+// during the simulation run.
 func (s *Scheduler) Start() {
 	if s.started {
 		return
 	}
 	s.started = true
-	s.lastAccounting = s.fabric.Engine().Now()
+	s.origin = s.fabric.Engine().Now()
+	s.lastAccounting, s.lastEnd = s.origin, s.origin
 	for _, rec := range s.jobs {
 		s.scheduleArrival(rec)
 	}
@@ -402,11 +428,25 @@ func (s *Scheduler) Start() {
 // scheduleArrival schedules the enqueue event of one job.
 func (s *Scheduler) scheduleArrival(rec *JobRecord) {
 	eng := s.fabric.Engine()
-	eng.Schedule(eng.Now()+rec.Spec.ArrivalCycles, func() {
-		rec.SubmittedAt = eng.Now()
-		s.queue = append(s.queue, rec)
-		s.trySchedule()
-	})
+	eng.ScheduleCall(eng.Now()+rec.Spec.ArrivalCycles, s, opArrival, int64(rec.ID))
+}
+
+// HandleEvent implements sim.Handler for the job events: an arrival queues
+// the job, a finish ends a generator-driven job at its duration.
+func (s *Scheduler) HandleEvent(_ *sim.Engine, op, id int64) {
+	if op == opArrival {
+		s.arrive(s.jobs[id])
+	} else {
+		s.finishJob(s.jobs[id])
+	}
+}
+
+// arrive queues a job at the current time and runs a scheduling pass.
+func (s *Scheduler) arrive(rec *JobRecord) {
+	rec.SubmittedAt = s.fabric.Engine().Now()
+	s.queue = append(s.queue, rec)
+	s.maxQueue = max(s.maxQueue, len(s.queue))
+	s.trySchedule()
 }
 
 // accountUtilization integrates busy node-cycles up to the current time.
@@ -416,6 +456,16 @@ func (s *Scheduler) accountUtilization() {
 		s.busyNodeCycles += uint64(now-s.lastAccounting) * uint64(s.busyCount)
 		s.lastAccounting = now
 	}
+}
+
+// utilization returns busy node-cycles over schedulable node-cycles from the
+// origin to end.
+func (s *Scheduler) utilization(end sim.Time) float64 {
+	usable := uint64(s.topo.NumNodes() - s.reservedCount)
+	if end <= s.origin || usable == 0 {
+		return 0
+	}
+	return float64(s.busyNodeCycles) / float64(uint64(end-s.origin)*usable)
 }
 
 // allocPolicyFor maps the scheduler placement policy to an alloc.Policy for
@@ -436,89 +486,75 @@ func (s *Scheduler) allocPolicyFor(spec JobSpec) alloc.Policy {
 	}
 }
 
-// earliestCompletion returns the earliest finish time among running jobs, or
-// the current time when nothing is running.
-func (s *Scheduler) earliestCompletion() sim.Time {
-	now := s.fabric.Engine().Now()
-	earliest := sim.Time(-1)
-	for _, rec := range s.running {
-		end := rec.StartedAt + rec.Spec.DurationCycles
-		if earliest < 0 || end < earliest {
-			earliest = end
-		}
-	}
-	if earliest < 0 {
-		return now
-	}
-	return earliest
-}
-
-// trySchedule starts as many queued jobs as the free nodes and the scheduling
-// discipline allow.
+// trySchedule starts queued jobs FCFS while the head fits. With Backfill, a
+// blocked head lets a later job start now if it fits and is guaranteed to
+// finish before the head could possibly start: by the shadow time, the
+// earliest estimated completion of any running job (now when none runs).
 func (s *Scheduler) trySchedule() {
-	progressed := true
-	for progressed {
-		progressed = false
-		if len(s.queue) == 0 {
-			return
-		}
-		head := s.queue[0]
-		if head.Spec.Nodes <= s.FreeNodes() {
-			s.queue = s.queue[1:]
-			s.startJob(head)
-			progressed = true
-			continue
-		}
-		if !s.cfg.Backfill {
-			return
-		}
-		// Conservative backfill: a later job may start now if it fits and is
-		// guaranteed to finish before the head job could possibly start (the
-		// earliest completion of any running job).
-		now := s.fabric.Engine().Now()
-		shadow := s.earliestCompletion()
-		for i := 1; i < len(s.queue); i++ {
-			cand := s.queue[i]
-			if cand.Spec.Nodes > s.FreeNodes() {
-				continue
+	for len(s.queue) > 0 {
+		i := 0
+		if s.queue[0].Spec.Nodes > s.FreeNodes() {
+			if i = s.backfillCandidate(); i < 0 {
+				return
 			}
-			if now+cand.Spec.DurationCycles > shadow {
-				continue
-			}
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.startJob(cand)
-			progressed = true
-			break
 		}
+		rec := s.queue[i]
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.startJob(rec)
 	}
 }
 
-// startJob allocates nodes, starts the job's traffic generator and schedules
-// its completion.
+// backfillCandidate returns the queue index of the first job conservative
+// backfill may start now, or -1.
+func (s *Scheduler) backfillCandidate() int {
+	if !s.cfg.Backfill {
+		return -1
+	}
+	now := s.fabric.Engine().Now()
+	shadow := sim.Time(-1)
+	for _, rec := range s.jobs {
+		if end := rec.StartedAt + rec.Spec.DurationCycles; rec.State == Running && (shadow < 0 || end < shadow) {
+			shadow = end
+		}
+	}
+	if shadow < 0 {
+		shadow = now
+	}
+	for i := 1; i < len(s.queue); i++ {
+		if cand := s.queue[i]; cand.Spec.Nodes <= s.FreeNodes() && now+cand.Spec.DurationCycles <= shadow {
+			return i
+		}
+	}
+	return -1
+}
+
+// startJob allocates nodes, starts the job's application or traffic
+// generator and schedules its completion.
 func (s *Scheduler) startJob(rec *JobRecord) {
 	s.accountUtilization()
 	eng := s.fabric.Engine()
-	nodes, err := s.nodes.Allocate(s.allocPolicyFor(rec.Spec), rec.Spec.Nodes, s.rng, s.scratch[:0])
-	s.scratch = nodes[:0]
+	nodes, err := s.nodes.Allocate(s.allocPolicyFor(rec.Spec), rec.Spec.Nodes, s.rng, rec.Nodes[:0])
 	if err != nil {
-		// Should not happen (FreeNodes was checked), but requeue defensively.
-		s.queue = append([]*JobRecord{rec}, s.queue...)
-		return
+		panic(fmt.Sprintf("sched: job %q fit the free nodes but could not be placed: %v", rec.Spec.Name, err))
 	}
-	a := alloc.NewAllocation(s.topo, nodes)
-	rec.Allocation = a
+	rec.Nodes = nodes
 	rec.State = Running
 	rec.StartedAt = eng.Now()
-	rec.RoutersSpanned = a.NumRouters()
-	rec.GroupsSpanned = a.NumGroups()
-	s.busyCount += a.Size()
-	s.running[rec.ID] = rec
+	s.busyCount += len(nodes)
+	if s.startedN++; s.startedN%fragSampleEvery == 0 {
+		s.frag.Add(s.nodes.Fragmentation())
+	}
 
+	traffic := rec.Spec.Traffic.MessageBytes > 0 && len(nodes) >= 2
+	var a *alloc.Allocation
+	if rec.Spec.App != nil || traffic {
+		a = alloc.NewAllocation(s.topo, nodes)
+	}
 	if rec.Spec.App != nil {
 		if s.exec == nil {
 			rec.AppErr = fmt.Errorf("sched: job %q requests workload %q but no executor is attached",
 				rec.Spec.Name, rec.Spec.App.Workload)
-		} else if err := s.startApp(rec); err != nil {
+		} else if err := s.startApp(rec, a); err != nil {
 			rec.AppErr = err
 		} else {
 			// The application itself decides when the job finishes; no
@@ -527,7 +563,7 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 		}
 		// Fall through: represent the job with the traffic generator below.
 	}
-	if rec.Spec.Traffic.MessageBytes > 0 && rec.Spec.Nodes >= 2 {
+	if traffic {
 		cfg := noise.GeneratorConfig{
 			Pattern:             rec.Spec.Traffic.Pattern,
 			MessageBytes:        rec.Spec.Traffic.MessageBytes,
@@ -536,7 +572,7 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 			Mode:                rec.Spec.Traffic.Mode,
 			BurstLengthMessages: 32,
 			BurstIdleCycles:     200_000,
-			Seed:                s.cfg.Seed*1_000_003 + int64(rec.ID),
+			Seed:                rec.seed,
 		}
 		if g, err := noise.FromAllocation(s.fabric, a, cfg); err != nil {
 			// The job still holds its nodes for its duration; record that it
@@ -547,13 +583,13 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 			g.Start(eng.Now() + rec.Spec.DurationCycles)
 		}
 	}
-	eng.After(rec.Spec.DurationCycles, func() { s.finishJob(rec) })
+	eng.ScheduleCall(eng.Now()+rec.Spec.DurationCycles, s, opFinish, int64(rec.ID))
 }
 
 // jobPackets sums the request packets injected by the job's nodes so far.
-func (s *Scheduler) jobPackets(a *alloc.Allocation) uint64 {
+func (s *Scheduler) jobPackets(rec *JobRecord) uint64 {
 	var total uint64
-	for _, n := range a.Nodes() {
+	for _, n := range rec.Nodes {
 		total += s.fabric.NodeCounters(n).RequestPackets
 	}
 	return total
@@ -562,9 +598,9 @@ func (s *Scheduler) jobPackets(a *alloc.Allocation) uint64 {
 // startApp builds the communicator and launches the job's real application on
 // the executor. The job finishes — and releases its nodes — when the last
 // rank completes, at the workload's own pace.
-func (s *Scheduler) startApp(rec *JobRecord) error {
+func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
 	app := rec.Spec.App
-	w, err := workloads.New(app.Workload, rec.Allocation.Size(), app.MessageBytes)
+	w, err := workloads.New(app.Workload, a.Size(), app.MessageBytes)
 	if err != nil {
 		return err
 	}
@@ -573,17 +609,13 @@ func (s *Scheduler) startApp(rec *JobRecord) error {
 		mode := rec.Spec.Traffic.Mode
 		provider = func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
 	}
-	comm, err := mpi.NewComm(s.fabric, rec.Allocation, mpi.Config{Routing: provider})
+	comm, err := mpi.NewComm(s.fabric, a, mpi.Config{Routing: provider})
 	if err != nil {
 		return err
 	}
-	iters := app.Iterations
-	if iters < 1 {
-		iters = 1
-	}
-	rec.comm = comm
+	iters := max(app.Iterations, 1)
 	rec.RanApp = true
-	rec.appPackets = s.jobPackets(rec.Allocation)
+	base := s.jobPackets(rec)
 	comm.OnFinished(func() {
 		for r := 0; r < comm.Size(); r++ {
 			if err := comm.Rank(r).Err(); err != nil {
@@ -592,7 +624,7 @@ func (s *Scheduler) startApp(rec *JobRecord) error {
 			}
 		}
 		rec.AppCycles = s.fabric.Engine().Now() - rec.StartedAt
-		rec.AppPackets = s.jobPackets(rec.Allocation) - rec.appPackets
+		rec.AppPackets = s.jobPackets(rec) - base
 		s.finishJob(rec)
 	})
 	return comm.Start(s.exec, func(r *mpi.Rank) {
@@ -602,19 +634,23 @@ func (s *Scheduler) startApp(rec *JobRecord) error {
 	})
 }
 
-// finishJob releases the job's nodes and re-runs the scheduling pass.
+// finishJob releases the job's nodes, hands the record to retire (which
+// recycles it) when set, and re-runs the scheduling pass.
 func (s *Scheduler) finishJob(rec *JobRecord) {
 	s.accountUtilization()
-	eng := s.fabric.Engine()
 	rec.State = Finished
-	rec.FinishedAt = eng.Now()
+	rec.FinishedAt = s.fabric.Engine().Now()
+	s.lastEnd = rec.FinishedAt
 	if rec.generator != nil {
 		rec.generator.Stop()
 		rec.MessagesSent = rec.generator.MessagesSent()
 	}
-	s.nodes.Free(rec.Allocation.Nodes())
-	s.busyCount -= rec.Allocation.Size()
-	delete(s.running, rec.ID)
+	s.nodes.Free(rec.Nodes)
+	s.busyCount -= len(rec.Nodes)
+	if s.retire != nil {
+		s.retire(rec)
+		s.free = append(s.free, rec)
+	}
 	s.trySchedule()
 }
 
@@ -630,8 +666,9 @@ type Stats struct {
 	MaxWaitCycles  sim.Time
 	// MeanGroupsSpanned is the average placement fragmentation of started jobs.
 	MeanGroupsSpanned float64
-	// Utilization is busy node-cycles divided by machine node-cycles over the
-	// observation window (Start to the last accounting event).
+	// Utilization is busy node-cycles divided by schedulable node-cycles over
+	// the observation window: from Start to the last job completion once
+	// every job finished, else to the last accounting event.
 	Utilization float64
 	// MakespanCycles is the time between Start and the last job completion.
 	MakespanCycles sim.Time
@@ -647,11 +684,8 @@ type Stats struct {
 // after the simulation has drained (all job completions executed).
 func (s *Scheduler) Stats() Stats {
 	s.accountUtilization()
-	var st Stats
-	st.Submitted = len(s.jobs)
-	var waitSum float64
-	var groupSum float64
-	var lastEnd sim.Time
+	st := Stats{Submitted: len(s.jobs)}
+	var waitSum, groupSum float64
 	for _, rec := range s.jobs {
 		if rec.RanApp {
 			st.AppJobs++
@@ -668,15 +702,11 @@ func (s *Scheduler) Stats() Stats {
 		st.Started++
 		w := rec.WaitCycles()
 		waitSum += float64(w)
-		if w > st.MaxWaitCycles {
-			st.MaxWaitCycles = w
-		}
-		groupSum += float64(rec.GroupsSpanned)
+		st.MaxWaitCycles = max(st.MaxWaitCycles, w)
+		_, groups := s.Spans(rec)
+		groupSum += float64(groups)
 		if rec.State == Finished {
 			st.Finished++
-			if rec.FinishedAt > lastEnd {
-				lastEnd = rec.FinishedAt
-			}
 		}
 	}
 	if st.Started > 0 {
@@ -687,17 +717,12 @@ func (s *Scheduler) Stats() Stats {
 	// completion once everything finished (the fabric may keep draining queued
 	// packets afterwards, which is not the scheduler's busy time), otherwise up
 	// to the last accounting point.
-	window := s.lastAccounting
-	if st.Finished == st.Submitted && lastEnd > 0 {
-		window = lastEnd
+	end := s.lastAccounting
+	if st.Finished == st.Submitted && s.lastEnd > s.origin {
+		end = s.lastEnd
 	}
-	if window > 0 {
-		usable := uint64(window) * uint64(s.topo.NumNodes()-s.reservedCount)
-		if usable > 0 {
-			st.Utilization = float64(s.busyNodeCycles) / float64(usable)
-		}
-	}
-	st.MakespanCycles = lastEnd
+	st.Utilization = s.utilization(end)
+	st.MakespanCycles = s.lastEnd - s.origin
 	return st
 }
 

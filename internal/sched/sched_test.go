@@ -62,8 +62,8 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if got := rec.FinishedAt - rec.StartedAt; got != 10_000 {
 		t.Fatalf("run time = %d, want 10000", got)
 	}
-	if rec.Allocation == nil || rec.Allocation.Size() != 4 {
-		t.Fatalf("allocation missing or wrong size: %v", rec.Allocation)
+	if len(rec.Nodes) != 4 {
+		t.Fatalf("allocation has %d nodes, want 4: %v", len(rec.Nodes), rec.Nodes)
 	}
 	if s.FreeNodes() != f.Topology().NumNodes() {
 		t.Fatalf("nodes not released: %d free of %d", s.FreeNodes(), f.Topology().NumNodes())
@@ -152,7 +152,7 @@ func TestReserveExcludesForegroundNodes(t *testing.T) {
 	if rec.State != Finished {
 		t.Fatalf("job did not finish: %v", rec.State)
 	}
-	for _, n := range rec.Allocation.Nodes() {
+	for _, n := range rec.Nodes {
 		for _, r := range reserved {
 			if n == r {
 				t.Fatalf("scheduler placed job on reserved node %d", n)
@@ -189,11 +189,11 @@ func TestHybridPlacementScattersCommIntensiveJobs(t *testing.T) {
 	n := s.MustSubmit(noisy)
 	s.Start()
 	drain(t, f)
-	if q.GroupsSpanned != 1 {
-		t.Fatalf("hybrid policy spread a quiet job over %d groups, want 1", q.GroupsSpanned)
+	if _, groups := s.Spans(q); groups != 1 {
+		t.Fatalf("hybrid policy spread a quiet job over %d groups, want 1", groups)
 	}
-	if n.GroupsSpanned <= 1 {
-		t.Fatalf("hybrid policy packed a communication-intensive job into %d group(s)", n.GroupsSpanned)
+	if _, groups := s.Spans(n); groups <= 1 {
+		t.Fatalf("hybrid policy packed a communication-intensive job into %d group(s)", groups)
 	}
 }
 
@@ -389,10 +389,10 @@ func TestSchedulerNeverOversubscribes(t *testing.T) {
 				continue
 			}
 			seen := make(map[topo.NodeID]bool)
-			for _, n := range a.Allocation.Nodes() {
+			for _, n := range a.Nodes {
 				seen[n] = true
 			}
-			for _, n := range b.Allocation.Nodes() {
+			for _, n := range b.Nodes {
 				if seen[n] {
 					t.Fatalf("jobs %q and %q overlapped in time and shared node %d", a.Spec.Name, b.Spec.Name, n)
 				}
