@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCandidates$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/sched
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

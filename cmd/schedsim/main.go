@@ -15,7 +15,10 @@
 // (latency, batch, best-effort) submit jobs from Poisson/Gamma/Weibull
 // processes until the event budget (-jobs) or the admission horizon
 // (-horizon) is reached, and the report becomes per-class slowdown
-// distributions, SLO violation rates and the Jain fairness index.
+// distributions, SLO violation rates and the Jain fairness index. A flag the
+// selected mode does not read (a batch-mix flag in open-stream mode,
+// -slo-classes in batch mode, -clients beside -arrivals, -jobs beside
+// -horizon) is an error.
 //
 // Usage:
 //
@@ -72,6 +75,34 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	open := *arrivals != "" || *clients > 0 || *horizon > 0
+	// A set flag the selected mode does not read is an error, not a silent
+	// no-op.
+	unread := map[string]string{"slo-classes": "in batch mode"}
+	if open {
+		unread = map[string]string{}
+		for _, name := range []string{"backfill", "apps", "app-workloads", "app-iterations",
+			"min-nodes", "max-nodes", "comm-share", "per-job"} {
+			unread[name] = "in open-stream mode"
+		}
+		if *arrivals != "" {
+			for _, name := range []string{"clients", "slo-classes", "interarrival"} {
+				unread[name] = "with -arrivals"
+			}
+		}
+		if *horizon > 0 {
+			unread["jobs"] = "with -horizon"
+		}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if why, ok := unread[f.Name]; ok && err == nil {
+			err = fmt.Errorf("-%s has no effect %s", f.Name, why)
+		}
+	})
+	if err != nil {
+		return err
+	}
 
 	policy, err := sched.ParseAllocationPolicy(*placement)
 	if err != nil {
@@ -88,7 +119,7 @@ func run(args []string, out io.Writer) error {
 	t := sys.Topology()
 	fab := sys.Fabric()
 
-	if *arrivals != "" || *clients > 0 || *horizon > 0 {
+	if open {
 		return runOpen(out, sys, policy, *arrivals, *clients, *sloClasses, *horizon, *jobs, *interarrive, *seed)
 	}
 

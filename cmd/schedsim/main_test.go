@@ -158,3 +158,38 @@ func TestSchedsimOpenStreamRejectsBadSpec(t *testing.T) {
 		t.Fatal("unknown SLO class was accepted")
 	}
 }
+
+// TestSchedsimOpenModeRejectsBatchFlags: in open-stream mode the batch-mix
+// flags are not read, so setting one is an error instead of a run that
+// silently prints what the run without it prints.
+func TestSchedsimOpenModeRejectsBatchFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-clients", "3", "-jobs", "200", "-backfill"},
+		{"-clients", "3", "-jobs", "200", "-apps", "0.5"},
+		{"-clients", "3", "-app-workloads", "alltoall"},
+		{"-clients", "3", "-app-iterations", "2"},
+		{"-clients", "3", "-min-nodes", "4"},
+		{"-horizon", "3000000", "-max-nodes", "8"},
+		{"-arrivals", "latency:poisson:120000", "-comm-share", "0.9"},
+		{"-clients", "3", "-per-job=false"},
+		{"-arrivals", "latency:poisson:120000", "-clients", "3"},
+		{"-arrivals", "latency:poisson:120000", "-slo-classes", "latency"},
+		{"-arrivals", "latency:poisson:120000", "-interarrival", "5000"},
+		{"-clients", "3", "-horizon", "3000000", "-jobs", "200"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "has no effect") {
+			t.Errorf("schedsim %s: error %v, want a has-no-effect error", strings.Join(args, " "), err)
+		}
+	}
+}
+
+// TestSchedsimBatchModeRejectsOpenFlags: a batch run does not read
+// -slo-classes, so setting it is an error.
+func TestSchedsimBatchModeRejectsOpenFlags(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-jobs", "4", "-slo-classes", "latency,batch"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-slo-classes has no effect") {
+		t.Fatalf("error %v, want -slo-classes to be rejected in batch mode", err)
+	}
+}

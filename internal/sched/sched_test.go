@@ -403,3 +403,27 @@ func TestSchedulerNeverOversubscribes(t *testing.T) {
 		t.Fatalf("nodes leaked: %d free of %d after drain", s.FreeNodes(), f.Topology().NumNodes())
 	}
 }
+
+// TestStatsMeasureFromStart: utilization and makespan are measured from
+// Start, so the same job started on an engine whose clock has already run
+// reports the same statistics as one started at t=0.
+func TestStatsMeasureFromStart(t *testing.T) {
+	run := func(startAt sim.Time) Stats {
+		f := testFabric(t, 2, 1)
+		if err := f.Engine().RunUntil(startAt); err != nil {
+			t.Fatal(err)
+		}
+		s := New(f, DefaultConfig())
+		s.MustSubmit(computeJob("a", 4, 0, 10_000))
+		s.Start()
+		drain(t, f)
+		return s.Stats()
+	}
+	atZero, later := run(0), run(1_000_000)
+	if atZero.Utilization != 0.125 || atZero.MakespanCycles != 10_000 {
+		t.Fatalf("started at t=0: utilization %v, makespan %d; want 0.125, 10000", atZero.Utilization, atZero.MakespanCycles)
+	}
+	if later != atZero {
+		t.Fatalf("started at t=1000000: %+v\nstarted at t=0: %+v", later, atZero)
+	}
+}
