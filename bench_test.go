@@ -355,8 +355,8 @@ func BenchmarkMachineScaleDaint(b *testing.B) {
 // full Daint geometry. The job_events_per_sec metric is the subsystem's
 // throughput headline; allocs/op is gated by scripts/bench_smoke.sh
 // (openstream_allocs_per_op in BENCH_budget.txt) because the steady-state
-// loop — slot arena, recycled node slices, streaming digests — is designed
-// to allocate nothing per job.
+// loop — recycled job records and node slices, streaming digests — is
+// designed to allocate nothing per job.
 func BenchmarkOpenStream(b *testing.B) {
 	const events = 300_000
 	b.ReportAllocs()

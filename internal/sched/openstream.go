@@ -73,10 +73,11 @@ func NewOpenStream(f *network.Fabric, spec arrival.Spec, cfg OpenConfig) (*OpenS
 	if err != nil {
 		return nil, err
 	}
+	t := f.Topology()
 	for _, c := range spec.Clients {
-		if c.MaxNodes > f.Topology().NumNodes() {
+		if c.MaxNodes > t.NumNodes() {
 			return nil, fmt.Errorf("sched: client %q draws jobs up to %d nodes but the machine has %d",
-				c.Name, c.MaxNodes, f.Topology().NumNodes())
+				c.Name, c.MaxNodes, t.NumNodes())
 		}
 	}
 	o := &OpenStream{

@@ -7,14 +7,17 @@
 // On a Dragonfly none of them can fully isolate a job, because non-minimal
 // adaptive routing sends packets through groups owned by other jobs.
 //
-// The scheduler places jobs on the simulated fabric and records per-job wait
+// The Scheduler places jobs on the simulated fabric and records per-job wait
 // times, placement fragmentation and machine utilization, so experiments can
 // compare allocation policies against (and combined with) the routing-based
-// mitigation the paper proposes. A running job's traffic is represented
-// either by a synthetic background generator (the historical stand-in) or —
-// when the spec carries an App and an executor is attached — by the real
-// workload-driven application itself, co-scheduled with every other job's
-// ranks on the shared fabric.
+// mitigation the paper proposes. Jobs reach it from a closed list (Submit,
+// GenerateMix) or from an OpenStream, an arrival source that hands each
+// arrival to a Scheduler it owns and folds each finished job into streaming
+// digests. A running job's traffic is represented either by a synthetic
+// background generator (the historical stand-in) or — when the spec carries
+// an App and an executor is attached — by the real workload-driven
+// application itself, co-scheduled with every other job's ranks on the
+// shared fabric.
 package sched
 
 import (
@@ -252,7 +255,7 @@ func DefaultConfig() Config {
 }
 
 // fragSampleEvery is how many job starts lie between two samples of the
-// machine fragmentation (the scan is O(machine/64) words).
+// machine fragmentation (each sample scans the whole machine).
 const fragSampleEvery = 16
 
 // Event opcodes of the scheduler's typed events; the operand is the record ID.
