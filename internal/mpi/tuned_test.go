@@ -3,6 +3,8 @@ package mpi
 import (
 	"testing"
 	"testing/quick"
+
+	"dragonfly/internal/sim"
 )
 
 func TestDefaultTuningValidates(t *testing.T) {
@@ -92,6 +94,54 @@ func TestTunedCollectivesComplete(t *testing.T) {
 		})
 		if delta.RequestPackets == 0 {
 			t.Fatalf("size=%d: tuned collectives generated no traffic", size)
+		}
+	}
+}
+
+// TestTunedDispatch pins the algorithm each Tuned* call runs at sizes on both
+// sides of every threshold, on a power-of-two and a non-power-of-two
+// communicator: the tuned call and the algorithm it must pick, each run on a
+// fresh communicator, finish at the same simulated time and inject the same
+// number of packets.
+func TestTunedDispatch(t *testing.T) {
+	tun := DefaultTuning()
+	cases := []struct {
+		name  string
+		size  int64
+		tuned func(r *Rank, size int64)
+		want  func(r *Rank, size int64)
+	}{
+		{"allreduce", 2 << 10, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).Allreduce},
+		{"allreduce", 2<<10 + 1, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).AllreduceRabenseifner},
+		{"allreduce", 256<<10 + 1, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).AllreduceRing},
+		{"alltoall", 1 << 10, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).AlltoallBruck},
+		{"alltoall", 1<<10 + 1, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).AlltoallSpread},
+		{"alltoall", 32<<10 + 1, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).Alltoall},
+		{"allgather", 32 << 10, func(r *Rank, s int64) { r.TunedAllgather(tun, s) }, (*Rank).AllgatherRecursiveDoubling},
+		{"allgather", 32<<10 + 1, func(r *Rank, s int64) { r.TunedAllgather(tun, s) }, (*Rank).Allgather},
+		{"broadcast", 64 << 10, func(r *Rank, s int64) { r.TunedBroadcast(tun, 0, s) }, func(r *Rank, s int64) { r.Broadcast(0, s) }},
+		{"broadcast", 64<<10 + 1, func(r *Rank, s int64) { r.TunedBroadcast(tun, 0, s) }, func(r *Rank, s int64) { r.BroadcastScatterAllgather(0, s) }},
+	}
+	run := func(n int, size int64, body func(*Rank, int64)) (sim.Time, uint64) {
+		c := testComm(t, n, Config{}, 5)
+		if err := c.Run(func(r *Rank) { body(r, size) }); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for i := 0; i < n; i++ {
+			if err := c.Rank(i).Err(); err != nil {
+				t.Fatalf("rank %d: %v", i, err)
+			}
+		}
+		return c.FinishedAt(), c.Fabric().PacketsInjected()
+	}
+	for _, n := range []int{8, 6} {
+		for _, c := range cases {
+			gotT, gotP := run(n, c.size, c.tuned)
+			wantT, wantP := run(n, c.size, c.want)
+			if gotT != wantT || gotP != wantP {
+				t.Errorf("%s of %d bytes on %d ranks: tuned finished at %d with %d packets, its algorithm at %d with %d",
+					c.name, c.size, n, gotT, gotP, wantT, wantP)
+			}
 		}
 	}
 }
