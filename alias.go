@@ -16,7 +16,6 @@ import (
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
-	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/workloads"
 )
@@ -29,8 +28,6 @@ type (
 	RoutingParams = routing.Params
 	// NetworkConfig configures the fabric (bandwidths, buffering, credits).
 	NetworkConfig = network.Config
-	// TelemetryConfig configures the fabric-wide telemetry collector.
-	TelemetryConfig = telemetry.Config
 	// SelectorConfig holds the tunables of the application-aware selector
 	// (Algorithm 1 of the paper).
 	SelectorConfig = core.Config
@@ -46,12 +43,8 @@ type (
 	NoisePattern = noise.Pattern
 	// Counters is an Aries-style NIC counter snapshot or delta.
 	Counters = counters.NIC
-	// TileCounters is a router-tile (per-link) counter snapshot or delta.
-	TileCounters = counters.Tile
 	// Delivery describes the completion of one message transfer.
 	Delivery = network.Delivery
-	// Verb is the RDMA verb used for payload transfers.
-	Verb = network.Verb
 	// Workload is anything that can run on the ranks of a job.
 	Workload = workloads.Workload
 	// Rank is the per-process handle workload bodies program against.

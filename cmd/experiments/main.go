@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"dragonfly"
 	"dragonfly/internal/experiments"
 	"dragonfly/internal/harness"
 )
@@ -55,7 +54,6 @@ func run(args []string, out io.Writer) error {
 		quick      = fs.Bool("quick", false, "shrink sizes and iteration counts (smoke test)")
 		csvDir     = fs.String("csv", "", "directory to also write one CSV file per table")
 		parallel   = fs.Int("parallel", 0, "trial worker goroutines (0 = all cores, 1 = serial; same output either way)")
-		decTrace   = fs.String("decision-trace", "", "record adaptive routing decisions per trial ('on', a top-k count, or 'k=N'; empty = off)")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 		progress   = fs.Bool("progress", false, "print per-trial progress to stderr")
 	)
@@ -91,13 +89,6 @@ func run(args []string, out io.Writer) error {
 	opts.FullAries = *fullAries
 	opts.Quick = *quick
 	opts.Parallel = *parallel
-	if *decTrace != "" {
-		k, err := dragonfly.ParseDecisionTrace(*decTrace)
-		if err != nil {
-			return err
-		}
-		opts.DecisionTrace = k
-	}
 	if *progress {
 		opts.Progress = func(p harness.Progress) {
 			status := "ok"

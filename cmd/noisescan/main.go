@@ -188,9 +188,8 @@ func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.
 			return nil, err
 		}
 		col, err := telemetry.NewCollector(sys.Fabric(), telemetry.Config{
-			IntervalCycles:   cfg.interval,
-			TopLinks:         cfg.topLinks,
-			TrackGroupMatrix: true,
+			IntervalCycles: cfg.interval,
+			TopLinks:       cfg.topLinks,
 		})
 		if err != nil {
 			return nil, err

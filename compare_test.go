@@ -183,7 +183,6 @@ func TestCompareValidation(t *testing.T) {
 	}{
 		{"no setups", job, w, nil, dragonfly.RunOptions{}, "at least one setup"},
 		{"routing set", job, w, setups, dragonfly.RunOptions{Routing: dragonfly.AppAware()}, "must be zero"},
-		{"deliveries", job, w, setups, dragonfly.RunOptions{RecordDeliveries: true}, "deliveries"},
 		{"nil workload", job, nil, setups, dragonfly.RunOptions{}, "nil workload"},
 	}
 	for _, c := range cases {

@@ -9,8 +9,8 @@ import (
 
 // JobRun pairs one job with the workload and options it runs under inside a
 // RunConcurrent call. Each job brings its own routing configuration,
-// iteration count, host noise and delivery capture; the jobs share the fabric
-// and the simulated clock.
+// iteration count and host noise; the jobs share the fabric and the simulated
+// clock.
 type JobRun struct {
 	// Job is the allocated job; it must come from the System RunConcurrent is
 	// called on and from the current epoch.
@@ -157,11 +157,6 @@ func (s *System) validateRun(prefix string, j *Job, w Workload) error {
 // tile deltas intentionally include traffic other jobs push through the
 // job's routers — that contention is the observable the paper builds on.
 //
-// With RecordDeliveries set, a multi-job run captures only the deliveries
-// touching that job's nodes; a single-job run captures every delivery on the
-// fabric (including background noise), matching Job.Run — which is the
-// single-job special case of this method.
-//
 // On error the returned slice still carries each job's partial Result. The
 // per-job Options.Context values are checked before the first iteration,
 // between iterations, and periodically while the simulation advances, so a
@@ -190,14 +185,13 @@ func (s *System) RunConcurrent(runs []JobRun) ([]Result, error) {
 		states[i] = s.newRunState(r, r.Options.Routing)
 		states[i].next = states[i]
 	}
-	return s.measure(states, states, multi)
+	return s.measure(states, states)
 }
 
 // measure runs the prepared states on one scheduler: it builds every state's
 // communicator up front, in order, launches the states in launch, and drives
-// the simulation until no state starts another iteration. multi restricts
-// each state's delivery capture to its own job's nodes.
-func (s *System) measure(states, launch []*jobRunState, multi bool) ([]Result, error) {
+// the simulation until no state starts another iteration.
+func (s *System) measure(states, launch []*jobRunState) ([]Result, error) {
 	results := func() []Result {
 		out := make([]Result, len(states))
 		for i, st := range states {
@@ -236,7 +230,6 @@ func (s *System) measure(states, launch []*jobRunState, multi bool) ([]Result, e
 		st := st
 		comm, err := mpi.NewComm(s.fabric, st.run.Job.alloc, mpi.Config{
 			Routing:   st.routing.Provider,
-			Verb:      st.run.Options.Verb,
 			HostNoise: st.run.Options.HostNoise,
 		})
 		if err != nil {
@@ -248,22 +241,6 @@ func (s *System) measure(states, launch []*jobRunState, multi bool) ([]Result, e
 				st.next.startIteration(sched)
 			}
 		})
-		if st.run.Options.RecordDeliveries {
-			var filter map[NodeID]bool
-			if multi {
-				filter = make(map[NodeID]bool, st.run.Job.Size())
-				for _, n := range st.run.Job.Nodes() {
-					filter[n] = true
-				}
-			}
-			id := s.fabric.AddDeliveryObserver(func(d Delivery) {
-				if filter != nil && !filter[d.Src] && !filter[d.Dst] {
-					return
-				}
-				st.res.Deliveries = append(st.res.Deliveries, d)
-			})
-			defer s.fabric.RemoveDeliveryObserver(id)
-		}
 	}
 	for _, st := range launch {
 		st.startIteration(sched)

@@ -22,8 +22,7 @@
 // other's nodes; background noise started with StartNoise (or WithNoise) is
 // placed on the remaining nodes. A Result carries the execution times, the
 // job-summed NIC counter deltas, router tile counter deltas, the
-// application-aware selector statistics and (optionally) the raw message
-// deliveries.
+// application-aware selector statistics.
 //
 // Everything heavier — the experiment suite, the parallel trial harness, the
 // batch scheduler, trace record/replay — composes with this package through
@@ -41,12 +40,11 @@ import (
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topo"
 )
 
-// DefaultHorizon is the deadline handed to background noise generators and
-// auto-started telemetry collectors; simulated runs complete far before it.
+// DefaultHorizon is the deadline handed to background noise generators;
+// simulated runs complete far before it.
 const DefaultHorizon sim.Time = 1 << 50
 
 // ErrJobTooLarge is returned (wrapped) by System.Allocate when the requested
@@ -66,7 +64,6 @@ type System struct {
 	engine    *sim.Engine
 	fabric    *network.Fabric
 	rng       *rand.Rand
-	collector *telemetry.Collector
 	decisions *routing.DecisionTrace
 
 	// used tracks every node handed out to a job or a background noise
@@ -126,29 +123,11 @@ func New(opts ...Option) (*System, error) {
 		pol.SetDecisionTrace(tr)
 		s.decisions = tr
 	}
-	if cfg.telemetry != nil {
-		col, err := telemetry.NewCollector(fab, *cfg.telemetry)
-		if err != nil {
-			return nil, err
-		}
-		col.Start(DefaultHorizon)
-		s.collector = col
-	}
 	if cfg.noise != nil {
 		spec := *cfg.noise
 		s.pendingNoise = &spec
 	}
 	return s, nil
-}
-
-// MustNew is like New but panics on error. Intended for examples and tests
-// with known-good options.
-func MustNew(opts ...Option) *System {
-	s, err := New(opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Reset rewinds the system to the state New would have produced with the same
@@ -177,14 +156,6 @@ func (s *System) Reset(seed int64) error {
 		spec := *s.cfg.noise
 		s.pendingNoise = &spec
 	}
-	if s.cfg.telemetry != nil {
-		col, err := telemetry.NewCollector(s.fabric, *s.cfg.telemetry)
-		if err != nil {
-			return err
-		}
-		col.Start(DefaultHorizon)
-		s.collector = col
-	}
 	return nil
 }
 
@@ -200,20 +171,11 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // directly (telemetry collectors, message logs, the batch scheduler).
 func (s *System) Fabric() *network.Fabric { return s.fabric }
 
-// Rand returns the system's allocation random stream, for callers such as
-// trial bodies that make their own random choices from the same deterministic
-// stream the facade uses for placement.
-func (s *System) Rand() *rand.Rand { return s.rng }
-
 // Seed returns the seed the system was built from.
 func (s *System) Seed() int64 { return s.cfg.seed }
 
 // Now returns the current simulated time.
 func (s *System) Now() sim.Time { return s.engine.Now() }
-
-// Telemetry returns the collector installed by WithTelemetry, or nil. The
-// collector is already started; call Stop and Flush on it before reading.
-func (s *System) Telemetry() *telemetry.Collector { return s.collector }
 
 // DecisionTrace returns the routing decision recorder installed by
 // WithDecisionTrace, or nil when tracing is off. Reset clears it along with

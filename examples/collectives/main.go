@@ -43,9 +43,10 @@ func main() {
 		fmt.Printf("%-30s %18d %18d %10s\n", a.name, adaptive, biased, winner)
 	}
 	fmt.Println()
-	fmt.Println("The size-tuned dispatcher (mpi.Tuning) picks the algorithm per message size the")
-	fmt.Println("way production MPI libraries do; combine it with the application-aware selector")
-	fmt.Println("(dragonfly.AppAware) to adapt both the algorithm and the routing mode at runtime.")
+	fmt.Println("The tuned collectives (Rank.TunedAllreduce and friends) pick the algorithm per")
+	fmt.Println("message size the way production MPI libraries do; combine them with the")
+	fmt.Println("application-aware selector (dragonfly.AppAware) to adapt both the algorithm and")
+	fmt.Println("the routing mode at runtime.")
 }
 
 // measure runs the collective once on a fresh 16-rank system with the given

@@ -32,11 +32,6 @@ func observe(mode dragonfly.Mode) {
 	sys, err := dragonfly.New(
 		dragonfly.WithGeometry(dragonfly.SmallGeometry(4)),
 		dragonfly.WithSeed(11),
-		dragonfly.WithTelemetry(dragonfly.TelemetryConfig{
-			IntervalCycles:   40_000,
-			TopLinks:         3,
-			TrackGroupMatrix: true,
-		}),
 		// Interfering job: an alltoall bully placed as soon as the measured
 		// job is allocated.
 		dragonfly.WithNoise(dragonfly.NoiseConfig{Pattern: dragonfly.NoiseBully, Nodes: 12}),
@@ -44,6 +39,13 @@ func observe(mode dragonfly.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Fabric-wide telemetry, attached before the first allocation starts
+	// the interfering job.
+	collector, err := telemetry.NewCollector(sys.Fabric(), telemetry.Config{IntervalCycles: 40_000, TopLinks: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	collector.Start(dragonfly.DefaultHorizon)
 
 	// Measured job: 16 nodes striped over the groups, running an alltoall.
 	job, err := sys.Allocate(dragonfly.GroupStriped, 16)
@@ -56,7 +58,6 @@ func observe(mode dragonfly.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	collector := sys.Telemetry()
 	collector.Stop()
 	collector.Flush()
 

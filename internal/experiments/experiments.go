@@ -60,11 +60,6 @@ type Options struct {
 	// 0 means GOMAXPROCS, 1 runs serially. For a fixed Seed the resulting
 	// tables are byte-identical at every setting.
 	Parallel int
-	// DecisionTrace is the per-trial decision-recorder depth k
-	// (dragonfly.WithDecisionTrace): 0 keeps tracing off, k > 0 records every
-	// adaptive routing decision with its top-k candidate costs. Experiments
-	// that trace decisions themselves (counterfactual) pin their own k.
-	DecisionTrace int
 	// Progress, if non-nil, receives one callback per finished trial.
 	Progress func(harness.Progress)
 
@@ -199,13 +194,6 @@ func (o Options) noiseSpec(pattern noise.Pattern) *dragonfly.NoiseConfig {
 // runTrials executes trial specs through the worker-pool harness configured
 // by the options (seed, parallelism, progress callback, cancellation).
 func (o Options) runTrials(specs []harness.TrialSpec) ([]harness.Result, error) {
-	if o.DecisionTrace > 0 {
-		for i := range specs {
-			if specs[i].DecisionTraceK == 0 {
-				specs[i].DecisionTraceK = o.DecisionTrace
-			}
-		}
-	}
 	ex := &harness.Executor{Parallel: o.Parallel, Seed: o.Seed, OnProgress: o.Progress}
 	return ex.Run(o.context(), specs)
 }

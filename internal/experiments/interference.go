@@ -352,9 +352,8 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 				sys.StartNoise(*opts.noiseSpec(noise.AlltoallBully))
 
 				col := telemetry.MustNewCollector(sys.Fabric(), telemetry.Config{
-					IntervalCycles:   50_000,
-					TopLinks:         3,
-					TrackGroupMatrix: true,
+					IntervalCycles: 50_000,
+					TopLinks:       3,
 				})
 				col.Start(dragonfly.DefaultHorizon)
 

@@ -94,8 +94,6 @@ type Config struct {
 	// rank so that stateful providers (application-aware selectors) are not
 	// shared between ranks. If nil, DefaultRouting is used for every rank.
 	Routing func(rank int) RoutingProvider
-	// Verb is the RDMA verb used for payload transfers.
-	Verb network.Verb
 	// HostNoise, if non-nil, returns a host-side delay in cycles sampled at
 	// every point-to-point operation, modelling OS noise and node-level
 	// contention (used by the Figure 4 experiment).

@@ -248,7 +248,6 @@ func (r *Rank) inject(q *Request, size int64, mode routing.Mode) {
 	r.sendSeq++
 	err := r.comm.fabric.Send(r.node, r.comm.alloc.Node(q.peer), size, network.SendOptions{
 		Mode: mode,
-		Verb: r.comm.cfg.Verb,
 		Tag:  uint64(r.rank)<<32 | r.sendSeq,
 	}, q.sent)
 	if err != nil {

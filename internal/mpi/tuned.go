@@ -1,144 +1,68 @@
 package mpi
 
-import "fmt"
-
-// Tuning selects which algorithm each collective uses as a function of the
-// message size, mirroring the size-based algorithm switching of production MPI
-// libraries. The thresholds are in bytes of per-rank payload.
-type Tuning struct {
-	// BroadcastTreeMaxBytes is the largest broadcast routed through the
+// The size thresholds of the tuned collectives, in bytes of per-rank payload,
+// comparable to the defaults of mainstream MPI implementations: small
+// collectives favour latency-optimal log-round algorithms, large ones
+// bandwidth-optimal rings, as production MPI libraries switch by size.
+const (
+	// broadcastTreeMaxBytes is the largest broadcast routed through the
 	// binomial tree; larger broadcasts use scatter + allgather.
-	BroadcastTreeMaxBytes int64
-	// AllreduceDoublingMaxBytes is the largest allreduce using recursive
-	// doubling; between this and AllreduceRabenseifnerMaxBytes Rabenseifner's
-	// algorithm is used, and above it the ring algorithm.
-	AllreduceDoublingMaxBytes     int64
-	AllreduceRabenseifnerMaxBytes int64
-	// AlltoallBruckMaxBytes is the largest alltoall using the Bruck algorithm;
-	// between this and AlltoallSpreadMaxBytes the non-blocking spread algorithm
-	// is used, and above it pairwise exchange.
-	AlltoallBruckMaxBytes  int64
-	AlltoallSpreadMaxBytes int64
-	// AllgatherDoublingMaxBytes is the largest allgather using recursive
+	broadcastTreeMaxBytes = 64 << 10
+	// allreduceDoublingMaxBytes is the largest allreduce using recursive
+	// doubling; up to allreduceRabenseifnerMaxBytes Rabenseifner's algorithm
+	// is used, and above it the ring.
+	allreduceDoublingMaxBytes     = 2 << 10
+	allreduceRabenseifnerMaxBytes = 256 << 10
+	// alltoallBruckMaxBytes is the largest alltoall using the Bruck
+	// algorithm; up to alltoallSpreadMaxBytes the non-blocking spread is
+	// used, and above it pairwise exchange.
+	alltoallBruckMaxBytes  = 1 << 10
+	alltoallSpreadMaxBytes = 32 << 10
+	// allgatherDoublingMaxBytes is the largest allgather using recursive
 	// doubling (Bruck for non-power-of-two); larger allgathers use the ring.
-	AllgatherDoublingMaxBytes int64
-}
+	allgatherDoublingMaxBytes = 32 << 10
+)
 
-// DefaultTuning returns thresholds comparable to the defaults of mainstream
-// MPI implementations (small collectives favour latency-optimal log-round
-// algorithms, large ones favour bandwidth-optimal rings).
-func DefaultTuning() Tuning {
-	return Tuning{
-		BroadcastTreeMaxBytes:         64 << 10,
-		AllreduceDoublingMaxBytes:     2 << 10,
-		AllreduceRabenseifnerMaxBytes: 256 << 10,
-		AlltoallBruckMaxBytes:         1 << 10,
-		AlltoallSpreadMaxBytes:        32 << 10,
-		AllgatherDoublingMaxBytes:     32 << 10,
-	}
-}
-
-// Validate reports whether the thresholds are ordered consistently.
-func (t Tuning) Validate() error {
-	switch {
-	case t.BroadcastTreeMaxBytes < 0 || t.AllreduceDoublingMaxBytes < 0 ||
-		t.AllreduceRabenseifnerMaxBytes < 0 || t.AlltoallBruckMaxBytes < 0 ||
-		t.AlltoallSpreadMaxBytes < 0 || t.AllgatherDoublingMaxBytes < 0:
-		return fmt.Errorf("mpi: tuning thresholds must be >= 0")
-	case t.AllreduceRabenseifnerMaxBytes < t.AllreduceDoublingMaxBytes:
-		return fmt.Errorf("mpi: AllreduceRabenseifnerMaxBytes (%d) must be >= AllreduceDoublingMaxBytes (%d)",
-			t.AllreduceRabenseifnerMaxBytes, t.AllreduceDoublingMaxBytes)
-	case t.AlltoallSpreadMaxBytes < t.AlltoallBruckMaxBytes:
-		return fmt.Errorf("mpi: AlltoallSpreadMaxBytes (%d) must be >= AlltoallBruckMaxBytes (%d)",
-			t.AlltoallSpreadMaxBytes, t.AlltoallBruckMaxBytes)
-	}
-	return nil
-}
-
-// BroadcastAlgorithm returns the algorithm name selected for a broadcast of
-// size bytes.
-func (t Tuning) BroadcastAlgorithm(size int64) string {
-	if size <= t.BroadcastTreeMaxBytes {
-		return "binomial-tree"
-	}
-	return "scatter-allgather"
-}
-
-// AllreduceAlgorithm returns the algorithm name selected for an allreduce of
-// size bytes.
-func (t Tuning) AllreduceAlgorithm(size int64) string {
-	switch {
-	case size <= t.AllreduceDoublingMaxBytes:
-		return "recursive-doubling"
-	case size <= t.AllreduceRabenseifnerMaxBytes:
-		return "rabenseifner"
-	default:
-		return "ring"
-	}
-}
-
-// AlltoallAlgorithm returns the algorithm name selected for an alltoall of
-// size bytes per rank pair.
-func (t Tuning) AlltoallAlgorithm(size int64) string {
-	switch {
-	case size <= t.AlltoallBruckMaxBytes:
-		return "bruck"
-	case size <= t.AlltoallSpreadMaxBytes:
-		return "spread"
-	default:
-		return "pairwise"
-	}
-}
-
-// AllgatherAlgorithm returns the algorithm name selected for an allgather of
-// size bytes per rank.
-func (t Tuning) AllgatherAlgorithm(size int64) string {
-	if size <= t.AllgatherDoublingMaxBytes {
-		return "recursive-doubling"
-	}
-	return "ring"
-}
-
-// TunedBroadcast broadcasts size bytes from root with the algorithm selected
-// by the tuning thresholds.
-func (r *Rank) TunedBroadcast(t Tuning, root int, size int64) {
-	if t.BroadcastAlgorithm(size) == "binomial-tree" {
+// TunedBroadcast broadcasts size bytes from root with the algorithm the size
+// thresholds select.
+func (r *Rank) TunedBroadcast(root int, size int64) {
+	if size <= broadcastTreeMaxBytes {
 		r.Broadcast(root, size)
 		return
 	}
 	r.BroadcastScatterAllgather(root, size)
 }
 
-// TunedAllreduce reduces size bytes with the algorithm selected by the tuning
-// thresholds.
-func (r *Rank) TunedAllreduce(t Tuning, size int64) {
-	switch t.AllreduceAlgorithm(size) {
-	case "recursive-doubling":
+// TunedAllreduce reduces size bytes with the algorithm the size thresholds
+// select.
+func (r *Rank) TunedAllreduce(size int64) {
+	switch {
+	case size <= allreduceDoublingMaxBytes:
 		r.Allreduce(size)
-	case "rabenseifner":
+	case size <= allreduceRabenseifnerMaxBytes:
 		r.AllreduceRabenseifner(size)
 	default:
 		r.AllreduceRing(size)
 	}
 }
 
-// TunedAlltoall exchanges size bytes per rank pair with the algorithm selected
-// by the tuning thresholds.
-func (r *Rank) TunedAlltoall(t Tuning, size int64) {
-	switch t.AlltoallAlgorithm(size) {
-	case "bruck":
+// TunedAlltoall exchanges size bytes per rank pair with the algorithm the size
+// thresholds select.
+func (r *Rank) TunedAlltoall(size int64) {
+	switch {
+	case size <= alltoallBruckMaxBytes:
 		r.AlltoallBruck(size)
-	case "spread":
+	case size <= alltoallSpreadMaxBytes:
 		r.AlltoallSpread(size)
 	default:
 		r.Alltoall(size)
 	}
 }
 
-// TunedAllgather gathers size bytes from every rank with the algorithm
-// selected by the tuning thresholds.
-func (r *Rank) TunedAllgather(t Tuning, size int64) {
-	if t.AllgatherAlgorithm(size) == "recursive-doubling" {
+// TunedAllgather gathers size bytes from every rank with the algorithm the
+// size thresholds select.
+func (r *Rank) TunedAllgather(size int64) {
+	if size <= allgatherDoublingMaxBytes {
 		r.AllgatherRecursiveDoubling(size)
 		return
 	}

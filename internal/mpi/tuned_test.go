@@ -2,95 +2,18 @@ package mpi
 
 import (
 	"testing"
-	"testing/quick"
 
 	"dragonfly/internal/sim"
 )
 
-func TestDefaultTuningValidates(t *testing.T) {
-	if err := DefaultTuning().Validate(); err != nil {
-		t.Fatalf("DefaultTuning is invalid: %v", err)
-	}
-}
-
-func TestTuningValidateRejectsInvertedThresholds(t *testing.T) {
-	tun := DefaultTuning()
-	tun.AllreduceRabenseifnerMaxBytes = tun.AllreduceDoublingMaxBytes - 1
-	if err := tun.Validate(); err == nil {
-		t.Fatal("expected error for inverted allreduce thresholds")
-	}
-	tun = DefaultTuning()
-	tun.AlltoallSpreadMaxBytes = tun.AlltoallBruckMaxBytes - 1
-	if err := tun.Validate(); err == nil {
-		t.Fatal("expected error for inverted alltoall thresholds")
-	}
-	tun = DefaultTuning()
-	tun.BroadcastTreeMaxBytes = -1
-	if err := tun.Validate(); err == nil {
-		t.Fatal("expected error for negative threshold")
-	}
-}
-
-func TestTuningAlgorithmSelection(t *testing.T) {
-	tun := DefaultTuning()
-	cases := []struct {
-		size                                      int64
-		bcast, allreduce, alltoall, allgatherWant string
-	}{
-		{64, "binomial-tree", "recursive-doubling", "bruck", "recursive-doubling"},
-		{8 << 10, "binomial-tree", "rabenseifner", "spread", "recursive-doubling"},
-		{1 << 20, "scatter-allgather", "ring", "pairwise", "ring"},
-	}
-	for _, c := range cases {
-		if got := tun.BroadcastAlgorithm(c.size); got != c.bcast {
-			t.Errorf("BroadcastAlgorithm(%d) = %q, want %q", c.size, got, c.bcast)
-		}
-		if got := tun.AllreduceAlgorithm(c.size); got != c.allreduce {
-			t.Errorf("AllreduceAlgorithm(%d) = %q, want %q", c.size, got, c.allreduce)
-		}
-		if got := tun.AlltoallAlgorithm(c.size); got != c.alltoall {
-			t.Errorf("AlltoallAlgorithm(%d) = %q, want %q", c.size, got, c.alltoall)
-		}
-		if got := tun.AllgatherAlgorithm(c.size); got != c.allgatherWant {
-			t.Errorf("AllgatherAlgorithm(%d) = %q, want %q", c.size, got, c.allgatherWant)
-		}
-	}
-}
-
-// TestTuningSelectionIsMonotonic checks that for any pair of sizes a <= b the
-// selected algorithm never moves "backwards" from a bandwidth-oriented choice
-// to a latency-oriented one.
-func TestTuningSelectionIsMonotonic(t *testing.T) {
-	tun := DefaultTuning()
-	rankAllreduce := map[string]int{"recursive-doubling": 0, "rabenseifner": 1, "ring": 2}
-	rankAlltoall := map[string]int{"bruck": 0, "spread": 1, "pairwise": 2}
-	prop := func(a, b uint32) bool {
-		x, y := int64(a), int64(b)
-		if x > y {
-			x, y = y, x
-		}
-		if rankAllreduce[tun.AllreduceAlgorithm(x)] > rankAllreduce[tun.AllreduceAlgorithm(y)] {
-			return false
-		}
-		if rankAlltoall[tun.AlltoallAlgorithm(x)] > rankAlltoall[tun.AlltoallAlgorithm(y)] {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTunedCollectivesComplete(t *testing.T) {
-	tun := DefaultTuning()
 	for _, size := range []int64{64, 8 << 10, 128 << 10} {
 		size := size
 		delta := runCollective(t, 4, 31, func(r *Rank) {
-			r.TunedBroadcast(tun, 0, size)
-			r.TunedAllreduce(tun, size)
-			r.TunedAlltoall(tun, size)
-			r.TunedAllgather(tun, size)
+			r.TunedBroadcast(0, size)
+			r.TunedAllreduce(size)
+			r.TunedAlltoall(size)
+			r.TunedAllgather(size)
 		})
 		if delta.RequestPackets == 0 {
 			t.Fatalf("size=%d: tuned collectives generated no traffic", size)
@@ -104,23 +27,22 @@ func TestTunedCollectivesComplete(t *testing.T) {
 // fresh communicator, finish at the same simulated time and inject the same
 // number of packets.
 func TestTunedDispatch(t *testing.T) {
-	tun := DefaultTuning()
 	cases := []struct {
 		name  string
 		size  int64
 		tuned func(r *Rank, size int64)
 		want  func(r *Rank, size int64)
 	}{
-		{"allreduce", 2 << 10, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).Allreduce},
-		{"allreduce", 2<<10 + 1, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).AllreduceRabenseifner},
-		{"allreduce", 256<<10 + 1, func(r *Rank, s int64) { r.TunedAllreduce(tun, s) }, (*Rank).AllreduceRing},
-		{"alltoall", 1 << 10, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).AlltoallBruck},
-		{"alltoall", 1<<10 + 1, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).AlltoallSpread},
-		{"alltoall", 32<<10 + 1, func(r *Rank, s int64) { r.TunedAlltoall(tun, s) }, (*Rank).Alltoall},
-		{"allgather", 32 << 10, func(r *Rank, s int64) { r.TunedAllgather(tun, s) }, (*Rank).AllgatherRecursiveDoubling},
-		{"allgather", 32<<10 + 1, func(r *Rank, s int64) { r.TunedAllgather(tun, s) }, (*Rank).Allgather},
-		{"broadcast", 64 << 10, func(r *Rank, s int64) { r.TunedBroadcast(tun, 0, s) }, func(r *Rank, s int64) { r.Broadcast(0, s) }},
-		{"broadcast", 64<<10 + 1, func(r *Rank, s int64) { r.TunedBroadcast(tun, 0, s) }, func(r *Rank, s int64) { r.BroadcastScatterAllgather(0, s) }},
+		{"allreduce", 2 << 10, (*Rank).TunedAllreduce, (*Rank).Allreduce},
+		{"allreduce", 2<<10 + 1, (*Rank).TunedAllreduce, (*Rank).AllreduceRabenseifner},
+		{"allreduce", 256<<10 + 1, (*Rank).TunedAllreduce, (*Rank).AllreduceRing},
+		{"alltoall", 1 << 10, (*Rank).TunedAlltoall, (*Rank).AlltoallBruck},
+		{"alltoall", 1<<10 + 1, (*Rank).TunedAlltoall, (*Rank).AlltoallSpread},
+		{"alltoall", 32<<10 + 1, (*Rank).TunedAlltoall, (*Rank).Alltoall},
+		{"allgather", 32 << 10, (*Rank).TunedAllgather, (*Rank).AllgatherRecursiveDoubling},
+		{"allgather", 32<<10 + 1, (*Rank).TunedAllgather, (*Rank).Allgather},
+		{"broadcast", 64 << 10, func(r *Rank, s int64) { r.TunedBroadcast(0, s) }, func(r *Rank, s int64) { r.Broadcast(0, s) }},
+		{"broadcast", 64<<10 + 1, func(r *Rank, s int64) { r.TunedBroadcast(0, s) }, func(r *Rank, s int64) { r.BroadcastScatterAllgather(0, s) }},
 	}
 	run := func(n int, size int64, body func(*Rank, int64)) (sim.Time, uint64) {
 		c := testComm(t, n, Config{}, 5)

@@ -47,21 +47,15 @@ func (r Record) TransmissionCycles() int64 { return r.DeliveredAt - r.SendStart 
 // Log captures delivery records from a fabric.
 type Log struct {
 	records []Record
-	// MaxRecords bounds the log size; 0 means unbounded. Once reached, further
-	// deliveries are counted but not stored.
-	MaxRecords int
-	dropped    uint64
-
-	obsID network.ObserverID
+	obsID   network.ObserverID
 }
 
 // NewLog returns an empty log. Attach it with Attach.
 func NewLog() *Log { return &Log{} }
 
-// Attach registers the log as one of the fabric's delivery observers. It
-// coexists with other observers (per-job delivery capture during a concurrent
-// run, telemetry), so a fabric-wide trace can be taken while jobs record
-// their own deliveries.
+// Attach registers the log as one of the fabric's delivery observers, so it
+// records every delivery on the fabric from then on — those of every job and
+// of background noise — until Detach.
 func (l *Log) Attach(f *network.Fabric) { l.obsID = f.AddDeliveryObserver(l.observe) }
 
 // Detach removes the log's delivery observer from the fabric.
@@ -72,10 +66,6 @@ func (l *Log) Detach(f *network.Fabric) {
 
 // observe converts a delivery into a record.
 func (l *Log) observe(d network.Delivery) {
-	if l.MaxRecords > 0 && len(l.records) >= l.MaxRecords {
-		l.dropped++
-		return
-	}
 	minFrac := 0.0
 	if d.Counters.RequestPackets > 0 {
 		minFrac = float64(d.Counters.MinimalPackets) / float64(d.Counters.RequestPackets)
@@ -98,10 +88,6 @@ func (l *Log) Records() []Record { return l.records }
 
 // Len returns the number of stored records.
 func (l *Log) Len() int { return len(l.records) }
-
-// Dropped returns the number of deliveries discarded because MaxRecords was
-// reached.
-func (l *Log) Dropped() uint64 { return l.dropped }
 
 // TotalBytes sums the payload bytes of every stored record.
 func (l *Log) TotalBytes() int64 {
@@ -240,13 +226,10 @@ type ReplayOptions struct {
 	// TimeScale stretches (>1) or compresses (<1) the original inter-send
 	// gaps; 0 means 1.0 (original pacing).
 	TimeScale float64
-	// NodeMap remaps trace nodes onto the target fabric's nodes; nil replays
-	// onto the original node ids (which must exist on the target topology).
-	NodeMap map[topo.NodeID]topo.NodeID
 }
 
 // Replay schedules every record of the trace onto the fabric as an open-loop
-// source: each message is posted at its original SendStart relative to the
+// source, on the trace's own node ids: each message is posted at its original SendStart relative to the
 // earliest SendStart of the trace, scaled by TimeScale, regardless of when
 // earlier messages complete. The records may come in any order — a captured
 // Log holds them in delivery order, where a message posted early can follow
@@ -260,14 +243,6 @@ func Replay(f *network.Fabric, records []Record, opts ReplayOptions) (int, error
 	if scale <= 0 {
 		scale = 1
 	}
-	mapNode := func(n topo.NodeID) topo.NodeID {
-		if opts.NodeMap != nil {
-			if m, ok := opts.NodeMap[n]; ok {
-				return m
-			}
-		}
-		return n
-	}
 	base := records[0].SendStart
 	for _, r := range records[1:] {
 		base = min(base, r.SendStart)
@@ -276,7 +251,7 @@ func Replay(f *network.Fabric, records []Record, opts ReplayOptions) (int, error
 	now := f.Engine().Now()
 	scheduled := 0
 	for _, r := range records {
-		src, dst := mapNode(r.Src), mapNode(r.Dst)
+		src, dst := r.Src, r.Dst
 		if int(src) < 0 || int(src) >= total || int(dst) < 0 || int(dst) >= total {
 			return scheduled, fmt.Errorf("msglog: record endpoint %d->%d outside the target topology (%d nodes)",
 				src, dst, total)

@@ -158,29 +158,6 @@ func TestSizeHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestMaxRecordsBound(t *testing.T) {
-	tt := topo.MustNew(topo.SmallConfig(2))
-	pol := routing.MustNewPolicy(tt, routing.DefaultParams())
-	eng := sim.NewEngine(3)
-	fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
-	log := &Log{MaxRecords: 5}
-	log.Attach(fab)
-	for i := 0; i < 20; i++ {
-		if err := fab.Send(0, 4, 256, network.SendOptions{Mode: routing.Adaptive}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if log.Len() != 5 {
-		t.Fatalf("stored %d records, want 5", log.Len())
-	}
-	if log.Dropped() != 15 {
-		t.Fatalf("dropped %d records, want 15", log.Dropped())
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	log, _ := capture(t, &workloads.PingPong{MessageBytes: 4096, Iterations: 3}, 2, 4)
 	var buf bytes.Buffer
@@ -254,22 +231,22 @@ func TestReplayReproducesTraffic(t *testing.T) {
 	}
 }
 
-func TestReplayWithNodeMapAndScale(t *testing.T) {
+func TestReplayOnAnotherMachineWithScale(t *testing.T) {
 	log, _ := capture(t, &workloads.PingPong{MessageBytes: 2048, Iterations: 2}, 2, 8)
 	tt := topo.MustNew(topo.SmallConfig(2))
 	pol := routing.MustNewPolicy(tt, routing.DefaultParams())
 	eng := sim.NewEngine(9)
 	fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
 
-	// Map the original endpoints onto two specific nodes of the new machine.
-	nodeMap := make(map[topo.NodeID]topo.NodeID)
-	for _, r := range log.Records() {
-		nodeMap[r.Src] = topo.NodeID(int(r.Src) % tt.NumNodes())
-		nodeMap[r.Dst] = topo.NodeID(int(r.Dst) % tt.NumNodes())
+	// Move the original endpoints onto nodes of the smaller machine.
+	records := append([]Record(nil), log.Records()...)
+	for i := range records {
+		records[i].Src %= topo.NodeID(tt.NumNodes())
+		records[i].Dst %= topo.NodeID(tt.NumNodes())
 	}
 	replayLog := NewLog()
 	replayLog.Attach(fab)
-	if _, err := Replay(fab, log.Records(), ReplayOptions{Mode: routing.MinHash, TimeScale: 0.5, NodeMap: nodeMap}); err != nil {
+	if _, err := Replay(fab, records, ReplayOptions{Mode: routing.MinHash, TimeScale: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(); err != nil {
@@ -291,39 +268,6 @@ func TestReplayRejectsOutOfRangeEndpoints(t *testing.T) {
 	}
 }
 
-func TestReplayPartialNodeMapMixesMappedAndUnmapped(t *testing.T) {
-	tt := topo.MustNew(topo.SmallConfig(3))
-	pol := routing.MustNewPolicy(tt, routing.DefaultParams())
-	eng := sim.NewEngine(13)
-	fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
-
-	// Only node 0 is remapped; 1 and 2 pass through unchanged.
-	records := []Record{
-		{Src: 0, Dst: 1, Size: 256, SendStart: 0},
-		{Src: 2, Dst: 0, Size: 512, SendStart: 10},
-	}
-	mapped := topo.NodeID(tt.NumNodes() - 1)
-	replayLog := NewLog()
-	replayLog.Attach(fab)
-	n, err := Replay(fab, records, ReplayOptions{NodeMap: map[topo.NodeID]topo.NodeID{0: mapped}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(records) {
-		t.Fatalf("scheduled %d messages, want %d", n, len(records))
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	matrix := replayLog.TrafficMatrix()
-	if matrix[mapped][1] != 256 {
-		t.Fatalf("mapped source should deliver %d->1: %v", mapped, matrix)
-	}
-	if matrix[2][mapped] != 512 {
-		t.Fatalf("unmapped source should deliver 2->%d: %v", mapped, matrix)
-	}
-}
-
 func TestReplayOutOfRangeReportsScheduledPrefix(t *testing.T) {
 	tt := topo.MustNew(topo.SmallConfig(2))
 	pol := routing.MustNewPolicy(tt, routing.DefaultParams())
@@ -341,11 +285,6 @@ func TestReplayOutOfRangeReportsScheduledPrefix(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("scheduled count is %d, want 1 (records before the invalid one)", n)
-	}
-	// A NodeMap that rescues the bad endpoint makes the same trace valid.
-	n, err = Replay(fab, records, ReplayOptions{NodeMap: map[topo.NodeID]topo.NodeID{bad: 1}})
-	if err != nil || n != len(records) {
-		t.Fatalf("remapped replay returned (%d, %v), want (%d, nil)", n, err, len(records))
 	}
 }
 

@@ -17,26 +17,6 @@ import (
 	"dragonfly/internal/topo"
 )
 
-// Verb is the RDMA operation type used to transfer a message. It determines
-// how many request flits each 64-byte packet carries (§2.1 of the paper:
-// 5 request flits for PUTs, 1 for GETs, data returning in response packets).
-type Verb uint8
-
-const (
-	// Put transfers data in request packets (RDMA PUT).
-	Put Verb = iota
-	// Get transfers data in response packets (RDMA GET).
-	Get
-)
-
-// String returns the verb name.
-func (v Verb) String() string {
-	if v == Get {
-		return "GET"
-	}
-	return "PUT"
-}
-
 // Config holds the timing and sizing parameters of the fabric model. All times
 // are in NIC cycles.
 type Config struct {
@@ -66,11 +46,10 @@ type Config struct {
 	MaxOutstandingPackets int
 	// PacketBytes is the payload carried per request packet (64 on Aries).
 	PacketBytes int
-	// PutRequestFlits is the number of request flits per PUT packet
-	// (1 header + 4 payload on Aries).
+	// PutRequestFlits is the number of request flits per packet. Every
+	// message is an RDMA PUT, whose request packets carry the data (§2.1 of
+	// the paper: 1 header + 4 payload flits on Aries).
 	PutRequestFlits int
-	// GetRequestFlits is the number of request flits per GET packet.
-	GetRequestFlits int
 	// ResponseFlits is the number of response flits per packet.
 	ResponseFlits int
 }
@@ -92,7 +71,6 @@ func DefaultConfig() Config {
 		MaxOutstandingPackets: 1024,
 		PacketBytes:           64,
 		PutRequestFlits:       5,
-		GetRequestFlits:       1,
 		ResponseFlits:         1,
 	}
 }
@@ -112,20 +90,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("network: MaxOutstandingPackets must be > 0")
 	case c.PacketBytes <= 0:
 		return fmt.Errorf("network: PacketBytes must be > 0")
-	case c.PutRequestFlits <= 0 || c.GetRequestFlits <= 0 || c.ResponseFlits <= 0:
+	case c.PutRequestFlits <= 0 || c.ResponseFlits <= 0:
 		return fmt.Errorf("network: flits per packet must be > 0")
 	case c.LoopbackCyclesPerByte < 0 || c.LoopbackBaseCycles < 0:
 		return fmt.Errorf("network: loopback costs must be >= 0")
 	}
 	return nil
-}
-
-// RequestFlitsPerPacket returns the number of request flits per packet for the verb.
-func (c Config) RequestFlitsPerPacket(v Verb) int {
-	if v == Get {
-		return c.GetRequestFlits
-	}
-	return c.PutRequestFlits
 }
 
 // PacketsForSize returns the number of request packets needed to transfer
@@ -138,9 +108,9 @@ func (c Config) PacketsForSize(size int64) int64 {
 }
 
 // FlitsForSize returns the total number of request flits needed to transfer
-// size bytes with the given verb.
-func (c Config) FlitsForSize(size int64, v Verb) int64 {
-	return c.PacketsForSize(size) * int64(c.RequestFlitsPerPacket(v))
+// size bytes.
+func (c Config) FlitsForSize(size int64) int64 {
+	return c.PacketsForSize(size) * int64(c.PutRequestFlits)
 }
 
 // propagationFor returns the propagation delay of a link of the given type.

@@ -15,8 +15,6 @@ import (
 type SendOptions struct {
 	// Mode is the routing mode applied to every packet of the message.
 	Mode routing.Mode
-	// Verb is the RDMA operation used (Put by default).
-	Verb Verb
 	// Tag is an opaque value copied to the Delivery; the message layer uses it
 	// for matching.
 	Tag uint64
@@ -115,7 +113,7 @@ func newLinkKind(cfg Config, t topo.LinkType, width int) linkKind {
 		cyclesPerFlit: cfg.CyclesPerFlit,
 		width:         max(int64(width), 1),
 	}
-	k.ser = make([]int64, max(cfg.PutRequestFlits, cfg.GetRequestFlits, cfg.ResponseFlits)+1)
+	k.ser = make([]int64, max(cfg.PutRequestFlits, cfg.ResponseFlits)+1)
 	for n := range k.ser {
 		k.ser[n] = k.divide(n)
 	}
@@ -613,7 +611,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	now := f.engine.Now()
 	nic.readyAt = max(nic.readyAt, now)
 
-	flits := f.cfg.RequestFlitsPerPacket(op.opts.Verb)
+	flits := f.cfg.PutRequestFlits
 
 	// Window constraint: the oldest outstanding packet must have been
 	// acknowledged before a new one can enter the request window.

@@ -60,14 +60,8 @@ func TestPacketAndFlitAccounting(t *testing.T) {
 	if got := cfg.PacketsForSize(65); got != 2 {
 		t.Fatalf("PacketsForSize(65) = %d, want 2", got)
 	}
-	if got := cfg.FlitsForSize(1024, Put); got != 16*5 {
-		t.Fatalf("FlitsForSize(1024, Put) = %d, want 80", got)
-	}
-	if got := cfg.FlitsForSize(1024, Get); got != 16 {
-		t.Fatalf("FlitsForSize(1024, Get) = %d, want 16", got)
-	}
-	if Put.String() != "PUT" || Get.String() != "GET" {
-		t.Fatal("bad verb strings")
+	if got := cfg.FlitsForSize(1024); got != 16*5 {
+		t.Fatalf("FlitsForSize(1024) = %d, want 80", got)
 	}
 }
 
@@ -432,20 +426,16 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any message size and verb, the per-message counters match the
-// analytic packet/flit accounting.
+// Property: for any message size, the per-message counters match the analytic
+// packet/flit accounting.
 func TestPropertyCountersMatchSize(t *testing.T) {
-	f := func(sizeKB uint8, useGet bool) bool {
+	f := func(sizeKB uint8) bool {
 		size := int64(sizeKB)*64 + 1
 		fab, tt, eng := testFabric(nil, 2, 13)
-		verb := Put
-		if useGet {
-			verb = Get
-		}
 		src := nodeAt(tt, 0, 0, 0, 0)
 		dst := nodeAt(tt, 1, 0, 0, 0)
 		var d Delivery
-		if err := fab.Send(src, dst, size, SendOptions{Mode: routing.AdaptiveHighBias, Verb: verb}, func(x Delivery) { d = x }); err != nil {
+		if err := fab.Send(src, dst, size, SendOptions{Mode: routing.AdaptiveHighBias}, func(x Delivery) { d = x }); err != nil {
 			return false
 		}
 		if err := eng.Run(); err != nil {
@@ -453,7 +443,7 @@ func TestPropertyCountersMatchSize(t *testing.T) {
 		}
 		cfg := fab.Config()
 		wantPackets := uint64(cfg.PacketsForSize(size))
-		wantFlits := uint64(cfg.FlitsForSize(size, verb))
+		wantFlits := uint64(cfg.FlitsForSize(size))
 		return d.Counters.RequestPackets == wantPackets &&
 			d.Counters.RequestFlits == wantFlits &&
 			d.Counters.MinimalPackets+d.Counters.NonMinimalPackets == wantPackets

@@ -66,7 +66,7 @@ func TestCostBelowMatchesFullCost(t *testing.T) {
 		}
 	}
 	// Packet sizes the fabric sends, plus one past the serialization table.
-	flitCounts := []int{cfg.PutRequestFlits, cfg.GetRequestFlits, cfg.ResponseFlits, 64}
+	flitCounts := []int{cfg.PutRequestFlits, cfg.ResponseFlits, 64}
 	rng := rand.New(rand.NewSource(5))
 	var buf topo.PathBuffer
 	var checked, backlogged, stale int

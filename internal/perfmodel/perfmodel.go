@@ -1,7 +1,7 @@
 // Package perfmodel implements the LogP-inspired transmission-time model of
 // §2.4 of the paper. Given the NIC counters (average packet latency L and
 // average per-flit stall ratio s) and the message geometry (number of flits f
-// and packets p, derived from the message size and RDMA verb), the model
+// and packets p, derived from the message size), the model
 // estimates the time the network needs to move the message:
 //
 //	T_msg ≈ (p + 512)/1024 · L + f · (s + 1)            (Eq. 2)
@@ -29,26 +29,17 @@ type Geometry struct {
 // PacketBytes is the payload carried by one Aries request packet.
 const PacketBytes = 64
 
-// PutFlitsPerPacket and GetFlitsPerPacket are the request flits per packet for
-// the two RDMA verbs (1 header + 4 payload flits for PUT, header only for GET).
-const (
-	PutFlitsPerPacket = 5
-	GetFlitsPerPacket = 1
-)
+// PutFlitsPerPacket is the request flits per packet of an RDMA PUT, the verb
+// that moves MPI payloads (1 header + 4 payload flits).
+const PutFlitsPerPacket = 5
 
 // WindowPackets is the maximum number of outstanding packets an Aries NIC
 // supports; beyond this, transmission serializes on response reception.
 const WindowPackets = 1024
 
 // GeometryForSize returns the packet/flit geometry of a message of the given
-// size transferred with a PUT (the common case for MPI payloads).
+// size transferred with a PUT.
 func GeometryForSize(sizeBytes int64) Geometry {
-	return GeometryForSizeVerb(sizeBytes, true)
-}
-
-// GeometryForSizeVerb returns the geometry for a message of the given size;
-// put selects between PUT and GET request-flit counts.
-func GeometryForSizeVerb(sizeBytes int64, put bool) Geometry {
 	if sizeBytes < 0 {
 		sizeBytes = 0
 	}
@@ -56,11 +47,7 @@ func GeometryForSizeVerb(sizeBytes int64, put bool) Geometry {
 	if packets == 0 {
 		packets = 1
 	}
-	per := int64(PutFlitsPerPacket)
-	if !put {
-		per = GetFlitsPerPacket
-	}
-	return Geometry{Flits: packets * per, Packets: packets}
+	return Geometry{Flits: packets * PutFlitsPerPacket, Packets: packets}
 }
 
 // Params are the network-state inputs of the model, normally obtained from NIC

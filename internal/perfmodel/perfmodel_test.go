@@ -27,10 +27,6 @@ func TestGeometryForSize(t *testing.T) {
 			t.Fatalf("GeometryForSize(%d) = %+v, want packets=%d flits=%d", c.size, g, c.packets, c.flits)
 		}
 	}
-	gget := GeometryForSizeVerb(1024, false)
-	if gget.Flits != 16 {
-		t.Fatalf("GET flits = %d, want 16", gget.Flits)
-	}
 	if g := GeometryForSize(-5); g.Packets != 1 {
 		t.Fatalf("negative size must clamp to one packet, got %+v", g)
 	}

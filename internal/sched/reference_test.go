@@ -387,11 +387,8 @@ func (s *refScheduler) startApp(rec *refJobRecord) error {
 	if err != nil {
 		return err
 	}
-	provider := app.Routing
-	if provider == nil {
-		mode := rec.Spec.Traffic.Mode
-		provider = func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
-	}
+	mode := rec.Spec.Traffic.Mode
+	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
 	comm, err := mpi.NewComm(s.fabric, rec.Allocation, mpi.Config{Routing: provider})
 	if err != nil {
 		return err

@@ -123,11 +123,8 @@ type AppSpec struct {
 	// for the stencil workloads (halo3d, sweep3d).
 	MessageBytes int64
 	// Iterations is how many times each rank repeats the workload body
-	// (minimum 1).
+	// (minimum 1). Every message routes with the job's Traffic.Mode.
 	Iterations int
-	// Routing builds the per-rank routing provider; nil applies
-	// Traffic.Mode statically to every message.
-	Routing func(rank int) mpi.RoutingProvider
 }
 
 // TrafficSpec shapes the traffic a running job injects into the fabric.
@@ -607,11 +604,8 @@ func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
 	if err != nil {
 		return err
 	}
-	provider := app.Routing
-	if provider == nil {
-		mode := rec.Spec.Traffic.Mode
-		provider = func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
-	}
+	mode := rec.Spec.Traffic.Mode
+	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
 	comm, err := mpi.NewComm(s.fabric, a, mpi.Config{Routing: provider})
 	if err != nil {
 		return err

@@ -32,15 +32,12 @@ type Config struct {
 	// TopLinks is the number of hottest links recorded per sample (0 disables
 	// the per-sample hot list).
 	TopLinks int
-	// TrackGroupMatrix enables the per-sample group-to-group flit matrix,
-	// built from the global links' traffic.
-	TrackGroupMatrix bool
 }
 
 // DefaultConfig returns a collector configuration with a moderate sampling
 // rate suitable for the experiments in this repository.
 func DefaultConfig() Config {
-	return Config{IntervalCycles: 50_000, TopLinks: 4, TrackGroupMatrix: true}
+	return Config{IntervalCycles: 50_000, TopLinks: 4}
 }
 
 // Validate reports whether the configuration is usable.
@@ -83,7 +80,7 @@ type Sample struct {
 	// Hottest lists the most utilized links of the interval (configurable).
 	Hottest []HotLink
 	// GroupMatrix[src][dst] is the number of flits carried by global links from
-	// group src to group dst during the interval (nil unless enabled).
+	// group src to group dst during the interval.
 	GroupMatrix [][]uint64
 }
 
@@ -207,12 +204,10 @@ func (c *Collector) record() {
 		return
 	}
 	s := Sample{Start: c.lastAt, End: now}
-	if c.cfg.TrackGroupMatrix {
-		g := t.Config().Groups
-		s.GroupMatrix = make([][]uint64, g)
-		for i := range s.GroupMatrix {
-			s.GroupMatrix[i] = make([]uint64, g)
-		}
+	g := t.Config().Groups
+	s.GroupMatrix = make([][]uint64, g)
+	for i := range s.GroupMatrix {
+		s.GroupMatrix[i] = make([]uint64, g)
 	}
 
 	type linkUtil struct {
@@ -241,7 +236,7 @@ func (c *Collector) record() {
 		if c.cfg.TopLinks > 0 && delta.FlitsTraversed > 0 {
 			hot = append(hot, linkUtil{link: l, u: u, f: delta.FlitsTraversed})
 		}
-		if s.GroupMatrix != nil && l.Type == topo.LinkGlobal {
+		if l.Type == topo.LinkGlobal {
 			src := int(t.GroupOf(l.Src))
 			dst := int(t.GroupOf(l.Dst))
 			s.GroupMatrix[src][dst] += delta.FlitsTraversed
@@ -312,13 +307,10 @@ func (c *Collector) HotspotIntervals(threshold float64) []int {
 }
 
 // AggregateGroupMatrix sums the group-to-group flit matrices over all samples.
-// It returns nil when matrix tracking is disabled.
+// It returns nil when there are no samples.
 func (c *Collector) AggregateGroupMatrix() [][]uint64 {
 	var agg [][]uint64
 	for _, s := range c.samples {
-		if s.GroupMatrix == nil {
-			continue
-		}
 		if agg == nil {
 			agg = make([][]uint64, len(s.GroupMatrix))
 			for i := range agg {

@@ -48,7 +48,7 @@ func TestCollectorSamplesTraffic(t *testing.T) {
 	f := testFabric(t, 3, 1)
 	const horizon = 500_000
 	startTraffic(t, f, horizon, 5_000)
-	col := MustNewCollector(f, Config{IntervalCycles: 50_000, TopLinks: 3, TrackGroupMatrix: true})
+	col := MustNewCollector(f, Config{IntervalCycles: 50_000, TopLinks: 3})
 	col.Start(horizon)
 	if err := f.Engine().Run(); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestIntervalDeltasSumToCumulative(t *testing.T) {
 	f := testFabric(t, 2, 2)
 	const horizon = 300_000
 	startTraffic(t, f, horizon, 4_000)
-	col := MustNewCollector(f, Config{IntervalCycles: 25_000, TrackGroupMatrix: false})
+	col := MustNewCollector(f, Config{IntervalCycles: 25_000})
 	col.Start(horizon)
 	if err := f.Engine().Run(); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestGroupMatrixCapturesInterGroupTraffic(t *testing.T) {
 	// Send exclusively between two nodes in different groups.
 	src := f.Topology().NodesOfRouter(f.Topology().RouterAt(topo.Coord{Group: 0}))[0]
 	dst := f.Topology().NodesOfRouter(f.Topology().RouterAt(topo.Coord{Group: 2}))[0]
-	col := MustNewCollector(f, Config{IntervalCycles: 10_000, TrackGroupMatrix: true})
+	col := MustNewCollector(f, Config{IntervalCycles: 10_000})
 	col.Start(1 << 30)
 	for i := 0; i < 20; i++ {
 		if err := f.Send(src, dst, 4096, network.SendOptions{Mode: routing.MinHash}, nil); err != nil {

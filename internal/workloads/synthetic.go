@@ -296,9 +296,6 @@ type TunedCollectives struct {
 	LargeBytes int64
 	// Iterations is the number of phase pairs per Run.
 	Iterations int
-	// Tuning selects the per-size algorithms; the zero value uses the default
-	// thresholds.
-	Tuning mpi.Tuning
 }
 
 // Name implements Workload.
@@ -310,10 +307,6 @@ func (w *TunedCollectives) Run(r *mpi.Rank) {
 	if iters <= 0 {
 		iters = 1
 	}
-	tun := w.Tuning
-	if tun == (mpi.Tuning{}) {
-		tun = mpi.DefaultTuning()
-	}
 	small, large := w.SmallBytes, w.LargeBytes
 	if small <= 0 {
 		small = 64
@@ -322,9 +315,9 @@ func (w *TunedCollectives) Run(r *mpi.Rank) {
 		large = 64 << 10
 	}
 	for i := 0; i < iters; i++ {
-		r.TunedAllreduce(tun, small)
-		r.TunedBroadcast(tun, 0, large)
-		r.TunedAlltoall(tun, small)
-		r.TunedAllreduce(tun, large)
+		r.TunedAllreduce(small)
+		r.TunedBroadcast(0, large)
+		r.TunedAlltoall(small)
+		r.TunedAllreduce(large)
 	}
 }

@@ -25,9 +25,6 @@ type Job struct {
 	routers map[topo.RouterID]bool
 }
 
-// System returns the system the job is allocated on.
-func (j *Job) System() *System { return j.sys }
-
 // routerSet returns the set of routers the job's nodes attach to, whose
 // incoming tile counters each measurement snapshots.
 func (j *Job) routerSet() map[topo.RouterID]bool {
@@ -76,20 +73,10 @@ type RunOptions struct {
 	// HostNoise, if non-nil, samples a host-side delay in cycles at every
 	// point-to-point operation, modelling OS noise.
 	HostNoise func(rank int) int64
-	// Verb is the RDMA verb used for payload transfers.
-	Verb Verb
 	// Context, if non-nil, is checked before the first iteration, between
 	// iterations, and periodically while the simulation advances, so a
 	// cancelled suite aborts even mid-iteration.
 	Context context.Context
-	// RecordDeliveries captures message deliveries of the run into
-	// Result.Deliveries: every delivery on the fabric for a single-job run
-	// (Job.Run), only the deliveries touching the job's nodes inside a
-	// multi-job RunConcurrent. The capture uses one of the fabric's delivery
-	// observer slots and coexists with a message log or telemetry attached to
-	// the same fabric. Job.Compare rejects it: a log of interleaved setups has
-	// no single owner.
-	RecordDeliveries bool
 }
 
 // Result is what one Job.Run measured, or one setup of a Job.Compare.
@@ -111,9 +98,6 @@ type Result struct {
 	SelectorStats SelectorStats
 	// HasSelectorStats reports whether SelectorStats is meaningful.
 	HasSelectorStats bool
-	// Deliveries are the raw message completions of the run, recorded only
-	// when RunOptions.RecordDeliveries was set.
-	Deliveries []Delivery
 }
 
 // Time returns the total execution time over all iterations.
@@ -166,8 +150,7 @@ func (j *Job) Run(w Workload, opts RunOptions) (Result, error) {
 // Every setup gets its own communicator, built once up front in setup order:
 // each Provider is called once per rank, and selector state persists across
 // the setup's iterations. opts applies to every setup; its Routing must be
-// left zero (the setups name the routings) and RecordDeliveries unset. A rank
-// error names the setup it happened under; on error the returned slice still
+// left zero (the setups name the routings). A rank error names the setup it happened under; on error the returned slice still
 // carries each setup's partial Result.
 func (j *Job) Compare(w Workload, setups []Routing, opts RunOptions) ([]Result, error) {
 	switch {
@@ -175,8 +158,6 @@ func (j *Job) Compare(w Workload, setups []Routing, opts RunOptions) ([]Result, 
 		return nil, fmt.Errorf("dragonfly: Compare needs at least one setup")
 	case opts.Routing.Name != "" || opts.Routing.Provider != nil || opts.Routing.Stats != nil:
 		return nil, fmt.Errorf("dragonfly: Compare takes its routings from setups; RunOptions.Routing must be zero")
-	case opts.RecordDeliveries:
-		return nil, fmt.Errorf("dragonfly: Compare cannot record deliveries: interleaved setups share one log")
 	}
 	s := j.sys
 	if err := s.validateRun("", j, w); err != nil {
@@ -191,5 +172,5 @@ func (j *Job) Compare(w Workload, setups []Routing, opts RunOptions) ([]Result, 
 	for i, st := range states {
 		st.next = states[(i+1)%len(states)]
 	}
-	return s.measure(states, states[:1], false)
+	return s.measure(states, states[:1])
 }

@@ -108,7 +108,6 @@ type config struct {
 	seed          int64
 	decisionTrace int
 	noise         *NoiseConfig
-	telemetry     *TelemetryConfig
 }
 
 // defaultConfig mirrors the library defaults every consumer used to spell out
@@ -212,16 +211,6 @@ func WithNoise(cfg NoiseConfig) Option {
 		}
 		spec := cfg
 		c.noise = &spec
-		return nil
-	}
-}
-
-// WithTelemetry installs a fabric-wide telemetry collector, started at
-// construction; read it back with System.Telemetry.
-func WithTelemetry(cfg TelemetryConfig) Option {
-	return func(c *config) error {
-		spec := cfg
-		c.telemetry = &spec
 		return nil
 	}
 }

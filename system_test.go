@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dragonfly"
+	"dragonfly/internal/msglog"
+	"dragonfly/internal/telemetry"
 	"dragonfly/internal/workloads"
 )
 
@@ -33,9 +35,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if sys.Seed() != 1 {
 		t.Fatalf("default seed = %d, want 1", sys.Seed())
-	}
-	if sys.Telemetry() != nil {
-		t.Fatal("telemetry collector installed without WithTelemetry")
 	}
 }
 
@@ -218,24 +217,41 @@ func TestNoiseGeneratorsIndependent(t *testing.T) {
 	}
 }
 
-func TestRunRecordsDeliveries(t *testing.T) {
+// TestMessageLogRecordsJobAndNoise: a message log attached to the fabric
+// records every delivery of a Job.Run, the job's own and the background
+// noise's alike.
+func TestMessageLogRecordsJobAndNoise(t *testing.T) {
 	sys := testSystem(t)
 	job, err := sys.AllocatePair(dragonfly.InterGroups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := job.Run(&workloads.PingPong{MessageBytes: 1 << 10, Iterations: 4},
-		dragonfly.RunOptions{RecordDeliveries: true})
-	if err != nil {
+	if sys.StartNoise(dragonfly.NoiseConfig{Pattern: dragonfly.NoiseUniform, Nodes: 4}) == nil {
+		t.Fatal("background job did not start")
+	}
+	log := msglog.NewLog()
+	log.Attach(sys.Fabric())
+	if _, err := job.Run(&workloads.PingPong{MessageBytes: 64 << 10, Iterations: 4}, dragonfly.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deliveries) == 0 {
-		t.Fatal("RecordDeliveries captured nothing")
+	log.Detach(sys.Fabric())
+	mine := make(map[dragonfly.NodeID]bool)
+	for _, n := range job.Nodes() {
+		mine[n] = true
 	}
-	for _, d := range res.Deliveries {
-		if d.DeliveredAt < d.SendStart {
-			t.Fatalf("delivery finished before it started: %+v", d)
+	var jobs, noise int
+	for _, r := range log.Records() {
+		if r.DeliveredAt < r.SendStart {
+			t.Fatalf("delivery finished before it started: %+v", r)
 		}
+		if mine[r.Src] && mine[r.Dst] {
+			jobs++
+		} else {
+			noise++
+		}
+	}
+	if jobs == 0 || noise == 0 {
+		t.Fatalf("log holds %d job and %d noise deliveries, want both", jobs, noise)
 	}
 }
 
@@ -291,11 +307,12 @@ func TestStartNoiseNoRoom(t *testing.T) {
 }
 
 func TestWithTelemetryCollects(t *testing.T) {
-	sys := testSystem(t, dragonfly.WithTelemetry(dragonfly.TelemetryConfig{IntervalCycles: 10_000}))
-	col := sys.Telemetry()
-	if col == nil {
-		t.Fatal("WithTelemetry installed no collector")
+	sys := testSystem(t)
+	col, err := telemetry.NewCollector(sys.Fabric(), telemetry.Config{IntervalCycles: 10_000})
+	if err != nil {
+		t.Fatal(err)
 	}
+	col.Start(dragonfly.DefaultHorizon)
 	job, err := sys.Allocate(dragonfly.GroupStriped, 4)
 	if err != nil {
 		t.Fatal(err)
