@@ -213,39 +213,39 @@ func (k *Tracker) Free(nodes []topo.NodeID) {
 // 1 − (largest contiguous free ID run)/(free nodes). It is 0 on an empty
 // machine (one run covers everything), 0 on a full machine (nothing free, by
 // convention), and approaches 1 when the free nodes are scattered single
-// holes no contiguous job can use. The scan is O(words), ~84 on Daint.
+// holes no contiguous job can use. The scan visits each word once, ~84 on
+// Daint, and each free run in it.
 func (k *Tracker) Fragmentation() float64 {
 	if k.free == 0 || k.free == k.total {
 		return 0
 	}
 	largest, run := 0, 0
-	for w := 0; w*64 < k.total; w++ {
-		word := k.words[w]
-		n := 64
+	for w, busy := range k.words {
 		if hi := (w + 1) * 64; hi > k.total {
-			n = k.total - w*64
-			word |= ^uint64(0) << uint(n) // pad beyond the machine as busy
+			busy |= ^uint64(0) << uint(k.total%64) // pad beyond the machine as busy
 		}
-		if word == 0 {
-			run += n
+		// The free bits below the lowest busy bit extend the run carried in
+		// from the previous word; a word with no busy bit carries it on.
+		low := bits.TrailingZeros64(busy)
+		run += low
+		if low == 64 {
 			continue
 		}
-		// Walk the busy bits; zeros between them extend the current run.
-		prev := 0
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			run += b - prev
-			if run > largest {
-				largest = run
+		largest = max(largest, run)
+		run = 0
+		// Every other free run starts above a busy bit. One that reaches the
+		// top bit carries into the next word.
+		free := ^busy &^ (1<<uint(low) - 1)
+		for free != 0 {
+			start := bits.TrailingZeros64(free)
+			n := bits.TrailingZeros64(^(free >> uint(start)))
+			if start+n == 64 {
+				run = n
+				break
 			}
-			run = 0
-			prev = b + 1
+			largest = max(largest, n)
+			free &^= (1<<uint(n) - 1) << uint(start)
 		}
-		run = n - prev
 	}
-	if run > largest {
-		largest = run
-	}
-	return 1 - float64(largest)/float64(k.free)
+	return 1 - float64(max(largest, run))/float64(k.free)
 }

@@ -220,3 +220,54 @@ func TestTrackerMillionCycleNoLeak(t *testing.T) {
 		t.Fatalf("empty machine after churn reports fragmentation %v", f)
 	}
 }
+
+// TestTrackerFragmentationMatchesNodeScan checks the word-wise Fragmentation
+// against a per-node scan for the largest free run, after every step of
+// random Allocate/Free sequences, on machines whose last bitset word is
+// partial (32, 48 and 80 nodes) and one that fills whole words (768 nodes).
+func TestTrackerFragmentationMatchesNodeScan(t *testing.T) {
+	nodeScan := func(k *Tracker) float64 {
+		if k.FreeNodes() == 0 || k.FreeNodes() == k.NumNodes() {
+			return 0
+		}
+		largest, run := 0, 0
+		for n := 0; n < k.NumNodes(); n++ {
+			if k.Busy(topo.NodeID(n)) {
+				run = 0
+				continue
+			}
+			run++
+			largest = max(largest, run)
+		}
+		return 1 - float64(largest)/float64(k.FreeNodes())
+	}
+	machines := []topo.Config{topo.SmallConfig(2), topo.SmallConfig(3), topo.SmallConfig(5), topo.AriesConfig(2)}
+	for _, cfg := range machines {
+		tp := topo.MustNew(cfg)
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			k := NewTracker(tp)
+			var live [][]topo.NodeID
+			for step := 0; step < 300; step++ {
+				if len(live) > 0 && (k.FreeNodes() == 0 || rng.Intn(3) == 0) {
+					i := rng.Intn(len(live))
+					k.Free(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				} else {
+					policy := []Policy{Contiguous, RandomScatter, GroupStriped}[rng.Intn(3)]
+					n := 1 + rng.Intn(min(k.FreeNodes(), max(tp.NumNodes()/8, 1)))
+					nodes, err := k.Allocate(policy, n, rng, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, nodes)
+				}
+				if got, want := k.Fragmentation(), nodeScan(k); got != want {
+					t.Fatalf("%d nodes, seed %d, step %d: Fragmentation %v, node scan %v",
+						tp.NumNodes(), seed, step, got, want)
+				}
+			}
+		}
+	}
+}
