@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz quick
+.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz golden-cli quick
 
 all: build vet fmt-check examples test
 
@@ -90,6 +90,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectives$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/sched
+
+# golden-cli pins the whole CLI quick suite: the stdout of
+# `experiments -exp all -quick -parallel 2` must hash to GOLDEN_CLI_SHA256.
+# The golden tests in internal/experiments run QuickOptions() (16 nodes);
+# the CLI's -quick runs 48 nodes with its own caps, so only this target
+# covers that scale. The output is the same at every -parallel setting. CI
+# runs it (~35 s on 2 cores); after an intended output change, re-pin the
+# hash and say why in the change.
+GOLDEN_CLI_SHA256 := 45b2008007c8c9ffa9a9ba136752904241e238128ef5e415889ce3e883834c11
+golden-cli:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -quick -parallel 2 > "$$out" || exit 1; \
+	got="$$(sha256sum < "$$out" | cut -d' ' -f1)"; \
+	if [ "$$got" != "$(GOLDEN_CLI_SHA256)" ]; then \
+		echo "golden-cli: sha256 $$got, want $(GOLDEN_CLI_SHA256)"; exit 1; fi; \
+	echo "golden-cli: ok"
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build
