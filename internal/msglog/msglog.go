@@ -228,13 +228,14 @@ type ReplayOptions struct {
 	TimeScale float64
 }
 
-// Replay schedules every record of the trace onto the fabric as an open-loop
-// source, on the trace's own node ids: each message is posted at its original SendStart relative to the
-// earliest SendStart of the trace, scaled by TimeScale, regardless of when
-// earlier messages complete. The records may come in any order — a captured
-// Log holds them in delivery order, where a message posted early can follow
-// one posted later. It returns the number of messages scheduled and an error
-// if any endpoint falls outside the target topology.
+// Replay schedules every record of the trace onto the fabric, between the
+// record's own node ids, as an open-loop source: each message is posted at
+// its original SendStart relative to the earliest SendStart of the trace,
+// scaled by TimeScale, regardless of when earlier messages complete. The
+// records may come in any order — a captured Log holds them in delivery
+// order, where a message posted early can follow one posted later. It
+// returns the number of messages scheduled and an error if any endpoint
+// falls outside the target topology.
 func Replay(f *network.Fabric, records []Record, opts ReplayOptions) (int, error) {
 	if len(records) == 0 {
 		return 0, nil
