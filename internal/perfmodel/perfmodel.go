@@ -1,8 +1,8 @@
 // Package perfmodel implements the LogP-inspired transmission-time model of
 // §2.4 of the paper. Given the NIC counters (average packet latency L and
 // average per-flit stall ratio s) and the message geometry (number of flits f
-// and packets p, derived from the message size), the model
-// estimates the time the network needs to move the message:
+// and packets p, derived from the message size), the model estimates the time
+// the network needs to move the message:
 //
 //	T_msg ≈ (p + 512)/1024 · L + f · (s + 1)            (Eq. 2)
 //
