@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz golden-cli quick
+.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz golden-cli golden-examples quick
 
 all: build vet fmt-check examples test
 
@@ -106,6 +106,34 @@ golden-cli:
 	if [ "$$got" != "$(GOLDEN_CLI_SHA256)" ]; then \
 		echo "golden-cli: sha256 $$got, want $(GOLDEN_CLI_SHA256)"; exit 1; fi; \
 	echo "golden-cli: ok"
+
+# golden-examples pins what every example prints: the sha256 of the stdout of
+# each examples/<name> must equal its entry in GOLDEN_EXAMPLES, and an example
+# without an entry fails the target. CI runs it (~30 s on 2 cores); after an
+# intended output change, re-pin the entry and say why in the change.
+GOLDEN_EXAMPLES := \
+	appaware=96c37300685b38fa9c49b4e3c14b7610c981df75b4665ea8b02093c9578f6f3d \
+	collectives=308603228e1c3f819375cadc529c24fa80ca7b53e258c3db055a7e8cc4821924 \
+	cotenancy=dc92ea68b58c0647fd97072e28e29dec7413eada95f54db849fbbedc71970817 \
+	halo3d=fdf3a34dfe4987bd555f7acee140271981747d2b9b9961f86c047a14bb334212 \
+	noisyalltoall=7beb0e36df4bc3d8fc050e561aba1bcc527cd8066eccfb325ba3a5d7339029d3 \
+	quickstart=118f973707e6eb9ff682b688877794f86fc7b0a2b3ec37cda8efc0c4305a10fa \
+	scheduler=15ef2a4a9cce27f196c436bec712588b449251e5a521e552c11176f293ef5776 \
+	telemetry=0927a7c1609e35423c0fce755ce858ff4643137f5e32069304782b43fcf1ee1a
+golden-examples:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; fail=0; \
+	for d in examples/*/; do \
+		name="$$(basename "$$d")"; want=""; \
+		for e in $(GOLDEN_EXAMPLES); do \
+			if [ "$${e%%=*}" = "$$name" ]; then want="$${e#*=}"; fi; \
+		done; \
+		if [ -z "$$want" ]; then \
+			echo "golden-examples: $$name has no pinned sha256"; fail=1; continue; fi; \
+		$(GO) run ./examples/$$name > "$$out" || exit 1; \
+		got="$$(sha256sum < "$$out" | cut -d' ' -f1)"; \
+		if [ "$$got" = "$$want" ]; then echo "golden-examples: $$name ok"; \
+		else echo "golden-examples: $$name sha256 $$got, want $$want"; fail=1; fi; \
+	done; exit $$fail
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build
