@@ -74,56 +74,3 @@ func (r *Rank) AlltoallSpread(size int64) {
 	}
 	r.WaitAll(reqs...)
 }
-
-// GatherBinomial collects size bytes from every rank onto root using a
-// binomial tree: interior ranks aggregate the blocks of their subtree before
-// forwarding, so the message grows towards the root.
-func (r *Rank) GatherBinomial(root int, size int64) {
-	r.collective(opGatherBinomial, opNone, root, size, core.PointToPoint)
-}
-
-// ScatterBinomial distributes one block of size bytes from root to every rank
-// using a binomial tree: the root sends half of all blocks to its first child,
-// which forwards half of that half, and so on.
-func (r *Rank) ScatterBinomial(root int, size int64) {
-	r.collective(opScatterBinomial, opNone, root, size, core.PointToPoint)
-}
-
-// AllgatherRecursiveDoubling gathers size bytes from every rank on every rank
-// using recursive doubling: log2(n) rounds in which the exchanged block
-// doubles. It requires a power-of-two communicator; other sizes fall back to
-// the ring algorithm in Allgather.
-func (r *Rank) AllgatherRecursiveDoubling(size int64) {
-	if n := r.Size(); n&(n-1) != 0 {
-		r.Allgather(size)
-		return
-	}
-	r.collective(opAllgatherRecursiveDoubling, opNone, 0, size, core.PointToPoint)
-}
-
-// AllgatherBruck gathers size bytes from every rank on every rank using the
-// Bruck algorithm (log rounds, doubling block sizes, ranks at distance 2^k).
-// Unlike recursive doubling it works for any communicator size.
-func (r *Rank) AllgatherBruck(size int64) {
-	r.collective(opAllgatherBruck, opNone, 0, size, core.PointToPoint)
-}
-
-// ReduceScatterHalving reduces and scatters equally sized blocks of size bytes
-// each using recursive halving (the reduce-scatter phase of Rabenseifner's
-// allreduce). Non-power-of-two communicators fall back to the pairwise
-// algorithm in ReduceScatterBlock.
-func (r *Rank) ReduceScatterHalving(size int64) {
-	if n := r.Size(); n&(n-1) != 0 {
-		r.ReduceScatterBlock(size)
-		return
-	}
-	r.collective(opReduceScatterHalving, opNone, 0, size, core.PointToPoint)
-}
-
-// Scan performs an inclusive prefix reduction of size bytes with the linear
-// pipeline algorithm: rank k receives the partial result from rank k-1 and
-// forwards its own partial result to rank k+1. The pattern is a strict chain,
-// the opposite extreme of alltoall's full bisection pressure.
-func (r *Rank) Scan(size int64) {
-	r.collective(opScan, opNone, 0, size, core.PointToPoint)
-}

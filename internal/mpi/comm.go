@@ -19,7 +19,6 @@
 package mpi
 
 import (
-	"context"
 	"fmt"
 
 	"dragonfly/internal/alloc"
@@ -102,10 +101,9 @@ type Config struct {
 
 // Comm is a communicator: a set of ranks mapped onto allocated nodes.
 //
-// A communicator no longer owns the engine-driving run loop: it is a
-// co-schedulable participant on a Scheduler, so several communicators — real
-// co-tenant applications — can interleave on one shared fabric. Comm.Run
-// remains the single-communicator convenience built on a private scheduler.
+// A communicator does not drive the engine: it is a co-schedulable
+// participant on a Scheduler its owner drives, so several communicators —
+// real co-tenant applications — can interleave on one shared fabric.
 type Comm struct {
 	fabric *network.Fabric
 	alloc  *alloc.Allocation
@@ -113,16 +111,10 @@ type Comm struct {
 	ranks  []*Rank
 
 	// sched is the scheduler the communicator is currently attached to (set by
-	// Start); own is the lazily built private scheduler Comm.Run attaches to.
+	// Start).
 	sched *Scheduler
-	own   *Scheduler
 	// remaining counts ranks that have not finished the current program.
 	remaining int
-	// started reports whether Start has ever been called.
-	started bool
-	// finishedAt is the simulated time the last rank of the most recent program
-	// finished, stamped by the scheduler.
-	finishedAt sim.Time
 	// onFinished, if non-nil, runs (inside the scheduler's drive loop) when
 	// the last rank of the current program finishes.
 	onFinished func()
@@ -181,20 +173,13 @@ func (c *Comm) markRunnable(r *Rank) {
 }
 
 // OnFinished installs a hook the scheduler invokes (inside its drive loop)
-// when the last rank of the current program finishes. The hook may call Start
-// again to chain another program — the facade's concurrent runner uses this
-// to string measurement iterations together — and may read the fabric, whose
-// state at that moment is exactly the state at this communicator's completion
-// time even while other communicators are still running.
+// when the last rank of the current program finishes; the engine's Now is
+// then the communicator's completion time. The hook may call Start again to
+// chain another program — the facade's concurrent runner uses this to string
+// measurement iterations together — and may read the fabric, whose state at
+// that moment is exactly the state at this communicator's completion time
+// even while other communicators are still running.
 func (c *Comm) OnFinished(fn func()) { c.onFinished = fn }
-
-// Finished reports whether the most recent program has completed on every
-// rank. It is false before the first Start.
-func (c *Comm) Finished() bool { return c.started && c.remaining == 0 }
-
-// FinishedAt returns the simulated time the last rank of the most recent
-// program finished (0 before the first completion).
-func (c *Comm) FinishedAt() sim.Time { return c.finishedAt }
 
 // Start binds program to every rank, each on a coroutine from the
 // scheduler's pool, and attaches the communicator to the scheduler, which
@@ -203,11 +188,10 @@ func (c *Comm) FinishedAt() sim.Time { return c.finishedAt }
 // not advance the simulation: drive it with Scheduler.Run or Scheduler.Drain;
 // a program first runs when the scheduler resumes its rank.
 func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
-	if c.started && c.remaining > 0 {
+	if c.remaining > 0 {
 		return fmt.Errorf("mpi: Start called on a communicator with %d unfinished ranks", c.remaining)
 	}
 	c.sched = s
-	c.started = true
 	c.remaining = len(c.ranks)
 	s.live += len(c.ranks)
 	for _, r := range c.ranks {
@@ -219,32 +203,4 @@ func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
 		s.markRunnable(r)
 	}
 	return nil
-}
-
-// Run executes program on every rank and drives the simulation until all
-// ranks return. It returns an error on deadlock (no rank can make progress
-// and no simulation events remain). Run must not be called concurrently with
-// itself on the same engine; to co-run several communicators, Start each of
-// them on one shared Scheduler instead.
-func (c *Comm) Run(program func(*Rank)) error {
-	return c.RunContext(nil, program)
-}
-
-// RunContext is Run with cancellation: the context (when non-nil) is checked
-// periodically while the simulation advances, so a long-running program can
-// be aborted mid-iteration instead of only between iterations. A cancelled
-// run returns the context's error; the communicator's parked ranks are
-// released (Scheduler.Shutdown), but the communicator's state is torn
-// mid-operation and it must not be reused. The private scheduler is shut down
-// after every call, so callers that run a communicator many times should
-// Start it on a scheduler of their own instead.
-func (c *Comm) RunContext(ctx context.Context, program func(*Rank)) error {
-	if c.own == nil {
-		c.own = NewScheduler(c.engine())
-	}
-	if err := c.Start(c.own, program); err != nil {
-		return err
-	}
-	defer c.own.Shutdown()
-	return c.own.Run(ContextCheck(ctx))
 }

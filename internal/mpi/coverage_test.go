@@ -126,7 +126,7 @@ func TestHostNoiseAndOverheadDigest(t *testing.T) {
 		p := &probe{noise: true, period: 3}
 		c := probeComm(t, tc.n, p, 41)
 		finish := make([]sim.Time, tc.n)
-		if err := c.Run(coverageProgram(tc.root, finish)); err != nil {
+		if err := runComm(c, coverageProgram(tc.root, finish)); err != nil {
 			t.Fatalf("n=%d: %v", tc.n, err)
 		}
 		for i := 0; i < tc.n; i++ {

@@ -14,9 +14,9 @@ import (
 // how long a cancelled run keeps simulating, not the simulated behaviour.
 const checkEverySteps = 4096
 
-// Scheduler is the cooperative rank scheduler: it owns the run loop that used
-// to live inside Comm.Run and interleaves the runnable ranks of *all* attached
-// communicators with the discrete event engine. Every rank program runs on a
+// Scheduler is the cooperative rank scheduler: it owns the run loop and
+// interleaves the runnable ranks of *all* attached communicators with the
+// discrete event engine. Every rank program runs on a
 // runtime coroutine (iter.Pull) that the scheduler resumes directly and that
 // hands control straight back when the rank blocks, so exactly one of the
 // scheduler and its ranks runs at a time and a multi-job run is as
@@ -147,9 +147,8 @@ func (s *Scheduler) markRunnable(r *Rank) {
 // rank is queued only when what it waits for is done. If it waits inside a
 // plan, runRunnable runs the plan's next rounds at the rank's slot, and
 // resumes the coroutine there only when the last round is done; otherwise it
-// resumes the coroutine. When the last rank of a communicator finishes, the
-// communicator's finish time is stamped and its OnFinished hook runs — the
-// hook may Start the communicator again (the facade uses this to chain
+// resumes the coroutine. When the last rank of a communicator finishes, its
+// OnFinished hook runs — the hook may Start the communicator again (the facade uses this to chain
 // measurement iterations), which feeds the queue and keeps the loop going.
 // The queue is drained by index and truncated once empty, so it keeps its
 // capacity and a resume never allocates.
@@ -171,12 +170,8 @@ func (s *Scheduler) runRunnable() {
 			s.idle = append(s.idle, co)
 			s.live--
 			c := r.comm
-			c.remaining--
-			if c.remaining == 0 {
-				c.finishedAt = s.engine.Now()
-				if c.onFinished != nil {
-					c.onFinished()
-				}
+			if c.remaining--; c.remaining == 0 && c.onFinished != nil {
+				c.onFinished()
 			}
 		}
 	}
@@ -208,8 +203,8 @@ func (s *Scheduler) stepUntil(check func() error) error {
 // has finished its program. It returns an error on deadlock (no rank can make
 // progress and no simulation events remain) or when the optional check hook
 // reports one (cancellation). Pending engine events beyond the last rank's
-// completion — background noise, telemetry ticks — are left queued, exactly as
-// the historical Comm.Run left them. A panic in a rank program propagates out
+// completion — background noise, telemetry ticks — are left queued for the
+// owner to drain or discard. A panic in a rank program propagates out
 // of Run on the caller's goroutine after Shutdown released the other ranks.
 // Run returns with the finished ranks' coroutines parked idle for the next
 // Start; the owner's deferred Shutdown ends them.

@@ -60,6 +60,14 @@ func ringProgram(times []sim.Time) func(*Rank) {
 	}
 }
 
+// finishTime installs an OnFinished hook on c and returns where it records
+// the simulated time c's program last finished at: -1 until it has.
+func finishTime(c *Comm) *sim.Time {
+	at := sim.Time(-1)
+	c.OnFinished(func() { at = c.engine().Now() })
+	return &at
+}
+
 // TestSchedulerInterleavesTwoComms: two communicators co-run on one shared
 // scheduler, both finish, and the interleaving is deterministic — the same
 // seed yields the exact same per-rank completion times on a rebuilt fabric.
@@ -70,6 +78,7 @@ func TestSchedulerInterleavesTwoComms(t *testing.T) {
 		defer s.Shutdown()
 		ca := MustNewComm(fab, a, Config{})
 		cb := MustNewComm(fab, b, Config{})
+		fa, fb := finishTime(ca), finishTime(cb)
 		ta := make([]sim.Time, a.Size())
 		tb := make([]sim.Time, b.Size())
 		if err := ca.Start(s, ringProgram(ta)); err != nil {
@@ -81,10 +90,10 @@ func TestSchedulerInterleavesTwoComms(t *testing.T) {
 		if err := s.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		if !ca.Finished() || !cb.Finished() {
+		if *fa < 0 || *fb < 0 {
 			t.Fatal("scheduler returned with unfinished communicators")
 		}
-		return ta, tb, ca.FinishedAt(), cb.FinishedAt()
+		return ta, tb, *fa, *fb
 	}
 	ta1, tb1, fa1, fb1 := measure()
 	ta2, tb2, fa2, fb2 := measure()
@@ -108,11 +117,12 @@ func TestSchedulerSharedVsPrivate(t *testing.T) {
 	alone := func() sim.Time {
 		fab, a, _ := execFixture(t, 7)
 		ca := MustNewComm(fab, a, Config{})
+		fa := finishTime(ca)
 		ta := make([]sim.Time, a.Size())
-		if err := ca.Run(ringProgram(ta)); err != nil {
+		if err := runComm(ca, ringProgram(ta)); err != nil {
 			t.Fatal(err)
 		}
-		return ca.FinishedAt()
+		return *fa
 	}()
 	shared := func() sim.Time {
 		fab, a, b := execFixture(t, 7)
@@ -120,6 +130,7 @@ func TestSchedulerSharedVsPrivate(t *testing.T) {
 		defer s.Shutdown()
 		ca := MustNewComm(fab, a, Config{})
 		cb := MustNewComm(fab, b, Config{})
+		fa := finishTime(ca)
 		ta := make([]sim.Time, a.Size())
 		tb := make([]sim.Time, b.Size())
 		if err := ca.Start(s, ringProgram(ta)); err != nil {
@@ -131,7 +142,7 @@ func TestSchedulerSharedVsPrivate(t *testing.T) {
 		if err := s.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		return ca.FinishedAt()
+		return *fa
 	}()
 	if shared < alone {
 		t.Fatalf("co-running finished earlier than running alone: %d vs %d", shared, alone)
@@ -172,7 +183,7 @@ func TestOnFinishedChainsPrograms(t *testing.T) {
 	rounds := 0
 	var boundaries []sim.Time
 	c.OnFinished(func() {
-		boundaries = append(boundaries, c.FinishedAt())
+		boundaries = append(boundaries, fab.Engine().Now())
 		if rounds++; rounds < 3 {
 			if err := c.Start(s, func(r *Rank) { r.Compute(100) }); err != nil {
 				t.Error(err)
@@ -193,15 +204,20 @@ func TestOnFinishedChainsPrograms(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelled: cancellation interrupts a run that still has
-// simulated work to do.
+// TestRunContextCancelled: cancellation through ContextCheck interrupts a
+// Scheduler.Run that still has simulated work to do.
 func TestRunContextCancelled(t *testing.T) {
 	fab, a, _ := execFixture(t, 1)
 	c := MustNewComm(fab, a, Config{})
+	s := NewScheduler(fab.Engine())
+	defer s.Shutdown()
+	if err := c.Start(s, func(r *Rank) { r.Compute(1000) }); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.RunContext(ctx, func(r *Rank) { r.Compute(1000) }); err != context.Canceled {
-		t.Fatalf("cancelled RunContext returned %v, want context.Canceled", err)
+	if err := s.Run(ContextCheck(ctx)); err != context.Canceled {
+		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
 	}
 }
 
@@ -217,22 +233,23 @@ func TestDrainRunsDynamicallyAttachedComms(t *testing.T) {
 	if err := ca.Start(s, ringProgram(ta)); err != nil {
 		t.Fatal(err)
 	}
-	var late *Comm
+	late := sim.Time(-1)
 	tb := make([]sim.Time, b.Size())
 	fab.Engine().Schedule(1_000_000, func() {
-		late = MustNewComm(fab, b, Config{})
-		if err := late.Start(s, ringProgram(tb)); err != nil {
+		c := MustNewComm(fab, b, Config{})
+		c.OnFinished(func() { late = fab.Engine().Now() })
+		if err := c.Start(s, ringProgram(tb)); err != nil {
 			t.Error(err)
 		}
 	})
 	if err := s.Drain(nil); err != nil {
 		t.Fatal(err)
 	}
-	if late == nil || !late.Finished() {
+	if late < 0 {
 		t.Fatal("dynamically attached communicator did not run")
 	}
-	if late.FinishedAt() <= 1_000_000 {
-		t.Fatalf("late communicator finished at %d, before it arrived", late.FinishedAt())
+	if late <= 1_000_000 {
+		t.Fatalf("late communicator finished at %d, before it arrived", late)
 	}
 }
 
@@ -335,18 +352,24 @@ func TestRankPanicReachesRun(t *testing.T) {
 	testutil.WaitGoroutines(t, base)
 }
 
-// TestRankPanicReachesCommRun is the single-communicator path: Comm.Run's
-// private scheduler propagates the panic the same way.
-func TestRankPanicReachesCommRun(t *testing.T) {
+// TestRankPanicReachesDrain: Scheduler.Drain, the drive loop of the batch
+// scheduler, propagates a rank program's panic the same way, and the parked
+// ranks are released.
+func TestRankPanicReachesDrain(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fab, a, _ := execFixture(t, 34)
 	comm := MustNewComm(fab, a, Config{})
+	sched := NewScheduler(fab.Engine())
+	defer sched.Shutdown()
 	boom := errors.New("rank program blew up")
-	if got := recovered(func() { _ = comm.Run(panicAfterCompute(boom)) }); got != boom {
-		t.Fatalf("Comm.Run panicked with %v, want %v", got, boom)
+	if err := comm.Start(sched, panicAfterCompute(boom)); err != nil {
+		t.Fatal(err)
 	}
-	if comm.own.Live() != 0 {
-		t.Fatalf("after the panic: %d live ranks, want 0", comm.own.Live())
+	if got := recovered(func() { _ = sched.Drain(nil) }); got != boom {
+		t.Fatalf("Drain panicked with %v, want %v", got, boom)
+	}
+	if sched.Live() != 0 {
+		t.Fatalf("after the panic: %d live ranks, want 0", sched.Live())
 	}
 	testutil.WaitGoroutines(t, base)
 }
@@ -362,13 +385,14 @@ func TestSchedulerPoolsCoroutines(t *testing.T) {
 	times := make([]sim.Time, a.Size())
 	for round := 0; round < 3; round++ {
 		for _, c := range []*Comm{ca, cb} {
+			at := finishTime(c)
 			if err := c.Start(s, ringProgram(times)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Finished() {
+			if *at < 0 {
 				t.Fatalf("round %d: communicator did not finish", round)
 			}
 		}
@@ -536,7 +560,7 @@ func TestOneResumePerBlockingCall(t *testing.T) {
 	c := testComm(t, 2, Config{}, 54)
 	var shared *Request
 	done := false
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		if r.Rank() == 0 {
 			q := r.Isend(1, 64, core.PointToPoint)
 			shared = q

@@ -29,6 +29,17 @@ func testCommOn(t testing.TB, machine topo.Config, n int, cfg Config, seed int64
 	return MustNewComm(fab, a, cfg)
 }
 
+// runComm runs program on every rank of c to completion, on a scheduler of
+// its own, and returns what Scheduler.Run returns.
+func runComm(c *Comm, program func(*Rank)) error {
+	s := NewScheduler(c.engine())
+	defer s.Shutdown()
+	if err := c.Start(s, program); err != nil {
+		return err
+	}
+	return s.Run(nil)
+}
+
 // queueLens returns the number of receives r has posted and of messages it
 // holds unmatched.
 func queueLens(r *Rank) (posted, unexpected int) {
@@ -39,7 +50,7 @@ func TestPingPong(t *testing.T) {
 	c := testComm(t, 2, Config{}, 1)
 	const size = 4096
 	var rtt sim.Time
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		switch r.Rank() {
 		case 0:
 			start := r.Now()
@@ -72,7 +83,7 @@ func TestPingPong(t *testing.T) {
 func TestFIFOMatchingPerPair(t *testing.T) {
 	c := testComm(t, 2, Config{}, 2)
 	var sizes []int64
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		switch r.Rank() {
 		case 0:
 			r.Send(1, 64, core.PointToPoint)
@@ -96,7 +107,7 @@ func TestFIFOMatchingPerPair(t *testing.T) {
 func TestComputeAdvancesTime(t *testing.T) {
 	c := testComm(t, 1, Config{}, 3)
 	var elapsed sim.Time
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		start := r.Now()
 		r.Compute(12345)
 		elapsed = r.Now() - start
@@ -111,7 +122,7 @@ func TestComputeAdvancesTime(t *testing.T) {
 
 func TestInvalidPeerSetsErr(t *testing.T) {
 	c := testComm(t, 2, Config{}, 4)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		if r.Rank() == 0 {
 			r.Send(5, 64, core.PointToPoint) // invalid peer
 		}
@@ -132,7 +143,7 @@ func TestInvalidPeerSetsErr(t *testing.T) {
 func TestFailedCallLeavesPostedReceive(t *testing.T) {
 	c := testComm(t, 3, Config{}, 4)
 	var later, failed *network.Delivery
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		switch r.Rank() {
 		case 0:
 			r.SendRecv(5, 64, 1, core.PointToPoint) // invalid send peer
@@ -163,7 +174,7 @@ func TestFailedCallLeavesPostedReceive(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	c := testComm(t, 2, Config{}, 5)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		if r.Rank() == 0 {
 			r.Recv(1) // rank 1 never sends
 		}
@@ -175,7 +186,7 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestSelfSendRecv(t *testing.T) {
 	c := testComm(t, 2, Config{}, 6)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		if r.Rank() == 0 {
 			req := r.Isend(0, 1024, core.PointToPoint)
 			d := r.Recv(0)
@@ -205,7 +216,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 		c := testComm(t, n, Config{}, 7)
 		after := make([]sim.Time, n)
 		slowest := 0
-		err := c.Run(func(r *Rank) {
+		err := runComm(c, func(r *Rank) {
 			// One rank is late; everyone must wait for it.
 			if r.Rank() == slowest {
 				r.Compute(50000)
@@ -228,15 +239,10 @@ func TestCollectivesComplete(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 6, 8} {
 		n := n
 		c := testComm(t, n, Config{}, int64(10+n))
-		err := c.Run(func(r *Rank) {
+		err := runComm(c, func(r *Rank) {
 			r.Broadcast(0, 2048)
 			r.Allreduce(1024)
 			r.Alltoall(512)
-			r.Allgather(256)
-			r.Reduce(0, 1024)
-			r.ReduceScatterBlock(256)
-			r.Gather(0, 512)
-			r.Scatter(0, 512)
 			r.Barrier()
 		})
 		if err != nil {
@@ -257,7 +263,7 @@ func TestBroadcastReachesEveryoneBeforeReturn(t *testing.T) {
 	const n = 6
 	c := testComm(t, n, Config{}, 11)
 	times := make([]sim.Time, n)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		r.Broadcast(2, 8192)
 		times[r.Rank()] = r.Now()
 	})
@@ -271,26 +277,6 @@ func TestBroadcastReachesEveryoneBeforeReturn(t *testing.T) {
 		if ti <= 0 {
 			t.Fatalf("rank %d finished broadcast at time %d", i, ti)
 		}
-	}
-}
-
-func TestGatherScatterTrafficVolume(t *testing.T) {
-	// A gather followed by a scatter on n ranks moves exactly 2*(n-1) messages
-	// of the given size; check the packet accounting matches.
-	const n = 5
-	const size = 1024
-	c := testComm(t, n, Config{}, 16)
-	err := c.Run(func(r *Rank) {
-		r.Gather(2, size)
-		r.Scatter(2, size)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packetsPerMsg := uint64(size / 64)
-	want := uint64(2*(n-1)) * packetsPerMsg
-	if got := c.Fabric().PacketsInjected(); got != want {
-		t.Fatalf("gather+scatter injected %d packets, want %d", got, want)
 	}
 }
 
@@ -326,7 +312,7 @@ func TestAppAwareRoutingIntegration(t *testing.T) {
 		},
 	}
 	c := testComm(t, 4, cfg, 12)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		for i := 0; i < 5; i++ {
 			r.Alltoall(4096)
 		}
@@ -355,7 +341,7 @@ func TestHostNoiseDelaysOperations(t *testing.T) {
 	runWith := func(noise func(int) int64) sim.Time {
 		c := testComm(t, 2, Config{HostNoise: noise}, 13)
 		var total sim.Time
-		err := c.Run(func(r *Rank) {
+		err := runComm(c, func(r *Rank) {
 			if r.Rank() == 0 {
 				start := r.Now()
 				for i := 0; i < 5; i++ {
@@ -385,7 +371,7 @@ func TestHostNoiseDelaysOperations(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Time {
 		c := testComm(t, 6, Config{}, 99)
-		err := c.Run(func(r *Rank) {
+		err := runComm(c, func(r *Rank) {
 			r.Alltoall(2048)
 			r.Allreduce(1024)
 		})
@@ -401,7 +387,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestRankAccessors(t *testing.T) {
 	c := testComm(t, 2, Config{}, 14)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		if r.Size() != 2 || r.Comm() != c {
 			r.fail(errSelfDelivery)
 		}
@@ -445,7 +431,7 @@ func TestMoreRanksThanOneMessageEach(t *testing.T) {
 	// matching scales beyond a single in-flight message per pair.
 	const n = 5
 	c := testComm(t, n, Config{}, 15)
-	err := c.Run(func(r *Rank) {
+	err := runComm(c, func(r *Rank) {
 		reqs := make([]*Request, 0, 2*(n-1))
 		for p := 0; p < n; p++ {
 			if p == r.Rank() {
@@ -459,15 +445,23 @@ func TestMoreRanksThanOneMessageEach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// On 64 ranks, AlltoallSpread posts 63 receives at once and a linear
-	// Gather's root posts 63 in rank order, so the posted queues run deep and
-	// arrivals are matched and removed from their middle. Every message must
-	// be received, and every queue must end empty.
+	// On 64 ranks, AlltoallSpread posts 63 receives at once and the root of
+	// a linear gather posts 63 in rank order, so the posted queues run deep
+	// and arrivals are matched and removed from their middle. Every message
+	// must be received, and every queue must end empty.
 	const big, size = 64, 1024
 	c = testCommOn(t, topo.SmallConfig(4), big, Config{}, 15)
-	err = c.Run(func(r *Rank) {
+	err = runComm(c, func(r *Rank) {
 		r.AlltoallSpread(size)
-		r.Gather(0, size)
+		if r.Rank() != 0 {
+			r.Send(0, size, core.PointToPoint)
+			return
+		}
+		reqs := make([]*Request, 0, big-1)
+		for p := 1; p < big; p++ {
+			reqs = append(reqs, r.Irecv(p))
+		}
+		r.WaitAll(reqs...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,6 +476,6 @@ func TestMoreRanksThanOneMessageEach(t *testing.T) {
 		}
 	}
 	if got, want := c.Fabric().PacketsInjected(), uint64(big*(big-1)+big-1)*size/64; got != want {
-		t.Fatalf("alltoall+gather injected %d packets, want %d", got, want)
+		t.Fatalf("alltoall and gather injected %d packets, want %d", got, want)
 	}
 }

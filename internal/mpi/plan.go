@@ -39,18 +39,10 @@ const (
 	opAllreduce
 	opAlltoall
 	opAllgather
-	opGatherLeaf
-	opScatterLeaf
-	opReduceScatterBlock
 	opAllreduceRing
 	opAllreduceRabenseifner
 	opAlltoallBruck
-	opAllgatherRecursiveDoubling
-	opAllgatherBruck
-	opReduceScatterHalving
-	opGatherBinomial
 	opScatterBinomial
-	opScan
 )
 
 // stage is a plan's position inside its current round.
@@ -88,8 +80,9 @@ type plan struct {
 	to, from int
 	// begun reports whether op's first round was set. i, v, acc and flag are
 	// the loop state: the mask, distance, step or child of the round; the
-	// rank's virtual rank in a tree rooted at root; the running message size
-	// or block count; and whether a tree's one-off round was taken.
+	// rank's virtual rank in a tree rooted at root; the running message
+	// size; and whether a tree rank's receive from its parent was taken, or
+	// Rabenseifner's doubling phase begun.
 	begun bool
 	i, v  int
 	acc   int64
@@ -160,18 +153,12 @@ func (p *plan) begin(me, n int) {
 		}
 		p.from = (p.v&^p.i + p.root) % n
 		p.i >>= 1
-	case opAllgather, opScan:
+	case opAllgather:
 		p.i = 0
 	case opAllreduceRing:
 		p.i, p.acc = 0, max(1, p.size/int64(n))
 	case opAllreduceRabenseifner:
 		p.acc = max(1, p.size/2)
-	case opAllgatherRecursiveDoubling:
-		p.acc = p.size
-	case opAllgatherBruck, opGatherBinomial:
-		p.acc = 1
-	case opReduceScatterHalving:
-		p.acc = max(1, p.size*int64(n)/2)
 	}
 }
 
@@ -238,22 +225,6 @@ func (p *plan) more(me, n int) bool {
 		}
 		p.exchange((me+1)%n, p.size, (me-1+n)%n, false)
 		p.i++
-	case opGatherLeaf, opScatterLeaf:
-		if p.flag {
-			return false
-		}
-		p.flag = true
-		if p.op == opGatherLeaf {
-			p.sendTo(p.root, p.size)
-		} else {
-			p.recvFrom(p.root)
-		}
-	case opReduceScatterBlock:
-		if p.i >= n {
-			return false
-		}
-		p.exchange((me+p.i)%n, p.size, (me-p.i+n)%n, false)
-		p.i++
 	case opAllreduceRing:
 		// A ring reduce-scatter and a ring allgather: 2(n-1) steps of one
 		// block.
@@ -295,47 +266,6 @@ func (p *plan) more(me, n int) bool {
 		}
 		p.exchange((me+p.i)%n, max(1, int64(blocks)*p.size), (me-p.i+n)%n, false)
 		p.i <<= 1
-	case opAllgatherRecursiveDoubling:
-		if p.i >= n {
-			return false
-		}
-		partner := me ^ p.i
-		p.exchange(partner, p.acc, partner, true)
-		p.acc *= 2
-		p.i <<= 1
-	case opAllgatherBruck:
-		// acc is the number of blocks the rank holds.
-		if p.i >= n {
-			return false
-		}
-		send := min(p.acc, int64(n)-p.acc)
-		p.exchange((me-p.i+n)%n, send*p.size, (me+p.i)%n, false)
-		p.acc += send
-		p.i <<= 1
-	case opReduceScatterHalving:
-		if p.i >= n {
-			return false
-		}
-		partner := me ^ p.i
-		p.exchange(partner, p.acc, partner, true)
-		p.acc = max(p.acc/2, p.size)
-		p.i <<= 1
-	case opGatherBinomial:
-		// acc counts the blocks gathered from the subtrees received so far.
-		for p.i < n && p.v&p.i == 0 {
-			mask := p.i
-			p.i <<= 1
-			if child := p.v | mask; child < n {
-				p.recvFrom((child + p.root) % n)
-				p.acc += min(int64(mask), int64(n-child))
-				return true
-			}
-		}
-		if p.v == 0 || p.flag {
-			return false
-		}
-		p.flag = true
-		p.sendTo((p.v&^p.i+p.root)%n, p.acc*p.size)
 	case opScatterBinomial:
 		if p.v != 0 && !p.flag {
 			p.flag = true
@@ -352,17 +282,6 @@ func (p *plan) more(me, n int) bool {
 			return true
 		}
 		return false
-	case opScan:
-		switch {
-		case p.i == 0 && me > 0:
-			p.recvFrom(me - 1)
-		case p.i <= 1 && me < n-1:
-			p.i = 1
-			p.sendTo(me+1, p.size)
-		default:
-			return false
-		}
-		p.i++
 	default:
 		return false
 	}

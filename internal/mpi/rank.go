@@ -12,8 +12,7 @@ import (
 )
 
 // Rank is one simulated process. All methods must be called from the rank's
-// own program (started by Comm.Start or Comm.Run); they may block in
-// simulated time.
+// own program (started by Comm.Start); they may block in simulated time.
 type Rank struct {
 	comm    *Comm
 	rank    int
@@ -60,8 +59,8 @@ func (r *Rank) Now() sim.Time { return r.comm.engine().Now() }
 
 // Err returns the first error encountered by this rank's operations (an
 // invalid peer, a fabric rejection). Operations after an error are no-ops so
-// that programs do not need to check every call; Err must be checked after
-// Comm.Run returns.
+// that programs do not need to check every call; Err must be checked once the
+// program has finished.
 func (r *Rank) Err() error { return r.err }
 
 // RoutingProvider returns the routing provider attached to this rank.

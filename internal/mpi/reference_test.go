@@ -160,7 +160,8 @@ func (r *Rank) refBroadcast(root int, size int64) {
 	}
 }
 
-// refReduce is Reduce as a loop of blocking calls.
+// refReduce is the binomial-tree reduce of Allreduce on other than a power of
+// two as a loop of blocking calls.
 func (r *Rank) refReduce(root int, size int64) {
 	n := r.Size()
 	if n == 1 {
@@ -225,7 +226,8 @@ func (r *Rank) refAlltoall(size int64) {
 	}
 }
 
-// refAllgather is Allgather as a loop of blocking calls.
+// refAllgather is the ring allgather of BroadcastScatterAllgather as a loop of
+// blocking calls.
 func (r *Rank) refAllgather(size int64) {
 	n := r.Size()
 	if n == 1 {
@@ -236,62 +238,6 @@ func (r *Rank) refAllgather(size int64) {
 	prev := (r.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		r.refExchange(&r.sendReq, next, size, core.PointToPoint, &r.recvReq, prev)
-	}
-}
-
-// refGather is Gather as a loop of blocking calls.
-func (r *Rank) refGather(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	if r.rank == root {
-		reqs := make([]*Request, 0, n-1)
-		for p := 0; p < n; p++ {
-			if p == root {
-				continue
-			}
-			reqs = append(reqs, r.Irecv(p))
-		}
-		r.WaitAll(reqs...)
-		return
-	}
-	r.refSend(root, size, core.PointToPoint)
-}
-
-// refScatter is Scatter as a loop of blocking calls.
-func (r *Rank) refScatter(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	if r.rank == root {
-		reqs := make([]*Request, 0, n-1)
-		for p := 0; p < n; p++ {
-			if p == root {
-				continue
-			}
-			reqs = append(reqs, r.Isend(p, size, core.PointToPoint))
-		}
-		r.WaitAll(reqs...)
-		return
-	}
-	r.refRecv(root)
-}
-
-// refReduceScatterBlock is ReduceScatterBlock as a loop of blocking calls.
-func (r *Rank) refReduceScatterBlock(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	for step := 1; step < n; step++ {
-		partner := (r.rank + step) % n
-		from := (r.rank - step + n) % n
-		r.refExchange(&r.sendReq, partner, size, core.PointToPoint, &r.recvReq, from)
 	}
 }
 
@@ -397,41 +343,8 @@ func (r *Rank) refAlltoallBruck(size int64) {
 	}
 }
 
-// refGatherBinomial is GatherBinomial as a loop of blocking calls.
-func (r *Rank) refGatherBinomial(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	vrank := (r.rank - root + n) % n
-	// Collect from children (sub-trees at increasing distance).
-	gathered := int64(1)
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			break
-		}
-		childV := vrank | mask
-		if childV < n {
-			r.refRecv((childV + root) % n)
-			// The child owned a subtree of up to `mask` ranks.
-			sub := int64(mask)
-			if int64(n)-int64(childV) < sub {
-				sub = int64(n) - int64(childV)
-			}
-			gathered += sub
-		}
-		mask <<= 1
-	}
-	// Forward the aggregated block to the parent.
-	if vrank != 0 {
-		parentV := vrank &^ mask
-		r.refSend((parentV+root)%n, gathered*size, core.PointToPoint)
-	}
-}
-
-// refScatterBinomial is ScatterBinomial as a loop of blocking calls.
+// refScatterBinomial is the binomial scatter of BroadcastScatterAllgather as a
+// loop of blocking calls.
 func (r *Rank) refScatterBinomial(root int, size int64) {
 	n := r.Size()
 	if n == 1 {
@@ -469,85 +382,5 @@ func (r *Rank) refScatterBinomial(root int, size int64) {
 			sub = int64(n) - int64(childV)
 		}
 		r.refSend((childV+root)%n, sub*size, core.PointToPoint)
-	}
-}
-
-// refAllgatherRecursiveDoubling is AllgatherRecursiveDoubling as a loop of blocking calls.
-func (r *Rank) refAllgatherRecursiveDoubling(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
-		r.refAllgather(size)
-		return
-	}
-	r.hostNoise()
-	block := size
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := r.rank ^ mask
-		r.refSendRecv(partner, block, partner, core.PointToPoint)
-		block *= 2
-	}
-}
-
-// refAllgatherBruck is AllgatherBruck as a loop of blocking calls.
-func (r *Rank) refAllgatherBruck(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	have := int64(1)
-	for dist := 1; dist < n; dist <<= 1 {
-		send := have
-		if int64(n)-have < send {
-			send = int64(n) - have
-		}
-		bytes := send * size
-		sendTo := (r.rank - dist + n) % n
-		recvFrom := (r.rank + dist) % n
-		r.refExchange(&r.sendReq, sendTo, bytes, core.PointToPoint, &r.recvReq, recvFrom)
-		have += send
-	}
-}
-
-// refReduceScatterHalving is ReduceScatterHalving as a loop of blocking calls.
-func (r *Rank) refReduceScatterHalving(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
-		r.refReduceScatterBlock(size)
-		return
-	}
-	r.hostNoise()
-	chunk := size * int64(n) / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := r.rank ^ mask
-		r.refSendRecv(partner, chunk, partner, core.PointToPoint)
-		chunk /= 2
-		if chunk < size {
-			chunk = size
-		}
-	}
-}
-
-// refScan is Scan as a loop of blocking calls.
-func (r *Rank) refScan(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	r.hostNoise()
-	if r.rank > 0 {
-		r.refRecv(r.rank - 1)
-	}
-	if r.rank < n-1 {
-		r.refSend(r.rank+1, size, core.PointToPoint)
 	}
 }

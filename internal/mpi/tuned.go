@@ -18,9 +18,6 @@ const (
 	// used, and above it pairwise exchange.
 	alltoallBruckMaxBytes  = 1 << 10
 	alltoallSpreadMaxBytes = 32 << 10
-	// allgatherDoublingMaxBytes is the largest allgather using recursive
-	// doubling (Bruck for non-power-of-two); larger allgathers use the ring.
-	allgatherDoublingMaxBytes = 32 << 10
 )
 
 // TunedBroadcast broadcasts size bytes from root with the algorithm the size
@@ -57,14 +54,4 @@ func (r *Rank) TunedAlltoall(size int64) {
 	default:
 		r.Alltoall(size)
 	}
-}
-
-// TunedAllgather gathers size bytes from every rank with the algorithm the
-// size thresholds select.
-func (r *Rank) TunedAllgather(size int64) {
-	if size <= allgatherDoublingMaxBytes {
-		r.AllgatherRecursiveDoubling(size)
-		return
-	}
-	r.Allgather(size)
 }

@@ -28,7 +28,7 @@ func capture(t *testing.T, w workloads.Workload, n int, seed int64) (*Log, *netw
 	c := mpi.MustNewComm(fab, a, mpi.Config{})
 	log := NewLog()
 	log.Attach(fab)
-	if err := c.Run(w.Run); err != nil {
+	if err := runComm(c, w.Run); err != nil {
 		t.Fatalf("%s: %v", w.Name(), err)
 	}
 	for i := 0; i < n; i++ {
@@ -37,6 +37,17 @@ func capture(t *testing.T, w workloads.Workload, n int, seed int64) (*Log, *netw
 		}
 	}
 	return log, fab
+}
+
+// runComm runs program on every rank of c to completion, on a scheduler of
+// its own.
+func runComm(c *mpi.Comm, program func(*mpi.Rank)) error {
+	s := mpi.NewScheduler(c.Fabric().Engine())
+	defer s.Shutdown()
+	if err := c.Start(s, program); err != nil {
+		return err
+	}
+	return s.Run(nil)
 }
 
 func TestLogCapturesAlltoall(t *testing.T) {
@@ -394,7 +405,7 @@ func TestObserverSeesAppAwareTraffic(t *testing.T) {
 	})
 	log := NewLog()
 	log.Attach(fab)
-	if err := c.Run(func(r *mpi.Rank) { r.Alltoall(8192) }); err != nil {
+	if err := runComm(c, func(r *mpi.Rank) { r.Alltoall(8192) }); err != nil {
 		t.Fatal(err)
 	}
 	if log.Len() == 0 {

@@ -39,7 +39,7 @@ func TestShiftSingleRankIsNoop(t *testing.T) {
 
 func TestRandomAccessSendReceiveCountsMatch(t *testing.T) {
 	// The workload predicts incoming messages from the shared seeded streams;
-	// if the prediction were wrong, Comm.Run would deadlock and runWorkload
+	// if the prediction were wrong, the ranks would deadlock and runWorkload
 	// would fail. Completing at all is the property under test.
 	for _, n := range []int{2, 4, 7, 8} {
 		w := &RandomAccess{UpdateBytes: 16, UpdatesPerRank: 12, Seed: 9}

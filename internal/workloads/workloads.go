@@ -5,7 +5,7 @@
 // Amber, MILC, HPCG, Graph500 BFS/SSSP, FFT).
 //
 // A workload is a program executed by every rank of a communicator
-// (mpi.Comm.Run). Workloads only generate traffic and compute delays; all
+// (mpi.Comm.Start). Workloads only generate traffic and compute delays; all
 // measurement happens outside (the experiments package samples the simulated
 // clock around each iteration).
 package workloads
@@ -21,8 +21,8 @@ import (
 type Workload interface {
 	// Name returns the workload's name as used in the paper's figures.
 	Name() string
-	// Run executes the workload on one rank. It is called once per rank by
-	// mpi.Comm.Run.
+	// Run executes the workload on one rank. It is called once per rank,
+	// on the coroutine mpi.Comm.Start binds to that rank.
 	Run(r *mpi.Rank)
 }
 

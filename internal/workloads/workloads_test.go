@@ -22,8 +22,13 @@ func runWorkload(t *testing.T, w Workload, n int, seed int64) (elapsed sim.Time,
 	fab := network.MustNew(eng, tt, pol, network.DefaultConfig())
 	a := alloc.MustAllocate(tt, alloc.GroupStriped, n, nil, nil)
 	c := mpi.MustNewComm(fab, a, mpi.Config{})
+	s := mpi.NewScheduler(eng)
+	defer s.Shutdown()
 	start := eng.Now()
-	if err := c.Run(w.Run); err != nil {
+	if err := c.Start(s, w.Run); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(nil); err != nil {
 		t.Fatalf("%s: %v", w.Name(), err)
 	}
 	for i := 0; i < n; i++ {
