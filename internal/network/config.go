@@ -44,15 +44,13 @@ type Config struct {
 	CreditDelay int64
 	// MaxOutstandingPackets is the NIC request window (1024 on Aries).
 	MaxOutstandingPackets int
-	// PacketBytes is the payload carried per request packet (64 on Aries).
-	PacketBytes int
-	// PutRequestFlits is the number of request flits per packet. Every
-	// message is an RDMA PUT, whose request packets carry the data (§2.1 of
-	// the paper: 1 header + 4 payload flits on Aries).
-	PutRequestFlits int
-	// ResponseFlits is the number of response flits per packet.
-	ResponseFlits int
 }
+
+// responseFlits is the size of the response each request packet draws. The
+// request side's geometry is perfmodel's: every message is an RDMA PUT of
+// perfmodel.GeometryForSize packets of perfmodel.PutFlitsPerPacket flits, so
+// the selector's Eq. 2 estimates use the geometry the fabric sends.
+const responseFlits = 1
 
 // DefaultConfig returns the parameters used by the experiments. The absolute
 // values are chosen to give realistic ratios (optical links ~5x electrical
@@ -69,9 +67,6 @@ func DefaultConfig() Config {
 		BufferFlits:           64,
 		CreditDelay:           600,
 		MaxOutstandingPackets: 1024,
-		PacketBytes:           64,
-		PutRequestFlits:       5,
-		ResponseFlits:         1,
 	}
 }
 
@@ -88,29 +83,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("network: CreditDelay must be >= 0")
 	case c.MaxOutstandingPackets <= 0:
 		return fmt.Errorf("network: MaxOutstandingPackets must be > 0")
-	case c.PacketBytes <= 0:
-		return fmt.Errorf("network: PacketBytes must be > 0")
-	case c.PutRequestFlits <= 0 || c.ResponseFlits <= 0:
-		return fmt.Errorf("network: flits per packet must be > 0")
 	case c.LoopbackCyclesPerByte < 0 || c.LoopbackBaseCycles < 0:
 		return fmt.Errorf("network: loopback costs must be >= 0")
 	}
 	return nil
-}
-
-// PacketsForSize returns the number of request packets needed to transfer
-// size bytes.
-func (c Config) PacketsForSize(size int64) int64 {
-	if size <= 0 {
-		return 1
-	}
-	return (size + int64(c.PacketBytes) - 1) / int64(c.PacketBytes)
-}
-
-// FlitsForSize returns the total number of request flits needed to transfer
-// size bytes.
-func (c Config) FlitsForSize(size int64) int64 {
-	return c.PacketsForSize(size) * int64(c.PutRequestFlits)
 }
 
 // propagationFor returns the propagation delay of a link of the given type.

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"dragonfly/internal/counters"
+	"dragonfly/internal/perfmodel"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
@@ -113,7 +114,7 @@ func newLinkKind(cfg Config, t topo.LinkType, width int) linkKind {
 		cyclesPerFlit: cfg.CyclesPerFlit,
 		width:         max(int64(width), 1),
 	}
-	k.ser = make([]int64, max(cfg.PutRequestFlits, cfg.ResponseFlits)+1)
+	k.ser = make([]int64, max(perfmodel.PutFlitsPerPacket, responseFlits)+1)
 	for n := range k.ser {
 		k.ser[n] = k.divide(n)
 	}
@@ -551,7 +552,7 @@ func (f *Fabric) Send(src, dst topo.NodeID, size int64, opts SendOptions, done f
 	}
 	op := f.getOp()
 	op.src, op.dst, op.size, op.opts, op.done = src, dst, size, opts, done
-	op.packetsTotal = f.cfg.PacketsForSize(size)
+	op.packetsTotal = perfmodel.GeometryForSize(size).Packets
 	op.start = now
 	op.packetsLeft = op.packetsTotal
 	nic := &f.nics[src]
@@ -611,7 +612,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	now := f.engine.Now()
 	nic.readyAt = max(nic.readyAt, now)
 
-	flits := f.cfg.PutRequestFlits
+	flits := perfmodel.PutFlitsPerPacket
 
 	// Window constraint: the oldest outstanding packet must have been
 	// acknowledged before a new one can enter the request window.
@@ -660,7 +661,6 @@ func (f *Fabric) inject(src topo.NodeID) {
 
 	// Response traversal over the reverse path. A link and its reverse are
 	// of one tier, so the forward hop's kind serves both.
-	respFlits := f.cfg.ResponseFlits
 	respArrival := arrival
 	for i := len(dec.Path) - 1; i >= 0; i-- {
 		revID := f.topo.ReverseLink(dec.Path[i])
@@ -670,9 +670,9 @@ func (f *Fabric) inject(src topo.NodeID) {
 		ls := &f.links[revID]
 		k := f.kindOf(dec.Path[i])
 		start := max(respArrival, ls.freeAt)
-		ser := k.serialization(respFlits)
+		ser := k.serialization(responseFlits)
 		tile := &f.tiles[revID]
-		tile.FlitsTraversed += uint64(respFlits)
+		tile.FlitsTraversed += responseFlits
 		tile.BusyCycles += uint64(ser)
 		ls.advance(start, start+ser)
 		respArrival = start + ser + k.propagation

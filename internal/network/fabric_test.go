@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dragonfly/internal/perfmodel"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
@@ -49,19 +50,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPacketAndFlitAccounting pins how the fabric packetizes a PUT: one
+// packet per 64 bytes, at least one, of five request flits each.
 func TestPacketAndFlitAccounting(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := cfg.PacketsForSize(0); got != 1 {
-		t.Fatalf("PacketsForSize(0) = %d, want 1", got)
-	}
-	if got := cfg.PacketsForSize(64); got != 1 {
-		t.Fatalf("PacketsForSize(64) = %d, want 1", got)
-	}
-	if got := cfg.PacketsForSize(65); got != 2 {
-		t.Fatalf("PacketsForSize(65) = %d, want 2", got)
-	}
-	if got := cfg.FlitsForSize(1024); got != 16*5 {
-		t.Fatalf("FlitsForSize(1024) = %d, want 80", got)
+	for _, c := range []struct {
+		size           int64
+		packets, flits uint64
+	}{{0, 1, 5}, {64, 1, 5}, {65, 2, 10}, {1024, 16, 80}} {
+		f, tt, eng := testFabric(t, 2, 1)
+		var d Delivery
+		if err := f.Send(nodeAt(tt, 0, 0, 0, 0), nodeAt(tt, 1, 0, 0, 0), c.size, SendOptions{Mode: routing.Adaptive},
+			func(x Delivery) { d = x }); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Counters.RequestPackets != c.packets || d.Counters.RequestFlits != c.flits {
+			t.Fatalf("%d bytes sent as %d packets of %d flits, want %d and %d",
+				c.size, d.Counters.RequestPackets, d.Counters.RequestFlits, c.packets, c.flits)
+		}
 	}
 }
 
@@ -89,12 +97,13 @@ func TestSendDeliversAndCounts(t *testing.T) {
 	if got.LastResponseAt < got.DeliveredAt {
 		t.Fatalf("response before delivery: %+v", got)
 	}
-	wantPackets := uint64(f.Config().PacketsForSize(size))
+	g := perfmodel.GeometryForSize(size)
+	wantPackets := uint64(g.Packets)
 	if got.Counters.RequestPackets != wantPackets {
 		t.Fatalf("packets = %d, want %d", got.Counters.RequestPackets, wantPackets)
 	}
-	if got.Counters.RequestFlits != wantPackets*uint64(f.Config().PutRequestFlits) {
-		t.Fatalf("flits = %d, want %d", got.Counters.RequestFlits, wantPackets*5)
+	if got.Counters.RequestFlits != uint64(g.Flits) {
+		t.Fatalf("flits = %d, want %d", got.Counters.RequestFlits, g.Flits)
 	}
 	if got.Counters.RequestPacketsCumLatency == 0 {
 		t.Fatal("cumulative latency must be positive")
@@ -426,14 +435,15 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any message size, the per-message counters match the analytic
-// packet/flit accounting.
+// Property: for any message size, the per-message counters and the sending
+// NIC's counter delta carry perfmodel.GeometryForSize, the geometry the
+// selector's Eq. 2 estimates use.
 func TestPropertyCountersMatchSize(t *testing.T) {
-	f := func(sizeKB uint8) bool {
-		size := int64(sizeKB)*64 + 1
+	matches := func(size int64) bool {
 		fab, tt, eng := testFabric(nil, 2, 13)
 		src := nodeAt(tt, 0, 0, 0, 0)
 		dst := nodeAt(tt, 1, 0, 0, 0)
+		before := fab.NodeCounters(src)
 		var d Delivery
 		if err := fab.Send(src, dst, size, SendOptions{Mode: routing.AdaptiveHighBias}, func(x Delivery) { d = x }); err != nil {
 			return false
@@ -441,13 +451,20 @@ func TestPropertyCountersMatchSize(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			return false
 		}
-		cfg := fab.Config()
-		wantPackets := uint64(cfg.PacketsForSize(size))
-		wantFlits := uint64(cfg.FlitsForSize(size))
-		return d.Counters.RequestPackets == wantPackets &&
-			d.Counters.RequestFlits == wantFlits &&
-			d.Counters.MinimalPackets+d.Counters.NonMinimalPackets == wantPackets
+		nic := fab.NodeCounters(src).Sub(before)
+		g := perfmodel.GeometryForSize(size)
+		packets, flits := uint64(g.Packets), uint64(g.Flits)
+		return d.Counters.RequestPackets == packets &&
+			d.Counters.RequestFlits == flits &&
+			d.Counters.MinimalPackets+d.Counters.NonMinimalPackets == packets &&
+			nic.RequestPackets == packets && nic.RequestFlits == flits
 	}
+	for _, size := range []int64{0, 1, 63, 64, 65, 4096, 1 << 20} {
+		if !matches(size) {
+			t.Fatalf("the counters of a %d-byte send differ from %+v", size, perfmodel.GeometryForSize(size))
+		}
+	}
+	f := func(sizeKB uint8) bool { return matches(int64(sizeKB)*64 + 1) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"dragonfly/internal/perfmodel"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topo"
 )
@@ -31,7 +32,7 @@ func idleHopCycles(t *testing.T, cfg Config, l topo.Link, flits int) int64 {
 //
 //	DeliveredAt = SendStart + Σ_hops(max(⌈F·CyclesPerFlit/width⌉, 1) + propagation) + 2·ProcessorDelay
 //
-// with F = PutRequestFlits, or SendStart + F·CyclesPerFlit + 2·ProcessorDelay
+// with F = perfmodel.PutFlitsPerPacket, or SendStart + F·CyclesPerFlit + 2·ProcessorDelay
 // when both nodes share a router. The NIC always needs F·CyclesPerFlit to push
 // the packet out, so SenderDone − SendStart is that on every route. Expected
 // values come only from the Config and the links' widths and tiers. The
@@ -43,7 +44,7 @@ func TestIdleFabricAnalyticLatency(t *testing.T) {
 	const sendAt = 1000
 	tt := topo.MustNew(topo.SmallConfig(2))
 	cfg := DefaultConfig()
-	flits := cfg.PutRequestFlits
+	flits := perfmodel.PutFlitsPerPacket
 	routerOf := func(c, b int) topo.RouterID {
 		return tt.RouterAt(topo.Coord{Group: 0, Chassis: c, Blade: b})
 	}
@@ -112,7 +113,7 @@ func TestIdleFabricAnalyticLatency(t *testing.T) {
 				f, _, eng := testFabric(t, 2, 7)
 				var got *Delivery
 				eng.Schedule(sendAt, func() {
-					err := f.Send(r.src, r.dst, int64(cfg.PacketBytes), SendOptions{Mode: mode},
+					err := f.Send(r.src, r.dst, perfmodel.PacketBytes, SendOptions{Mode: mode},
 						func(d Delivery) { got = &d })
 					if err != nil {
 						t.Error(err)

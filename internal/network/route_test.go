@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dragonfly/internal/perfmodel"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
@@ -60,13 +61,13 @@ func TestCostBelowMatchesFullCost(t *testing.T) {
 	for k := 0; k < 48; k++ {
 		src := topo.NodeID(traffic.Intn(tt.NumNodes()))
 		dst := topo.NodeID(traffic.Intn(tt.NumNodes()))
-		size := int64(cfg.PacketBytes * (1 + traffic.Intn(64)))
+		size := int64(perfmodel.PacketBytes * (1 + traffic.Intn(64)))
 		if err := f.Send(src, dst, size, SendOptions{Mode: routing.Adaptive}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Packet sizes the fabric sends, plus one past the serialization table.
-	flitCounts := []int{cfg.PutRequestFlits, cfg.ResponseFlits, 64}
+	flitCounts := []int{perfmodel.PutFlitsPerPacket, responseFlits, 64}
 	rng := rand.New(rand.NewSource(5))
 	var buf topo.PathBuffer
 	var checked, backlogged, stale int

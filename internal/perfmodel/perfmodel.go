@@ -38,7 +38,8 @@ const PutFlitsPerPacket = 5
 const WindowPackets = 1024
 
 // GeometryForSize returns the packet/flit geometry of a message of the given
-// size transferred with a PUT.
+// size transferred with a PUT. The fabric packetizes every message with it,
+// so the model estimates the geometry the fabric sends.
 func GeometryForSize(sizeBytes int64) Geometry {
 	if sizeBytes < 0 {
 		sizeBytes = 0
