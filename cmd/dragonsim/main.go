@@ -36,9 +36,7 @@ func run(args []string) error {
 		listW        = fs.Bool("list-workloads", false, "list available workloads and exit")
 		size         = fs.Int64("size", 16<<10, "workload size parameter (bytes, elements or domain edge)")
 		nodes        = fs.Int("nodes", 16, "number of ranks (one per node)")
-		groups       = fs.Int("groups", 4, "number of Dragonfly groups")
-		fullAries    = fs.Bool("full-aries", false, "use full-size Aries groups")
-		geometryName = fs.String("geometry", "", "geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N); overrides -groups/-full-aries")
+		geometryName = fs.String("geometry", "medium:4", "machine: a geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N)")
 		routingMode  = fs.String("routing", "default", "routing: default, ADAPTIVE_0..3, MIN_HASH, NMIN_HASH, IN_ORDER, or appaware")
 		allocPolicy  = fs.String("alloc", "group-striped", "allocation policy: contiguous, random, group-striped")
 		iterations   = fs.Int("iterations", 3, "workload repetitions")
@@ -68,15 +66,9 @@ func run(args []string) error {
 		return err
 	}
 
-	geometry := dragonfly.MediumGeometry(*groups)
-	if *fullAries {
-		geometry = dragonfly.AriesGeometry(*groups)
-	}
-	if *geometryName != "" {
-		geometry, err = dragonfly.ParseGeometry(*geometryName)
-		if err != nil {
-			return err
-		}
+	geometry, err := dragonfly.ParseGeometry(*geometryName)
+	if err != nil {
+		return err
 	}
 	sysOpts := []dragonfly.Option{
 		dragonfly.WithGeometry(geometry),

@@ -10,7 +10,7 @@ func TestListWorkloads(t *testing.T) {
 
 func TestRunPingPongDefault(t *testing.T) {
 	args := []string{"-workload", "pingpong", "-size", "1024", "-nodes", "4",
-		"-groups", "2", "-iterations", "2"}
+		"-geometry", "medium:2", "-iterations", "2"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestRunPingPongDefault(t *testing.T) {
 
 func TestRunAlltoallAppAwareWithNoiseAndReport(t *testing.T) {
 	args := []string{"-workload", "alltoall", "-size", "512", "-nodes", "8",
-		"-groups", "3", "-routing", "appaware", "-iterations", "2",
+		"-geometry", "medium:3", "-routing", "appaware", "-iterations", "2",
 		"-noise", "-noise-nodes", "6", "-report", "3"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestRunAlltoallAppAwareWithNoiseAndReport(t *testing.T) {
 
 func TestRunStaticRoutingMode(t *testing.T) {
 	args := []string{"-workload", "broadcast", "-size", "4096", "-nodes", "6",
-		"-groups", "2", "-routing", "ADAPTIVE_3", "-iterations", "1", "-alloc", "contiguous"}
+		"-geometry", "medium:2", "-routing", "ADAPTIVE_3", "-iterations", "1", "-alloc", "contiguous"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,8 @@ func TestRunErrors(t *testing.T) {
 		{"-workload", "not-a-workload"},
 		{"-routing", "NOT_A_MODE"},
 		{"-alloc", "not-a-policy"},
-		{"-nodes", "100000", "-groups", "2"},
-		{"-groups", "0"},
+		{"-nodes", "100000", "-geometry", "medium:2"},
+		{"-geometry", "medium:0"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

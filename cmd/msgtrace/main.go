@@ -41,7 +41,7 @@ func run(args []string, out io.Writer) error {
 		workloadName = fs.String("workload", "alltoall", "workload to record")
 		size         = fs.Int64("size", 16<<10, "workload size parameter")
 		nodes        = fs.Int("nodes", 16, "job size (ranks) in record mode")
-		groups       = fs.Int("groups", 4, "number of Dragonfly groups")
+		geometryName = fs.String("geometry", "medium:4", "machine: a geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N)")
 		routingMode  = fs.String("routing", "ADAPTIVE_0", "routing mode (record: for the workload; replay: for the replayed traffic)")
 		timeScale    = fs.Float64("time-scale", 1.0, "replay pacing: >1 stretches the original gaps, <1 compresses them")
 		seed         = fs.Int64("seed", 1, "random seed")
@@ -53,9 +53,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	geometry, err := dragonfly.ParseGeometry(*geometryName)
+	if err != nil {
+		return err
+	}
 
 	sys, err := dragonfly.New(
-		dragonfly.WithGeometry(dragonfly.MediumGeometry(*groups)),
+		dragonfly.WithGeometry(geometry),
 		dragonfly.WithSeed(*seed),
 	)
 	if err != nil {

@@ -12,7 +12,7 @@ func TestRecordThenReplay(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-mode", "record", "-workload", "alltoall", "-size", "2048",
-		"-nodes", "8", "-groups", "3", "-trace", trace,
+		"-nodes", "8", "-geometry", "medium:3", "-trace", trace,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestRecordThenReplay(t *testing.T) {
 
 	out.Reset()
 	err = run([]string{
-		"-mode", "replay", "-trace", trace, "-groups", "3",
+		"-mode", "replay", "-trace", trace, "-geometry", "medium:3",
 		"-routing", "ADAPTIVE_3", "-time-scale", "0.5",
 	}, &out)
 	if err != nil {

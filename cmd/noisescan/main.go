@@ -72,8 +72,7 @@ func run(args []string, out io.Writer) error {
 		workloadName = fs.String("workload", "alltoall", "measured workload name")
 		size         = fs.Int64("size", 16<<10, "workload size parameter")
 		nodes        = fs.Int("nodes", 32, "measured job size (ranks)")
-		groups       = fs.Int("groups", 4, "number of Dragonfly groups")
-		fullAries    = fs.Bool("full-aries", false, "use full-size Aries groups")
+		geometryName = fs.String("geometry", "medium:4", "machine: a geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N)")
 		routingModes = fs.String("routing", "ADAPTIVE_0", "routing mode(s) for the measured job, comma-separated (or appaware, default); several modes are compared side by side")
 		noiseKind    = fs.String("noise", "uniform", "background pattern: uniform, hotspot, bully, burst, none")
 		noiseNodesN  = fs.Int("noise-nodes", 16, "background job size")
@@ -106,9 +105,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	tcfg := dragonfly.MediumGeometry(*groups)
-	if *fullAries {
-		tcfg = dragonfly.AriesGeometry(*groups)
+	tcfg, err := dragonfly.ParseGeometry(*geometryName)
+	if err != nil {
+		return err
 	}
 	cfg := scanConfig{
 		workload:     *workloadName,

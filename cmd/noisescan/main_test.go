@@ -9,7 +9,7 @@ import (
 func TestNoisescanSmoke(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-workload", "alltoall", "-size", "2048", "-nodes", "8", "-groups", "3",
+		"-workload", "alltoall", "-size", "2048", "-nodes", "8", "-geometry", "medium:3",
 		"-noise", "bully", "-noise-nodes", "6", "-iterations", "1", "-interval", "20000",
 	}, &out)
 	if err != nil {
@@ -25,7 +25,7 @@ func TestNoisescanSmoke(t *testing.T) {
 func TestNoisescanNoNoiseAppAware(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-workload", "pingpong", "-size", "4096", "-nodes", "4", "-groups", "2",
+		"-workload", "pingpong", "-size", "4096", "-nodes", "4", "-geometry", "medium:2",
 		"-noise", "none", "-routing", "appaware", "-iterations", "1",
 	}, &out)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestNoisescanRejectsUnknownWorkload(t *testing.T) {
 
 func TestNoisescanRejectsUnknownRouting(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-routing", "nope", "-nodes", "4", "-groups", "2"}, &out); err == nil {
+	if err := run([]string{"-routing", "nope", "-nodes", "4", "-geometry", "medium:2"}, &out); err == nil {
 		t.Fatal("expected error for unknown routing mode")
 	}
 }
@@ -54,7 +54,7 @@ func TestNoisescanCSVExport(t *testing.T) {
 	var out bytes.Buffer
 	path := t.TempDir() + "/telemetry.csv"
 	err := run([]string{
-		"-workload", "barrier", "-nodes", "4", "-groups", "2", "-noise", "none",
+		"-workload", "barrier", "-nodes", "4", "-geometry", "medium:2", "-noise", "none",
 		"-iterations", "1", "-csv", path,
 	}, &out)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestNoisescanCSVExport(t *testing.T) {
 func TestNoisescanCompareRoutingModes(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-workload", "alltoall", "-size", "1024", "-nodes", "6", "-groups", "2",
+		"-workload", "alltoall", "-size", "1024", "-nodes", "6", "-geometry", "medium:2",
 		"-noise", "uniform", "-noise-nodes", "4", "-iterations", "1",
 		"-routing", "ADAPTIVE_0,ADAPTIVE_3", "-parallel", "2", "-timeout", "5m",
 	}, &out)
@@ -84,7 +84,7 @@ func TestNoisescanCompareRoutingModes(t *testing.T) {
 
 func TestNoisescanCompareRejectsUnknownMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-routing", "ADAPTIVE_0,nope", "-nodes", "4", "-groups", "2"}, &out); err == nil {
+	if err := run([]string{"-routing", "ADAPTIVE_0,nope", "-nodes", "4", "-geometry", "medium:2"}, &out); err == nil {
 		t.Fatal("expected error for unknown routing mode in a comparison list")
 	}
 }

@@ -23,17 +23,17 @@ func TestSchedsimGolden(t *testing.T) {
 			"f4771d3d7a51ffd9ddf34e589f0988f0021ef589665407e3982838f4c0204d7e"},
 		{"-jobs 24 -placement contiguous",
 			"124337b62c5e05852b80862c5b2958c57626f59fb66851e8a9bc53af0f1e0d81"},
-		{"-jobs 16 -placement random -backfill -groups 6",
+		{"-jobs 16 -placement random -backfill -geometry medium:6",
 			"fddfb871784e4a7517f29c1c6f6a7e0cb7acd80bd395217fd4fc69d767d3c146"},
-		{"-jobs 16 -placement group-striped -groups 3",
+		{"-jobs 16 -placement group-striped -geometry medium:3",
 			"a7a00244f9ef676e21a18a10a8f6c61901345e5c6b709b92b1912b8c2e333015"},
-		{"-jobs 12 -apps 0.5 -app-workloads alltoall,halo3d -groups 3 -backfill",
+		{"-jobs 12 -apps 0.5 -app-workloads alltoall,halo3d -geometry medium:3 -backfill",
 			"dcc7ca831bcf78ba06c284eb9fed7c34f67241e7254b32d6aaedf04d00b4df5b"},
-		{"-jobs 6 -groups 3 -apps 1 -app-workloads alltoall,allreduce",
+		{"-jobs 6 -geometry medium:3 -apps 1 -app-workloads alltoall,allreduce",
 			"655adace8ffe770e065b99d363e0726c5d3822c4f4c3b8b9ed8425df7310c1a8"},
 		{"-clients 6 -jobs 3000 -placement random",
 			"eba1d0f3c421f555c5aca38fbdeb0afe697b9644f1e8d2a6545133be04faa150"},
-		{"-clients 4 -jobs 2000 -placement contiguous -groups 3",
+		{"-clients 4 -jobs 2000 -placement contiguous -geometry medium:3",
 			"efaf23b1a9c239f97131838ebe82674f91e78267242023c8c637dd13807966f1"},
 		{"-arrivals latency:poisson:150000:nodes=2-8;batch:gamma:600000:shape=2 -horizon 50000000",
 			"03f777cd419fa358f15ce8c6964de7be17f40994b1642e00824dd1680b016b7d"},

@@ -23,7 +23,7 @@
 // Usage:
 //
 //	schedsim -jobs 24 -placement hybrid -backfill
-//	schedsim -placement contiguous -groups 6 -max-nodes 32
+//	schedsim -placement contiguous -geometry medium:6 -max-nodes 32
 //	schedsim -jobs 16 -apps 0.5 -app-workloads alltoall,halo3d
 //	schedsim -clients 6 -jobs 5000 -placement random
 //	schedsim -arrivals "latency:poisson:150000:nodes=2-8;batch:gamma:600000:shape=2" -horizon 50000000
@@ -56,8 +56,7 @@ func run(args []string, out io.Writer) error {
 		jobs        = fs.Int("jobs", 16, "number of jobs in the synthetic mix")
 		placement   = fs.String("placement", "contiguous", "placement policy: contiguous, random, group-striped, hybrid")
 		backfill    = fs.Bool("backfill", false, "enable conservative backfilling")
-		groups      = fs.Int("groups", 4, "number of Dragonfly groups")
-		fullAries   = fs.Bool("full-aries", false, "use full-size Aries groups")
+		geometryArg = fs.String("geometry", "medium:4", "machine: a geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N)")
 		minNodes    = fs.Int("min-nodes", 2, "smallest job size")
 		maxNodes    = fs.Int("max-nodes", 16, "largest job size")
 		commShare   = fs.Float64("comm-share", 0.35, "fraction of communication-intensive jobs")
@@ -108,9 +107,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	geometry := dragonfly.MediumGeometry(*groups)
-	if *fullAries {
-		geometry = dragonfly.AriesGeometry(*groups)
+	geometry, err := dragonfly.ParseGeometry(*geometryArg)
+	if err != nil {
+		return err
 	}
 	sys, err := dragonfly.New(dragonfly.WithGeometry(geometry), dragonfly.WithSeed(*seed))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 func TestSchedsimSmoke(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-jobs", "6", "-groups", "3", "-placement", "hybrid", "-backfill"}, &out)
+	err := run([]string{"-jobs", "6", "-geometry", "medium:3", "-placement", "hybrid", "-backfill"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestSchedsimSmoke(t *testing.T) {
 
 func TestSchedsimWithoutPerJobTable(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-jobs", "4", "-groups", "2", "-per-job=false"}, &out)
+	err := run([]string{"-jobs", "4", "-geometry", "medium:2", "-per-job=false"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSchedsimWithoutPerJobTable(t *testing.T) {
 
 func TestSchedsimRealApps(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-jobs", "6", "-groups", "3", "-apps", "1", "-app-workloads", "alltoall,allreduce"}, &out)
+	err := run([]string{"-jobs", "6", "-geometry", "medium:3", "-apps", "1", "-app-workloads", "alltoall,allreduce"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSchedsimRealApps(t *testing.T) {
 func TestSchedsimRealAppsDeterministic(t *testing.T) {
 	render := func() string {
 		var out bytes.Buffer
-		if err := run([]string{"-jobs", "5", "-groups", "3", "-apps", "0.7"}, &out); err != nil {
+		if err := run([]string{"-jobs", "5", "-geometry", "medium:3", "-apps", "0.7"}, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -76,14 +76,14 @@ func TestSchedsimRejectsUnknownPlacement(t *testing.T) {
 func TestSchedsimRejectsImpossibleMix(t *testing.T) {
 	var out bytes.Buffer
 	// Min job size larger than the machine.
-	if err := run([]string{"-groups", "2", "-min-nodes", "9999", "-max-nodes", "9999"}, &out); err == nil {
+	if err := run([]string{"-geometry", "medium:2", "-min-nodes", "9999", "-max-nodes", "9999"}, &out); err == nil {
 		t.Fatal("expected error for jobs larger than the machine")
 	}
 }
 
 func TestSchedsimOpenStream(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-clients", "3", "-jobs", "400", "-groups", "3", "-placement", "contiguous"}, &out)
+	err := run([]string{"-clients", "3", "-jobs", "400", "-geometry", "medium:3", "-placement", "contiguous"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSchedsimOpenStreamArrivalSpec(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-arrivals", "latency:poisson:120000:nodes=2-8;batch:gamma:500000:shape=2:nodes=4-16",
-		"-jobs", "200", "-groups", "3",
+		"-jobs", "200", "-geometry", "medium:3",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSchedsimOpenStreamArrivalSpec(t *testing.T) {
 
 func TestSchedsimOpenStreamHorizon(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-clients", "2", "-horizon", "3000000", "-groups", "2"}, &out)
+	err := run([]string{"-clients", "2", "-horizon", "3000000", "-geometry", "medium:2"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

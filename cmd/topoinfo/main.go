@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	topoinfo -groups 6
-//	topoinfo -groups 6 -full-aries -samples 5000
+//	topoinfo -geometry aries:6
+//	topoinfo -geometry small:3 -samples 5000
 package main
 
 import (
@@ -30,9 +30,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("topoinfo", flag.ContinueOnError)
 	var (
-		groups       = fs.Int("groups", 6, "number of Dragonfly groups")
-		fullAries    = fs.Bool("full-aries", true, "use full-size Aries groups (6 chassis x 16 blades x 4 nodes)")
-		geometryName = fs.String("geometry", "", "geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N); overrides -groups/-full-aries")
+		geometryName = fs.String("geometry", "aries:6", "machine: a geometry ladder rung or preset (small, medium, large, daint, small:N, medium:N, aries:N)")
 		ladder       = fs.Bool("ladder", false, "print the geometry ladder (sizes and adjacency memory per rung) and exit")
 		samples      = fs.Int("samples", 2000, "random router pairs sampled for the hop histogram")
 		seed         = fs.Int64("seed", 1, "random seed")
@@ -44,16 +42,9 @@ func run(args []string) error {
 		return printLadder()
 	}
 
-	cfg := dragonfly.SmallGeometry(*groups)
-	if *fullAries {
-		cfg = dragonfly.AriesGeometry(*groups)
-	}
-	if *geometryName != "" {
-		var err error
-		cfg, err = dragonfly.ParseGeometry(*geometryName)
-		if err != nil {
-			return err
-		}
+	cfg, err := dragonfly.ParseGeometry(*geometryName)
+	if err != nil {
+		return err
 	}
 	t, err := topo.New(cfg)
 	if err != nil {

@@ -3,13 +3,13 @@ package main
 import "testing"
 
 func TestRunSmallTopology(t *testing.T) {
-	if err := run([]string{"-groups", "3", "-full-aries=false", "-samples", "100"}); err != nil {
+	if err := run([]string{"-geometry", "small:3", "-samples", "100"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFullAriesTopology(t *testing.T) {
-	if err := run([]string{"-groups", "2", "-samples", "50"}); err != nil {
+	if err := run([]string{"-geometry", "aries:2", "-samples", "50"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -21,7 +21,7 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 func TestRunInvalidGeometry(t *testing.T) {
-	if err := run([]string{"-groups", "0"}); err == nil {
+	if err := run([]string{"-geometry", "aries:0"}); err == nil {
 		t.Fatal("expected error for zero groups")
 	}
 }
