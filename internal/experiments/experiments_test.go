@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,34 +203,43 @@ func TestFigure7RoutingPingPong(t *testing.T) {
 			t.Fatalf("non-positive execution time median in row %d", i)
 		}
 	}
-	// The WinnerSummary helper must be able to compare the inter-group pair.
-	winner, ratio, err := WinnerSummary(tables[0], "Inter-Groups/Adaptive", "Inter-Groups/HighBias")
+	// winnerSummary must be able to compare the inter-group pair.
+	winner, ratio, err := winnerSummary(tables[0], "Inter-Groups/Adaptive", "Inter-Groups/HighBias")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if winner == "" || ratio < 1 {
 		t.Fatalf("bad winner summary: %q %v", winner, ratio)
 	}
-	if _, _, err := WinnerSummary(tables[0], "nope", "also-nope"); err == nil {
-		t.Fatal("WinnerSummary must fail for unknown labels")
+	if _, _, err := winnerSummary(tables[0], "nope", "also-nope"); err == nil {
+		t.Fatal("winnerSummary must fail for unknown labels")
 	}
 }
 
-func TestMedianAndQCDHelpers(t *testing.T) {
-	tbl := trace.NewTable("t", summaryColumns("label")...)
-	summaryRow(tbl, "x", []float64{1, 2, 3, 4, 100})
-	if v, ok := medianOf(tbl, "x"); !ok || v != 3 {
-		t.Fatalf("medianOf = %v, %v", v, ok)
+// winnerSummary returns which of two rows of a Figure-7 style table has the
+// lower median, and the higher median over the lower.
+func winnerSummary(tbl *trace.Table, labelA, labelB string) (winner string, ratio float64, err error) {
+	median := make(map[string]float64)
+	for _, row := range tbl.Rows {
+		if len(row) < 2 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(row[1], 64); err == nil {
+			median[row[0]] = v
+		}
 	}
-	if _, ok := medianOf(tbl, "missing"); ok {
-		t.Fatal("medianOf must miss unknown labels")
+	medA, okA := median[labelA]
+	medB, okB := median[labelB]
+	if !okA || !okB {
+		return "", 0, fmt.Errorf("labels %q/%q not found in table %q", labelA, labelB, tbl.Title)
 	}
-	if v, ok := qcdOf(tbl, "x"); !ok || v <= 0 {
-		t.Fatalf("qcdOf = %v, %v", v, ok)
+	if medA == 0 || medB == 0 {
+		return "", 0, fmt.Errorf("zero median in table %q", tbl.Title)
 	}
-	if _, ok := qcdOf(tbl, "missing"); ok {
-		t.Fatal("qcdOf must miss unknown labels")
+	if medA <= medB {
+		return labelA, medB / medA, nil
 	}
+	return labelB, medA / medB, nil
 }
 
 func TestModelValidation(t *testing.T) {

@@ -94,61 +94,3 @@ func Figure7RoutingPingPong(opts Options) ([]*trace.Table, error) {
 	}
 	return []*trace.Table{timeTbl, stallTbl, latTbl, estTbl}, nil
 }
-
-// WinnerSummary is a convenience used by tests and the CLI to extract which
-// routing mode had the lower median in a Figure-7 style table.
-func WinnerSummary(t *trace.Table, labelA, labelB string) (winner string, ratio float64, err error) {
-	var medA, medB float64
-	var okA, okB bool
-	for _, row := range t.Rows {
-		if len(row) < 2 {
-			continue
-		}
-		switch row[0] {
-		case labelA:
-			if _, err := fmt.Sscanf(row[1], "%f", &medA); err == nil {
-				okA = true
-			}
-		case labelB:
-			if _, err := fmt.Sscanf(row[1], "%f", &medB); err == nil {
-				okB = true
-			}
-		}
-	}
-	if !okA || !okB {
-		return "", 0, fmt.Errorf("experiments: labels %q/%q not found in table %q", labelA, labelB, t.Title)
-	}
-	if medA == 0 || medB == 0 {
-		return "", 0, fmt.Errorf("experiments: zero median in table %q", t.Title)
-	}
-	if medA <= medB {
-		return labelA, medB / medA, nil
-	}
-	return labelB, medA / medB, nil
-}
-
-// medianOf extracts the median column of the row with the given label.
-func medianOf(t *trace.Table, label string) (float64, bool) {
-	for _, row := range t.Rows {
-		if len(row) >= 2 && row[0] == label {
-			var v float64
-			if _, err := fmt.Sscanf(row[1], "%f", &v); err == nil {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// qcdOf extracts the QCD column (index 6 of summaryColumns) for a label.
-func qcdOf(t *trace.Table, label string) (float64, bool) {
-	for _, row := range t.Rows {
-		if len(row) >= 7 && row[0] == label {
-			var v float64
-			if _, err := fmt.Sscanf(row[6], "%f", &v); err == nil {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
