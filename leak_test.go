@@ -45,10 +45,10 @@ func TestRunConcurrentCancelNoGoroutineLeak(t *testing.T) {
 	testutil.WaitGoroutines(t, base)
 }
 
-// TestJobRunCancelNoGoroutineLeak covers the single-job path (Comm.RunContext
-// shutdown) through the facade, for a rank parked in an Alltoall and for one
-// parked in an Allreduce, whose rounds the scheduler advances without
-// resuming the rank: the cancellation must still release it.
+// TestJobRunCancelNoGoroutineLeak covers the single-job path (the Shutdown the
+// facade's measurement loop defers) through Job.Run, for a rank parked in an
+// Alltoall and for one parked in an Allreduce, whose rounds the scheduler
+// advances without resuming the rank: the cancellation must still release it.
 func TestJobRunCancelNoGoroutineLeak(t *testing.T) {
 	for _, w := range []dragonfly.Workload{
 		&workloads.Alltoall{MessageBytes: 4 << 10, Iterations: 1},
