@@ -43,8 +43,7 @@ func TestTunedDispatch(t *testing.T) {
 	}
 	run := func(n int, size int64, body func(*Rank, int64)) (sim.Time, uint64) {
 		c := testComm(t, n, Config{}, 5)
-		var finished sim.Time
-		c.OnFinished(func() { finished = c.engine().Now() })
+		finished := finishTime(c)
 		if err := runComm(c, func(r *Rank) { body(r, size) }); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -53,7 +52,7 @@ func TestTunedDispatch(t *testing.T) {
 				t.Fatalf("rank %d: %v", i, err)
 			}
 		}
-		return finished, c.Fabric().PacketsInjected()
+		return *finished, c.Fabric().PacketsInjected()
 	}
 	for _, n := range []int{8, 6} {
 		for _, c := range cases {
