@@ -9,8 +9,9 @@ import (
 // on the message size and communicator size; the traffic pattern each
 // algorithm generates differs substantially (tree vs. ring vs. pairwise), and
 // with it the sensitivity to the routing mode. These implementations let the
-// experiments and the ablation benches exercise the application-aware selector
-// under every pattern a real MPI stack would produce.
+// experiments (-exp collalgos) and the tuned collectives exercise the
+// application-aware selector under the broadcast, allreduce and alltoall
+// patterns a real MPI stack produces.
 //
 // As with the basic algorithms in collectives.go, only the traffic is
 // simulated; the arithmetic of reductions is not.
