@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz golden-cli golden-examples quick
+.PHONY: all build vet fmt-check examples test race bench bench-suite bench-smoke bench-check fuzz golden-cli golden-examples loc quick
 
 all: build vet fmt-check examples test
 
@@ -134,6 +134,13 @@ golden-examples:
 		if [ "$$got" = "$$want" ]; then echo "golden-examples: $$name ok"; \
 		else echo "golden-examples: $$name sha256 $$got, want $$want"; fail=1; fi; \
 	done; exit $$fail
+
+# loc prints the size figure simplification changes report: non-blank lines
+# that are not // comments, over the non-test Go files outside bench/ that git
+# tracks or would add (git ls-files -co --exclude-standard). It gates nothing.
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!:*_test.go' ':!:bench/' | \
+		xargs cat | grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//'
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

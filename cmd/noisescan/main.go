@@ -23,16 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
 	"dragonfly"
-	"dragonfly/internal/alloc"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/telemetry"
-	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
 )
 
@@ -128,28 +125,15 @@ func run(args []string, out io.Writer) error {
 		defer cancel()
 	}
 
-	// Pick the measured job's nodes once, from the suite seed, so every
-	// compared routing mode runs on the same allocation and the comparison
-	// differs only by routing (plus each mode's private background noise).
-	t, err := topo.New(tcfg)
-	if err != nil {
-		return err
-	}
-	job, err := alloc.Allocate(t, alloc.GroupStriped, *nodes, rand.New(rand.NewSource(*seed)), nil)
-	if err != nil {
-		return err
-	}
-
-	specs := make([]harness.TrialSpec, len(modes))
+	specs := make([]harness.TrialSpec[*scanResult], len(modes))
 	for i, mode := range modes {
-		specs[i] = harness.TrialSpec{
+		specs[i] = harness.TrialSpec[*scanResult]{
 			ID:       "noisescan/" + mode,
-			Meta:     mode,
 			Geometry: tcfg,
-			Body:     scanBody(mode, cfg, job.Nodes()),
+			Body:     scanBody(mode, cfg),
 		}
 	}
-	results, err := harness.Run(ctx, *seed, *parallel, specs)
+	results, err := harness.Run(ctx, harness.Executor{Parallel: *parallel, Seed: *seed}, specs)
 	if err != nil {
 		return err
 	}
@@ -157,20 +141,26 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "system: %d nodes / %d routers / %d groups\n",
 		tcfg.Nodes(), tcfg.Routers(), tcfg.Groups)
 	if len(modes) == 1 {
-		return renderDetailed(out, results[0].Value.(*scanResult), cfg, *csvPath)
+		return renderDetailed(out, results[0], cfg, *csvPath)
 	}
 	return renderComparison(out, results, cfg, *csvPath)
 }
 
 // scanBody builds the trial body measuring one routing mode with telemetry.
-// jobNodes is the shared measured-job allocation, identical across modes.
-func scanBody(mode string, cfg scanConfig, jobNodes []topo.NodeID) func(context.Context, *dragonfly.System) (any, error) {
-	return func(ctx context.Context, sys *dragonfly.System) (any, error) {
+// The measured job is placed first, GroupStriped, on a fresh system; that
+// placement draws no randomness, so every compared mode runs on the same
+// nodes and the comparison differs only by routing (plus each mode's private
+// background noise).
+func scanBody(mode string, cfg scanConfig) func(context.Context, *dragonfly.System) (*scanResult, error) {
+	return func(ctx context.Context, sys *dragonfly.System) (*scanResult, error) {
 		rc, err := dragonfly.ParseRouting(mode)
 		if err != nil {
 			return nil, err
 		}
-		job := sys.JobFromNodes(jobNodes)
+		job, err := sys.Allocate(dragonfly.GroupStriped, cfg.nodes)
+		if err != nil {
+			return nil, err
+		}
 		var noiseDesc string
 		if cfg.noiseKind != "none" {
 			pattern, err := dragonfly.ParseNoisePattern(cfg.noiseKind)
@@ -258,14 +248,13 @@ func renderDetailed(out io.Writer, r *scanResult, cfg scanConfig, csvPath string
 }
 
 // renderComparison prints the side-by-side summary of a multi-mode scan.
-func renderComparison(out io.Writer, results []harness.Result, cfg scanConfig, csvPath string) error {
+func renderComparison(out io.Writer, results []*scanResult, cfg scanConfig, csvPath string) error {
 	table := trace.NewTable(
 		fmt.Sprintf("routing comparison: %s size=%d, %d iterations per mode", cfg.workload, cfg.size, cfg.iterations),
 		"routing", "median cycles", "mean max-util", "peak max-util",
 		fmt.Sprintf("hotspot intervals (>=%.0f%%)", cfg.hotThreshold*100),
 		"mean stall ratio", "samples")
-	for _, res := range results {
-		r := res.Value.(*scanResult)
+	for _, r := range results {
 		times := make([]float64, len(r.Times))
 		for i, t := range r.Times {
 			times[i] = float64(t)
@@ -285,8 +274,8 @@ func renderComparison(out io.Writer, results []harness.Result, cfg scanConfig, c
 			fmt.Fprintf(out, "per-interval telemetry for %s written to %s\n", r.Mode, path)
 		}
 	}
-	fmt.Fprintf(out, "measured job (same allocation every mode): %s\n", results[0].Value.(*scanResult).Job)
-	if nd := results[0].Value.(*scanResult).NoiseDesc; nd != "" {
+	fmt.Fprintf(out, "measured job (same allocation every mode): %s\n", results[0].Job)
+	if nd := results[0].NoiseDesc; nd != "" {
 		fmt.Fprintf(out, "background job: %s (freshly placed per mode)\n", nd)
 	}
 	return table.Render(out)

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"dragonfly"
 )
 
 func TestNoisescanSmoke(t *testing.T) {
@@ -47,6 +50,14 @@ func TestNoisescanRejectsUnknownRouting(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-routing", "nope", "-nodes", "4", "-geometry", "medium:2"}, &out); err == nil {
 		t.Fatal("expected error for unknown routing mode")
+	}
+}
+
+func TestNoisescanRejectsJobLargerThanMachine(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-nodes", "65", "-geometry", "medium:2", "-noise", "none", "-iterations", "1"}, &out)
+	if !errors.Is(err, dragonfly.ErrJobTooLarge) {
+		t.Fatalf("a 65-node job on the 64-node machine returned %v, want ErrJobTooLarge", err)
 	}
 }
 

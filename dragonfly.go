@@ -195,9 +195,10 @@ func (s *System) MachineCounters() Counters {
 	return total
 }
 
-// Allocate places an n-node job with the given policy on free nodes. Unlike
-// the trial harness's declarative JobNodes, it never clamps: a job larger than
-// the free nodes fails with an error wrapping ErrJobTooLarge.
+// Allocate places an n-node job with the given policy on free nodes. It never
+// clamps: a job larger than the free nodes fails with an error wrapping
+// ErrJobTooLarge (callers that want a machine-filling job instead pass
+// min(n, FreeNodes())).
 func (s *System) Allocate(policy Policy, n int) (*Job, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dragonfly: job size must be positive, got %d", n)

@@ -66,9 +66,6 @@ type Config struct {
 	// evaluated (the paper identifies this overhead as the cause of the
 	// 1 KiB-alltoall performance drop).
 	CounterReadOverheadCycles int64
-	// AlltoallUsesIMB replaces the Adaptive default with Increasingly Minimal
-	// Bias for all-to-all traffic, as Cray MPICH does.
-	AlltoallUsesIMB bool
 	// SwitchConfirmations is the number of consecutive evaluations that must
 	// prefer the other routing mode before the selector actually switches.
 	// The paper's algorithm corresponds to 1 (switch immediately); §5.1
@@ -91,7 +88,6 @@ func DefaultConfig() Config {
 		SigmaBiasToAdaptive:       0.625,
 		StalenessDecisions:        64,
 		CounterReadOverheadCycles: 300,
-		AlltoallUsesIMB:           true,
 		SwitchConfirmations:       1,
 	}
 }
@@ -224,9 +220,11 @@ func (s *Selector) Current() routing.Mode { return s.current }
 // Stats returns a copy of the selector statistics.
 func (s *Selector) Stats() Stats { return s.stats }
 
-// defaultMode returns the "default" adaptive mode for the traffic kind.
+// defaultMode returns the "default" adaptive mode for the traffic kind:
+// Increasingly Minimal Bias for all-to-all traffic, as Cray MPICH does, and
+// Adaptive otherwise.
 func (s *Selector) defaultMode(kind TrafficKind) routing.Mode {
-	if kind == Alltoall && s.cfg.AlltoallUsesIMB {
+	if kind == Alltoall {
 		return routing.IncreasinglyMinimalBias
 	}
 	return routing.Adaptive

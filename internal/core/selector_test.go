@@ -164,14 +164,6 @@ func TestAlltoallUsesIMBAsDefault(t *testing.T) {
 	if d.Mode != routing.IncreasinglyMinimalBias {
 		t.Fatalf("alltoall default mode = %v, want IncreasinglyMinimalBias", d.Mode)
 	}
-	// With IMB disabled the default must be plain Adaptive.
-	cfg.AlltoallUsesIMB = false
-	s2 := MustNew(cfg)
-	s2.Observe(routing.Adaptive, obsCounters(10000, 0.05))
-	s2.Observe(routing.AdaptiveHighBias, obsCounters(8000, 2.0))
-	if d := s2.Select(4<<20, Alltoall); d.Mode != routing.Adaptive {
-		t.Fatalf("alltoall default with IMB disabled = %v, want Adaptive", d.Mode)
-	}
 }
 
 func TestStaleObservationRederived(t *testing.T) {

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"dragonfly/internal/alloc"
+	"dragonfly"
 	"dragonfly/internal/harness"
-	"dragonfly/internal/mpi"
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
@@ -41,17 +40,7 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 		}},
 	}
 
-	// The swept routing mode, measured alone on each system.
-	biased := singleSetup(func() RoutingSetup {
-		return RoutingSetup{
-			Name: "HighBias",
-			Provider: func(int) mpi.RoutingProvider {
-				return mpi.StaticRouting{Mode: routing.AdaptiveHighBias}
-			},
-		}
-	})
-
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[[]dragonfly.Result]
 	for _, c := range cases {
 		for _, bias := range biases {
 			p := routing.DefaultParams()
@@ -59,22 +48,16 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 			if bias < p.LowBiasCycles {
 				p.LowBiasCycles = bias
 			}
-			params := p
-			specs = append(specs, harness.TrialSpec{
+			specs = append(specs, harness.TrialSpec[[]dragonfly.Result]{
 				ID:            fmt.Sprintf("biassweep/%s/bias%d", c.label, bias),
-				Meta:          bias,
 				Geometry:      opts.pizDaintGeometry(),
-				RoutingParams: &params,
-				Placement:     alloc.GroupStriped,
-				JobNodes:      opts.Nodes,
-				Noise:         opts.noiseSpec(noise.UniformRandom),
-				Setups:        biased,
-				Workload:      c.build,
-				Iterations:    opts.iters(),
+				RoutingParams: &p,
+				// The swept routing mode, measured alone on each system.
+				Body: opts.stripedTrial(opts.Nodes, opts.noiseSpec(noise.UniformRandom), singleSetup(HighBiasSetup), c.build),
 			})
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -86,14 +69,9 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 	next := 0
 	for _, c := range cases {
 		var zeroBiasMedian float64
-		for bi := range biases {
-			r := results[next]
+		for bi, bias := range biases {
+			m := results[next][0]
 			next++
-			res, err := measurements(r)
-			if err != nil {
-				return nil, err
-			}
-			m := res[0]
 			times := m.TimesFloat()
 			med := stats.Median(times)
 			if bi == 0 {
@@ -107,7 +85,7 @@ func BiasSweep(opts Options) ([]*trace.Table, error) {
 			if m.Counters.RequestPackets > 0 {
 				minPct = 100 * float64(m.Counters.MinimalPackets) / float64(m.Counters.RequestPackets)
 			}
-			table.AddRow(c.label, r.Spec.Meta, med, norm, stats.QCD(times), minPct)
+			table.AddRow(c.label, bias, med, norm, stats.QCD(times), minPct)
 		}
 	}
 	return []*trace.Table{table}, nil

@@ -54,15 +54,14 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 	if opts.Quick {
 		neighbors = []string{"alone", "noise", "halo3d"}
 	}
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[cotenantResult]
 	for si, setupName := range setupNames {
 		for _, neighbor := range neighbors {
 			si, setupName, neighbor := si, setupName, neighbor
-			specs = append(specs, harness.TrialSpec{
+			specs = append(specs, harness.TrialSpec[cotenantResult]{
 				ID:       fmt.Sprintf("cotenant/%s/%s", setupName, neighbor),
-				Meta:     [2]string{setupName, neighbor},
 				Geometry: opts.pizDaintGeometry(),
-				Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+				Body: func(ctx context.Context, sys *dragonfly.System) (cotenantResult, error) {
 					setup := StandardSetups()[si]
 					n := opts.Nodes / 2
 					if n < 8 {
@@ -75,7 +74,7 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 					}
 					victim, err := sys.Allocate(dragonfly.GroupStriped, n)
 					if err != nil {
-						return nil, err
+						return cotenantResult{}, err
 					}
 					victimRun := dragonfly.JobRun{
 						Job:      victim,
@@ -91,16 +90,16 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 					case "alone":
 					case "noise":
 						if sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
-							return nil, fmt.Errorf("no room for the background generator")
+							return cotenantResult{}, fmt.Errorf("no room for the background generator")
 						}
 					default:
 						nb, err := sys.Allocate(dragonfly.GroupStriped, n)
 						if err != nil {
-							return nil, err
+							return cotenantResult{}, err
 						}
 						w, err := dragonfly.NewWorkload(neighbor, nb.Size(), workloads.SizeFor(neighbor, size))
 						if err != nil {
-							return nil, err
+							return cotenantResult{}, err
 						}
 						runs = append(runs, dragonfly.JobRun{
 							Job:      nb,
@@ -114,7 +113,7 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 					}
 					rs, err := sys.RunConcurrent(runs)
 					if err != nil {
-						return nil, err
+						return cotenantResult{}, err
 					}
 					out := cotenantResult{Victim: rs[0]}
 					if len(rs) > 1 {
@@ -126,36 +125,36 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 		}
 	}
 
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
 	aloneMedian := make(map[string]float64)
-	for _, r := range results {
-		tr, ok := r.Value.(cotenantResult)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cotenant trial %q returned %T", r.Spec.ID, r.Value)
+	next := 0
+	for _, setupName := range setupNames {
+		for _, neighbor := range neighbors {
+			tr := results[next]
+			next++
+			times := tr.Victim.TimesFloat()
+			med := stats.Median(times)
+			if neighbor == "alone" {
+				aloneMedian[setupName] = med
+			}
+			norm := 0.0
+			if base := aloneMedian[setupName]; base > 0 {
+				norm = med / base
+			}
+			minPct := 0.0
+			if p := tr.Victim.Counters.RequestPackets; p > 0 {
+				minPct = 100 * float64(tr.Victim.Counters.MinimalPackets) / float64(p)
+			}
+			neighborMed := "-"
+			if tr.Neighbor != nil {
+				neighborMed = fmt.Sprintf("%.0f", stats.Median(tr.Neighbor.TimesFloat()))
+			}
+			table.AddRow(setupName, neighbor, med, norm, stats.QCD(times),
+				tr.Victim.Counters.RequestPackets, minPct, neighborMed)
 		}
-		meta := r.Spec.Meta.([2]string)
-		times := tr.Victim.TimesFloat()
-		med := stats.Median(times)
-		if meta[1] == "alone" {
-			aloneMedian[meta[0]] = med
-		}
-		norm := 0.0
-		if base := aloneMedian[meta[0]]; base > 0 {
-			norm = med / base
-		}
-		minPct := 0.0
-		if p := tr.Victim.Counters.RequestPackets; p > 0 {
-			minPct = 100 * float64(tr.Victim.Counters.MinimalPackets) / float64(p)
-		}
-		neighborMed := "-"
-		if tr.Neighbor != nil {
-			neighborMed = fmt.Sprintf("%.0f", stats.Median(tr.Neighbor.TimesFloat()))
-		}
-		table.AddRow(meta[0], meta[1], med, norm, stats.QCD(times),
-			tr.Victim.Counters.RequestPackets, minPct, neighborMed)
 	}
 	return []*trace.Table{table}, nil
 }

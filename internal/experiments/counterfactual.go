@@ -66,24 +66,24 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 		{"AppAware", func() RoutingSetup { return AppAwareSetup(core.DefaultConfig()) }},
 	}
 
-	specs := make([]harness.TrialSpec, len(setups))
+	specs := make([]harness.TrialSpec[cfTrial], len(setups))
 	for i, setup := range setups {
 		build := setup.build
-		specs[i] = harness.TrialSpec{
+		specs[i] = harness.TrialSpec[cfTrial]{
 			// The trial seed derives from the ID, so the IDs keep the
 			// "exact" segment they had when the sweep also ran a second
 			// UGAL model: renaming them would reseed every trial.
 			ID:             "counterfactual/exact/" + setup.name,
 			Geometry:       dragonfly.Small,
 			DecisionTraceK: routing.DefaultDecisionCandidates,
-			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (cfTrial, error) {
 				return runCounterfactualTrial(ctx, sys, build(), size, jobNodes, iters,
 					opts.noiseSpec(noise.UniformRandom))
 			},
 		}
 	}
 
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -97,11 +97,7 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 		"Eq. 2 calibration against the captured message log",
 		"setup", "samples", "fitted L", "fitted s", "MAPE %", "Pearson r",
 		"decisions kept", "decisions dropped")
-	for i, r := range results {
-		t, ok := r.Value.(cfTrial)
-		if !ok {
-			return nil, fmt.Errorf("experiments: trial %q returned %T, want cfTrial", r.Spec.ID, r.Value)
-		}
+	for i, t := range results {
 		name := setups[i].name
 		for _, o := range t.Outcomes {
 			decisions.AddRow(name, o.Mode.Name(), o.Decisions,
@@ -121,15 +117,15 @@ func CounterfactualRouting(opts Options) ([]*trace.Table, error) {
 // size variation to separate L from s — then, after resetting the decision
 // rings, the noisy measured alltoall whose recorded decisions get scored.
 func runCounterfactualTrial(ctx context.Context, sys *dragonfly.System, setup RoutingSetup,
-	size int64, jobNodes, iters int, noiseSpec *dragonfly.NoiseConfig) (any, error) {
+	size int64, jobNodes, iters int, noiseSpec *dragonfly.NoiseConfig) (cfTrial, error) {
 
 	tr := sys.DecisionTrace()
 	if tr == nil {
-		return nil, fmt.Errorf("counterfactual trial needs DecisionTraceK > 0 in its spec")
+		return cfTrial{}, fmt.Errorf("counterfactual trial needs DecisionTraceK > 0 in its spec")
 	}
 	job, err := sys.Allocate(dragonfly.GroupStriped, jobNodes)
 	if err != nil {
-		return nil, err
+		return cfTrial{}, err
 	}
 
 	log := msglog.NewLog()
@@ -140,7 +136,7 @@ func runCounterfactualTrial(ctx context.Context, sys *dragonfly.System, setup Ro
 		w := &workloads.PingPong{MessageBytes: s, Iterations: 2}
 		if _, err := job.Run(w, dragonfly.RunOptions{Routing: setup, Context: ctx}); err != nil {
 			log.Detach(sys.Fabric())
-			return nil, err
+			return cfTrial{}, err
 		}
 	}
 	log.Detach(sys.Fabric())
@@ -154,18 +150,18 @@ func runCounterfactualTrial(ctx context.Context, sys *dragonfly.System, setup Ro
 	}
 	w := &workloads.Alltoall{MessageBytes: size, Iterations: 1}
 	if _, err := job.Run(w, dragonfly.RunOptions{Routing: setup, Iterations: iters, Context: ctx}); err != nil {
-		return nil, err
+		return cfTrial{}, err
 	}
 
 	outcomes, err := counterfactual.Score(tr, routing.DefaultParams(), cfModes())
 	if err != nil {
-		return nil, err
+		return cfTrial{}, err
 	}
 	out := cfTrial{Outcomes: outcomes, Recorded: tr.Recorded(), Dropped: tr.Dropped()}
 	if len(samples) >= 2 {
 		fit, err := perfmodel.Calibrate(samples)
 		if err != nil {
-			return nil, err
+			return cfTrial{}, err
 		}
 		out.Fit = fit
 	}

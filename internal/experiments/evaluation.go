@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dragonfly"
-	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/noise"
@@ -71,32 +70,11 @@ func microCases(opts Options) []microCase {
 	return cases
 }
 
-// comparisonSpecs declares one trial per case: a GroupStriped job with
-// background noise, measured under the three standard setups.
-func comparisonSpecs(opts Options, geometry topo.Config, idPrefix string, jobNodes int,
-	cases []microCase) []harness.TrialSpec {
-
-	specs := make([]harness.TrialSpec, len(cases))
-	for i, c := range cases {
-		build := c.build
-		specs[i] = harness.TrialSpec{
-			ID:         idPrefix + "/" + c.label,
-			Meta:       c.label,
-			Geometry:   geometry,
-			Placement:  alloc.GroupStriped,
-			JobNodes:   jobNodes,
-			Noise:      opts.noiseSpec(noise.UniformRandom),
-			Setups:     StandardSetups,
-			Workload:   func(ranks int) workloads.Workload { return build(ranks, opts) },
-			Iterations: opts.iters(),
-		}
-	}
-	return specs
-}
-
 // runComparison measures all routing setups for a list of cases on one system
 // geometry and emits a normalized table in the style of Figures 8-10: every
-// execution time is divided by the median of the Default configuration.
+// execution time is divided by the median of the Default configuration. Each
+// case is one trial: a GroupStriped job with background noise, measured
+// under the three standard setups.
 func runComparison(opts Options, geometry topo.Config, idPrefix, title string, jobNodes int,
 	cases []microCase) (*trace.Table, error) {
 
@@ -107,15 +85,20 @@ func runComparison(opts Options, geometry topo.Config, idPrefix, title string, j
 		"appaware norm median", "appaware norm iqr",
 		"appaware % default traffic", "appaware wins vs worst")
 
-	results, err := opts.runTrials(comparisonSpecs(opts, geometry, idPrefix, jobNodes, cases))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(cases))
+	for i, c := range cases {
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       idPrefix + "/" + c.label,
+			Geometry: geometry,
+			Body: opts.stripedTrial(jobNodes, opts.noiseSpec(noise.UniformRandom), StandardSetups,
+				func(ranks int) workloads.Workload { return c.build(ranks, opts) }),
+		}
+	}
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
 		defMedian := stats.Median(def.TimesFloat())
 		norm := func(m dragonfly.Result) (median, iqr float64) {
@@ -129,7 +112,7 @@ func runComparison(opts Options, geometry topo.Config, idPrefix, title string, j
 		if hm > worst {
 			worst = hm
 		}
-		table.AddRow(r.Spec.Meta, defMedian,
+		table.AddRow(cases[i].label, defMedian,
 			dm, di, hm, hi, am, ai,
 			aa.SelectorStats.DefaultTrafficFraction()*100,
 			boolLabel(am <= worst*1.05))
@@ -250,26 +233,20 @@ type ablationPoint struct {
 
 // ablationSpecs declares the alltoall-under-noise trial every ablation point
 // is measured with.
-func ablationSpecs(opts Options, points []ablationPoint) []harness.TrialSpec {
+func ablationSpecs(opts Options, points []ablationPoint) []harness.TrialSpec[[]dragonfly.Result] {
 	size := opts.scaleSize(16 << 10)
 	n := opts.Nodes / 2
 	if n < 8 {
 		n = 8
 	}
-	specs := make([]harness.TrialSpec, len(points))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(points))
 	for i, p := range points {
-		cfg := p.cfg
-		specs[i] = harness.TrialSpec{
-			ID:        "ablations/" + p.id,
-			Geometry:  opts.pizDaintGeometry(),
-			Placement: alloc.GroupStriped,
-			JobNodes:  n,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    singleSetup(func() RoutingSetup { return AppAwareSetup(cfg) }),
-			Workload: func(ranks int) workloads.Workload {
-				return &workloads.Alltoall{MessageBytes: size, Iterations: 1}
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       "ablations/" + p.id,
+			Geometry: opts.pizDaintGeometry(),
+			Body: opts.stripedTrial(n, opts.noiseSpec(noise.UniformRandom),
+				singleSetup(func() RoutingSetup { return AppAwareSetup(p.cfg) }),
+				func(ranks int) workloads.Workload { return &workloads.Alltoall{MessageBytes: size, Iterations: 1} }),
 		}
 	}
 	return specs
@@ -314,61 +291,42 @@ func Ablations(opts Options) ([]*trace.Table, error) {
 		points = append(points, ablationPoint{fmt.Sprintf("overhead/%d", ov), cfg})
 	}
 
-	results, err := opts.runTrials(ablationSpecs(opts, points))
+	results, err := runTrials(opts, ablationSpecs(opts, points))
 	if err != nil {
 		return nil, err
 	}
-	row := func(i int) (median, frac float64, switches uint64, err error) {
-		res, err := measurements(results[i])
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		m := res[0]
-		return stats.Median(m.TimesFloat()), m.SelectorStats.DefaultTrafficFraction(), m.SelectorStats.Switches, nil
+	next := 0
+	row := func() (median, frac float64, switches uint64) {
+		m := results[next][0]
+		next++
+		return stats.Median(m.TimesFloat()), m.SelectorStats.DefaultTrafficFraction(), m.SelectorStats.Switches
 	}
 
-	next := 0
 	threshold := trace.NewTable("Ablation: selector cumulative-size threshold (alltoall)",
 		"threshold (bytes)", "median time (cycles)", "% default traffic", "switches")
 	for _, th := range thresholds {
-		med, frac, sw, err := row(next)
-		if err != nil {
-			return nil, err
-		}
-		next++
+		med, frac, sw := row()
 		threshold.AddRow(th, med, frac*100, sw)
 	}
 
 	staleness := trace.NewTable("Ablation: selector staleness window (alltoall)",
 		"staleness (decisions)", "median time (cycles)", "% default traffic", "switches")
 	for _, st := range stalenesses {
-		med, frac, sw, err := row(next)
-		if err != nil {
-			return nil, err
-		}
-		next++
+		med, frac, sw := row()
 		staleness.AddRow(st, med, frac*100, sw)
 	}
 
 	scaling := trace.NewTable("Ablation: scaling factors lambda/sigma (alltoall)",
 		"lambda_ad", "sigma_ad", "median time (cycles)", "% default traffic")
 	for _, pair := range scalings {
-		med, frac, _, err := row(next)
-		if err != nil {
-			return nil, err
-		}
-		next++
+		med, frac, _ := row()
 		scaling.AddRow(pair[0], pair[1], med, frac*100)
 	}
 
 	overhead := trace.NewTable("Ablation: counter read overhead (alltoall)",
 		"overhead (cycles)", "median time (cycles)", "% default traffic")
 	for _, ov := range overheads {
-		med, frac, _, err := row(next)
-		if err != nil {
-			return nil, err
-		}
-		next++
+		med, frac, _ := row()
 		overhead.AddRow(ov, med, frac*100)
 	}
 

@@ -1,12 +1,12 @@
 // Package experiments contains one runner per table and figure of the paper's
 // evaluation, plus the model-validation experiment of §2.4 and ablation
 // studies over the design choices of the application-aware selector. Each
-// runner declares its simulated runs as harness.TrialSpecs — topology,
-// allocation, routing setups, workload, background noise — and the shared
-// worker-pool executor (internal/harness) builds a fresh private system per
-// trial and fans the trials out across cores. Results are folded into
-// trace.Tables in declaration order, so the tables are byte-identical
-// regardless of Options.Parallel.
+// runner declares its simulated runs as harness.TrialSpecs — a topology and
+// a typed body that places the job and the background noise and measures the
+// routing setups through the facade — and the shared worker-pool executor
+// (internal/harness) runs every body on a private system and fans the trials
+// out across cores. Results are folded into trace.Tables in declaration
+// order, so the tables are byte-identical regardless of Options.Parallel.
 //
 // The absolute sizes (node counts, message sizes, iteration counts) default to
 // values that run on a laptop in seconds to minutes; the Options struct scales
@@ -28,6 +28,7 @@ import (
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
+	"dragonfly/internal/workloads"
 )
 
 // RoutingSetup names a routing configuration under test; it is the facade's
@@ -192,20 +193,55 @@ func (o Options) noiseSpec(pattern noise.Pattern) *dragonfly.NoiseConfig {
 }
 
 // runTrials executes trial specs through the worker-pool harness configured
-// by the options (seed, parallelism, progress callback, cancellation).
-func (o Options) runTrials(specs []harness.TrialSpec) ([]harness.Result, error) {
-	ex := &harness.Executor{Parallel: o.Parallel, Seed: o.Seed, OnProgress: o.Progress}
-	return ex.Run(o.context(), specs)
+// by the options (seed, parallelism, progress callback, cancellation) and
+// returns the trials' values in spec order.
+func runTrials[T any](o Options, specs []harness.TrialSpec[T]) ([]T, error) {
+	x := harness.Executor{Parallel: o.Parallel, Seed: o.Seed, OnProgress: o.Progress}
+	return harness.Run(o.context(), x, specs)
 }
 
-// measurements extracts the default-body result of a trial: one Result per
-// setup, in the order the spec's Setups factory returned them.
-func measurements(r harness.Result) ([]dragonfly.Result, error) {
-	m, ok := r.Value.([]dragonfly.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: trial %q returned %T, want measurements", r.Spec.ID, r.Value)
+// stripedTrial returns the body of a trial that places a GroupStriped job of
+// n nodes, starts the background job ns (none when nil) on the remaining
+// nodes, and measures the workload under every setup with Job.Compare: one
+// Result per setup, in the order setups returns them. Unlike
+// System.Allocate, which fails with ErrJobTooLarge, the job is clamped to the
+// free nodes: the -nodes flag applies one job size to several geometries, and
+// trials on the smaller ones run machine-filling jobs rather than fail.
+func (o Options) stripedTrial(n int, ns *dragonfly.NoiseConfig, setups func() []RoutingSetup,
+	build func(ranks int) workloads.Workload) func(context.Context, *dragonfly.System) ([]dragonfly.Result, error) {
+
+	return func(ctx context.Context, sys *dragonfly.System) ([]dragonfly.Result, error) {
+		job, err := sys.Allocate(dragonfly.GroupStriped, min(n, sys.FreeNodes()))
+		if err != nil {
+			return nil, err
+		}
+		if ns != nil {
+			sys.StartNoise(*ns)
+		}
+		rs := setups()
+		return job.Compare(build(job.Size()), rs, dragonfly.RunOptions{Iterations: o.iters(), Context: ctx})
 	}
-	return m, nil
+}
+
+// pairTrial returns the body of a trial that places two nodes of the class,
+// starts uniform background noise, and measures a ping-pong of size bytes
+// under every setup with Job.Compare, with host-side delays when hostNoise
+// is set.
+func (o Options) pairTrial(class topo.AllocationClass, size int64, setups func() []RoutingSetup,
+	hostNoise bool) func(context.Context, *dragonfly.System) ([]dragonfly.Result, error) {
+
+	return func(ctx context.Context, sys *dragonfly.System) ([]dragonfly.Result, error) {
+		job, err := sys.AllocatePair(class)
+		if err != nil {
+			return nil, err
+		}
+		sys.StartNoise(*o.noiseSpec(noise.UniformRandom))
+		run := dragonfly.RunOptions{Iterations: o.iters(), Context: ctx}
+		if hostNoise {
+			run.HostNoise = noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler()
+		}
+		return job.Compare(&workloads.PingPong{MessageBytes: size, Iterations: 1}, setups(), run)
+	}
 }
 
 // namesOf returns the setup names of a factory's output, in order, so table
@@ -218,8 +254,8 @@ func namesOf(setups []RoutingSetup) []string {
 	return names
 }
 
-// singleSetup adapts one routing setup constructor to the harness setup
-// factory signature.
+// singleSetup adapts one routing setup constructor to the setup-factory
+// signature of the trial helpers.
 func singleSetup(build func() RoutingSetup) func() []RoutingSetup {
 	return func() []RoutingSetup { return []RoutingSetup{build()} }
 }
@@ -241,9 +277,9 @@ func HighBiasSetup() RoutingSetup {
 func AppAwareSetup(cfg core.Config) RoutingSetup { return dragonfly.AppAwareWith(cfg) }
 
 // StandardSetups returns the three configurations compared in Figures 8-10,
-// in the order Default, HighBias, AppAware; declarative measurements return
-// their Results in this order. It has the harness setup-factory signature, so
-// specs can use it directly.
+// in the order Default, HighBias, AppAware; Job.Compare returns their Results
+// in this order. It has the setup-factory signature of the trial helpers, so
+// they can take it directly.
 func StandardSetups() []RoutingSetup {
 	return []RoutingSetup{DefaultSetup(), HighBiasSetup(), AppAwareSetup(core.DefaultConfig())}
 }

@@ -2,11 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"dragonfly"
+	"dragonfly/internal/harness"
+	"dragonfly/internal/noise"
+	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
+	"dragonfly/internal/workloads"
 )
 
 // cell parses a float cell of a table row.
@@ -46,6 +52,37 @@ func TestOptionsNormalizeAndScale(t *testing.T) {
 	full.FullAries = true
 	if full.pizDaintGeometry().BladesPerChassis != 16 || full.coriGeometry().BladesPerChassis != 16 {
 		t.Fatal("FullAries must use full Aries geometry")
+	}
+}
+
+// TestStripedTrialClampsToMachine pins the clamp of stripedTrial: a request
+// larger than the machine silently becomes a machine-filling job (the -nodes
+// flag applies one size to several geometries), in deliberate contrast to
+// dragonfly.System.Allocate, which fails such requests with ErrJobTooLarge.
+// With noise, the job is placed first and the best-effort background job
+// finds no room.
+func TestStripedTrialClampsToMachine(t *testing.T) {
+	opts := QuickOptions()
+	opts.Iterations, opts.Parallel = 1, 1
+	geometry := topo.SmallConfig(2)
+	machine := geometry.Nodes()
+	var ranks []int
+	var specs []harness.TrialSpec[[]dragonfly.Result]
+	for _, ns := range []*dragonfly.NoiseConfig{nil, opts.noiseSpec(noise.UniformRandom)} {
+		specs = append(specs, harness.TrialSpec[[]dragonfly.Result]{
+			ID:       fmt.Sprintf("clamp/noisy=%t", ns != nil),
+			Geometry: geometry,
+			Body: opts.stripedTrial(machine*10, ns, singleSetup(DefaultSetup), func(n int) workloads.Workload {
+				ranks = append(ranks, n)
+				return &workloads.Barrier{Iterations: 1}
+			}),
+		})
+	}
+	if _, err := runTrials(opts, specs); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{machine, machine}; !reflect.DeepEqual(ranks, want) {
+		t.Fatalf("clamped jobs ran %v ranks, want %v (machine %d)", ranks, want, machine)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dragonfly"
-	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/noise"
@@ -40,7 +39,7 @@ func NoiseSweep(opts Options) ([]*trace.Table, error) {
 	if n < 8 {
 		n = 8
 	}
-	specs := make([]harness.TrialSpec, len(intervals))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(intervals))
 	for i, interval := range intervals {
 		var ns *dragonfly.NoiseConfig
 		if interval > 0 {
@@ -48,28 +47,19 @@ func NoiseSweep(opts Options) ([]*trace.Table, error) {
 			runOpts.NoiseIntervalCycles = interval
 			ns = runOpts.noiseSpec(noise.UniformRandom)
 		}
-		specs[i] = harness.TrialSpec{
-			ID:        fmt.Sprintf("noisesweep/interval%d", interval),
-			Geometry:  opts.pizDaintGeometry(),
-			Placement: alloc.GroupStriped,
-			JobNodes:  n,
-			Noise:     ns,
-			Setups:    StandardSetups,
-			Workload: func(ranks int) workloads.Workload {
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       fmt.Sprintf("noisesweep/interval%d", interval),
+			Geometry: opts.pizDaintGeometry(),
+			Body: opts.stripedTrial(n, ns, StandardSetups, func(ranks int) workloads.Workload {
 				return &workloads.Alltoall{MessageBytes: size, Iterations: 1}
-			},
-			Iterations: opts.iters(),
+			}),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
 		dm := stats.Median(def.TimesFloat())
 		hm := stats.Median(hb.TimesFloat())
@@ -112,29 +102,21 @@ func HysteresisStudy(opts Options) ([]*trace.Table, error) {
 	}
 
 	// One trial per (workload, confirmation level), all fanned out together.
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[[]dragonfly.Result]
 	for _, c := range cases {
 		for _, k := range confirmations {
-			k := k
-			build := c.build
-			specs = append(specs, harness.TrialSpec{
-				ID:        fmt.Sprintf("hysteresis/%s/k%d", c.label, k),
-				Meta:      k,
-				Geometry:  opts.pizDaintGeometry(),
-				Placement: alloc.GroupStriped,
-				JobNodes:  n,
-				Noise:     opts.noiseSpec(noise.UniformRandom),
-				Setups: singleSetup(func() RoutingSetup {
+			specs = append(specs, harness.TrialSpec[[]dragonfly.Result]{
+				ID:       fmt.Sprintf("hysteresis/%s/k%d", c.label, k),
+				Geometry: opts.pizDaintGeometry(),
+				Body: opts.stripedTrial(n, opts.noiseSpec(noise.UniformRandom), singleSetup(func() RoutingSetup {
 					cfg := core.DefaultConfig()
 					cfg.SwitchConfirmations = k
 					return AppAwareSetup(cfg)
-				}),
-				Workload:   build,
-				Iterations: opts.iters(),
+				}), c.build),
 			})
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -145,17 +127,12 @@ func HysteresisStudy(opts Options) ([]*trace.Table, error) {
 		table := trace.NewTable(
 			fmt.Sprintf("Extension: selector hysteresis on %s", c.label),
 			"switch confirmations", "median time (cycles)", "qcd", "mode switches", "% default traffic")
-		for range confirmations {
-			r := results[next]
+		for _, k := range confirmations {
+			m := results[next][0]
 			next++
-			res, err := measurements(r)
-			if err != nil {
-				return nil, err
-			}
-			m := res[0]
 			times := m.TimesFloat()
 			st := m.SelectorStats
-			table.AddRow(r.Spec.Meta, stats.Median(times), stats.QCD(times),
+			table.AddRow(k, stats.Median(times), stats.QCD(times),
 				st.Switches, st.DefaultTrafficFraction()*100)
 		}
 		tables = append(tables, table)

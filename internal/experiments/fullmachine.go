@@ -59,17 +59,16 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 		"geometry", "nodes", "routers", "adj KiB", "routing", "workload", "noise",
 		"median (cycles)", "mean", "q1", "q3", "job packets", "non-minimal %")
 
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[fullmachineResult]
 	for _, rung := range rungs {
 		for si, setupName := range setupNames {
 			for _, wname := range workloadNames {
 				for _, noiseCase := range noiseCases {
 					rung, si, wname, noiseCase := rung, si, wname, noiseCase
-					specs = append(specs, harness.TrialSpec{
+					specs = append(specs, harness.TrialSpec[fullmachineResult]{
 						ID:       fmt.Sprintf("fullmachine/%s/%s/%s/%s", rung.Name, setupName, wname, noiseCase),
-						Meta:     [4]string{rung.Name, setupName, wname, noiseCase},
 						Geometry: rung.Geometry,
-						Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+						Body: func(ctx context.Context, sys *dragonfly.System) (fullmachineResult, error) {
 							tp := sys.Topology()
 							n := opts.Nodes
 							if limit := tp.NumNodes() / 3; n > limit {
@@ -80,16 +79,16 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 							}
 							job, err := sys.Allocate(dragonfly.GroupStriped, n)
 							if err != nil {
-								return nil, err
+								return fullmachineResult{}, err
 							}
 							if noiseCase == "noise" {
 								if sys.StartNoise(*opts.noiseSpec(noise.UniformRandom)) == nil {
-									return nil, fmt.Errorf("no room for the background generator")
+									return fullmachineResult{}, fmt.Errorf("no room for the background generator")
 								}
 							}
 							w, err := dragonfly.NewWorkload(wname, job.Size(), workloads.SizeFor(wname, size))
 							if err != nil {
-								return nil, err
+								return fullmachineResult{}, err
 							}
 							res, err := job.Run(w, dragonfly.RunOptions{
 								Routing:    StandardSetups()[si],
@@ -97,7 +96,7 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 								Context:    ctx,
 							})
 							if err != nil {
-								return nil, err
+								return fullmachineResult{}, err
 							}
 							return fullmachineResult{
 								Res:     res,
@@ -113,20 +112,24 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 		}
 	}
 
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		fr, ok := r.Value.(fullmachineResult)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fullmachine trial %q returned %T", r.Spec.ID, r.Value)
+	next := 0
+	for _, rung := range rungs {
+		for _, setupName := range setupNames {
+			for _, wname := range workloadNames {
+				for _, noiseCase := range noiseCases {
+					fr := results[next]
+					next++
+					s := fr.Res.TimeSummary()
+					table.AddRow(rung.Name, fr.Nodes, fr.Routers, fr.AdjKiB, setupName, wname, noiseCase,
+						s.Median, s.Mean, s.Q1, s.Q3,
+						fr.Res.Counters.RequestPackets, fr.Res.Counters.NonMinimalFraction()*100)
+				}
+			}
 		}
-		meta := r.Spec.Meta.([4]string)
-		s := fr.Res.TimeSummary()
-		table.AddRow(meta[0], fr.Nodes, fr.Routers, fr.AdjKiB, meta[1], meta[2], meta[3],
-			s.Median, s.Mean, s.Q1, s.Q3,
-			fr.Res.Counters.RequestPackets, fr.Res.Counters.NonMinimalFraction()*100)
 	}
 	return []*trace.Table{table}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dragonfly"
-	"dragonfly/internal/alloc"
 	"dragonfly/internal/core"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/mpi"
@@ -81,18 +80,17 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 	if jobNodes < 8 {
 		jobNodes = 8
 	}
-	specs := make([]harness.TrialSpec, len(placements))
+	specs := make([]harness.TrialSpec[schedTrialResult], len(placements))
 	for pi, placement := range placements {
 		placement := placement
-		specs[pi] = harness.TrialSpec{
+		specs[pi] = harness.TrialSpec[schedTrialResult]{
 			ID:       "sched/" + placement.String(),
-			Meta:     placement.String(),
 			Geometry: opts.pizDaintGeometry(),
-			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (schedTrialResult, error) {
 				machine := sys.Topology().NumNodes()
 				job, err := sys.Allocate(dragonfly.GroupStriped, min(jobNodes, machine/2))
 				if err != nil {
-					return nil, err
+					return schedTrialResult{}, err
 				}
 
 				// The batch mix occupies the rest of the machine for the whole
@@ -113,11 +111,11 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 				mixCfg.MaxDurationCycles = 20_000_000
 				mixSpecs, err := sched.GenerateMix(mixCfg, machine-job.Size())
 				if err != nil {
-					return nil, err
+					return schedTrialResult{}, err
 				}
 				for _, spec := range mixSpecs {
 					if _, err := s.Submit(spec); err != nil {
-						return nil, err
+						return schedTrialResult{}, err
 					}
 				}
 				s.Start()
@@ -128,21 +126,17 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 					Context:    ctx,
 				})
 				if err != nil {
-					return nil, err
+					return schedTrialResult{}, err
 				}
 				return schedTrialResult{Res: res, SchedStats: s.Stats()}, nil
 			},
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		tr, ok := r.Value.(schedTrialResult)
-		if !ok {
-			return nil, fmt.Errorf("experiments: sched trial %q returned %T", r.Spec.ID, r.Value)
-		}
+	for pi, tr := range results {
 		defMedian := stats.Median(tr.Res[0].TimesFloat())
 		for _, m := range tr.Res {
 			times := m.TimesFloat()
@@ -155,7 +149,7 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 			if m.Setup == "AppAware" {
 				pct = m.SelectorStats.DefaultTrafficFraction() * 100
 			}
-			table.AddRow(r.Spec.Meta, m.Setup, med, norm, stats.QCD(times),
+			table.AddRow(placements[pi].String(), m.Setup, med, norm, stats.QCD(times),
 				pct, tr.SchedStats.Finished, tr.SchedStats.MeanGroupsSpanned)
 		}
 	}
@@ -182,35 +176,23 @@ func BaselineComparison(opts Options) ([]*trace.Table, error) {
 	if opts.Quick {
 		cases = cases[:2]
 	}
-	specs := make([]harness.TrialSpec, len(cases))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(cases))
 	for i, c := range cases {
-		build := c.build
-		specs[i] = harness.TrialSpec{
-			ID:        "baselines/" + c.label,
-			Meta:      c.label,
-			Geometry:  opts.pizDaintGeometry(),
-			Placement: alloc.GroupStriped,
-			JobNodes:  opts.Nodes,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    baselineSetups,
-			Workload: func(ranks int) workloads.Workload {
-				return build(ranks, opts)
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       "baselines/" + c.label,
+			Geometry: opts.pizDaintGeometry(),
+			Body: opts.stripedTrial(opts.Nodes, opts.noiseSpec(noise.UniformRandom), baselineSetups,
+				func(ranks int) workloads.Workload { return c.build(ranks, opts) }),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
 	table := trace.NewTable(
 		fmt.Sprintf("Selector baselines: AppAware (paper) vs PatternAware (related work) vs static, %d nodes", opts.Nodes),
 		"benchmark", "setup", "median (cycles)", "norm median", "qcd", "% default traffic")
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		defMedian := stats.Median(res[0].TimesFloat())
 		for _, m := range res {
 			times := m.TimesFloat()
@@ -226,7 +208,7 @@ func BaselineComparison(opts Options) ([]*trace.Table, error) {
 			if m.Setup == "HighBias" {
 				pct = 0
 			}
-			table.AddRow(r.Spec.Meta, m.Setup, med, norm, stats.QCD(times), pct)
+			table.AddRow(cases[i].label, m.Setup, med, norm, stats.QCD(times), pct)
 		}
 	}
 	return []*trace.Table{table}, nil
@@ -257,24 +239,16 @@ func CollectiveAlgorithms(opts Options) ([]*trace.Table, error) {
 			body  func(r *mpi.Rank)
 		}{algos[0], algos[1], algos[3], algos[4]}
 	}
-	specs := make([]harness.TrialSpec, len(algos))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(algos))
 	for i, a := range algos {
-		a := a
-		specs[i] = harness.TrialSpec{
-			ID:        "collalgos/" + a.label,
-			Meta:      a.label,
-			Geometry:  opts.pizDaintGeometry(),
-			Placement: alloc.GroupStriped,
-			JobNodes:  opts.Nodes,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    StandardSetups,
-			Workload: func(ranks int) workloads.Workload {
-				return workloads.Func{WorkloadName: a.label, Body: a.body}
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       "collalgos/" + a.label,
+			Geometry: opts.pizDaintGeometry(),
+			Body: opts.stripedTrial(opts.Nodes, opts.noiseSpec(noise.UniformRandom), StandardSetups,
+				func(ranks int) workloads.Workload { return workloads.Func{WorkloadName: a.label, Body: a.body} }),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +256,7 @@ func CollectiveAlgorithms(opts Options) ([]*trace.Table, error) {
 		fmt.Sprintf("Collective algorithm ablation, %d nodes, %d-byte blocks", opts.Nodes, size),
 		"algorithm", "default median", "highbias norm median", "appaware norm median",
 		"appaware % default traffic", "best static")
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		def, hb, aa := res[0], res[1], res[2] // StandardSetups order
 		defMedian := stats.Median(def.TimesFloat())
 		hbMedian := stats.Median(hb.TimesFloat())
@@ -301,7 +271,7 @@ func CollectiveAlgorithms(opts Options) ([]*trace.Table, error) {
 		if hbMedian < defMedian {
 			best = "HighBias"
 		}
-		table.AddRow(r.Spec.Meta, defMedian, norm(hbMedian), norm(aaMedian),
+		table.AddRow(algos[i].label, defMedian, norm(hbMedian), norm(aaMedian),
 			aa.SelectorStats.DefaultTrafficFraction()*100, best)
 	}
 	return []*trace.Table{table}, nil
@@ -336,18 +306,17 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 		{"Default", DefaultSetup},
 		{"HighBias", HighBiasSetup},
 	}
-	specs := make([]harness.TrialSpec, len(setups))
+	specs := make([]harness.TrialSpec[telemetryTrialResult], len(setups))
 	for si, s := range setups {
 		build := s.build
-		specs[si] = harness.TrialSpec{
+		specs[si] = harness.TrialSpec[telemetryTrialResult]{
 			ID:       "telemetry/" + s.name,
-			Meta:     s.name,
 			Geometry: opts.pizDaintGeometry(),
-			Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+			Body: func(ctx context.Context, sys *dragonfly.System) (telemetryTrialResult, error) {
 				n := min(max(opts.Nodes/2, 8), sys.Topology().NumNodes()/2)
 				job, err := sys.Allocate(dragonfly.GroupStriped, n)
 				if err != nil {
-					return nil, err
+					return telemetryTrialResult{}, err
 				}
 				sys.StartNoise(*opts.noiseSpec(noise.AlltoallBully))
 
@@ -363,7 +332,7 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 					Iterations: min(opts.iters(), 10),
 					Context:    ctx,
 				}); err != nil {
-					return nil, err
+					return telemetryTrialResult{}, err
 				}
 				col.Stop()
 				col.Flush()
@@ -390,7 +359,7 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 			},
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -401,17 +370,13 @@ func TelemetryCongestion(opts Options) ([]*trace.Table, error) {
 		"hotspot intervals (>=80%)", "global flits", "intra-group flits",
 		"mean stall ratio", "mean packet latency")
 	var matrices []*trace.Table
-	for _, r := range results {
-		tr, ok := r.Value.(telemetryTrialResult)
-		if !ok {
-			return nil, fmt.Errorf("experiments: telemetry trial %q returned %T", r.Spec.ID, r.Value)
-		}
-		summary.AddRow(r.Spec.Meta, tr.Samples,
+	for si, tr := range results {
+		summary.AddRow(setups[si].name, tr.Samples,
 			tr.MeanMaxUtil, tr.PeakMaxUtil,
 			tr.HotspotIntervals, tr.GlobalFlits, tr.IntraGroupFlits,
 			tr.MeanStall, tr.MeanLatency)
 
-		mt := trace.NewTable(fmt.Sprintf("Group-to-group flits under %s routing", r.Spec.Meta), "src\\dst", "row")
+		mt := trace.NewTable(fmt.Sprintf("Group-to-group flits under %s routing", setups[si].name), "src\\dst", "row")
 		for i, row := range tr.GroupMatrix {
 			mt.AddRow(fmt.Sprintf("g%d", i), fmt.Sprint(row))
 		}

@@ -30,30 +30,19 @@ func Figure3Allocations(opts Options) ([]*trace.Table, error) {
 	classes := []topo.AllocationClass{
 		topo.AllocInterNodes, topo.AllocInterBlades, topo.AllocInterChassis, topo.AllocInterGroups,
 	}
-	specs := make([]harness.TrialSpec, len(classes))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(classes))
 	for i, class := range classes {
-		specs[i] = harness.TrialSpec{
-			ID:        "fig3/" + class.String(),
-			Geometry:  opts.pizDaintGeometry(),
-			PairAlloc: true,
-			PairClass: class,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    singleSetup(DefaultSetup),
-			Workload: func(ranks int) workloads.Workload {
-				return &workloads.PingPong{MessageBytes: msgSize, Iterations: 1}
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       "fig3/" + class.String(),
+			Geometry: opts.pizDaintGeometry(),
+			Body:     opts.pairTrial(class, msgSize, singleSetup(DefaultSetup), false),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		times := res[0].TimesFloat()
 		summaryRow(table, classes[i].String(), times, stats.Max(times))
 	}
@@ -78,10 +67,10 @@ func Table1IdleFlits(opts Options) ([]*trace.Table, error) {
 	if opts.Quick {
 		baseIdle = 400_000
 	}
-	spec := harness.TrialSpec{
+	spec := harness.TrialSpec[[]idleObservation]{
 		ID:       "tab1/idle",
 		Geometry: opts.pizDaintGeometry(),
-		Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+		Body: func(ctx context.Context, sys *dragonfly.System) ([]idleObservation, error) {
 			// The idle job: 16 nodes (or fewer on tiny systems), as in the
 			// paper, placed contiguously (which draws no randomness).
 			jobNodes := min(16, sys.Topology().NumNodes()/2)
@@ -111,18 +100,14 @@ func Table1IdleFlits(opts Options) ([]*trace.Table, error) {
 			return rows, nil
 		},
 	}
-	results, err := opts.runTrials([]harness.TrialSpec{spec})
+	results, err := runTrials(opts, []harness.TrialSpec[[]idleObservation]{spec})
 	if err != nil {
 		return nil, err
-	}
-	rows, ok := results[0].Value.([]idleObservation)
-	if !ok {
-		return nil, fmt.Errorf("experiments: tab1 trial returned %T", results[0].Value)
 	}
 	table := trace.NewTable(
 		"Table 1: idle time vs observed router-tile traffic",
 		"idle (units)", "idle (cycles)", "incoming flits", "stalled cycles")
-	for _, row := range rows {
+	for _, row := range results[0] {
 		table.AddRow(row.Mult, row.IdleCycles, row.Flits, row.StalledCycles)
 	}
 	return []*trace.Table{table}, nil
@@ -134,41 +119,36 @@ func Table1IdleFlits(opts Options) ([]*trace.Table, error) {
 // not be read as network noise.
 func Figure4OnNodeAlltoall(opts Options) ([]*trace.Table, error) {
 	opts = opts.normalize()
-	// Eight ranks pinned to the same node: every transfer is a loopback copy.
-	onNode := make([]topo.NodeID, 8)
 	sizes := []int64{64, 1 << 10, 16 << 10, 128 << 10}
-	specs := make([]harness.TrialSpec, len(sizes))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(sizes))
 	for i, base := range sizes {
 		size := opts.scaleSize(base)
-		specs[i] = harness.TrialSpec{
-			ID:         fmt.Sprintf("fig4/size%d", base),
-			Meta:       size,
-			Geometry:   opts.pizDaintGeometry(),
-			FixedNodes: onNode,
-			Setups:     singleSetup(DefaultSetup),
-			HostNoise: func() func(int) int64 {
-				return noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler()
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       fmt.Sprintf("fig4/size%d", base),
+			Geometry: opts.pizDaintGeometry(),
+			Body: func(ctx context.Context, sys *dragonfly.System) ([]dragonfly.Result, error) {
+				// Eight ranks pinned to the same node: every transfer is a
+				// loopback copy.
+				job := sys.JobFromNodes(make([]topo.NodeID, 8))
+				return job.Compare(&workloads.Alltoall{MessageBytes: size, Iterations: 1},
+					[]RoutingSetup{DefaultSetup()}, dragonfly.RunOptions{
+						Iterations: opts.iters(),
+						HostNoise:  noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler(),
+						Context:    ctx,
+					})
 			},
-			Workload: func(ranks int) workloads.Workload {
-				return &workloads.Alltoall{MessageBytes: size, Iterations: 1}
-			},
-			Iterations: opts.iters(),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
 	table := trace.NewTable(
 		"Figure 4: on-node alltoall (8 ranks, one node) execution time vs size (cycles)",
 		summaryColumns("message size (B)", "nic packets")...)
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		m := res[0]
-		summaryRow(table, fmt.Sprintf("%d", r.Spec.Meta), m.TimesFloat(), m.Counters.RequestPackets)
+		summaryRow(table, fmt.Sprintf("%d", opts.scaleSize(sizes[i])), m.TimesFloat(), m.Counters.RequestPackets)
 	}
 	return []*trace.Table{table}, nil
 }
@@ -183,45 +163,29 @@ func Figure5QCD(opts Options) ([]*trace.Table, error) {
 	if opts.Quick {
 		sizes = sizes[:3]
 	}
-	specs := make([]harness.TrialSpec, len(sizes))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(sizes))
 	for i, base := range sizes {
-		size := opts.scaleSize(base)
-		specs[i] = harness.TrialSpec{
-			ID:        fmt.Sprintf("fig5/size%d", base),
-			Meta:      size,
-			Geometry:  opts.pizDaintGeometry(),
-			PairAlloc: true,
-			PairClass: topo.AllocInterGroups,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    singleSetup(DefaultSetup),
-			HostNoise: func() func(int) int64 {
-				return noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler()
-			},
-			Workload: func(ranks int) workloads.Workload {
-				return &workloads.PingPong{MessageBytes: size, Iterations: 1}
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       fmt.Sprintf("fig5/size%d", base),
+			Geometry: opts.pizDaintGeometry(),
+			Body:     opts.pairTrial(topo.AllocInterGroups, opts.scaleSize(base), singleSetup(DefaultSetup), true),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
 	table := trace.NewTable(
 		"Figure 5: QCD of execution time vs QCD of packet latency (inter-group ping-pong)",
 		"message size (B)", "qcd exec time", "qcd packet latency", "median exec (cycles)", "median latency (cycles)")
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		m := res[0]
 		times := m.TimesFloat()
 		latencies := make([]float64, 0, len(m.Deltas))
 		for _, d := range m.Deltas {
 			latencies = append(latencies, d.AvgPacketLatency())
 		}
-		table.AddRow(fmt.Sprintf("%d", r.Spec.Meta),
+		table.AddRow(fmt.Sprintf("%d", opts.scaleSize(sizes[i])),
 			stats.QCD(times), stats.QCD(latencies),
 			stats.Median(times), stats.Median(latencies))
 	}
@@ -246,26 +210,17 @@ func ModelValidation(opts Options) ([]*trace.Table, error) {
 		topo.AllocInterBlades, topo.AllocInterChassis, topo.AllocInterGroups,
 	}
 
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[[]dragonfly.Result]
 	for _, base := range sizes {
-		size := opts.scaleSize(base)
 		for run := 0; run < allocsPerSize; run++ {
-			specs = append(specs, harness.TrialSpec{
-				ID:        fmt.Sprintf("model/size%d/run%d", base, run),
-				Meta:      size,
-				Geometry:  opts.pizDaintGeometry(),
-				PairAlloc: true,
-				PairClass: classes[run%len(classes)],
-				Noise:     opts.noiseSpec(noise.UniformRandom),
-				Setups:    singleSetup(DefaultSetup),
-				Workload: func(ranks int) workloads.Workload {
-					return &workloads.PingPong{MessageBytes: size, Iterations: 1}
-				},
-				Iterations: opts.iters(),
+			specs = append(specs, harness.TrialSpec[[]dragonfly.Result]{
+				ID:       fmt.Sprintf("model/size%d/run%d", base, run),
+				Geometry: opts.pizDaintGeometry(),
+				Body:     opts.pairTrial(classes[run%len(classes)], opts.scaleSize(base), singleSetup(DefaultSetup), false),
 			})
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -279,12 +234,8 @@ func ModelValidation(opts Options) ([]*trace.Table, error) {
 		size := opts.scaleSize(base)
 		var measured, estimated []float64
 		for run := 0; run < allocsPerSize; run++ {
-			res, err := measurements(results[next])
-			if err != nil {
-				return nil, err
-			}
+			m := results[next][0]
 			next++
-			m := res[0]
 			for i, d := range m.Deltas {
 				// The delta covers a full round trip (two messages); halve it
 				// to approximate one transmission, matching T_msg.

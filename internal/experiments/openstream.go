@@ -60,15 +60,14 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 		"lat p50", "lat q3", "lat viol %", "batch p50", "batch q3", "batch viol %",
 		"be p50", "be q3", "packets")
 
-	var specs []harness.TrialSpec
+	var specs []harness.TrialSpec[openstreamResult]
 	for _, placement := range placements {
 		for _, trafficCase := range trafficCases {
 			placement, trafficCase := placement, trafficCase
-			specs = append(specs, harness.TrialSpec{
+			specs = append(specs, harness.TrialSpec[openstreamResult]{
 				ID:       fmt.Sprintf("openstream/%s/%s", placement, trafficCase),
-				Meta:     [2]string{placement.String(), trafficCase},
 				Geometry: geometry,
-				Body: func(ctx context.Context, sys *dragonfly.System) (any, error) {
+				Body: func(ctx context.Context, sys *dragonfly.System) (openstreamResult, error) {
 					spec := arrival.Spec{Clients: arrival.DefaultClients(3, meanGap)}.Normalize()
 					cfg := sched.OpenConfig{
 						Placement:    placement,
@@ -85,11 +84,11 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 					}
 					o, err := sched.NewOpenStream(sys.Fabric(), spec, cfg)
 					if err != nil {
-						return nil, err
+						return openstreamResult{}, err
 					}
 					o.Start()
 					if err := o.Drive(ctx); err != nil {
-						return nil, err
+						return openstreamResult{}, err
 					}
 					return openstreamResult{
 						St:      o.Stats(),
@@ -100,26 +99,26 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 		}
 	}
 
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		or, ok := r.Value.(openstreamResult)
-		if !ok {
-			return nil, fmt.Errorf("experiments: openstream trial %q returned %T", r.Spec.ID, r.Value)
+	next := 0
+	for _, placement := range placements {
+		for _, trafficCase := range trafficCases {
+			or := results[next]
+			next++
+			st := or.St
+			lat := st.Classes[arrival.Latency]
+			bat := st.Classes[arrival.Batch]
+			be := st.Classes[arrival.BestEffort]
+			table.AddRow(placement.String(), trafficCase, st.Finished,
+				st.Utilization*100, st.JainFairness, st.MaxQueueLength, st.Fragmentation.Median,
+				lat.Slowdown.Median, lat.Slowdown.Q3, lat.ViolationFrac*100,
+				bat.Slowdown.Median, bat.Slowdown.Q3, bat.ViolationFrac*100,
+				be.Slowdown.Median, be.Slowdown.Q3,
+				or.Packets)
 		}
-		meta := r.Spec.Meta.([2]string)
-		st := or.St
-		lat := st.Classes[arrival.Latency]
-		bat := st.Classes[arrival.Batch]
-		be := st.Classes[arrival.BestEffort]
-		table.AddRow(meta[0], meta[1], st.Finished,
-			st.Utilization*100, st.JainFairness, st.MaxQueueLength, st.Fragmentation.Median,
-			lat.Slowdown.Median, lat.Slowdown.Q3, lat.ViolationFrac*100,
-			bat.Slowdown.Median, bat.Slowdown.Q3, bat.ViolationFrac*100,
-			be.Slowdown.Median, be.Slowdown.Q3,
-			or.Packets)
 	}
 	return []*trace.Table{table}, nil
 }

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"dragonfly"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/mpi"
-	"dragonfly/internal/noise"
 	"dragonfly/internal/perfmodel"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/workloads"
 )
 
 // Figure7RoutingPingPong reproduces Figure 7: a large ping-pong measured under
@@ -47,37 +46,25 @@ func Figure7RoutingPingPong(opts Options) ([]*trace.Table, error) {
 	staticModes := func() []RoutingSetup {
 		return []RoutingSetup{
 			{Name: "Adaptive", Provider: func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.Adaptive} }},
-			{Name: "HighBias", Provider: func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.AdaptiveHighBias} }},
+			HighBiasSetup(),
 		}
 	}
 
-	specs := make([]harness.TrialSpec, len(cases))
+	specs := make([]harness.TrialSpec[[]dragonfly.Result], len(cases))
 	for i, c := range cases {
-		specs[i] = harness.TrialSpec{
-			ID:        "fig7/" + c.label,
-			Meta:      c.label,
-			Geometry:  opts.pizDaintGeometry(),
-			PairAlloc: true,
-			PairClass: c.class,
-			Noise:     opts.noiseSpec(noise.UniformRandom),
-			Setups:    staticModes,
-			Workload: func(ranks int) workloads.Workload {
-				return &workloads.PingPong{MessageBytes: msgSize, Iterations: 1}
-			},
-			Iterations: opts.iters(),
+		specs[i] = harness.TrialSpec[[]dragonfly.Result]{
+			ID:       "fig7/" + c.label,
+			Geometry: opts.pizDaintGeometry(),
+			Body:     opts.pairTrial(c.class, msgSize, staticModes, false),
 		}
 	}
-	results, err := opts.runTrials(specs)
+	results, err := runTrials(opts, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		res, err := measurements(r)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range results {
 		for _, meas := range res {
-			label := fmt.Sprintf("%s/%s", r.Spec.Meta, meas.Setup)
+			label := fmt.Sprintf("%s/%s", cases[i].label, meas.Setup)
 			var stallsSeries, latSeries, estSeries []float64
 			for _, d := range meas.Deltas {
 				half := halveDelta(d)

@@ -19,23 +19,6 @@ type Progress struct {
 	Index int
 	// ID is the trial id.
 	ID string
-	// Err is the trial error, if any.
-	Err error
-	// Elapsed is the wall-clock time the trial took.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of one trial.
-type Result struct {
-	// Index is the position of the trial in the spec slice.
-	Index int
-	// Spec is the declaration the trial ran from.
-	Spec TrialSpec
-	// Seed is the derived seed the trial used.
-	Seed int64
-	// Value is what the trial body returned ([]dragonfly.Result, one per
-	// setup, for the default declarative body).
-	Value any
 	// Err is the trial error: a build/measure failure, a captured panic, or
 	// the context error for trials skipped after cancellation.
 	Err error
@@ -43,10 +26,9 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Executor fans trials out across a pool of worker goroutines. Trials are
-// independent by construction (each runs on a private System seeded only from
-// Seed and the trial id), so the worker count changes wall-clock time but
-// never results.
+// Executor configures a trial suite. Trials are independent by construction
+// (each runs on a private System seeded only from Seed and the trial id), so
+// the worker count changes wall-clock time but never results.
 type Executor struct {
 	// Parallel is the worker count: 0 means GOMAXPROCS, 1 runs serially.
 	Parallel int
@@ -57,13 +39,14 @@ type Executor struct {
 	OnProgress func(Progress)
 }
 
-// Run executes the trials and returns their results indexed like specs. The
-// first trial failure cancels the rest of the suite: queued trials are
-// skipped and in-flight measurements abort at their next iteration check.
-// The returned error is the first real (non-cancellation) trial error in
-// spec order, or the first cancellation error when the caller's context was
-// the cause.
-func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error) {
+// Run executes the trials across x.Parallel workers and returns the values of
+// their bodies indexed like specs. The first trial failure cancels the rest
+// of the suite: queued trials are skipped and in-flight measurements abort at
+// their next iteration check. The returned error is the first real
+// (non-cancellation) trial error in spec order, or the first cancellation
+// error when the caller's context was the cause; a failed or skipped trial
+// leaves the zero value in its slot.
+func Run[T any](ctx context.Context, x Executor, specs []TrialSpec[T]) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,27 +66,12 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 		workers = 1
 	}
 
-	results := make([]Result, len(specs))
+	values := make([]T, len(specs))
+	errs := make([]error, len(specs))
 	var (
 		mu   sync.Mutex // guards done and the progress callback
 		done int
 	)
-	finish := func(i int, res Result) {
-		if res.Err != nil {
-			cancelRun()
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		results[i] = res
-		done++
-		if x.OnProgress != nil {
-			x.OnProgress(Progress{
-				Completed: done, Total: len(specs),
-				Index: i, ID: res.Spec.ID, Err: res.Err, Elapsed: res.Elapsed,
-			})
-		}
-	}
-
 	indexes := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -116,7 +84,22 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 			// instead of rebuilding topology and routing tables from scratch.
 			pool := &systemPool{}
 			for i := range indexes {
-				finish(i, x.runOne(runCtx, i, specs[i], pool))
+				start := time.Now()
+				v, err := runOne(runCtx, x.Seed, specs[i], pool)
+				elapsed := time.Since(start)
+				if err != nil {
+					cancelRun()
+				}
+				mu.Lock()
+				values[i], errs[i] = v, err
+				done++
+				if x.OnProgress != nil {
+					x.OnProgress(Progress{
+						Completed: done, Total: len(specs),
+						Index: i, ID: specs[i].ID, Err: err, Elapsed: elapsed,
+					})
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -130,55 +113,45 @@ func (x *Executor) Run(ctx context.Context, specs []TrialSpec) ([]Result, error)
 	// suite's own abort (context.Canceled) only matter when nothing else
 	// failed, i.e. the caller cancelled.
 	var firstErr error
-	for _, r := range results {
-		if r.Err == nil {
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
-		wrapped := fmt.Errorf("harness: trial %q: %w", r.Spec.ID, r.Err)
+		wrapped := fmt.Errorf("harness: trial %q: %w", specs[i].ID, err)
 		if firstErr == nil {
 			firstErr = wrapped
 		}
-		if !errors.Is(r.Err, context.Canceled) {
-			return results, wrapped
+		if !errors.Is(err, context.Canceled) {
+			return values, wrapped
 		}
 	}
-	return results, firstErr
+	return values, firstErr
 }
 
 // runOne executes a single trial, converting panics into errors so one broken
 // trial cannot take down the whole suite. The worker's system pool is
 // invalidated when the trial panics, since a panic mid-simulation can leave
 // the cached system in an undefined state.
-func (x *Executor) runOne(ctx context.Context, i int, spec TrialSpec, pool *systemPool) (res Result) {
-	start := time.Now()
-	res = Result{Index: i, Spec: spec, Seed: TrialSeed(x.Seed, spec.ID)}
+func runOne[T any](ctx context.Context, seed int64, spec TrialSpec[T], pool *systemPool) (v T, err error) {
 	defer func() {
-		res.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
 			pool.invalidate()
-			res.Err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
+			err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
+		return v, err
 	}
-	sys, err := pool.acquire(spec, res.Seed)
+	sys, err := pool.acquire(spec.key(), TrialSeed(seed, spec.ID))
 	if err != nil {
-		res.Err = err
-		return res
+		return v, err
 	}
-	if spec.Body != nil {
-		res.Value, res.Err = spec.Body(ctx, sys)
-	} else {
-		res.Value, res.Err = runDeclarative(ctx, spec, sys)
-	}
-	return res
+	return spec.Body(ctx, sys)
 }
 
 // validateIDs rejects suites with duplicate (or empty) trial ids, which would
 // silently collapse two trials onto one random stream.
-func validateIDs(specs []TrialSpec) error {
+func validateIDs[T any](specs []TrialSpec[T]) error {
 	seen := make(map[string]bool, len(specs))
 	for i, s := range specs {
 		if s.ID == "" {
@@ -190,9 +163,4 @@ func validateIDs(specs []TrialSpec) error {
 		seen[s.ID] = true
 	}
 	return nil
-}
-
-// Run is a convenience for one-off suites without an explicit Executor.
-func Run(ctx context.Context, seed int64, parallel int, specs []TrialSpec) ([]Result, error) {
-	return (&Executor{Parallel: parallel, Seed: seed}).Run(ctx, specs)
 }

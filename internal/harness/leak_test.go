@@ -13,24 +13,16 @@ import (
 	"dragonfly/internal/workloads"
 )
 
-// leakSpec is the shared measurement spec with an explicit iteration count:
-// a real allocate → measure trial whose rank coroutines the leak tests track.
-func leakSpec(id string, iterations int) TrialSpec {
-	spec := measureSpec(id)
-	spec.Iterations = iterations
-	return spec
-}
-
 // TestExecutorNoGoroutineLeak pins the executor's goroutine accounting: after
 // a parallel suite completes, the worker goroutines and every rank coroutine
 // of every trial are gone.
 func TestExecutorNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	var specs []TrialSpec
+	var specs []TrialSpec[[]dragonfly.Result]
 	for _, id := range []string{"a", "b", "c", "d"} {
-		specs = append(specs, leakSpec("leak/"+id, 2))
+		specs = append(specs, measureSpec("leak/"+id, 2, pingPong()))
 	}
-	if _, err := (&Executor{Parallel: 4, Seed: 9}).Run(context.Background(), specs); err != nil {
+	if _, err := Run(context.Background(), Executor{Parallel: 4, Seed: 9}, specs); err != nil {
 		t.Fatal(err)
 	}
 	testutil.WaitGoroutines(t, base)
@@ -44,19 +36,19 @@ func TestExecutorCancelNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var specs []TrialSpec
+	var specs []TrialSpec[[]dragonfly.Result]
 	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
-		spec := leakSpec("leak-cancel/"+id, 200)
+		spec := measureSpec("leak-cancel/"+id, 200, pingPong())
 		// Cancel from inside the first trial body, so later trials are
 		// skipped and in-flight measurements abort mid-iteration.
-		inner := spec
-		spec.Body = func(c context.Context, sys *dragonfly.System) (any, error) {
+		measure := spec.Body
+		spec.Body = func(c context.Context, sys *dragonfly.System) ([]dragonfly.Result, error) {
 			cancel()
-			return runDeclarative(c, inner, sys)
+			return measure(c, sys)
 		}
 		specs = append(specs, spec)
 	}
-	_, err := (&Executor{Parallel: 3, Seed: 9}).Run(ctx, specs)
+	_, err := Run(ctx, Executor{Parallel: 3, Seed: 9}, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled suite returned %v, want context.Canceled", err)
 	}
@@ -70,30 +62,31 @@ func TestExecutorCancelNoGoroutineLeak(t *testing.T) {
 // of the panicked trial is left parked.
 func TestExecutorRankPanicFailsTrial(t *testing.T) {
 	base := runtime.NumGoroutine()
-	boom := leakSpec("rank-panic/boom", 3)
-	boom.Workload = func(ranks int) workloads.Workload {
-		return workloads.Func{WorkloadName: "boom", Body: func(r *mpi.Rank) {
-			if r.Rank() != 1 {
-				r.Recv(1)
-				return
-			}
-			r.Compute(100)
-			panic("rank program blew up")
-		}}
+	boom := measureSpec("rank-panic/boom", 3, workloads.Func{WorkloadName: "boom", Body: func(r *mpi.Rank) {
+		if r.Rank() != 1 {
+			r.Recv(1)
+			return
+		}
+		r.Compute(100)
+		panic("rank program blew up")
+	}})
+	specs := []TrialSpec[[]dragonfly.Result]{
+		measureSpec("rank-panic/ok-0", 2, pingPong()), measureSpec("rank-panic/ok-1", 2, pingPong()), boom,
 	}
-	specs := []TrialSpec{leakSpec("rank-panic/ok-0", 2), leakSpec("rank-panic/ok-1", 2), boom}
-	results, err := (&Executor{Parallel: 1, Seed: 9}).Run(context.Background(), specs)
+	values, errs, err := runRecording(context.Background(), Executor{Parallel: 1, Seed: 9}, specs)
 	if err == nil || !strings.Contains(err.Error(), "rank program blew up") {
 		t.Fatalf("suite error = %v, want the rank panic", err)
 	}
-	for _, res := range results[:2] {
-		if res.Err != nil {
-			t.Fatalf("trial %s failed: %v", res.Spec.ID, res.Err)
+	for i, res := range values[:2] {
+		if errs[i] != nil {
+			t.Fatalf("trial %s failed: %v", specs[i].ID, errs[i])
 		}
-		setupResults(t, res)
+		if len(res) != 2 || len(res[0].Times) != 2 {
+			t.Fatalf("trial %s measured %d setups, want 2 with 2 iterations each", specs[i].ID, len(res))
+		}
 	}
-	if res := results[2]; res.Err == nil || !strings.Contains(res.Err.Error(), "panicked: rank program blew up") {
-		t.Fatalf("panicked trial error = %v", res.Err)
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "panicked: rank program blew up") {
+		t.Fatalf("panicked trial error = %v", errs[2])
 	}
 	testutil.WaitGoroutines(t, base)
 }

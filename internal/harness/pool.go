@@ -19,8 +19,8 @@ type systemKey struct {
 	routing       routing.Params
 }
 
-// specKey extracts the construction-affecting fields of a spec.
-func specKey(spec TrialSpec) systemKey {
+// key extracts the construction-affecting fields of a spec.
+func (spec TrialSpec[T]) key() systemKey {
 	k := systemKey{geometry: spec.Geometry, decisionTrace: spec.DecisionTraceK}
 	if spec.RoutingParams != nil {
 		k.hasRouting, k.routing = true, *spec.RoutingParams
@@ -43,43 +43,35 @@ type systemPool struct {
 	valid bool
 }
 
-// acquire returns a System for the spec, reusing the cached one when the
-// construction key matches. A nil pool always builds fresh.
-func (p *systemPool) acquire(spec TrialSpec, seed int64) (*dragonfly.System, error) {
-	var key systemKey
-	if p != nil {
-		key = specKey(spec)
-		if p.valid && p.key == key {
-			if err := p.sys.Reset(seed); err == nil {
-				return p.sys, nil
-			}
-			p.valid = false
+// acquire returns a System built with the key's configuration, reusing the
+// cached one when the key matches.
+func (p *systemPool) acquire(key systemKey, seed int64) (*dragonfly.System, error) {
+	if p.valid && p.key == key {
+		if err := p.sys.Reset(seed); err == nil {
+			return p.sys, nil
 		}
+		p.valid = false
 	}
 	opts := []dragonfly.Option{
-		dragonfly.WithGeometry(spec.Geometry),
+		dragonfly.WithGeometry(key.geometry),
 		dragonfly.WithSeed(seed),
 	}
-	if spec.DecisionTraceK > 0 {
-		opts = append(opts, dragonfly.WithDecisionTrace(spec.DecisionTraceK))
+	if key.decisionTrace > 0 {
+		opts = append(opts, dragonfly.WithDecisionTrace(key.decisionTrace))
 	}
-	if spec.RoutingParams != nil {
-		opts = append(opts, dragonfly.WithRouting(*spec.RoutingParams))
+	if key.hasRouting {
+		opts = append(opts, dragonfly.WithRouting(key.routing))
 	}
 	sys, err := dragonfly.New(opts...)
 	if err != nil {
 		return nil, err
 	}
-	if p != nil {
-		p.key, p.sys, p.valid = key, sys, true
-	}
+	p.key, p.sys, p.valid = key, sys, true
 	return sys, nil
 }
 
 // invalidate drops the cached system, e.g. after a trial panicked and may
 // have left it in an undefined state.
 func (p *systemPool) invalidate() {
-	if p != nil {
-		p.sys, p.valid = nil, false
-	}
+	p.sys, p.valid = nil, false
 }

@@ -247,7 +247,7 @@ func FuzzCollectives(f *testing.F) {
 			var b strings.Builder
 			fmt.Fprintf(&b, "run error: %v\n", err)
 			for i := 0; i < n; i++ {
-				fmt.Fprintf(&b, "rank %d finish %d err %v nic %+v\n", i, finish[i], c.Rank(i).Err(), c.Fabric().NodeCounters(c.Rank(i).Node()))
+				fmt.Fprintf(&b, "rank %d finish %d err %v nic %+v\n", i, finish[i], c.Rank(i).Err(), c.Fabric().NodeCounters(c.Allocation().Node(i)))
 			}
 			fmt.Fprintf(&b, "noise %v\nselect %v\npackets %d\n", p.noiseLog, p.selectLog, c.Fabric().PacketsInjected())
 			return b.String()

@@ -388,16 +388,9 @@ func TestDeterministicRuns(t *testing.T) {
 func TestRankAccessors(t *testing.T) {
 	c := testComm(t, 2, Config{}, 14)
 	err := runComm(c, func(r *Rank) {
-		if r.Size() != 2 || r.Comm() != c {
+		if r.Size() != 2 {
 			r.fail(errSelfDelivery)
 		}
-		if r.Node() != c.Allocation().Node(r.Rank()) {
-			r.fail(errSelfDelivery)
-		}
-		if r.RoutingProvider() == nil {
-			r.fail(errSelfDelivery)
-		}
-		_ = r.NICCounters()
 		r.Compute(0)  // no-op
 		r.Compute(-5) // no-op
 		r.Wait(nil)   // no-op

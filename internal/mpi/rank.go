@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/counters"
 	"dragonfly/internal/network"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
@@ -48,12 +47,6 @@ func (r *Rank) Rank() int { return r.rank }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return r.comm.Size() }
 
-// Node returns the node this rank is mapped onto.
-func (r *Rank) Node() topo.NodeID { return r.node }
-
-// Comm returns the communicator.
-func (r *Rank) Comm() *Comm { return r.comm }
-
 // Now returns the current simulated time.
 func (r *Rank) Now() sim.Time { return r.comm.engine().Now() }
 
@@ -62,9 +55,6 @@ func (r *Rank) Now() sim.Time { return r.comm.engine().Now() }
 // that programs do not need to check every call; Err must be checked once the
 // program has finished.
 func (r *Rank) Err() error { return r.err }
-
-// RoutingProvider returns the routing provider attached to this rank.
-func (r *Rank) RoutingProvider() RoutingProvider { return r.routing }
 
 // fail records the first error.
 func (r *Rank) fail(err error) {
@@ -348,10 +338,4 @@ func (r *Rank) received(failed bool) *network.Delivery {
 		return nil
 	}
 	return r.recvReq.Delivery()
-}
-
-// NICCounters returns the cumulative NIC counters of the node this rank runs
-// on, as the application would read them through PAPI.
-func (r *Rank) NICCounters() counters.NIC {
-	return r.comm.fabric.NodeCounters(r.node)
 }

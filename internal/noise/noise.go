@@ -77,17 +77,15 @@ type GeneratorConfig struct {
 	Pattern Pattern
 	// MessageBytes is the size of each generated message.
 	MessageBytes int64
-	// IntervalCycles is the mean time between messages per node.
+	// IntervalCycles is the mean time between messages per node; each
+	// interval is randomized by +/- jitterFraction of it.
 	IntervalCycles int64
-	// JitterFraction randomizes each interval by +/- this fraction.
-	JitterFraction float64
 	// Mode is the routing mode the background job uses (production jobs use
 	// the Adaptive default).
 	Mode routing.Mode
-	// BurstLengthMessages and BurstIdleCycles shape the Burst pattern: a burst
-	// of that many messages back to back, then an idle gap.
-	BurstLengthMessages int
-	BurstIdleCycles     int64
+	// BurstIdleCycles is the idle gap of the Burst pattern between bursts of
+	// burstLengthMessages messages sent back to back.
+	BurstIdleCycles int64
 	// Seed seeds the generator's private random stream.
 	Seed int64
 }
@@ -95,16 +93,22 @@ type GeneratorConfig struct {
 // DefaultGeneratorConfig returns a moderate uniform-random background load.
 func DefaultGeneratorConfig() GeneratorConfig {
 	return GeneratorConfig{
-		Pattern:             UniformRandom,
-		MessageBytes:        16 << 10,
-		IntervalCycles:      20_000,
-		JitterFraction:      0.5,
-		Mode:                routing.Adaptive,
-		BurstLengthMessages: 32,
-		BurstIdleCycles:     400_000,
-		Seed:                1,
+		Pattern:         UniformRandom,
+		MessageBytes:    16 << 10,
+		IntervalCycles:  20_000,
+		Mode:            routing.Adaptive,
+		BurstIdleCycles: 400_000,
+		Seed:            1,
 	}
 }
+
+const (
+	// jitterFraction randomizes each message interval by +/- this fraction.
+	jitterFraction = 0.5
+	// burstLengthMessages is the number of messages in one Burst-pattern
+	// burst.
+	burstLengthMessages = 32
+)
 
 // Validate reports whether the configuration is usable.
 func (c GeneratorConfig) Validate() error {
@@ -113,10 +117,8 @@ func (c GeneratorConfig) Validate() error {
 		return fmt.Errorf("noise: MessageBytes must be > 0")
 	case c.IntervalCycles <= 0:
 		return fmt.Errorf("noise: IntervalCycles must be > 0")
-	case c.JitterFraction < 0 || c.JitterFraction > 1:
-		return fmt.Errorf("noise: JitterFraction must be in [0, 1]")
-	case c.Pattern == Burst && (c.BurstLengthMessages <= 0 || c.BurstIdleCycles < 0):
-		return fmt.Errorf("noise: burst pattern needs positive burst length and non-negative idle")
+	case c.Pattern == Burst && c.BurstIdleCycles < 0:
+		return fmt.Errorf("noise: burst pattern needs a non-negative idle gap")
 	}
 	return nil
 }
@@ -197,12 +199,8 @@ func (g *Generator) Stop() { g.running = false }
 
 // nextInterval samples the next inter-message gap.
 func (g *Generator) nextInterval() int64 {
-	base := g.cfg.IntervalCycles
-	if g.cfg.JitterFraction == 0 {
-		return base
-	}
-	j := 1 + g.cfg.JitterFraction*(2*g.rng.Float64()-1)
-	v := int64(float64(base) * j)
+	j := 1 + jitterFraction*(2*g.rng.Float64()-1)
+	v := int64(float64(g.cfg.IntervalCycles) * j)
 	if v < 1 {
 		v = 1
 	}
@@ -247,7 +245,7 @@ func (g *Generator) tick(idx int, seq uint64) {
 	}
 	next := g.nextInterval()
 	if g.cfg.Pattern == Burst {
-		if int(seq+1)%g.cfg.BurstLengthMessages == 0 {
+		if int(seq+1)%burstLengthMessages == 0 {
 			next = g.cfg.BurstIdleCycles + g.nextInterval()
 		} else {
 			// Back-to-back within a burst.

@@ -61,15 +61,10 @@ func TestGeneratorConfigValidate(t *testing.T) {
 		t.Fatal("zero interval must fail")
 	}
 	bad = DefaultGeneratorConfig()
-	bad.JitterFraction = 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("jitter > 1 must fail")
-	}
-	bad = DefaultGeneratorConfig()
 	bad.Pattern = Burst
-	bad.BurstLengthMessages = 0
+	bad.BurstIdleCycles = -1
 	if err := bad.Validate(); err == nil {
-		t.Fatal("burst without length must fail")
+		t.Fatal("burst with a negative idle gap must fail")
 	}
 }
 

@@ -65,9 +65,6 @@ type Config struct {
 	// CounterReadOverheadCycles is the host-side cost charged whenever the
 	// classifier consumes a counter observation.
 	CounterReadOverheadCycles int64
-	// AlltoallUsesIMB mirrors the Cray default of routing alltoall traffic
-	// with Increasingly Minimal Bias when the adaptive default is selected.
-	AlltoallUsesIMB bool
 }
 
 // DefaultConfig returns thresholds that behave sensibly on the simulated
@@ -79,7 +76,6 @@ func DefaultConfig() Config {
 		StallThreshold:            0.5,
 		EWMAAlpha:                 0.3,
 		CounterReadOverheadCycles: 300,
-		AlltoallUsesIMB:           true,
 	}
 }
 
@@ -158,7 +154,8 @@ func (c *Classifier) Stats() Stats { return c.stats }
 func (c *Classifier) modeFor(class Class, kind core.TrafficKind) routing.Mode {
 	switch class {
 	case HeavyCongested:
-		if kind == core.Alltoall && c.cfg.AlltoallUsesIMB {
+		// Alltoall traffic takes the Cray default, Increasingly Minimal Bias.
+		if kind == core.Alltoall {
 			return routing.IncreasinglyMinimalBias
 		}
 		return routing.Adaptive

@@ -120,7 +120,6 @@ func TestAlltoallUsesIMBWhenCongested(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WindowBytes = 16 << 10
 	cfg.HeavyMeanMessageBytes = 1 << 10
-	cfg.AlltoallUsesIMB = true
 	c := MustNew(cfg)
 	var sawIMB bool
 	for i := 0; i < 32; i++ {
@@ -130,7 +129,7 @@ func TestAlltoallUsesIMBWhenCongested(t *testing.T) {
 			sawIMB = true
 		}
 		if mode == routing.Adaptive {
-			t.Fatal("alltoall traffic routed with plain Adaptive despite AlltoallUsesIMB")
+			t.Fatal("congested alltoall traffic routed with plain Adaptive")
 		}
 	}
 	if !sawIMB {

@@ -348,14 +348,12 @@ func (s *refScheduler) startJob(rec *refJobRecord) {
 	}
 	if rec.Spec.Traffic.MessageBytes > 0 && rec.Spec.Nodes >= 2 {
 		cfg := noise.GeneratorConfig{
-			Pattern:             rec.Spec.Traffic.Pattern,
-			MessageBytes:        rec.Spec.Traffic.MessageBytes,
-			IntervalCycles:      rec.Spec.Traffic.IntervalCycles,
-			JitterFraction:      0.5,
-			Mode:                rec.Spec.Traffic.Mode,
-			BurstLengthMessages: 32,
-			BurstIdleCycles:     200_000,
-			Seed:                s.cfg.Seed*1_000_003 + int64(rec.ID),
+			Pattern:         rec.Spec.Traffic.Pattern,
+			MessageBytes:    rec.Spec.Traffic.MessageBytes,
+			IntervalCycles:  rec.Spec.Traffic.IntervalCycles,
+			Mode:            rec.Spec.Traffic.Mode,
+			BurstIdleCycles: 200_000,
+			Seed:            s.cfg.Seed*1_000_003 + int64(rec.ID),
 		}
 		if g, err := noise.FromAllocation(s.fabric, a, cfg); err != nil {
 			// The job still holds its nodes for its duration; record that it
@@ -759,14 +757,12 @@ func (o *refOpenStream) startJob(eng *sim.Engine, slot int32) {
 	if o.cfg.Traffic.MessageBytes > 0 && len(nodes) >= 2 {
 		a := alloc.NewAllocation(o.topo, nodes)
 		cfg := noise.GeneratorConfig{
-			Pattern:             o.cfg.Traffic.Pattern,
-			MessageBytes:        o.cfg.Traffic.MessageBytes,
-			IntervalCycles:      o.cfg.Traffic.IntervalCycles,
-			JitterFraction:      0.5,
-			Mode:                o.cfg.Traffic.Mode,
-			BurstLengthMessages: 32,
-			BurstIdleCycles:     200_000,
-			Seed:                o.cfg.Seed*1_000_003 + int64(o.startedN),
+			Pattern:         o.cfg.Traffic.Pattern,
+			MessageBytes:    o.cfg.Traffic.MessageBytes,
+			IntervalCycles:  o.cfg.Traffic.IntervalCycles,
+			Mode:            o.cfg.Traffic.Mode,
+			BurstIdleCycles: 200_000,
+			Seed:            o.cfg.Seed*1_000_003 + int64(o.startedN),
 		}
 		if g, err := noise.FromAllocation(o.fabric, a, cfg); err == nil {
 			j.alloc = a

@@ -565,14 +565,12 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 	}
 	if traffic {
 		cfg := noise.GeneratorConfig{
-			Pattern:             rec.Spec.Traffic.Pattern,
-			MessageBytes:        rec.Spec.Traffic.MessageBytes,
-			IntervalCycles:      rec.Spec.Traffic.IntervalCycles,
-			JitterFraction:      0.5,
-			Mode:                rec.Spec.Traffic.Mode,
-			BurstLengthMessages: 32,
-			BurstIdleCycles:     200_000,
-			Seed:                rec.seed,
+			Pattern:         rec.Spec.Traffic.Pattern,
+			MessageBytes:    rec.Spec.Traffic.MessageBytes,
+			IntervalCycles:  rec.Spec.Traffic.IntervalCycles,
+			Mode:            rec.Spec.Traffic.Mode,
+			BurstIdleCycles: 200_000,
+			Seed:            rec.seed,
 		}
 		if g, err := noise.FromAllocation(s.fabric, a, cfg); err != nil {
 			// The job still holds its nodes for its duration; record that it
