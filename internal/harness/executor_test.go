@@ -259,11 +259,39 @@ func TestExecutorTrialErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestDeclarativeMeasurement runs one measurement trial declared by its spec
+// (geometry plus a typed body) and checks that it measures both setups, in
+// order, for every iteration.
+func TestDeclarativeMeasurement(t *testing.T) {
+	values, err := Run(context.Background(), Executor{Parallel: 1, Seed: 5},
+		[]TrialSpec[[]dragonfly.Result]{measureSpec("m0", 3, pingPong())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := values[0]
+	if len(res) != 2 {
+		t.Fatalf("trial returned %d results, want one per setup (2)", len(res))
+	}
+	for i, name := range []string{dragonfly.Adaptive.String(), dragonfly.AdaptiveHighBias.String()} {
+		m := res[i]
+		if m.Setup != name {
+			t.Fatalf("result %d is setup %q, want %q (setup order)", i, m.Setup, name)
+		}
+		if len(m.Times) != 3 || len(m.Deltas) != 3 {
+			t.Fatalf("setup %q has %d times / %d deltas, want 3", name, len(m.Times), len(m.Deltas))
+		}
+		for j, v := range m.Times {
+			if v <= 0 {
+				t.Fatalf("setup %q iteration %d has non-positive time %v", name, j, v)
+			}
+		}
+	}
+}
+
 // TestMeasurementDeterministicAcrossWorkers is the core harness guarantee:
 // running the same suite of real simulations with 1 worker and with 8 workers
 // yields identical samples, because every trial's randomness derives only
-// from (suite seed, trial id). Each trial measures both setups, in order,
-// for every iteration.
+// from (suite seed, trial id).
 func TestMeasurementDeterministicAcrossWorkers(t *testing.T) {
 	var specs []TrialSpec[[]dragonfly.Result]
 	for i := 0; i < 6; i++ {
@@ -277,25 +305,6 @@ func TestMeasurementDeterministicAcrossWorkers(t *testing.T) {
 		return values
 	}
 	serial := collect(1)
-	for _, res := range serial {
-		if len(res) != 2 {
-			t.Fatalf("trial returned %d results, want one per setup (2)", len(res))
-		}
-		for i, name := range []string{dragonfly.Adaptive.String(), dragonfly.AdaptiveHighBias.String()} {
-			m := res[i]
-			if m.Setup != name {
-				t.Fatalf("result %d is setup %q, want %q (setup order)", i, m.Setup, name)
-			}
-			if len(m.Times) != 3 || len(m.Deltas) != 3 {
-				t.Fatalf("setup %q has %d times / %d deltas, want 3", name, len(m.Times), len(m.Deltas))
-			}
-			for j, v := range m.Times {
-				if v <= 0 {
-					t.Fatalf("setup %q iteration %d has non-positive time %v", name, j, v)
-				}
-			}
-		}
-	}
 	parallel := collect(8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel measurement differs from serial measurement for the same seed")
