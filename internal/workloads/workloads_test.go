@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +291,43 @@ func TestComputeHeavyProxySlowerThanCommOnly(t *testing.T) {
 	if perPacketLammps <= perPacketHalo {
 		t.Fatalf("compute-heavy proxy should cost more time per packet: %.2f vs %.2f",
 			perPacketLammps, perPacketHalo)
+	}
+}
+
+// syntheticNames are the registered workloads that are not paper
+// microbenchmarks or application proxies.
+var syntheticNames = []string{"incast", "shift", "randomaccess", "transpose", "halo2d", "pipeline", "tuned-collectives"}
+
+// TestRegistryGolden pins the traffic of every registered workload: each name
+// at size 16 on 6 and 8 ranks, and the synthetic workloads on 8 ranks at
+// 64 KiB and at size 0 (the CLI can pass a non-positive size). One sha256
+// covers (name, ranks, size, elapsed cycles, packets) of every case.
+func TestRegistryGolden(t *testing.T) {
+	type rcase struct {
+		name  string
+		ranks int
+		size  int64
+	}
+	var cases []rcase
+	for _, name := range Names() {
+		cases = append(cases, rcase{name, 6, 16}, rcase{name, 8, 16})
+	}
+	for _, size := range []int64{64 << 10, 0} {
+		for _, name := range syntheticNames {
+			cases = append(cases, rcase{name, 8, size})
+		}
+	}
+	h := sha256.New()
+	for _, c := range cases {
+		w, err := New(c.name, c.ranks, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed, packets := runWorkload(t, w, c.ranks, 1)
+		fmt.Fprintf(h, "%s %d %d %d %d\n", c.name, c.ranks, c.size, elapsed, packets)
+	}
+	const want = "dc1c598832200d7083cb8a798a731c5f664aee70b66708f4c9ecb400058acbdd"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("registry digest %s, want %s", got, want)
 	}
 }
