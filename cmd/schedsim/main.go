@@ -8,7 +8,9 @@
 // With -apps > 0 a share of the mix runs as *real* workload-driven
 // applications (alltoall, halo3d, allreduce ranks co-scheduled on the shared
 // fabric) instead of synthetic generators, so the interference the measured
-// mix experiences comes from actual application traffic.
+// mix experiences comes from actual application traffic. An app job whose
+// -app-workloads name is not a registered workload is an error; a rank error
+// an application hits is printed as a warning after the report.
 //
 // With -arrivals, -clients or -horizon the tool switches from draining a
 // fixed mix to an *open* arrival stream: tenant clients with SLO classes
@@ -38,7 +40,6 @@ import (
 
 	"dragonfly"
 	"dragonfly/internal/arrival"
-	"dragonfly/internal/mpi"
 	"dragonfly/internal/sched"
 	"dragonfly/internal/trace"
 )
@@ -142,9 +143,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	s := sched.New(fab, sched.Config{Placement: policy, Backfill: *backfill, Seed: *seed})
-	if *appShare > 0 {
-		s.AttachExecutor(mpi.NewScheduler(sys.Engine()))
-	}
 	for _, spec := range specs {
 		if _, err := s.Submit(spec); err != nil {
 			return err
@@ -187,10 +185,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "fabric: %d packets injected by batch jobs\n", fab.PacketsInjected())
 	for _, rec := range s.Jobs() {
 		if rec.AppErr != nil {
-			fmt.Fprintf(out, "warning: %s fell back to synthetic traffic: %v\n", rec.Spec.Name, rec.AppErr)
-		}
-		if rec.TrafficErr != nil {
-			fmt.Fprintf(out, "warning: %s generated no traffic: %v\n", rec.Spec.Name, rec.TrafficErr)
+			fmt.Fprintf(out, "warning: %s: %v\n", rec.Spec.Name, rec.AppErr)
 		}
 	}
 	return nil

@@ -51,6 +51,17 @@ func TestSchedsimRealApps(t *testing.T) {
 	}
 }
 
+// TestSchedsimRejectsUnknownAppWorkload: an app job naming an unregistered
+// workload fails its submission, so the run exits with an error instead of
+// running a traffic generator in its place.
+func TestSchedsimRejectsUnknownAppWorkload(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-jobs", "4", "-geometry", "medium:2", "-apps", "1", "-app-workloads", "no-such-workload"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "no-such-workload"`) {
+		t.Fatalf("error %v, want the unknown workload named", err)
+	}
+}
+
 // TestSchedsimRealAppsDeterministic: the concurrent multi-job scheduler path
 // produces byte-identical output for a fixed seed.
 func TestSchedsimRealAppsDeterministic(t *testing.T) {

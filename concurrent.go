@@ -88,15 +88,13 @@ func (st *jobRunState) startIteration(sched *mpi.Scheduler) {
 // iteration, so a state's TileFlits cover only its own iterations; when a
 // state's iterations run back to back they telescope to the whole window.
 func (st *jobRunState) finishIteration() bool {
-	for r := 0; r < st.comm.Size(); r++ {
-		if err := st.comm.Rank(r).Err(); err != nil {
-			setup := ""
-			if st.namesSetup {
-				setup = "setup " + st.routing.Name + ": "
-			}
-			st.err = fmt.Errorf("dragonfly: %srank %d: %w", setup, r, err)
-			return false
+	if err := st.comm.Err(); err != nil {
+		setup := ""
+		if st.namesSetup {
+			setup = "setup " + st.routing.Name + ": "
 		}
+		st.err = fmt.Errorf("dragonfly: %s%w", setup, err)
+		return false
 	}
 	delta := st.run.Job.Counters().Sub(st.before)
 	flits, stalled := st.sys.fabric.IncomingFlits(st.run.Job.routerSet())
@@ -227,7 +225,6 @@ func (s *System) measure(states, launch []*jobRunState) ([]Result, error) {
 	sched := mpi.NewScheduler(s.engine)
 	defer sched.Shutdown()
 	for _, st := range states {
-		st := st
 		comm, err := mpi.NewComm(s.fabric, st.run.Job.alloc, mpi.Config{
 			Routing:   st.routing.Provider,
 			HostNoise: st.run.Options.HostNoise,

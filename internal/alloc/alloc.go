@@ -195,21 +195,6 @@ func MustAllocate(t *topo.Topology, policy Policy, n int, rng *rand.Rand, exclud
 	return a
 }
 
-// ExcludeSet builds an exclusion set from a list of allocations, so a new job
-// can be placed on the remaining nodes.
-func ExcludeSet(allocs ...*Allocation) map[topo.NodeID]bool {
-	out := make(map[topo.NodeID]bool)
-	for _, a := range allocs {
-		if a == nil {
-			continue
-		}
-		for _, n := range a.Nodes() {
-			out[n] = true
-		}
-	}
-	return out
-}
-
 // PairForClass returns two distinct nodes whose topological distance matches
 // the requested allocation class (used by the Figure 3/5/7 experiments). It
 // returns an error when the topology cannot provide such a pair (for example

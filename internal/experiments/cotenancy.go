@@ -57,7 +57,6 @@ func CoTenancy(opts Options) ([]*trace.Table, error) {
 	var specs []harness.TrialSpec[cotenantResult]
 	for si, setupName := range setupNames {
 		for _, neighbor := range neighbors {
-			si, setupName, neighbor := si, setupName, neighbor
 			specs = append(specs, harness.TrialSpec[cotenantResult]{
 				ID:       fmt.Sprintf("cotenant/%s/%s", setupName, neighbor),
 				Geometry: opts.pizDaintGeometry(),

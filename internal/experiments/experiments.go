@@ -238,7 +238,7 @@ func (o Options) pairTrial(class topo.AllocationClass, size int64, setups func()
 		sys.StartNoise(*o.noiseSpec(noise.UniformRandom))
 		run := dragonfly.RunOptions{Iterations: o.iters(), Context: ctx}
 		if hostNoise {
-			run.HostNoise = noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler()
+			run.HostNoise = noise.HostNoise()
 		}
 		return job.Compare(&workloads.PingPong{MessageBytes: size, Iterations: 1}, setups(), run)
 	}

@@ -17,7 +17,6 @@ type fullmachineResult struct {
 	Res     dragonfly.Result
 	Nodes   int
 	Routers int
-	Links   int
 	AdjKiB  float64
 }
 
@@ -64,7 +63,6 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 		for si, setupName := range setupNames {
 			for _, wname := range workloadNames {
 				for _, noiseCase := range noiseCases {
-					rung, si, wname, noiseCase := rung, si, wname, noiseCase
 					specs = append(specs, harness.TrialSpec[fullmachineResult]{
 						ID:       fmt.Sprintf("fullmachine/%s/%s/%s/%s", rung.Name, setupName, wname, noiseCase),
 						Geometry: rung.Geometry,
@@ -102,7 +100,6 @@ func FullMachine(opts Options) ([]*trace.Table, error) {
 								Res:     res,
 								Nodes:   tp.NumNodes(),
 								Routers: tp.NumRouters(),
-								Links:   tp.NumLinks(),
 								AdjKiB:  float64(tp.AdjacencyBytes()) / 1024,
 							}, nil
 						},

@@ -21,12 +21,12 @@ import (
 // PatternAwareSetup wraps the traffic-pattern-based classifier (the
 // related-work baseline) as a routing setup comparable to the paper's
 // application-aware selector.
-func PatternAwareSetup(cfg patternaware.Config) RoutingSetup {
+func PatternAwareSetup() RoutingSetup {
 	var classifiers []*patternaware.Classifier
 	return RoutingSetup{
 		Name: "PatternAware",
 		Provider: func(int) mpi.RoutingProvider {
-			c := patternaware.MustNew(cfg)
+			c := patternaware.New()
 			classifiers = append(classifiers, c)
 			return c
 		},
@@ -51,7 +51,7 @@ func baselineSetups() []RoutingSetup {
 		DefaultSetup(),
 		HighBiasSetup(),
 		AppAwareSetup(core.DefaultConfig()),
-		PatternAwareSetup(patternaware.DefaultConfig()),
+		PatternAwareSetup(),
 	}
 }
 
@@ -82,7 +82,6 @@ func SchedulerInterference(opts Options) ([]*trace.Table, error) {
 	}
 	specs := make([]harness.TrialSpec[schedTrialResult], len(placements))
 	for pi, placement := range placements {
-		placement := placement
 		specs[pi] = harness.TrialSpec[schedTrialResult]{
 			ID:       "sched/" + placement.String(),
 			Geometry: opts.pizDaintGeometry(),

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"dragonfly/internal/patternaware"
 )
 
 func TestSchedulerInterferenceSmoke(t *testing.T) {
@@ -80,7 +78,7 @@ func TestTelemetryCongestionSmoke(t *testing.T) {
 }
 
 func TestPatternAwareSetupAggregatesStats(t *testing.T) {
-	setup := PatternAwareSetup(patternaware.DefaultConfig())
+	setup := PatternAwareSetup()
 	p1 := setup.Provider(0)
 	p2 := setup.Provider(1)
 	p1.SelectMode(1024, 0)

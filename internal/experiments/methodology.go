@@ -133,7 +133,7 @@ func Figure4OnNodeAlltoall(opts Options) ([]*trace.Table, error) {
 				return job.Compare(&workloads.Alltoall{MessageBytes: size, Iterations: 1},
 					[]RoutingSetup{DefaultSetup()}, dragonfly.RunOptions{
 						Iterations: opts.iters(),
-						HostNoise:  noise.MustNewHostNoise(noise.DefaultHostNoiseConfig()).Sampler(),
+						HostNoise:  noise.HostNoise(),
 						Context:    ctx,
 					})
 			},

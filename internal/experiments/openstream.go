@@ -8,7 +8,6 @@ import (
 	"dragonfly/internal/arrival"
 	"dragonfly/internal/harness"
 	"dragonfly/internal/noise"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/sched"
 	"dragonfly/internal/trace"
 )
@@ -79,7 +78,6 @@ func OpenStream(opts Options) ([]*trace.Table, error) {
 							Pattern:        noise.UniformRandom,
 							MessageBytes:   2 << 10,
 							IntervalCycles: 200_000,
-							Mode:           routing.Adaptive,
 						}
 					}
 					o, err := sched.NewOpenStream(sys.Fabric(), spec, cfg)

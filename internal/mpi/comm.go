@@ -162,6 +162,18 @@ func (c *Comm) Allocation() *alloc.Allocation { return c.alloc }
 // per-rank state such as selector statistics after a run).
 func (c *Comm) Rank(i int) *Rank { return c.ranks[i] }
 
+// Err returns the error of the lowest-numbered rank that failed its program,
+// as "rank N: <error>", or nil when every rank succeeded. Check it once the
+// program has finished.
+func (c *Comm) Err() error {
+	for _, r := range c.ranks {
+		if r.err != nil {
+			return fmt.Errorf("rank %d: %w", r.rank, r.err)
+		}
+	}
+	return nil
+}
+
 // engine returns the simulation engine.
 func (c *Comm) engine() *sim.Engine { return c.fabric.Engine() }
 

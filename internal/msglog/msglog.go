@@ -98,22 +98,6 @@ func (l *Log) TotalBytes() int64 {
 	return total
 }
 
-// TrafficMatrix builds the node-to-node byte matrix of the trace, keyed by
-// source node then destination node. Only node pairs that exchanged data
-// appear.
-func (l *Log) TrafficMatrix() map[topo.NodeID]map[topo.NodeID]int64 {
-	out := make(map[topo.NodeID]map[topo.NodeID]int64)
-	for _, r := range l.records {
-		row, ok := out[r.Src]
-		if !ok {
-			row = make(map[topo.NodeID]int64)
-			out[r.Src] = row
-		}
-		row[r.Dst] += r.Size
-	}
-	return out
-}
-
 // SizeHistogram buckets message sizes by powers of two starting at minSize and
 // returns the bucket lower bounds and counts.
 func (l *Log) SizeHistogram(minSize int64) (bounds []int64, counts []int) {

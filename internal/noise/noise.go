@@ -80,9 +80,6 @@ type GeneratorConfig struct {
 	// IntervalCycles is the mean time between messages per node; each
 	// interval is randomized by +/- jitterFraction of it.
 	IntervalCycles int64
-	// Mode is the routing mode the background job uses (production jobs use
-	// the Adaptive default).
-	Mode routing.Mode
 	// BurstIdleCycles is the idle gap of the Burst pattern between bursts of
 	// burstLengthMessages messages sent back to back.
 	BurstIdleCycles int64
@@ -96,7 +93,6 @@ func DefaultGeneratorConfig() GeneratorConfig {
 		Pattern:         UniformRandom,
 		MessageBytes:    16 << 10,
 		IntervalCycles:  20_000,
-		Mode:            routing.Adaptive,
 		BurstIdleCycles: 400_000,
 		Seed:            1,
 	}
@@ -124,6 +120,7 @@ func (c GeneratorConfig) Validate() error {
 }
 
 // Generator is a background job that keeps injecting traffic until stopped.
+// Its messages route with the Adaptive default, as production jobs do.
 type Generator struct {
 	fabric *network.Fabric
 	nodes  []topo.NodeID
@@ -133,7 +130,6 @@ type Generator struct {
 	running      bool
 	stopAt       sim.Time
 	messagesSent uint64
-	bytesSent    uint64
 }
 
 // NewGenerator builds a background job over the given nodes (usually an
@@ -172,9 +168,6 @@ func (g *Generator) NumNodes() int { return len(g.nodes) }
 
 // MessagesSent reports the number of messages injected so far.
 func (g *Generator) MessagesSent() uint64 { return g.messagesSent }
-
-// BytesSent reports the number of payload bytes injected so far.
-func (g *Generator) BytesSent() uint64 { return g.bytesSent }
 
 // Start schedules traffic generation from the current simulated time until the
 // given deadline. It must be called from the simulation goroutine before or
@@ -239,9 +232,8 @@ func (g *Generator) tick(idx int, seq uint64) {
 	}
 	src := g.nodes[idx]
 	dst := g.destination(idx, seq)
-	if err := g.fabric.Send(src, dst, g.cfg.MessageBytes, network.SendOptions{Mode: g.cfg.Mode}, nil); err == nil {
+	if err := g.fabric.Send(src, dst, g.cfg.MessageBytes, network.SendOptions{Mode: routing.Adaptive}, nil); err == nil {
 		g.messagesSent++
-		g.bytesSent += uint64(g.cfg.MessageBytes)
 	}
 	next := g.nextInterval()
 	if g.cfg.Pattern == Burst {
@@ -255,75 +247,32 @@ func (g *Generator) tick(idx int, seq uint64) {
 	eng.AfterCall(next, g, int64(idx), int64(seq+1))
 }
 
-// HostNoiseConfig shapes the host-side noise model: a mixture of a frequent
+// The host-noise profile of the Figure 4 experiment: a mixture of a frequent
 // small jitter and a rare long detour (timer ticks vs. kernel daemons), the
 // classic heavy-tailed OS-noise profile.
-type HostNoiseConfig struct {
-	// MeanCycles is the mean of the frequent small component.
-	MeanCycles int64
-	// SpikeCycles is the length of the rare long component.
-	SpikeCycles int64
-	// SpikeProbability is the probability that an operation hits a spike.
-	SpikeProbability float64
-	// Seed seeds the private random stream.
-	Seed int64
-}
+const (
+	// hostNoiseMeanCycles is the mean of the frequent, exponential component.
+	hostNoiseMeanCycles = 800
+	// hostNoiseSpikeCycles is the length of the rare long component, and
+	// hostNoiseSpikeProbability the probability that a sample hits it.
+	hostNoiseSpikeCycles      = 60_000
+	hostNoiseSpikeProbability = 0.02
+	// hostNoiseSeed seeds every sampler's private random stream.
+	hostNoiseSeed = 7
+)
 
-// DefaultHostNoiseConfig returns the host-noise profile used by the Figure 4
-// experiment: noticeable jitter plus occasional multi-thousand-cycle spikes.
-func DefaultHostNoiseConfig() HostNoiseConfig {
-	return HostNoiseConfig{
-		MeanCycles:       800,
-		SpikeCycles:      60_000,
-		SpikeProbability: 0.02,
-		Seed:             7,
+// HostNoise returns a sampler of host-side delays in cycles, with the
+// signature mpi.Config.HostNoise expects. Each sampler owns a random stream
+// seeded alike, so every sampler draws the same sequence. One sampler may
+// serve every rank of a simulated job because the simulation is
+// single-threaded.
+func HostNoise() func(rank int) int64 {
+	rng := rand.New(rand.NewSource(hostNoiseSeed))
+	return func(int) int64 {
+		d := int64(rng.ExpFloat64() * hostNoiseMeanCycles)
+		if rng.Float64() < hostNoiseSpikeProbability {
+			d += hostNoiseSpikeCycles
+		}
+		return d
 	}
 }
-
-// Validate reports whether the configuration is usable.
-func (c HostNoiseConfig) Validate() error {
-	if c.MeanCycles < 0 || c.SpikeCycles < 0 {
-		return fmt.Errorf("noise: host noise durations must be >= 0")
-	}
-	if c.SpikeProbability < 0 || c.SpikeProbability > 1 {
-		return fmt.Errorf("noise: SpikeProbability must be in [0, 1]")
-	}
-	return nil
-}
-
-// HostNoise samples host-side delays. It is safe to share one instance across
-// ranks of a simulated job because the simulation is single-threaded.
-type HostNoise struct {
-	cfg HostNoiseConfig
-	rng *rand.Rand
-}
-
-// NewHostNoise builds a host-noise sampler.
-func NewHostNoise(cfg HostNoiseConfig) (*HostNoise, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &HostNoise{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
-}
-
-// MustNewHostNoise is like NewHostNoise but panics on error.
-func MustNewHostNoise(cfg HostNoiseConfig) *HostNoise {
-	h, err := NewHostNoise(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Sample returns one host-side delay in cycles.
-func (h *HostNoise) Sample(rank int) int64 {
-	_ = rank
-	d := int64(h.rng.ExpFloat64() * float64(h.cfg.MeanCycles))
-	if h.rng.Float64() < h.cfg.SpikeProbability {
-		d += h.cfg.SpikeCycles
-	}
-	return d
-}
-
-// Sampler returns a function with the signature expected by mpi.Config.HostNoise.
-func (h *HostNoise) Sampler() func(rank int) int64 { return h.Sample }

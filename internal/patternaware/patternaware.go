@@ -48,53 +48,24 @@ func (c Class) String() string {
 	}
 }
 
-// Config tunes the classifier.
-type Config struct {
-	// WindowBytes is the amount of recently sent payload over which the
+// The classifier's thresholds.
+const (
+	// windowSizeBytes is the amount of recently sent payload over which the
 	// pattern is classified; once the window fills, a new classification is
 	// made and the window restarts.
-	WindowBytes int64
-	// HeavyMeanMessageBytes separates Light from the two heavy classes: a
+	windowSizeBytes = 64 << 10
+	// heavyMeanMessageBytes separates Light from the two heavy classes: a
 	// window whose mean message size reaches this value counts as heavy.
-	HeavyMeanMessageBytes int64
-	// StallThreshold is the per-flit stall ratio above which a heavy pattern
+	heavyMeanMessageBytes = 8 << 10
+	// stallThreshold is the per-flit stall ratio above which a heavy pattern
 	// counts as congested.
-	StallThreshold float64
-	// EWMAAlpha is the smoothing factor applied to the observed stall ratio.
-	EWMAAlpha float64
-	// CounterReadOverheadCycles is the host-side cost charged whenever the
+	stallThreshold = 0.5
+	// ewmaAlpha is the smoothing factor applied to the observed stall ratio.
+	ewmaAlpha = 0.3
+	// counterReadOverheadCycles is the host-side cost charged whenever the
 	// classifier consumes a counter observation.
-	CounterReadOverheadCycles int64
-}
-
-// DefaultConfig returns thresholds that behave sensibly on the simulated
-// fabric used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		WindowBytes:               64 << 10,
-		HeavyMeanMessageBytes:     8 << 10,
-		StallThreshold:            0.5,
-		EWMAAlpha:                 0.3,
-		CounterReadOverheadCycles: 300,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	switch {
-	case c.WindowBytes <= 0:
-		return fmt.Errorf("patternaware: WindowBytes must be > 0")
-	case c.HeavyMeanMessageBytes <= 0:
-		return fmt.Errorf("patternaware: HeavyMeanMessageBytes must be > 0")
-	case c.StallThreshold < 0:
-		return fmt.Errorf("patternaware: StallThreshold must be >= 0")
-	case c.EWMAAlpha <= 0 || c.EWMAAlpha > 1:
-		return fmt.Errorf("patternaware: EWMAAlpha must be in (0, 1]")
-	case c.CounterReadOverheadCycles < 0:
-		return fmt.Errorf("patternaware: CounterReadOverheadCycles must be >= 0")
-	}
-	return nil
-}
+	counterReadOverheadCycles = 300
+)
 
 // Stats summarizes the classifier's behaviour for experiment reporting.
 type Stats struct {
@@ -114,8 +85,6 @@ type Stats struct {
 // Classifier selects routing modes from the recent traffic pattern. It
 // implements mpi.RoutingProvider and is owned by a single rank.
 type Classifier struct {
-	cfg Config
-
 	windowBytes    int64
 	windowMessages int64
 	stallEWMA      float64
@@ -128,21 +97,7 @@ type Classifier struct {
 // New builds a classifier. The initial class is Light (prefer low latency), so
 // an application that never fills the window behaves like a statically
 // high-biased one.
-func New(cfg Config) (*Classifier, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Classifier{cfg: cfg, current: Light}, nil
-}
-
-// MustNew is like New but panics on an invalid configuration.
-func MustNew(cfg Config) *Classifier {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+func New() *Classifier { return &Classifier{current: Light} }
 
 // Current returns the current traffic class.
 func (c *Classifier) Current() Class { return c.current }
@@ -175,13 +130,13 @@ func (c *Classifier) SelectMode(msgSize int64, kind core.TrafficKind) (routing.M
 	c.windowMessages++
 
 	var overhead int64
-	if c.windowBytes >= c.cfg.WindowBytes {
+	if c.windowBytes >= windowSizeBytes {
 		meanMsg := c.windowBytes / c.windowMessages
 		var class Class
 		switch {
-		case meanMsg < c.cfg.HeavyMeanMessageBytes:
+		case meanMsg < heavyMeanMessageBytes:
 			class = Light
-		case c.haveStall && c.stallEWMA >= c.cfg.StallThreshold:
+		case c.haveStall && c.stallEWMA >= stallThreshold:
 			class = HeavyCongested
 		default:
 			class = HeavySmooth
@@ -191,7 +146,7 @@ func (c *Classifier) SelectMode(msgSize int64, kind core.TrafficKind) (routing.M
 		c.stats.PerClass[class]++
 		c.windowBytes = 0
 		c.windowMessages = 0
-		overhead = c.cfg.CounterReadOverheadCycles
+		overhead = counterReadOverheadCycles
 	}
 
 	mode := c.modeFor(c.current, kind)
@@ -207,7 +162,7 @@ func (c *Classifier) SelectMode(msgSize int64, kind core.TrafficKind) (routing.M
 			c.haveStall = true
 			return
 		}
-		c.stallEWMA = c.cfg.EWMAAlpha*s + (1-c.cfg.EWMAAlpha)*c.stallEWMA
+		c.stallEWMA = ewmaAlpha*s + (1-ewmaAlpha)*c.stallEWMA
 	}
 	return mode, overhead, observe
 }

@@ -24,27 +24,8 @@ func deliveryWithStall(flits, stalled uint64) network.Delivery {
 	}}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{},
-		{WindowBytes: 1, HeavyMeanMessageBytes: 0, EWMAAlpha: 0.5},
-		{WindowBytes: 1, HeavyMeanMessageBytes: 1, EWMAAlpha: 0},
-		{WindowBytes: 1, HeavyMeanMessageBytes: 1, EWMAAlpha: 1.5},
-		{WindowBytes: 1, HeavyMeanMessageBytes: 1, EWMAAlpha: 0.5, StallThreshold: -1},
-		{WindowBytes: 1, HeavyMeanMessageBytes: 1, EWMAAlpha: 0.5, CounterReadOverheadCycles: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
-}
-
 func TestStartsLightAndPrefersHighBias(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := New()
 	mode, overhead, _ := c.SelectMode(64, core.PointToPoint)
 	if mode != routing.AdaptiveHighBias {
 		t.Fatalf("initial mode = %v, want AdaptiveHighBias", mode)
@@ -58,11 +39,10 @@ func TestStartsLightAndPrefersHighBias(t *testing.T) {
 }
 
 func TestSmallMessagesStayLight(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowBytes = 4 << 10
-	cfg.HeavyMeanMessageBytes = 1 << 10
-	c := MustNew(cfg)
-	for i := 0; i < 200; i++ {
+	// 256 sends of 256 B fill the 64 KiB window once per 256 messages, and
+	// their mean size is far below the 8 KiB heavy threshold.
+	c := New()
+	for i := 0; i < 2*256; i++ {
 		mode, _, _ := c.SelectMode(256, core.PointToPoint)
 		if mode != routing.AdaptiveHighBias {
 			t.Fatalf("message %d routed with %v, want AdaptiveHighBias", i, mode)
@@ -72,17 +52,14 @@ func TestSmallMessagesStayLight(t *testing.T) {
 		t.Fatalf("class = %v after small-message stream, want Light", c.Current())
 	}
 	if c.Stats().Classifications == 0 {
-		t.Fatal("window never filled despite 200*256 bytes")
+		t.Fatal("window never filled despite 512*256 bytes")
 	}
 }
 
 func TestHeavyCongestedSwitchesToAdaptive(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowBytes = 32 << 10
-	cfg.HeavyMeanMessageBytes = 4 << 10
-	cfg.StallThreshold = 0.5
-	c := MustNew(cfg)
-	// Feed congested observations, then enough large messages to fill windows.
+	// 16 KiB messages count as heavy and fill the 64 KiB window every four
+	// messages; a stall ratio of 2.0 is far above the 0.5 threshold.
+	c := New()
 	var sawAdaptive bool
 	for i := 0; i < 32; i++ {
 		mode, _, observe := c.SelectMode(16<<10, core.PointToPoint)
@@ -100,10 +77,7 @@ func TestHeavyCongestedSwitchesToAdaptive(t *testing.T) {
 }
 
 func TestHeavySmoothKeepsHighBias(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowBytes = 32 << 10
-	cfg.HeavyMeanMessageBytes = 4 << 10
-	c := MustNew(cfg)
+	c := New()
 	for i := 0; i < 32; i++ {
 		mode, _, observe := c.SelectMode(16<<10, core.PointToPoint)
 		observe(deliveryWithStall(100, 0)) // no stalls
@@ -117,10 +91,8 @@ func TestHeavySmoothKeepsHighBias(t *testing.T) {
 }
 
 func TestAlltoallUsesIMBWhenCongested(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowBytes = 16 << 10
-	cfg.HeavyMeanMessageBytes = 1 << 10
-	c := MustNew(cfg)
+	// 8 KiB messages reach the heavy threshold and fill a window every eight.
+	c := New()
 	var sawIMB bool
 	for i := 0; i < 32; i++ {
 		mode, _, observe := c.SelectMode(8<<10, core.Alltoall)
@@ -138,15 +110,13 @@ func TestAlltoallUsesIMBWhenCongested(t *testing.T) {
 }
 
 func TestOverheadChargedOncePerWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowBytes = 10 << 10
-	cfg.CounterReadOverheadCycles = 123
-	c := MustNew(cfg)
+	// 1 KiB messages fill the 64 KiB window every 64 messages.
+	c := New()
 	var charged, windows int
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		_, overhead, _ := c.SelectMode(1<<10, core.PointToPoint)
 		if overhead != 0 {
-			if overhead != 123 {
+			if overhead != counterReadOverheadCycles {
 				t.Fatalf("unexpected overhead %d", overhead)
 			}
 			charged++
@@ -156,13 +126,13 @@ func TestOverheadChargedOncePerWindow(t *testing.T) {
 	if charged != windows {
 		t.Fatalf("overhead charged %d times for %d classifications", charged, windows)
 	}
-	if windows == 0 {
-		t.Fatal("no classification happened")
+	if windows != 3 {
+		t.Fatalf("%d classifications after 200 KiB, want 3", windows)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	c := MustNew(DefaultConfig())
+	c := New()
 	for i := 0; i < 10; i++ {
 		c.SelectMode(1024, core.PointToPoint)
 	}
@@ -180,9 +150,7 @@ func TestStatsAccounting(t *testing.T) {
 // byte split always sums to the total.
 func TestByteAccountingProperty(t *testing.T) {
 	prop := func(sizes []uint16, stalls []uint16) bool {
-		cfg := DefaultConfig()
-		cfg.WindowBytes = 8 << 10
-		c := MustNew(cfg)
+		c := New()
 		for i, sz := range sizes {
 			_, _, observe := c.SelectMode(int64(sz), core.PointToPoint)
 			if observe != nil && i < len(stalls) {

@@ -113,9 +113,8 @@ type decisionRing struct {
 // quiet group's history. The trace belongs to one simulation goroutine, so
 // recording needs no synchronization.
 type DecisionTrace struct {
-	k        int
-	capacity int
-	groups   []decisionRing
+	k      int
+	groups []decisionRing
 }
 
 // NewDecisionTrace builds a trace with one ring of the given capacity per
@@ -130,21 +129,12 @@ func NewDecisionTrace(groups, k, capacity int) (*DecisionTrace, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("routing: decision trace capacity must be >= 1, got %d", capacity)
 	}
-	t := &DecisionTrace{k: k, capacity: capacity, groups: make([]decisionRing, groups)}
+	t := &DecisionTrace{k: k, groups: make([]decisionRing, groups)}
 	for g := range t.groups {
 		t.groups[g].buf = make([]TracedDecision, 0, capacity)
 	}
 	return t, nil
 }
-
-// K returns the per-decision candidate budget.
-func (t *DecisionTrace) K() int { return t.k }
-
-// Capacity returns the per-group ring capacity.
-func (t *DecisionTrace) Capacity() int { return t.capacity }
-
-// NumGroups returns the number of per-group rings.
-func (t *DecisionTrace) NumGroups() int { return len(t.groups) }
 
 // Len returns the number of decisions currently stored across all rings.
 func (t *DecisionTrace) Len() int {

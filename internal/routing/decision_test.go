@@ -48,9 +48,9 @@ func TestNewDecisionTraceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.K() != 4 || tr.Capacity() != 16 || tr.NumGroups() != 3 || tr.Len() != 0 {
+	if tr.k != 4 || cap(tr.groups[0].buf) != 16 || len(tr.groups) != 3 || tr.Len() != 0 {
 		t.Fatalf("unexpected trace shape: k=%d cap=%d groups=%d len=%d",
-			tr.K(), tr.Capacity(), tr.NumGroups(), tr.Len())
+			tr.k, cap(tr.groups[0].buf), len(tr.groups), tr.Len())
 	}
 }
 

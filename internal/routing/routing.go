@@ -109,16 +109,6 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// IsAdaptive reports whether the mode performs per-packet adaptive selection.
-func (m Mode) IsAdaptive() bool {
-	switch m {
-	case Adaptive, IncreasinglyMinimalBias, AdaptiveLowBias, AdaptiveHighBias:
-		return true
-	default:
-		return false
-	}
-}
-
 // CongestionView is the information the routing algorithm can observe about
 // the network state. It is implemented by the network fabric. The view is
 // allowed to be stale (credit information propagates with a delay), which is
@@ -158,11 +148,13 @@ type Params struct {
 	LowBiasCycles int64
 	// HighBiasCycles is the constant added under AdaptiveHighBias.
 	HighBiasCycles int64
-	// IMBBiasPerHopCycles is the per-minimal-hop bias used to approximate
-	// Increasingly Minimal Bias in a source-routed model: the shorter the
-	// remaining minimal path, the stronger the preference for it.
-	IMBBiasPerHopCycles int64
 }
+
+// imbBiasPerHopCycles is the per-minimal-hop bias used to approximate
+// Increasingly Minimal Bias (Cray's alltoall default) in a source-routed
+// model: the shorter the remaining minimal path, the stronger the preference
+// for it.
+const imbBiasPerHopCycles = 150
 
 // DefaultParams returns the parameters used throughout the experiments.
 func DefaultParams() Params {
@@ -171,7 +163,6 @@ func DefaultParams() Params {
 		NonMinimalCandidates: 2,
 		LowBiasCycles:        200,
 		HighBiasCycles:       800,
-		IMBBiasPerHopCycles:  150,
 	}
 }
 
@@ -183,7 +174,7 @@ func (p Params) Validate() error {
 	if p.NonMinimalCandidates < 1 {
 		return fmt.Errorf("routing: NonMinimalCandidates must be >= 1, got %d", p.NonMinimalCandidates)
 	}
-	if p.LowBiasCycles < 0 || p.HighBiasCycles < 0 || p.IMBBiasPerHopCycles < 0 {
+	if p.LowBiasCycles < 0 || p.HighBiasCycles < 0 {
 		return fmt.Errorf("routing: biases must be non-negative")
 	}
 	if p.HighBiasCycles < p.LowBiasCycles {
@@ -304,7 +295,7 @@ func (p Params) BiasFor(mode Mode, minimalHops int) int64 {
 		if remaining < 0 {
 			remaining = 0
 		}
-		return p.IMBBiasPerHopCycles * int64(1+remaining)
+		return imbBiasPerHopCycles * int64(1+remaining)
 	default:
 		return 0
 	}

@@ -108,21 +108,6 @@ func TestParseModeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsAdaptive(t *testing.T) {
-	adaptive := []Mode{Adaptive, IncreasinglyMinimalBias, AdaptiveLowBias, AdaptiveHighBias}
-	static := []Mode{MinHash, NonMinHash, InOrder}
-	for _, m := range adaptive {
-		if !m.IsAdaptive() {
-			t.Fatalf("%v should be adaptive", m)
-		}
-	}
-	for _, m := range static {
-		if m.IsAdaptive() {
-			t.Fatalf("%v should not be adaptive", m)
-		}
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"dragonfly/internal/mpi"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/testutil"
 	"dragonfly/internal/workloads"
@@ -18,15 +17,12 @@ func appJob(name string, nodes int, arrival, duration sim.Time, workload string)
 	return j
 }
 
-// TestAppJobRunsRealWorkload: with an executor attached, an App job runs its
-// real application and finishes when the workload finishes — not at its
-// (estimated) duration.
+// TestAppJobRunsRealWorkload: an App job runs its real application on the
+// scheduler's own executor and finishes when the workload finishes — not at
+// its (estimated) duration.
 func TestAppJobRunsRealWorkload(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	s := New(f, DefaultConfig())
-	x := mpi.NewScheduler(f.Engine())
-	defer x.Shutdown()
-	s.AttachExecutor(x)
 	rec := s.MustSubmit(appJob("app", 4, 0, 123_456_789, "alltoall"))
 	s.Start()
 	if err := s.Drive(nil); err != nil {
@@ -55,15 +51,32 @@ func TestAppJobRunsRealWorkload(t *testing.T) {
 	}
 }
 
+// TestAppJobRankErrorRecorded: a rank error the application hits (pingpong
+// on one node sends to a rank that does not exist) is recorded on the job,
+// naming the job and the rank, and counted in Stats.
+func TestAppJobRankErrorRecorded(t *testing.T) {
+	f := testFabric(t, 2, 1)
+	s := New(f, DefaultConfig())
+	rec := s.MustSubmit(appJob("solo", 1, 0, 100_000, "pingpong"))
+	s.Start()
+	if err := s.Drive(nil); err != nil {
+		t.Fatal(err)
+	}
+	const want = `sched: job "solo" rank 0: mpi: rank 0 sending to invalid peer 1`
+	if rec.State != Finished || rec.AppErr == nil || rec.AppErr.Error() != want {
+		t.Fatalf("state %v, AppErr %v; want finished with %q", rec.State, rec.AppErr, want)
+	}
+	if st := s.Stats(); st.AppErrors != 1 {
+		t.Fatalf("Stats.AppErrors = %d, want 1", st.AppErrors)
+	}
+}
+
 // TestAppJobsAreDeterministic: the same seed reproduces the exact same
 // schedule and per-job application measurements.
 func TestAppJobsAreDeterministic(t *testing.T) {
 	measure := func() []sim.Time {
 		f := testFabric(t, 3, 9)
 		s := New(f, Config{Placement: PlaceGroupStriped, Seed: 9})
-		x := mpi.NewScheduler(f.Engine())
-		defer x.Shutdown()
-		s.AttachExecutor(x)
 		s.MustSubmit(appJob("a", 4, 0, 1_000_000, "alltoall"))
 		s.MustSubmit(appJob("b", 4, 5_000, 1_000_000, "halo3d"))
 		s.MustSubmit(trafficJob("c", 4, 10_000, 500_000))
@@ -92,9 +105,6 @@ func TestDriveWithAppsNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := testFabric(t, 3, 4)
 	s := New(f, Config{Placement: PlaceGroupStriped, Seed: 4})
-	x := mpi.NewScheduler(f.Engine())
-	defer x.Shutdown()
-	s.AttachExecutor(x)
 	s.MustSubmit(appJob("a", 4, 0, 1_000_000, "alltoall"))
 	s.MustSubmit(appJob("b", 4, 5_000, 1_000_000, "allreduce"))
 	s.Start()
@@ -106,8 +116,8 @@ func TestDriveWithAppsNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("job %s: state %v, ran app %v", rec.Spec.Name, rec.State, rec.RanApp)
 		}
 	}
-	if x.Idle() != 0 || x.Live() != 0 {
-		t.Fatalf("after Drive: %d idle coroutines, %d live ranks; want 0, 0", x.Idle(), x.Live())
+	if s.exec.Idle() != 0 || s.exec.Live() != 0 {
+		t.Fatalf("after Drive: %d idle coroutines, %d live ranks; want 0, 0", s.exec.Idle(), s.exec.Live())
 	}
 	testutil.WaitGoroutines(t, base)
 }
@@ -118,9 +128,8 @@ func TestDriveWithAppsNoGoroutineLeak(t *testing.T) {
 func TestAppStreamPoolBoundedByPeak(t *testing.T) {
 	f := testFabric(t, 3, 6)
 	s := New(f, Config{Placement: PlaceGroupStriped, Seed: 6})
-	x := mpi.NewScheduler(f.Engine())
+	x := s.exec
 	defer x.Shutdown()
-	s.AttachExecutor(x)
 	names := []string{"alltoall", "allreduce"}
 	for i := 0; i < 8; i++ {
 		s.MustSubmit(appJob(names[i%2]+string(rune('a'+i)), 4, sim.Time(i)*200_000, 1_000_000, names[i%2]))
@@ -162,58 +171,6 @@ func TestAppStreamPoolBoundedByPeak(t *testing.T) {
 	}
 	if peak >= started {
 		t.Fatalf("the jobs never ran one after another (peak %d of %d ranks): the stream does not exercise reuse", peak, started)
-	}
-}
-
-// TestAppJobFallsBackWithoutExecutor: App jobs degrade to the synthetic
-// generator when no executor is attached, and the degradation is recorded
-// instead of silent.
-func TestAppJobFallsBackWithoutExecutor(t *testing.T) {
-	f := testFabric(t, 2, 1)
-	s := New(f, DefaultConfig())
-	rec := s.MustSubmit(appJob("app", 4, 0, 200_000, "alltoall"))
-	s.Start()
-	if err := s.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != Finished {
-		t.Fatalf("job state = %v, want finished", rec.State)
-	}
-	if rec.RanApp {
-		t.Fatal("job claims to have run a real application without an executor")
-	}
-	if rec.AppErr == nil {
-		t.Fatal("fallback to synthetic traffic was not recorded")
-	}
-	if rec.MessagesSent == 0 {
-		t.Fatal("fallback generator sent nothing")
-	}
-	if got := rec.FinishedAt - rec.StartedAt; got != 200_000 {
-		t.Fatalf("fallback job ran %d cycles, want its duration of 200000", got)
-	}
-}
-
-// TestAppJobUnknownWorkloadFallsBack: an unresolvable workload name is
-// recorded on the record and the job still completes on the generator path.
-func TestAppJobUnknownWorkloadFallsBack(t *testing.T) {
-	f := testFabric(t, 2, 1)
-	s := New(f, DefaultConfig())
-	x := mpi.NewScheduler(f.Engine())
-	defer x.Shutdown()
-	s.AttachExecutor(x)
-	rec := s.MustSubmit(appJob("app", 4, 0, 200_000, "no-such-workload"))
-	s.Start()
-	if err := s.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != Finished {
-		t.Fatalf("job state = %v, want finished", rec.State)
-	}
-	if rec.RanApp || rec.AppErr == nil {
-		t.Fatalf("RanApp/AppErr = %v/%v, want false/non-nil", rec.RanApp, rec.AppErr)
-	}
-	if st := s.Stats(); st.AppErrors != 1 {
-		t.Fatalf("Stats.AppErrors = %d, want 1", st.AppErrors)
 	}
 }
 

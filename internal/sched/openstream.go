@@ -68,6 +68,9 @@ func NewOpenStream(f *network.Fabric, spec arrival.Spec, cfg OpenConfig) (*OpenS
 	if cfg.MaxJobEvents <= 0 && cfg.HorizonCycles <= 0 {
 		return nil, fmt.Errorf("sched: open stream needs MaxJobEvents or HorizonCycles (it never stops otherwise)")
 	}
+	if cfg.Traffic.MessageBytes > 0 && cfg.Traffic.IntervalCycles <= 0 {
+		return nil, fmt.Errorf("sched: open-stream traffic has no interval")
+	}
 	spec = spec.Normalize()
 	streams, err := arrival.NewStreams(spec, cfg.Seed)
 	if err != nil {

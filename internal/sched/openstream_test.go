@@ -6,7 +6,6 @@ import (
 
 	"dragonfly/internal/arrival"
 	"dragonfly/internal/noise"
-	"dragonfly/internal/routing"
 )
 
 func openSpec(meanGap int64) arrival.Spec {
@@ -98,7 +97,6 @@ func TestOpenStreamDeterminism(t *testing.T) {
 				Pattern:        noise.UniformRandom,
 				MessageBytes:   1 << 10,
 				IntervalCycles: 100_000,
-				Mode:           routing.Adaptive,
 			},
 		})
 		if err != nil {
@@ -120,6 +118,16 @@ func TestOpenStreamRequiresBound(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	if _, err := NewOpenStream(f, openSpec(50_000), OpenConfig{}); err == nil {
 		t.Fatalf("unbounded open stream was accepted")
+	}
+}
+
+// TestOpenStreamRejectsTrafficWithoutInterval: stream jobs skip
+// JobSpec.Validate, so the stream checks its traffic once up front.
+func TestOpenStreamRejectsTrafficWithoutInterval(t *testing.T) {
+	f := testFabric(t, 2, 1)
+	cfg := OpenConfig{MaxJobEvents: 10, Traffic: TrafficSpec{MessageBytes: 512}}
+	if _, err := NewOpenStream(f, openSpec(50_000), cfg); err == nil {
+		t.Fatal("open stream with traffic but no interval was accepted")
 	}
 }
 

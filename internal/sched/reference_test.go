@@ -19,6 +19,7 @@ import (
 	"dragonfly/internal/mpi"
 	"dragonfly/internal/network"
 	"dragonfly/internal/noise"
+	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topo"
@@ -351,7 +352,6 @@ func (s *refScheduler) startJob(rec *refJobRecord) {
 			Pattern:         rec.Spec.Traffic.Pattern,
 			MessageBytes:    rec.Spec.Traffic.MessageBytes,
 			IntervalCycles:  rec.Spec.Traffic.IntervalCycles,
-			Mode:            rec.Spec.Traffic.Mode,
 			BurstIdleCycles: 200_000,
 			Seed:            s.cfg.Seed*1_000_003 + int64(rec.ID),
 		}
@@ -385,8 +385,7 @@ func (s *refScheduler) startApp(rec *refJobRecord) error {
 	if err != nil {
 		return err
 	}
-	mode := rec.Spec.Traffic.Mode
-	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
+	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.Adaptive} }
 	comm, err := mpi.NewComm(s.fabric, rec.Allocation, mpi.Config{Routing: provider})
 	if err != nil {
 		return err
@@ -447,9 +446,6 @@ func (s *refScheduler) Stats() Stats {
 		}
 		if rec.AppErr != nil {
 			st.AppErrors++
-		}
-		if rec.TrafficErr != nil {
-			st.TrafficErrors++
 		}
 		if rec.State == Queued {
 			continue
@@ -760,7 +756,6 @@ func (o *refOpenStream) startJob(eng *sim.Engine, slot int32) {
 			Pattern:         o.cfg.Traffic.Pattern,
 			MessageBytes:    o.cfg.Traffic.MessageBytes,
 			IntervalCycles:  o.cfg.Traffic.IntervalCycles,
-			Mode:            o.cfg.Traffic.Mode,
 			BurstIdleCycles: 200_000,
 			Seed:            o.cfg.Seed*1_000_003 + int64(o.startedN),
 		}

@@ -15,9 +15,9 @@
 // arrival to a Scheduler it owns and folds each finished job into streaming
 // digests. A running job's traffic is represented either by a synthetic
 // background generator (the historical stand-in) or — when the spec carries
-// an App and an executor is attached — by the real workload-driven
-// application itself, co-scheduled with every other job's ranks on the
-// shared fabric.
+// an App — by the real workload-driven application itself, whose ranks run
+// on the scheduler's own rank executor, co-scheduled with every other job's
+// ranks on the shared fabric.
 package sched
 
 import (
@@ -94,9 +94,8 @@ type JobSpec struct {
 	// ArrivalCycles is the submission time relative to Scheduler.Start.
 	ArrivalCycles sim.Time
 	// DurationCycles is the job's run time once started. For workload-driven
-	// jobs (App set, executor attached) it is only the walltime *estimate*
-	// backfilling reasons with: the job actually releases its nodes when the
-	// workload completes.
+	// jobs (App set) it is only the walltime *estimate* backfilling reasons
+	// with: the job actually releases its nodes when the workload completes.
 	DurationCycles sim.Time
 	// CommIntensive marks the job as communication intensive; the hybrid
 	// placement policy scatters such jobs and packs the others.
@@ -107,9 +106,8 @@ type JobSpec struct {
 	Traffic TrafficSpec
 	// App, if non-nil, runs a real workload-driven application on the job's
 	// nodes instead of representing the job with a synthetic traffic
-	// generator. It requires an executor (AttachExecutor); without one — or
-	// when the workload cannot be built — the scheduler falls back to the
-	// Traffic generator and records why in the JobRecord.
+	// generator; Traffic is then unused. Validate rejects an App whose
+	// workload is not registered.
 	App *AppSpec
 }
 
@@ -123,11 +121,12 @@ type AppSpec struct {
 	// for the stencil workloads (halo3d, sweep3d).
 	MessageBytes int64
 	// Iterations is how many times each rank repeats the workload body
-	// (minimum 1). Every message routes with the job's Traffic.Mode.
+	// (minimum 1). Every message routes with the Adaptive default.
 	Iterations int
 }
 
-// TrafficSpec shapes the traffic a running job injects into the fabric.
+// TrafficSpec shapes the traffic a running job injects into the fabric. It
+// routes with the Adaptive default, as production jobs do.
 type TrafficSpec struct {
 	// Pattern is the communication pattern (uniform, hotspot, bully, burst).
 	Pattern noise.Pattern
@@ -135,8 +134,6 @@ type TrafficSpec struct {
 	MessageBytes int64
 	// IntervalCycles is the mean gap between messages per node.
 	IntervalCycles int64
-	// Mode is the routing mode the job's traffic uses.
-	Mode routing.Mode
 }
 
 // Validate reports whether the job spec is usable on a machine of the given
@@ -153,6 +150,8 @@ func (j JobSpec) Validate(machineNodes int) error {
 		return fmt.Errorf("sched: job %q has non-positive duration", j.Name)
 	case j.Traffic.MessageBytes > 0 && j.Traffic.IntervalCycles <= 0:
 		return fmt.Errorf("sched: job %q generates traffic but has no interval", j.Name)
+	case j.App != nil && workloads.Registry()[j.App.Workload] == nil:
+		return fmt.Errorf("sched: job %q runs unknown workload %q", j.Name, j.App.Workload)
 	}
 	return nil
 }
@@ -212,13 +211,8 @@ type JobRecord struct {
 	// the request packets its nodes injected (both meaningful when RanApp).
 	AppCycles  sim.Time
 	AppPackets uint64
-	// AppErr records why a requested App could not run (the job fell back to
-	// the traffic generator), or a rank error the application hit.
+	// AppErr records the first rank error the application hit.
 	AppErr error
-	// TrafficErr records a traffic-generator construction failure. The job
-	// still runs (it occupies nodes for its duration) but injects nothing —
-	// without this field that degradation was silent.
-	TrafficErr error
 
 	seed      int64 // traffic-generator seed, set by the job's source
 	client    int   // submitting client of an open-stream job
@@ -289,8 +283,8 @@ type Scheduler struct {
 	busyCount     int
 	reservedCount int
 
-	// exec, when attached, runs workload-driven jobs (JobSpec.App) as real
-	// co-scheduled applications instead of synthetic generators.
+	// exec runs workload-driven jobs (JobSpec.App) as real co-scheduled
+	// applications; Drive drains it.
 	exec *mpi.Scheduler
 
 	// origin is the engine time when Start ran; every statistic measures
@@ -314,30 +308,20 @@ func New(f *network.Fabric, cfg Config) *Scheduler {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		nodes:  alloc.NewTracker(f.Topology()),
+		exec:   mpi.NewScheduler(f.Engine()),
 		frag:   stats.NewDigest(),
 	}
 }
 
-// AttachExecutor hands the scheduler a cooperative rank executor. With one
-// attached, jobs whose spec carries an App run their real application on the
-// fabric — actual workload-driven traffic, completion when the workload
-// completes — instead of being approximated by a traffic generator. Drive the
-// run with Drive (or the executor's Drain) rather than Engine.Run, so the
-// application ranks interleave with the scheduler's events.
-func (s *Scheduler) AttachExecutor(x *mpi.Scheduler) { s.exec = x }
-
-// Drive runs the simulation to completion by draining the attached executor,
-// or a fresh one when none is attached, so workload-driven jobs co-run with
-// the event queue. The context, when non-nil, cancels the run. Drive owns the
-// executor's coroutines: it shuts the executor down on return, releasing the
-// ranks of an aborted drain and the idle pool of a completed one.
+// Drive runs the simulation to completion by draining the scheduler's rank
+// executor, so workload-driven jobs co-run with the event queue. The
+// context, when non-nil, cancels the run. Drive shuts the executor down on
+// return, releasing the ranks of an aborted drain and the idle pool of a
+// completed one. A run with App jobs must be driven by Drive, not by
+// Engine.Run, or their ranks never run.
 func (s *Scheduler) Drive(ctx context.Context) error {
-	x := s.exec
-	if x == nil {
-		x = mpi.NewScheduler(s.fabric.Engine())
-	}
-	defer x.Shutdown()
-	return x.Drain(mpi.ContextCheck(ctx))
+	defer s.exec.Shutdown()
+	return s.exec.Drain(mpi.ContextCheck(ctx))
 }
 
 // Reserve excludes the given nodes from scheduling. It is used to protect the
@@ -357,9 +341,6 @@ func (s *Scheduler) Reserve(nodes []topo.NodeID) {
 func (s *Scheduler) Jobs() []*JobRecord {
 	return append([]*JobRecord(nil), s.jobs...)
 }
-
-// QueueLength returns the number of jobs currently waiting.
-func (s *Scheduler) QueueLength() int { return len(s.queue) }
 
 // FreeNodes returns the number of nodes that are neither busy nor reserved.
 func (s *Scheduler) FreeNodes() int { return s.nodes.FreeNodes() }
@@ -545,41 +526,31 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 		s.frag.Add(s.nodes.Fragmentation())
 	}
 
-	traffic := rec.Spec.Traffic.MessageBytes > 0 && len(nodes) >= 2
-	var a *alloc.Allocation
-	if rec.Spec.App != nil || traffic {
-		a = alloc.NewAllocation(s.topo, nodes)
-	}
+	// Validate (and NewOpenStream, for the stream's traffic) admitted only
+	// jobs whose application or generator can start, so an error here is a
+	// bug.
 	if rec.Spec.App != nil {
-		if s.exec == nil {
-			rec.AppErr = fmt.Errorf("sched: job %q requests workload %q but no executor is attached",
-				rec.Spec.Name, rec.Spec.App.Workload)
-		} else if err := s.startApp(rec, a); err != nil {
-			rec.AppErr = err
-		} else {
-			// The application itself decides when the job finishes; no
-			// duration event, no generator.
-			return
+		// The application itself decides when the job finishes; no duration
+		// event, no generator.
+		if err := s.startApp(rec, alloc.NewAllocation(s.topo, nodes)); err != nil {
+			panic(fmt.Sprintf("sched: job %q: %v", rec.Spec.Name, err))
 		}
-		// Fall through: represent the job with the traffic generator below.
+		return
 	}
-	if traffic {
+	if rec.Spec.Traffic.MessageBytes > 0 && len(nodes) >= 2 {
 		cfg := noise.GeneratorConfig{
 			Pattern:         rec.Spec.Traffic.Pattern,
 			MessageBytes:    rec.Spec.Traffic.MessageBytes,
 			IntervalCycles:  rec.Spec.Traffic.IntervalCycles,
-			Mode:            rec.Spec.Traffic.Mode,
 			BurstIdleCycles: 200_000,
 			Seed:            rec.seed,
 		}
-		if g, err := noise.FromAllocation(s.fabric, a, cfg); err != nil {
-			// The job still holds its nodes for its duration; record that it
-			// injects nothing instead of dropping the error on the floor.
-			rec.TrafficErr = err
-		} else {
-			rec.generator = g
-			g.Start(eng.Now() + rec.Spec.DurationCycles)
+		g, err := noise.FromAllocation(s.fabric, alloc.NewAllocation(s.topo, nodes), cfg)
+		if err != nil {
+			panic(fmt.Sprintf("sched: job %q: %v", rec.Spec.Name, err))
 		}
+		rec.generator = g
+		g.Start(eng.Now() + rec.Spec.DurationCycles)
 	}
 	eng.ScheduleCall(eng.Now()+rec.Spec.DurationCycles, s, opFinish, int64(rec.ID))
 }
@@ -602,8 +573,7 @@ func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
 	if err != nil {
 		return err
 	}
-	mode := rec.Spec.Traffic.Mode
-	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: mode} }
+	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.Adaptive} }
 	comm, err := mpi.NewComm(s.fabric, a, mpi.Config{Routing: provider})
 	if err != nil {
 		return err
@@ -612,11 +582,8 @@ func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
 	rec.RanApp = true
 	base := s.jobPackets(rec)
 	comm.OnFinished(func() {
-		for r := 0; r < comm.Size(); r++ {
-			if err := comm.Rank(r).Err(); err != nil {
-				rec.AppErr = fmt.Errorf("sched: job %q rank %d: %w", rec.Spec.Name, r, err)
-				break
-			}
+		if err := comm.Err(); err != nil {
+			rec.AppErr = fmt.Errorf("sched: job %q %w", rec.Spec.Name, err)
 		}
 		rec.AppCycles = s.fabric.Engine().Now() - rec.StartedAt
 		rec.AppPackets = s.jobPackets(rec) - base
@@ -669,10 +636,9 @@ type Stats struct {
 	MakespanCycles sim.Time
 	// AppJobs counts jobs that ran as real workload-driven applications.
 	AppJobs int
-	// AppErrors and TrafficErrors count jobs whose application or traffic
-	// generator could not run as specified (see JobRecord.AppErr/TrafficErr).
-	AppErrors     int
-	TrafficErrors int
+	// AppErrors counts applications whose ranks hit an error (see
+	// JobRecord.AppErr).
+	AppErrors int
 }
 
 // Stats computes the summary over all submitted jobs. It should be called
@@ -687,9 +653,6 @@ func (s *Scheduler) Stats() Stats {
 		}
 		if rec.AppErr != nil {
 			st.AppErrors++
-		}
-		if rec.TrafficErr != nil {
-			st.TrafficErrors++
 		}
 		if rec.State == Queued {
 			continue

@@ -39,7 +39,6 @@ func trafficJob(name string, nodes int, arrival, duration sim.Time) JobSpec {
 		Pattern:        noise.UniformRandom,
 		MessageBytes:   4 << 10,
 		IntervalCycles: 10_000,
-		Mode:           routing.Adaptive,
 	}
 	return j
 }
@@ -260,15 +259,18 @@ func TestJobSpecValidation(t *testing.T) {
 		{Name: "zero-duration", Nodes: 1, DurationCycles: 0},
 		{Name: "traffic-no-interval", Nodes: 2, DurationCycles: 1,
 			Traffic: TrafficSpec{MessageBytes: 64}},
+		{Name: "unknown-workload", Nodes: 2, DurationCycles: 1,
+			App: &AppSpec{Workload: "no-such-workload", MessageBytes: 64}},
 	}
 	for _, c := range cases {
 		if err := c.Validate(32); err == nil {
 			t.Errorf("spec %q unexpectedly valid", c.Name)
 		}
 	}
-	ok := computeJob("ok", 2, 0, 10)
-	if err := ok.Validate(32); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, ok := range []JobSpec{computeJob("ok", 2, 0, 10), appJob("ok-app", 2, 0, 10, "alltoall")} {
+		if err := ok.Validate(32); err != nil {
+			t.Errorf("valid spec %q rejected: %v", ok.Name, err)
+		}
 	}
 }
 

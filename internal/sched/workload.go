@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dragonfly/internal/noise"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/workloads"
 )
@@ -29,18 +28,14 @@ type MixConfig struct {
 	// CommIntensiveFraction is the probability that a job is communication
 	// intensive (heavier traffic, marked for the hybrid placement policy).
 	CommIntensiveFraction float64
-	// MessageBytes and IntervalCycles shape the traffic of ordinary jobs;
-	// communication-intensive jobs send twice as large messages with an
-	// all-to-all "bully" pattern.
-	MessageBytes   int64
+	// IntervalCycles is the mean gap between a job's messages. Ordinary jobs
+	// send uniform-random messages of mixMessageBytes; communication-intensive
+	// jobs send twice as large messages with an all-to-all "bully" pattern.
 	IntervalCycles int64
-	// Mode is the routing mode batch jobs use for their traffic.
-	Mode routing.Mode
 	// AppFraction is the probability that a job runs a real workload-driven
 	// application (JobSpec.App) instead of being represented by a synthetic
 	// traffic generator. 0 reproduces the historical all-synthetic mix
-	// byte-for-byte; it requires an executor attached to the scheduler to
-	// take effect.
+	// byte-for-byte.
 	AppFraction float64
 	// AppWorkloads are the registered workload names app jobs cycle through
 	// deterministically; empty means alltoall, halo3d, allreduce.
@@ -52,6 +47,9 @@ type MixConfig struct {
 	Seed int64
 }
 
+// mixMessageBytes is the message size of an ordinary job's traffic.
+const mixMessageBytes = 8 << 10
+
 // DefaultMixConfig returns a small mix suitable for laptop-scale simulations.
 func DefaultMixConfig() MixConfig {
 	return MixConfig{
@@ -62,9 +60,7 @@ func DefaultMixConfig() MixConfig {
 		MinDurationCycles:      500_000,
 		MaxDurationCycles:      4_000_000,
 		CommIntensiveFraction:  0.35,
-		MessageBytes:           8 << 10,
 		IntervalCycles:         25_000,
-		Mode:                   routing.Adaptive,
 		Seed:                   1,
 	}
 }
@@ -84,8 +80,8 @@ func (c MixConfig) Validate() error {
 		return fmt.Errorf("sched: CommIntensiveFraction must be in [0, 1]")
 	case c.AppFraction < 0 || c.AppFraction > 1:
 		return fmt.Errorf("sched: AppFraction must be in [0, 1]")
-	case c.MessageBytes <= 0 || c.IntervalCycles <= 0:
-		return fmt.Errorf("sched: traffic parameters must be positive")
+	case c.IntervalCycles <= 0:
+		return fmt.Errorf("sched: IntervalCycles must be positive")
 	}
 	return nil
 }
@@ -134,13 +130,12 @@ func GenerateMix(cfg MixConfig, maxJobNodes int) ([]JobSpec, error) {
 		commIntensive := rng.Float64() < cfg.CommIntensiveFraction
 		traffic := TrafficSpec{
 			Pattern:        noise.UniformRandom,
-			MessageBytes:   cfg.MessageBytes,
+			MessageBytes:   mixMessageBytes,
 			IntervalCycles: cfg.IntervalCycles,
-			Mode:           cfg.Mode,
 		}
 		if commIntensive {
 			traffic.Pattern = noise.AlltoallBully
-			traffic.MessageBytes = cfg.MessageBytes * 2
+			traffic.MessageBytes = mixMessageBytes * 2
 		}
 		// The app draw is guarded so an AppFraction of 0 consumes no random
 		// numbers: the historical all-synthetic mixes stay byte-identical.

@@ -153,11 +153,10 @@ func (d *Digest) Median() float64 { return d.Percentile(50) }
 
 // Summary condenses the digest into the box-plot Summary the experiment
 // tables render. In exact mode it delegates to Summarize, so the output —
-// including the bootstrap median CI and the outlier count — is bit-identical
-// to the batch path on the same samples. In streaming mode the quartiles come
-// from the P² markers and the whisker-dependent fields (Outliers, the median
-// CI) are zero: they need the full sample, which a fixed-size digest by
-// definition no longer has.
+// including the outlier count — is bit-identical to the batch path on the
+// same samples. In streaming mode the quartiles come from the P² markers and
+// the whisker-dependent Outliers is zero: it needs the full sample, which a
+// fixed-size digest by definition no longer has.
 func (d *Digest) Summary() Summary {
 	if d.count == 0 {
 		return Summary{}

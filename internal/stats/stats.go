@@ -1,14 +1,13 @@
 // Package stats provides the descriptive statistics used throughout the
 // paper's evaluation: quartiles, inter-quartile range, the quartile
 // coefficient of dispersion (QCD, the paper's variability metric in Figure 5),
-// Pearson correlation (used to validate the performance model in §2.4),
-// bootstrap confidence intervals for the median, and box-plot summaries.
+// Pearson correlation (used to validate the performance model in §2.4) and
+// box-plot summaries.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -156,8 +155,8 @@ func PearsonCorrelation(xs, ys []float64) (float64, error) {
 }
 
 // Summary is a box-plot style description of a sample, matching what the
-// paper's figures report (median, quartiles, whiskers, mean, outlier count and
-// the 95% confidence interval of the median).
+// paper's figures report (median, quartiles, whiskers, mean and outlier
+// count).
 type Summary struct {
 	N        int
 	Mean     float64
@@ -170,15 +169,10 @@ type Summary struct {
 	IQR      float64
 	QCD      float64
 	Outliers int
-	// MedianCILow and MedianCIHigh bound the 95% bootstrap confidence interval
-	// of the median (the "notch" in the paper's box plots).
-	MedianCILow  float64
-	MedianCIHigh float64
 }
 
 // Summarize computes a Summary of xs. Outliers are counted with the usual
-// 1.5*IQR whisker rule. The median confidence interval uses a deterministic
-// bootstrap seeded from the data length.
+// 1.5*IQR whisker rule.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -192,8 +186,7 @@ func Summarize(xs []float64) Summary {
 			outliers++
 		}
 	}
-	lo, hi := BootstrapMedianCI(xs, 200, 0.95, 12345)
-	s := Summary{
+	return Summary{
 		N:        len(xs),
 		Mean:     Mean(xs),
 		StdDev:   StdDev(xs),
@@ -205,42 +198,13 @@ func Summarize(xs []float64) Summary {
 		IQR:      iqr,
 		QCD:      QCD(xs),
 		Outliers: outliers,
-
-		MedianCILow:  lo,
-		MedianCIHigh: hi,
 	}
-	return s
 }
 
 // String formats the summary compactly.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d median=%.1f [%.1f,%.1f] mean=%.1f iqr=%.1f qcd=%.3f outliers=%d",
 		s.N, s.Median, s.Q1, s.Q3, s.Mean, s.IQR, s.QCD, s.Outliers)
-}
-
-// BootstrapMedianCI returns a bootstrap confidence interval of the median at
-// the given confidence level, using rounds resamples and a deterministic seed.
-func BootstrapMedianCI(xs []float64, rounds int, level float64, seed int64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if len(xs) == 1 {
-		return xs[0], xs[0]
-	}
-	if rounds < 10 {
-		rounds = 10
-	}
-	rng := rand.New(rand.NewSource(seed))
-	medians := make([]float64, rounds)
-	resample := make([]float64, len(xs))
-	for r := 0; r < rounds; r++ {
-		for i := range resample {
-			resample[i] = xs[rng.Intn(len(xs))]
-		}
-		medians[r] = Median(resample)
-	}
-	alpha := (1 - level) / 2
-	return Percentile(medians, alpha*100), Percentile(medians, (1-alpha)*100)
 }
 
 // Normalize returns xs divided by the scalar denom. A zero denominator returns
@@ -255,25 +219,4 @@ func Normalize(xs []float64, denom float64) []float64 {
 		out[i] = x / denom
 	}
 	return out
-}
-
-// Histogram buckets xs into n equal-width bins between min and max and returns
-// the bin counts. Values outside [min, max] are clamped to the edge bins.
-func Histogram(xs []float64, n int, min, max float64) []int {
-	if n <= 0 || max <= min {
-		return nil
-	}
-	bins := make([]int, n)
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		idx := int((x - min) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx]++
-	}
-	return bins
 }

@@ -115,9 +115,6 @@ func TestSummarize(t *testing.T) {
 	if s.Median < 13 || s.Median > 16 {
 		t.Fatalf("Median = %v", s.Median)
 	}
-	if s.MedianCILow > s.Median || s.MedianCIHigh < s.Median {
-		t.Fatalf("median CI [%v, %v] does not contain median %v", s.MedianCILow, s.MedianCIHigh, s.Median)
-	}
 	if s.Max != 100 || s.Min != 10 {
 		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
 	}
@@ -129,33 +126,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestBootstrapMedianCI(t *testing.T) {
-	lo, hi := BootstrapMedianCI([]float64{5}, 100, 0.95, 1)
-	if lo != 5 || hi != 5 {
-		t.Fatal("singleton CI must collapse")
-	}
-	lo, hi = BootstrapMedianCI(nil, 100, 0.95, 1)
-	if lo != 0 || hi != 0 {
-		t.Fatal("empty CI must be zero")
-	}
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	lo, hi = BootstrapMedianCI(xs, 300, 0.95, 7)
-	if lo > Median(xs) || hi < Median(xs) {
-		t.Fatalf("CI [%v,%v] does not contain the median", lo, hi)
-	}
-	if hi-lo > 30 {
-		t.Fatalf("CI suspiciously wide: [%v, %v]", lo, hi)
-	}
-	// Determinism.
-	lo2, hi2 := BootstrapMedianCI(xs, 300, 0.95, 7)
-	if lo != lo2 || hi != hi2 {
-		t.Fatal("bootstrap not deterministic for fixed seed")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	out := Normalize([]float64{2, 4, 6}, 2)
 	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
@@ -164,30 +134,6 @@ func TestNormalize(t *testing.T) {
 	same := Normalize([]float64{2, 4}, 0)
 	if same[0] != 2 || same[1] != 4 {
 		t.Fatal("zero denominator must return the input values")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 2.5, 3.5, 9.5, -3, 42}
-	bins := Histogram(xs, 10, 0, 10)
-	if len(bins) != 10 {
-		t.Fatalf("len(bins) = %d", len(bins))
-	}
-	total := 0
-	for _, b := range bins {
-		total += b
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram lost samples: %d != %d", total, len(xs))
-	}
-	if bins[0] != 2 { // 0.5 and the clamped -3
-		t.Fatalf("bins[0] = %d, want 2", bins[0])
-	}
-	if bins[9] != 2 { // 9.5 and the clamped 42
-		t.Fatalf("bins[9] = %d, want 2", bins[9])
-	}
-	if Histogram(xs, 0, 0, 10) != nil || Histogram(xs, 5, 10, 0) != nil {
-		t.Fatal("degenerate histogram configs must return nil")
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package trace provides lightweight result recording for experiments: simple
 // tables that can be rendered as aligned text for the terminal or written as
-// CSV/JSON files for plotting.
+// CSV files for plotting.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -19,16 +18,14 @@ type Table struct {
 	Title string
 	// Columns are the header labels.
 	Columns []string
-	// Rows hold the data cells; each row should have len(Columns) cells.
-	// Float cells added through AddRow are stored at full precision — these
-	// are what WriteCSV and WriteJSON emit, so files fed to fitting harnesses
-	// never inherit display rounding.
+	// Rows hold the data cells AddRow appended; each row should have
+	// len(Columns) cells. Float cells are stored at full precision — these
+	// are what WriteCSV emits, so files fed to fitting harnesses never
+	// inherit display rounding.
 	Rows [][]string
 
-	// display holds the terminal rendering of each AddRow row (floats at the
-	// historical %.3f). Render prefers it over Rows so the aligned text output
-	// is unchanged; rows appended to Rows by hand have no display twin and
-	// render verbatim.
+	// display holds the terminal rendering of each row (floats at the
+	// historical %.3f), which Render writes.
 	display [][]string
 }
 
@@ -56,22 +53,8 @@ func (t *Table) AddRow(cells ...any) {
 			disp[i] = row[i]
 		}
 	}
-	// Keep display aligned with Rows even if the caller appended rows to Rows
-	// by hand between AddRow calls (those rows render verbatim).
-	for len(t.display) < len(t.Rows) {
-		t.display = append(t.display, t.Rows[len(t.display)])
-	}
 	t.Rows = append(t.Rows, row)
 	t.display = append(t.display, disp)
-}
-
-// displayRow returns the terminal rendering of row i: the %.3f-formatted twin
-// for AddRow rows, the raw cells for rows appended to Rows directly.
-func (t *Table) displayRow(i int) []string {
-	if i < len(t.display) {
-		return t.display[i]
-	}
-	return t.Rows[i]
 }
 
 // Render writes the table as aligned text.
@@ -80,8 +63,8 @@ func (t *Table) Render(w io.Writer) error {
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for i := range t.Rows {
-		for j, cell := range t.displayRow(i) {
+	for _, row := range t.display {
+		for j, cell := range row {
 			if j < len(widths) && len(cell) > widths[j] {
 				widths[j] = len(cell)
 			}
@@ -114,8 +97,8 @@ func (t *Table) Render(w io.Writer) error {
 	if err := writeRow(sep); err != nil {
 		return err
 	}
-	for i := range t.Rows {
-		if err := writeRow(t.displayRow(i)); err != nil {
+	for _, row := range t.display {
+		if err := writeRow(row); err != nil {
 			return err
 		}
 	}
@@ -153,30 +136,6 @@ func (t *Table) SaveCSV(path string) error {
 	}
 	defer f.Close()
 	if err := t.WriteCSV(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// WriteJSON writes the table as a JSON object {title, columns, rows}.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}{t.Title, t.Columns, t.Rows})
-}
-
-// SaveJSON writes the table to a JSON file.
-func (t *Table) SaveJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
 		return err
 	}
 	return f.Sync()

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -61,7 +60,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 // TestDataCellsKeepFullPrecision pins the AddRow storage fix: float cells used
-// to be truncated to three decimals before storage, so CSV/JSON files lost
+// to be truncated to three decimals before storage, so CSV files lost
 // precision permanently. Rows now hold the shortest round-tripping decimal,
 // while Render still displays %.3f.
 func TestDataCellsKeepFullPrecision(t *testing.T) {
@@ -87,63 +86,20 @@ func TestDataCellsKeepFullPrecision(t *testing.T) {
 	}
 }
 
-// TestHandAppendedRowsRenderVerbatim: rows pushed into Rows directly (no
-// AddRow) have no display twin and must render as stored, even when mixed
-// with AddRow rows in any order.
-func TestHandAppendedRowsRenderVerbatim(t *testing.T) {
-	tbl := NewTable("mixed", "a")
-	tbl.Rows = append(tbl.Rows, []string{"raw-first"})
-	tbl.AddRow(1.5)
-	tbl.Rows = append(tbl.Rows, []string{"raw-last"})
-	out := tbl.String()
-	for _, want := range []string{"raw-first", "1.500", "raw-last"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("mixed-row table missing %q: %q", want, out)
-		}
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Title != "demo" || len(decoded.Columns) != 3 || len(decoded.Rows) != 2 {
-		t.Fatalf("unexpected JSON: %+v", decoded)
-	}
-}
-
-func TestSaveCSVAndJSON(t *testing.T) {
+func TestSaveCSV(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "out.csv")
-	jsonPath := filepath.Join(dir, "out.json")
 	if err := sample().SaveCSV(csvPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := sample().SaveJSON(jsonPath); err != nil {
+	data, err := os.ReadFile(csvPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{csvPath, jsonPath} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			t.Fatalf("%s is empty", p)
-		}
+	if len(data) == 0 {
+		t.Fatalf("%s is empty", csvPath)
 	}
 	if err := sample().SaveCSV(filepath.Join(dir, "missing", "out.csv")); err == nil {
-		t.Fatal("expected error for missing directory")
-	}
-	if err := sample().SaveJSON(filepath.Join(dir, "missing", "out.json")); err == nil {
 		t.Fatal("expected error for missing directory")
 	}
 }

@@ -13,8 +13,6 @@ type PingPong struct {
 	MessageBytes int64
 	// Iterations is the number of round trips per Run.
 	Iterations int
-	// PeerA and PeerB select which ranks exchange; both default to 0 and 1.
-	PeerA, PeerB int
 }
 
 // Name implements Workload.
@@ -22,24 +20,20 @@ func (p *PingPong) Name() string { return "pingpong" }
 
 // Run implements Workload.
 func (p *PingPong) Run(r *mpi.Rank) {
-	a, b := p.PeerA, p.PeerB
-	if a == b {
-		b = a + 1
-	}
 	iters := p.Iterations
 	if iters <= 0 {
 		iters = 1
 	}
 	switch r.Rank() {
-	case a:
+	case 0:
 		for i := 0; i < iters; i++ {
-			r.Send(b, p.MessageBytes, core.PointToPoint)
-			r.Recv(b)
+			r.Send(1, p.MessageBytes, core.PointToPoint)
+			r.Recv(1)
 		}
-	case b:
+	case 1:
 		for i := 0; i < iters; i++ {
-			r.Recv(a)
-			r.Send(a, p.MessageBytes, core.PointToPoint)
+			r.Recv(0)
+			r.Send(0, p.MessageBytes, core.PointToPoint)
 		}
 	}
 }
@@ -115,8 +109,6 @@ type Broadcast struct {
 	MessageBytes int64
 	// Iterations is the number of broadcast calls per Run.
 	Iterations int
-	// Root is the broadcasting rank.
-	Root int
 }
 
 // Name implements Workload.
@@ -129,7 +121,7 @@ func (b *Broadcast) Run(r *mpi.Rank) {
 		iters = 1
 	}
 	for i := 0; i < iters; i++ {
-		r.Broadcast(b.Root, b.MessageBytes)
+		r.Broadcast(0, b.MessageBytes)
 	}
 }
 
@@ -138,24 +130,21 @@ func (b *Broadcast) Run(r *mpi.Rank) {
 // iteration. DomainEdge is the edge length of the global cubic domain; each
 // cell carries 8 bytes, so a face message is (edge/p)^2 * 8 bytes.
 type Halo3D struct {
-	// Ranks is the communicator size used to build the process grid.
-	Ranks int
 	// DomainEdge is the global domain edge length (the paper's input size,
 	// e.g. 1024 for the 1024^3 runs).
 	DomainEdge int64
 	// Iterations is the number of halo-exchange steps per Run.
 	Iterations int
-	// ComputeCyclesPerIter models the (tiny) stencil update; the ember
-	// benchmark is communication-only so this defaults to 0.
-	ComputeCyclesPerIter int64
 
 	px, py, pz int
 }
 
-// NewHalo3D builds a Halo3D workload with a balanced process grid.
+// NewHalo3D builds a Halo3D workload with a balanced process grid over ranks
+// ranks. The ember benchmark is communication-only: no compute between
+// exchanges.
 func NewHalo3D(ranks int, domainEdge int64, iterations int) *Halo3D {
 	px, py, pz := Factor3D(ranks)
-	return &Halo3D{Ranks: ranks, DomainEdge: domainEdge, Iterations: iterations, px: px, py: py, pz: pz}
+	return &Halo3D{DomainEdge: domainEdge, Iterations: iterations, px: px, py: py, pz: pz}
 }
 
 // Name implements Workload.
@@ -177,9 +166,6 @@ func (h *Halo3D) faceBytes(pa, pb int) int64 {
 
 // Run implements Workload.
 func (h *Halo3D) Run(r *mpi.Rank) {
-	if h.px == 0 {
-		h.px, h.py, h.pz = Factor3D(h.Ranks)
-	}
 	iters := h.Iterations
 	if iters <= 0 {
 		iters = 1
@@ -212,35 +198,31 @@ func (h *Halo3D) Run(r *mpi.Rank) {
 			reqs = append(reqs, r.Isend(n.rank, n.bytes, core.PointToPoint))
 		}
 		r.WaitAll(reqs...)
-		if h.ComputeCyclesPerIter > 0 {
-			r.Compute(h.ComputeCyclesPerIter)
-		}
 	}
 }
 
 // Sweep3D is the ember sweep3d wavefront benchmark: ranks form a 2D grid over
 // the X-Y plane and a wavefront starting at the corner sweeps across the grid,
-// with each rank receiving from its west and north neighbours, processing a
-// block of KPlanes Z-planes, and forwarding to its east and south neighbours.
+// with each rank receiving from its west and north neighbours, passing a
+// block of sweepKPlanes Z-planes on without compute, and forwarding to its
+// east and south neighbours.
 type Sweep3D struct {
-	// Ranks is the communicator size used to build the process grid.
-	Ranks int
 	// DomainEdge is the global domain edge length (the paper's input size).
 	DomainEdge int64
-	// KPlanes is the Z-blocking factor of the wavefront.
-	KPlanes int64
 	// Iterations is the number of full sweeps per Run.
 	Iterations int
-	// ComputeCyclesPerBlock models the per-block computation.
-	ComputeCyclesPerBlock int64
 
 	px, py int
 }
 
-// NewSweep3D builds a Sweep3D workload with a balanced 2D process grid.
+// sweepKPlanes is the Z-blocking factor of the Sweep3D wavefront.
+const sweepKPlanes = 8
+
+// NewSweep3D builds a Sweep3D workload with a balanced 2D process grid over
+// ranks ranks.
 func NewSweep3D(ranks int, domainEdge int64, iterations int) *Sweep3D {
 	px, py := Factor2D(ranks)
-	return &Sweep3D{Ranks: ranks, DomainEdge: domainEdge, KPlanes: 8, Iterations: iterations, px: px, py: py}
+	return &Sweep3D{DomainEdge: domainEdge, Iterations: iterations, px: px, py: py}
 }
 
 // Name implements Workload.
@@ -248,24 +230,17 @@ func (s *Sweep3D) Name() string { return "sweep3d" }
 
 // Run implements Workload.
 func (s *Sweep3D) Run(r *mpi.Rank) {
-	if s.px == 0 {
-		s.px, s.py = Factor2D(s.Ranks)
-	}
 	iters := s.Iterations
 	if iters <= 0 {
 		iters = 1
-	}
-	kp := s.KPlanes
-	if kp <= 0 {
-		kp = 8
 	}
 	x := r.Rank() % s.px
 	y := r.Rank() / s.px
 	if y >= s.py {
 		return
 	}
-	// Per-block message size: the X (resp. Y) boundary of a block of kp
-	// planes, 8 bytes per cell.
+	// Per-block message size: the X (resp. Y) boundary of a block of
+	// sweepKPlanes planes, 8 bytes per cell.
 	edgeX := s.DomainEdge / int64(s.px)
 	edgeY := s.DomainEdge / int64(s.py)
 	if edgeX < 1 {
@@ -274,9 +249,9 @@ func (s *Sweep3D) Run(r *mpi.Rank) {
 	if edgeY < 1 {
 		edgeY = 1
 	}
-	msgEW := edgeY * kp * 8
-	msgNS := edgeX * kp * 8
-	blocks := s.DomainEdge / kp
+	msgEW := edgeY * sweepKPlanes * 8
+	msgNS := edgeX * sweepKPlanes * 8
+	blocks := s.DomainEdge / sweepKPlanes
 	if blocks < 1 {
 		blocks = 1
 	}
@@ -303,9 +278,6 @@ func (s *Sweep3D) Run(r *mpi.Rank) {
 			}
 			if north >= 0 {
 				r.Recv(north)
-			}
-			if s.ComputeCyclesPerBlock > 0 {
-				r.Compute(s.ComputeCyclesPerBlock)
 			}
 			if east >= 0 {
 				r.Send(east, msgEW, core.PointToPoint)

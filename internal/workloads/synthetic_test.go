@@ -5,34 +5,37 @@ import (
 	"testing/quick"
 )
 
+// mustNew builds a registered workload or fails the test.
+func mustNew(t *testing.T, name string, ranks int, size int64) Workload {
+	t.Helper()
+	w, err := New(name, ranks, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestIncastCompletesAndLoadsVictim(t *testing.T) {
 	const n = 8
-	w := &Incast{Victim: 0, MessageBytes: 2048, Iterations: 2}
-	elapsed, packets := runWorkload(t, w, n, 41)
-	if elapsed <= 0 || packets == 0 {
+	elapsed, packets := runWorkload(t, mustNew(t, "incast", n, 2048), n, 41)
+	// Seven senders of 32 packets each, plus the barrier's messages.
+	if elapsed <= 0 || packets < (n-1)*32 {
 		t.Fatalf("incast produced elapsed=%d packets=%d", elapsed, packets)
 	}
 }
 
-func TestIncastInvalidVictimFallsBackToZero(t *testing.T) {
-	w := &Incast{Victim: 99, MessageBytes: 512, Iterations: 1}
-	if _, packets := runWorkload(t, w, 4, 42); packets == 0 {
-		t.Fatal("incast with out-of-range victim generated no traffic")
-	}
-}
-
 func TestShiftCompletesForVariousDistances(t *testing.T) {
-	for _, dist := range []int{1, 3, 5, 8, -2} {
-		w := &Shift{Distance: dist, MessageBytes: 1024, Iterations: 2}
-		if _, packets := runWorkload(t, w, 6, 43); packets == 0 {
-			t.Fatalf("shift distance %d generated no traffic", dist)
+	// The distance is ranks/2+1: 2 ranks wrap it to 1, 3 ranks shift by 2,
+	// 6 and 7 ranks by 4.
+	for _, n := range []int{2, 3, 6, 7} {
+		if _, packets := runWorkload(t, mustNew(t, "shift", n, 1024), n, 43); packets != uint64(n)*16 {
+			t.Fatalf("shift on %d ranks injected %d packets, want %d", n, packets, n*16)
 		}
 	}
 }
 
 func TestShiftSingleRankIsNoop(t *testing.T) {
-	w := &Shift{Distance: 1, MessageBytes: 1024, Iterations: 1}
-	if _, packets := runWorkload(t, w, 1, 44); packets != 0 {
+	if _, packets := runWorkload(t, mustNew(t, "shift", 1, 1024), 1, 44); packets != 0 {
 		t.Fatal("single-rank shift generated traffic")
 	}
 }
@@ -42,62 +45,56 @@ func TestRandomAccessSendReceiveCountsMatch(t *testing.T) {
 	// if the prediction were wrong, the ranks would deadlock and runWorkload
 	// would fail. Completing at all is the property under test.
 	for _, n := range []int{2, 4, 7, 8} {
-		w := &RandomAccess{UpdateBytes: 16, UpdatesPerRank: 12, Seed: 9}
-		if _, packets := runWorkload(t, w, n, 45); packets == 0 {
+		if _, packets := runWorkload(t, mustNew(t, "randomaccess", n, 16), n, 45); packets == 0 {
 			t.Fatalf("n=%d: random access generated no traffic", n)
 		}
 	}
 }
 
+// TestRandomAccessDefaultsApplied: a non-positive size (the CLI can pass
+// one) sends the default 8-byte updates.
 func TestRandomAccessDefaultsApplied(t *testing.T) {
-	w := &RandomAccess{Seed: 3}
-	if _, packets := runWorkload(t, w, 4, 46); packets == 0 {
-		t.Fatal("random access with default parameters generated no traffic")
+	zeroTime, zeroPackets := runWorkload(t, mustNew(t, "randomaccess", 4, 0), 4, 46)
+	eightTime, eightPackets := runWorkload(t, mustNew(t, "randomaccess", 4, 8), 4, 46)
+	if zeroPackets == 0 || zeroTime != eightTime || zeroPackets != eightPackets {
+		t.Fatalf("size 0 ran %d cycles, %d packets; size 8 ran %d cycles, %d packets",
+			zeroTime, zeroPackets, eightTime, eightPackets)
 	}
 }
 
 func TestTransposeCompletes(t *testing.T) {
 	for _, n := range []int{4, 6, 9, 12} {
-		w := &Transpose{BlockBytes: 4096, Iterations: 2}
-		if _, packets := runWorkload(t, w, n, 47); packets == 0 {
+		if _, packets := runWorkload(t, mustNew(t, "transpose", n, 4096), n, 47); packets == 0 {
 			t.Fatalf("n=%d: transpose generated no traffic", n)
 		}
 	}
 }
 
 func TestHalo2DCompletes(t *testing.T) {
-	w := &Halo2D{FaceBytes: 2048, Iterations: 3, ComputeCycles: 500}
-	elapsed, packets := runWorkload(t, w, 9, 48)
-	if packets == 0 {
-		t.Fatal("halo2d generated no traffic")
-	}
-	if elapsed < 3*500 {
-		t.Fatalf("halo2d elapsed %d cycles, want at least the compute time", elapsed)
+	// A 3x3 grid has 24 directed neighbour pairs, each one 32-packet face.
+	elapsed, packets := runWorkload(t, mustNew(t, "halo2d", 9, 2048), 9, 48)
+	if elapsed <= 0 || packets != 24*32 {
+		t.Fatalf("halo2d produced elapsed=%d packets=%d, want %d packets", elapsed, packets, 24*32)
 	}
 }
 
 func TestPipelineOrderingAndTraffic(t *testing.T) {
-	w := &Pipeline{BlockBytes: 1024, Stages: 3, ComputeCycles: 100}
-	if _, packets := runWorkload(t, w, 5, 49); packets == 0 {
-		t.Fatal("pipeline generated no traffic")
+	// Four blocks of 16 packets cross each of the four links of a 5-rank
+	// pipeline.
+	if _, packets := runWorkload(t, mustNew(t, "pipeline", 5, 1024), 5, 49); packets != 4*4*16 {
+		t.Fatalf("pipeline injected %d packets, want %d", packets, 4*4*16)
 	}
 }
 
 func TestTunedCollectivesWorkload(t *testing.T) {
-	w := &TunedCollectives{SmallBytes: 64, LargeBytes: 32 << 10, Iterations: 1}
-	if _, packets := runWorkload(t, w, 8, 50); packets == 0 {
+	if _, packets := runWorkload(t, mustNew(t, "tuned-collectives", 8, 32<<10), 8, 50); packets == 0 {
 		t.Fatal("tuned collectives generated no traffic")
-	}
-	// Zero-value sizes and tuning must fall back to defaults.
-	w = &TunedCollectives{}
-	if _, packets := runWorkload(t, w, 4, 51); packets == 0 {
-		t.Fatal("tuned collectives with defaults generated no traffic")
 	}
 }
 
 func TestSyntheticWorkloadsRegistered(t *testing.T) {
 	reg := Registry()
-	for _, name := range []string{"incast", "shift", "randomaccess", "transpose", "halo2d", "pipeline", "tuned-collectives"} {
+	for _, name := range syntheticNames {
 		ctor, ok := reg[name]
 		if !ok {
 			t.Fatalf("workload %q not registered", name)

@@ -142,17 +142,15 @@ func Registry() map[string]func(ranks int, size int64) Workload {
 		"qe":        func(ranks int, size int64) Workload { return NewQuantumEspresso(ranks, size) },
 		"vpfft":     func(ranks int, size int64) Workload { return NewVPFFT(ranks, size) },
 		"amber":     func(ranks int, size int64) Workload { return NewAmber(ranks, size) },
-		"incast":    func(_ int, size int64) Workload { return &Incast{MessageBytes: size, Iterations: 1} },
-		"shift": func(ranks int, size int64) Workload {
-			return &Shift{Distance: ranks/2 + 1, MessageBytes: size, Iterations: 1}
-		},
-		"randomaccess": func(_ int, size int64) Workload { return &RandomAccess{UpdateBytes: size, UpdatesPerRank: 16, Seed: 1} },
-		"transpose":    func(_ int, size int64) Workload { return &Transpose{BlockBytes: size, Iterations: 1} },
-		"halo2d":       func(_ int, size int64) Workload { return &Halo2D{FaceBytes: size, Iterations: 1} },
-		"pipeline":     func(_ int, size int64) Workload { return &Pipeline{BlockBytes: size, Stages: 4} },
-		"tuned-collectives": func(_ int, size int64) Workload {
-			return &TunedCollectives{SmallBytes: 64, LargeBytes: size, Iterations: 1}
-		},
+
+		// The synthetic patterns of synthetic.go.
+		"incast":            incast,
+		"shift":             shift,
+		"randomaccess":      randomAccess,
+		"transpose":         transpose,
+		"halo2d":            halo2d,
+		"pipeline":          pipeline,
+		"tuned-collectives": tunedCollectives,
 	}
 }
 
