@@ -8,7 +8,6 @@ package dragonfly
 
 import (
 	"dragonfly/internal/alloc"
-	"dragonfly/internal/arrival"
 	"dragonfly/internal/core"
 	"dragonfly/internal/counters"
 	"dragonfly/internal/mpi"
@@ -67,13 +66,6 @@ type (
 	// Summary is the box-plot style description of a sample distribution
 	// (median, quartiles, QCD) produced by Result.TimeSummary.
 	Summary = stats.Summary
-	// ArrivalSpec describes the client streams of an open-arrival run.
-	ArrivalSpec = arrival.Spec
-	// ArrivalClient is one tenant's arrival process (SLO class, interarrival
-	// distribution, size/duration ranges, optional diurnal modulation).
-	ArrivalClient = arrival.Client
-	// SLOClass is a tenant service class (latency, batch, best-effort).
-	SLOClass = arrival.Class
 )
 
 // Routing modes, re-exported so applications need not import the routing
@@ -141,13 +133,6 @@ func ParsePolicy(s string) (Policy, error) { return alloc.ParsePolicy(s) }
 
 // ParseNoisePattern converts a background-pattern name to a NoisePattern.
 func ParseNoisePattern(s string) (NoisePattern, error) { return noise.ParsePattern(s) }
-
-// ParseArrival converts an open-arrival spec string — one
-// "class:dist:mean-cycles(:key=value)*" client per semicolon — to an
-// ArrivalSpec. Like ParseGeometry and ParseRouting it is case-insensitive and
-// ignores whitespace around tokens; see the arrival package for the full
-// grammar.
-func ParseArrival(s string) (ArrivalSpec, error) { return arrival.ParseSpec(s) }
 
 // NewWorkload builds a registered workload by name for the given rank count.
 func NewWorkload(name string, ranks int, size int64) (Workload, error) {

@@ -17,9 +17,7 @@ import (
 	"testing"
 
 	"dragonfly"
-	"dragonfly/internal/arrival"
 	"dragonfly/internal/experiments"
-	"dragonfly/internal/sched"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/workloads"
 )
@@ -348,42 +346,4 @@ func BenchmarkMachineScaleDaint(b *testing.B) {
 		meanCycles = float64(res.Time()) / float64(len(res.Times))
 	}
 	b.ReportMetric(meanCycles, "daint_alltoall_mean_cycles")
-}
-
-// BenchmarkOpenStream measures the open-arrival scheduling engine at machine
-// scale: 300k compute-only job events admitted, placed and drained on the
-// full Daint geometry. The job_events_per_sec metric is the subsystem's
-// throughput headline; allocs/op is gated by scripts/bench_smoke.sh
-// (openstream_allocs_per_op in BENCH_budget.txt) because the steady-state
-// loop — recycled job records and node slices, streaming digests — is
-// designed to allocate nothing per job.
-func BenchmarkOpenStream(b *testing.B) {
-	const events = 300_000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sys, err := dragonfly.New(
-			dragonfly.WithGeometry(dragonfly.Daint),
-			dragonfly.WithSeed(1),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec := dragonfly.ArrivalSpec{Clients: arrival.DefaultClients(6, 12_000)}.Normalize()
-		o, err := sched.NewOpenStream(sys.Fabric(), spec, sched.OpenConfig{
-			Placement:    sched.PlaceContiguous,
-			Seed:         42,
-			MaxJobEvents: events,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		o.Start()
-		if err := o.Drive(nil); err != nil {
-			b.Fatal(err)
-		}
-		if st := o.Stats(); st.Finished != events {
-			b.Fatalf("finished %d of %d job events", st.Finished, events)
-		}
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "job_events_per_sec")
 }

@@ -12,23 +12,11 @@
 // -app-workloads name is not a registered workload is an error; a rank error
 // an application hits is printed as a warning after the report.
 //
-// With -arrivals, -clients or -horizon the tool switches from draining a
-// fixed mix to an *open* arrival stream: tenant clients with SLO classes
-// (latency, batch, best-effort) submit jobs from Poisson/Gamma/Weibull
-// processes until the event budget (-jobs) or the admission horizon
-// (-horizon) is reached, and the report becomes per-class slowdown
-// distributions, SLO violation rates and the Jain fairness index. A flag the
-// selected mode does not read (a batch-mix flag in open-stream mode,
-// -slo-classes in batch mode, -clients beside -arrivals, -jobs beside
-// -horizon) is an error.
-//
 // Usage:
 //
 //	schedsim -jobs 24 -placement hybrid -backfill
 //	schedsim -placement contiguous -geometry medium:6 -max-nodes 32
 //	schedsim -jobs 16 -apps 0.5 -app-workloads alltoall,halo3d
-//	schedsim -clients 6 -jobs 5000 -placement random
-//	schedsim -arrivals "latency:poisson:150000:nodes=2-8;batch:gamma:600000:shape=2" -horizon 50000000
 package main
 
 import (
@@ -39,7 +27,6 @@ import (
 	"strings"
 
 	"dragonfly"
-	"dragonfly/internal/arrival"
 	"dragonfly/internal/sched"
 	"dragonfly/internal/trace"
 )
@@ -67,40 +54,8 @@ func run(args []string, out io.Writer) error {
 		appShare    = fs.Float64("apps", 0, "fraction of jobs that run real workload-driven applications")
 		appNames    = fs.String("app-workloads", "alltoall,halo3d,allreduce", "comma-separated workloads app jobs cycle through")
 		appIters    = fs.Int("app-iterations", 1, "workload repetitions per app job")
-		arrivals    = fs.String("arrivals", "", "open-arrival spec (class:dist:mean[:key=val]*; ...); enables open-stream mode")
-		clients     = fs.Int("clients", 0, "number of default open-arrival clients; enables open-stream mode")
-		horizon     = fs.Int64("horizon", 0, "open-stream admission horizon in cycles (0: use -jobs as the event budget)")
-		sloClasses  = fs.String("slo-classes", "latency,batch,besteffort", "SLO classes the default clients cycle through")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	open := *arrivals != "" || *clients > 0 || *horizon > 0
-	// A set flag the selected mode does not read is an error, not a silent
-	// no-op.
-	unread := map[string]string{"slo-classes": "in batch mode"}
-	if open {
-		unread = map[string]string{}
-		for _, name := range []string{"backfill", "apps", "app-workloads", "app-iterations",
-			"min-nodes", "max-nodes", "comm-share", "per-job"} {
-			unread[name] = "in open-stream mode"
-		}
-		if *arrivals != "" {
-			for _, name := range []string{"clients", "slo-classes", "interarrival"} {
-				unread[name] = "with -arrivals"
-			}
-		}
-		if *horizon > 0 {
-			unread["jobs"] = "with -horizon"
-		}
-	}
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if why, ok := unread[f.Name]; ok && err == nil {
-			err = fmt.Errorf("-%s has no effect %s", f.Name, why)
-		}
-	})
-	if err != nil {
 		return err
 	}
 
@@ -118,10 +73,6 @@ func run(args []string, out io.Writer) error {
 	}
 	t := sys.Topology()
 	fab := sys.Fabric()
-
-	if open {
-		return runOpen(out, sys, policy, *arrivals, *clients, *sloClasses, *horizon, *jobs, *interarrive, *seed)
-	}
 
 	mix := sched.DefaultMixConfig()
 	mix.Jobs = *jobs
@@ -188,101 +139,5 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "warning: %s: %v\n", rec.Spec.Name, rec.AppErr)
 		}
 	}
-	return nil
-}
-
-// openSpec builds the arrival spec for open-stream mode: an explicit -arrivals
-// grammar when given, otherwise -clients default clients cycling through the
-// -slo-classes list.
-func openSpec(arrivals string, clients int, sloClasses string, meanGap int64) (dragonfly.ArrivalSpec, error) {
-	if arrivals != "" {
-		return dragonfly.ParseArrival(arrivals)
-	}
-	if clients <= 0 {
-		clients = 3
-	}
-	var allowed []dragonfly.SLOClass
-	for _, name := range strings.Split(sloClasses, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			c, err := arrival.ParseClass(name)
-			if err != nil {
-				return dragonfly.ArrivalSpec{}, err
-			}
-			allowed = append(allowed, c)
-		}
-	}
-	if len(allowed) == 0 {
-		return dragonfly.ArrivalSpec{}, fmt.Errorf("schedsim: -slo-classes selected no classes")
-	}
-	presets := arrival.DefaultClients(arrival.NumClasses, meanGap)
-	byClass := make(map[dragonfly.SLOClass]dragonfly.ArrivalClient, len(presets))
-	for _, p := range presets {
-		p.Name = "" // re-derived per client by Normalize
-		byClass[p.Class] = p
-	}
-	spec := dragonfly.ArrivalSpec{}
-	for i := 0; i < clients; i++ {
-		spec.Clients = append(spec.Clients, byClass[allowed[i%len(allowed)]])
-	}
-	return spec.Normalize(), nil
-}
-
-// runOpen drives the open-arrival mode and prints the SLO/fairness report.
-func runOpen(out io.Writer, sys *dragonfly.System, policy sched.AllocationPolicy,
-	arrivals string, clients int, sloClasses string, horizon int64, events int,
-	meanGap, seed int64) error {
-	spec, err := openSpec(arrivals, clients, sloClasses, meanGap)
-	if err != nil {
-		return err
-	}
-	cfg := sched.OpenConfig{Placement: policy, Seed: seed}
-	if horizon > 0 {
-		cfg.HorizonCycles = horizon
-	} else {
-		cfg.MaxJobEvents = events
-	}
-	o, err := sched.NewOpenStream(sys.Fabric(), spec, cfg)
-	if err != nil {
-		return err
-	}
-	o.Start()
-	if err := o.Drive(nil); err != nil {
-		return err
-	}
-	st := o.Stats()
-
-	t := sys.Topology()
-	fmt.Fprintf(out, "machine: %d nodes / %d routers / %d groups; placement=%s open-stream\n",
-		t.NumNodes(), t.NumRouters(), t.Config().Groups, policy)
-	fmt.Fprintf(out, "clients: %d streams", len(spec.Clients))
-	for _, c := range spec.Clients {
-		fmt.Fprintf(out, "  %s(%s:%s)", c.Name, c.Class, c.Dist)
-	}
-	fmt.Fprintln(out)
-	fmt.Fprintf(out, "job events: %d admitted, %d started, %d finished; max queue %d\n",
-		st.Admitted, st.Started, st.Finished, st.MaxQueueLength)
-
-	table := trace.NewTable("per-SLO-class service",
-		"class", "jobs", "slowdown p50", "q3", "max", "target", "viol %", "mean wait (cycles)")
-	for c := 0; c < arrival.NumClasses; c++ {
-		cs := st.Classes[c]
-		if cs.Finished == 0 {
-			continue
-		}
-		target := fmt.Sprintf("%.0f", cs.TargetSlowdown)
-		if cs.TargetSlowdown > 1e18 {
-			target = "-"
-		}
-		table.AddRow(dragonfly.SLOClass(c).String(), cs.Finished,
-			cs.Slowdown.Median, cs.Slowdown.Q3, cs.Slowdown.Max,
-			target, cs.ViolationFrac*100, cs.WaitCycles.Mean)
-	}
-	if err := table.Render(out); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "\nfairness: Jain index %.4f across %d tenants\n", st.JainFairness, len(spec.Clients))
-	fmt.Fprintf(out, "machine utilization: %.1f%%, fragmentation median %.3f, makespan %d cycles\n",
-		st.Utilization*100, st.Fragmentation.Median, st.MakespanCycles)
 	return nil
 }

@@ -308,10 +308,7 @@ func (s *System) StartNoise(cfg NoiseConfig) *noise.Generator {
 		seed = mix64(seed ^ uint64(idx))
 	}
 	gcfg.Seed = int64(seed)
-	g, err := noise.FromAllocation(s.fabric, a, gcfg)
-	if err != nil {
-		return nil
-	}
+	g := noise.FromAllocation(s.fabric, a, gcfg)
 	for _, node := range a.Nodes() {
 		s.used[node] = true
 	}

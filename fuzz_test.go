@@ -72,50 +72,6 @@ func FuzzParseDecisionTrace(f *testing.F) {
 	})
 }
 
-// FuzzParseArrival fuzzes the open-arrival spec parser: no panics, every
-// accepted input must come back as a validated spec whose streams can be
-// built, and acceptance must be stable under the documented normalization.
-func FuzzParseArrival(f *testing.F) {
-	for _, seed := range []string{
-		"latency:poisson:150000",
-		"latency:poisson:150000:nodes=2-8;batch:gamma:600000:shape=2:nodes=8-64",
-		"besteffort:weibull:300000:diurnal=0.5:period=10000000:phase=0.25",
-		"batch:gamma:50000:shape=0.5:dur=1000-90000:name=etl",
-		"LATENCY:POISSON:1000", " latency : exp : 42 ", "be:weibull:77:shape=1.5",
-		"", ";", "latency", "latency:poisson", "latency:poisson:0",
-		"latency:zipf:100", "gold:poisson:100", "latency:poisson:100:bogus=1",
-		"latency:poisson:100:nodes=8-2", "latency:poisson:100:shape=-1",
-		"latency:poisson:100:diurnal=2", "latency:poisson:99999999999999999999",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		spec, err := dragonfly.ParseArrival(s)
-		if err != nil {
-			if len(spec.Clients) != 0 {
-				t.Fatalf("ParseArrival(%q) errored but returned clients %+v", s, spec.Clients)
-			}
-			return
-		}
-		if len(spec.Clients) == 0 {
-			t.Fatalf("ParseArrival(%q) accepted an empty spec", s)
-		}
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("ParseArrival(%q) accepted an invalid spec: %v", s, err)
-		}
-		for _, c := range spec.Clients {
-			if c.MeanInterarrivalCycles <= 0 || c.MinNodes < 1 || c.MaxNodes < c.MinNodes {
-				t.Fatalf("ParseArrival(%q) accepted a degenerate client %+v", s, c)
-			}
-		}
-		if spec2, err := dragonfly.ParseArrival(strings.ToUpper(" " + s + " ")); err != nil ||
-			len(spec2.Clients) != len(spec.Clients) {
-			t.Fatalf("ParseArrival(%q) is not normalization-stable: %v / %d clients",
-				s, err, len(spec2.Clients))
-		}
-	})
-}
-
 // FuzzParseGeometry fuzzes the geometry-preset parser: no panics, and every
 // accepted input must come back as a validated, buildable machine shape.
 func FuzzParseGeometry(f *testing.F) {

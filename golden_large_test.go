@@ -14,8 +14,8 @@ import (
 // Golden hashes over the Large ladder rung (6 full Aries groups, 2304
 // nodes): a single Job.Run and a two-application RunConcurrent, at tiny
 // iteration counts. They pin the compact-arena refactor — O(links)
-// adjacency, lazy NIC windows, streaming digests — byte-identical end to
-// end at a machine size dense structures would make wasteful. They were
+// adjacency, lazy NIC windows — byte-identical end to end at a machine
+// size dense structures would make wasteful. They were
 // captured after verifying the pre-existing quick-scale goldens (fig3,
 // noisesweep, cotenant) unchanged.
 const (

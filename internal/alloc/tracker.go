@@ -8,11 +8,11 @@ import (
 	"dragonfly/internal/topo"
 )
 
-// Tracker is an incremental free-node allocator for long-horizon scheduling.
-// Allocate (above) rebuilds the whole free list on every call — O(machine)
-// work and a fresh slice per job, fine for a fixed mix of tens of jobs but
-// not for an open stream of millions. A Tracker keeps the machine state
-// resident instead:
+// Tracker is the incremental free-node allocator the batch scheduler places
+// jobs through. Allocate (above) rebuilds the whole free list on every call,
+// O(machine) work and a fresh slice per job; a Tracker keeps the machine
+// state resident instead, so jobs start and finish as the scheduler's events
+// fire:
 //
 //   - a busy bitset (one word per 64 nodes; 84 words on Daint) answers
 //     membership and drives the contiguous scan,
@@ -21,11 +21,10 @@ import (
 //   - node IDs are group-contiguous by construction, so group striping walks
 //     per-group ID ranges directly.
 //
-// Alloc and free are O(job size) plus a word-scan, and steady-state operation
-// allocates nothing: callers pass the destination slice in. The Tracker also
-// exposes a fragmentation metric — 1 − (largest free run)/(free nodes) — that
-// is 0 on an empty or full machine and approaches 1 as the free capacity
-// shatters into single-node holes.
+// Alloc and free are O(job size) plus a word-scan, and callers pass the
+// destination slice in. The order of the swap-remove free list decides which
+// nodes a RandomScatter draw picks, so the scheduler's random placements
+// depend on it.
 //
 // A Tracker is not safe for concurrent use; like the scheduler it backs, all
 // calls must come from the simulation goroutine.
@@ -63,9 +62,6 @@ func NewTracker(t *topo.Topology) *Tracker {
 	}
 	return k
 }
-
-// NumNodes returns the machine size.
-func (k *Tracker) NumNodes() int { return k.total }
 
 // FreeNodes returns the number of currently free nodes.
 func (k *Tracker) FreeNodes() int { return k.free }
@@ -207,45 +203,4 @@ func (k *Tracker) Free(nodes []topo.NodeID) {
 		}
 		k.markFree(n)
 	}
-}
-
-// Fragmentation measures how shattered the free capacity is:
-// 1 − (largest contiguous free ID run)/(free nodes). It is 0 on an empty
-// machine (one run covers everything), 0 on a full machine (nothing free, by
-// convention), and approaches 1 when the free nodes are scattered single
-// holes no contiguous job can use. The scan visits each word once, ~84 on
-// Daint, and each free run in it.
-func (k *Tracker) Fragmentation() float64 {
-	if k.free == 0 || k.free == k.total {
-		return 0
-	}
-	largest, run := 0, 0
-	for w, busy := range k.words {
-		if hi := (w + 1) * 64; hi > k.total {
-			busy |= ^uint64(0) << uint(k.total%64) // pad beyond the machine as busy
-		}
-		// The free bits below the lowest busy bit extend the run carried in
-		// from the previous word; a word with no busy bit carries it on.
-		low := bits.TrailingZeros64(busy)
-		run += low
-		if low == 64 {
-			continue
-		}
-		largest = max(largest, run)
-		run = 0
-		// Every other free run starts above a busy bit. One that reaches the
-		// top bit carries into the next word.
-		free := ^busy &^ (1<<uint(low) - 1)
-		for free != 0 {
-			start := bits.TrailingZeros64(free)
-			n := bits.TrailingZeros64(^(free >> uint(start)))
-			if start+n == 64 {
-				run = n
-				break
-			}
-			largest = max(largest, n)
-			free &^= (1<<uint(n) - 1) << uint(start)
-		}
-	}
-	return 1 - float64(max(largest, run))/float64(k.free)
 }

@@ -309,7 +309,6 @@ func Registry() map[string]Runner {
 		"telemetry":      TelemetryCongestion,
 		"biassweep":      BiasSweep,
 		"fullmachine":    FullMachine,
-		"openstream":     OpenStream,
 		"counterfactual": CounterfactualRouting,
 	}
 }

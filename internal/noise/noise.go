@@ -106,19 +106,6 @@ const (
 	burstLengthMessages = 32
 )
 
-// Validate reports whether the configuration is usable.
-func (c GeneratorConfig) Validate() error {
-	switch {
-	case c.MessageBytes <= 0:
-		return fmt.Errorf("noise: MessageBytes must be > 0")
-	case c.IntervalCycles <= 0:
-		return fmt.Errorf("noise: IntervalCycles must be > 0")
-	case c.Pattern == Burst && c.BurstIdleCycles < 0:
-		return fmt.Errorf("noise: burst pattern needs a non-negative idle gap")
-	}
-	return nil
-}
-
 // Generator is a background job that keeps injecting traffic until stopped.
 // Its messages route with the Adaptive default, as production jobs do.
 type Generator struct {
@@ -133,33 +120,24 @@ type Generator struct {
 }
 
 // NewGenerator builds a background job over the given nodes (usually an
-// allocation disjoint from the measured job's).
-func NewGenerator(f *network.Fabric, nodes []topo.NodeID, cfg GeneratorConfig) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// allocation disjoint from the measured job's). The job needs at least 2
+// nodes: with one, a uniform draw never finds a peer and the all-to-all
+// pattern has no step. Every caller checks the size first, so a smaller job
+// panics as a bug.
+func NewGenerator(f *network.Fabric, nodes []topo.NodeID, cfg GeneratorConfig) *Generator {
 	if len(nodes) < 2 {
-		return nil, fmt.Errorf("noise: generator needs at least 2 nodes, got %d", len(nodes))
+		panic(fmt.Sprintf("noise: generator needs at least 2 nodes, got %d", len(nodes)))
 	}
 	return &Generator{
 		fabric: f,
 		nodes:  append([]topo.NodeID(nil), nodes...),
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
-}
-
-// MustNewGenerator is like NewGenerator but panics on error.
-func MustNewGenerator(f *network.Fabric, nodes []topo.NodeID, cfg GeneratorConfig) *Generator {
-	g, err := NewGenerator(f, nodes, cfg)
-	if err != nil {
-		panic(err)
 	}
-	return g
 }
 
 // FromAllocation builds a generator over an allocation's nodes.
-func FromAllocation(f *network.Fabric, a *alloc.Allocation, cfg GeneratorConfig) (*Generator, error) {
+func FromAllocation(f *network.Fabric, a *alloc.Allocation, cfg GeneratorConfig) *Generator {
 	return NewGenerator(f, a.Nodes(), cfg)
 }
 

@@ -46,35 +46,25 @@ func TestPatternStringsAndParse(t *testing.T) {
 	}
 }
 
-func TestGeneratorConfigValidate(t *testing.T) {
-	if err := DefaultGeneratorConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultGeneratorConfig()
-	bad.MessageBytes = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero message size must fail")
-	}
-	bad = DefaultGeneratorConfig()
-	bad.IntervalCycles = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero interval must fail")
-	}
-	bad = DefaultGeneratorConfig()
-	bad.Pattern = Burst
-	bad.BurstIdleCycles = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("burst with a negative idle gap must fail")
-	}
-}
-
+// TestGeneratorRejectsTinyJobs: a one-node generator would never find a
+// uniform peer and divide by zero in the all-to-all pattern, so building one
+// panics, through NewGenerator and through FromAllocation.
 func TestGeneratorRejectsTinyJobs(t *testing.T) {
 	f, tt, _ := testFabric(t, 1)
-	if _, err := NewGenerator(f, jobNodes(tt, 1), DefaultGeneratorConfig()); err == nil {
-		t.Fatal("single-node generator must be rejected")
-	}
-	if _, err := NewGenerator(f, jobNodes(tt, 4), GeneratorConfig{}); err == nil {
-		t.Fatal("invalid config must be rejected")
+	for name, build := range map[string]func(){
+		"NewGenerator": func() { NewGenerator(f, jobNodes(tt, 1), DefaultGeneratorConfig()) },
+		"FromAllocation": func() {
+			FromAllocation(f, alloc.MustAllocate(tt, alloc.Contiguous, 1, nil, nil), DefaultGeneratorConfig())
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s built a single-node generator", name)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
@@ -84,7 +74,7 @@ func TestGeneratorProducesTraffic(t *testing.T) {
 		cfg := DefaultGeneratorConfig()
 		cfg.Pattern = p
 		cfg.IntervalCycles = 5000
-		g := MustNewGenerator(f, jobNodes(tt, 6), cfg)
+		g := NewGenerator(f, jobNodes(tt, 6), cfg)
 		g.Start(2_000_000)
 		if err := eng.RunUntil(2_100_000); err != nil {
 			t.Fatal(err)
@@ -102,7 +92,7 @@ func TestGeneratorStops(t *testing.T) {
 	f, tt, eng := testFabric(t, 3)
 	cfg := DefaultGeneratorConfig()
 	cfg.IntervalCycles = 1000
-	g := MustNewGenerator(f, jobNodes(tt, 4), cfg)
+	g := NewGenerator(f, jobNodes(tt, 4), cfg)
 	g.Start(50_000)
 	if err := eng.RunUntil(40_000); err != nil {
 		t.Fatal(err)
@@ -121,7 +111,7 @@ func TestGeneratorRespectsDeadline(t *testing.T) {
 	f, tt, eng := testFabric(t, 4)
 	cfg := DefaultGeneratorConfig()
 	cfg.IntervalCycles = 1000
-	g := MustNewGenerator(f, jobNodes(tt, 4), cfg)
+	g := NewGenerator(f, jobNodes(tt, 4), cfg)
 	g.Start(30_000)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -138,9 +128,8 @@ func TestGeneratorRespectsDeadline(t *testing.T) {
 func TestFromAllocation(t *testing.T) {
 	f, tt, _ := testFabric(t, 5)
 	a := alloc.MustAllocate(tt, alloc.Contiguous, 4, nil, nil)
-	g, err := FromAllocation(f, a, DefaultGeneratorConfig())
-	if err != nil || g == nil {
-		t.Fatal(err)
+	if g := FromAllocation(f, a, DefaultGeneratorConfig()); g.NumNodes() != 4 {
+		t.Fatalf("generator over a 4-node allocation runs on %d nodes", g.NumNodes())
 	}
 }
 
@@ -150,7 +139,7 @@ func TestHotspotTargetsVictim(t *testing.T) {
 	cfg.Pattern = Hotspot
 	cfg.IntervalCycles = 2000
 	nodes := jobNodes(tt, 6)
-	g := MustNewGenerator(f, nodes, cfg)
+	g := NewGenerator(f, nodes, cfg)
 	g.Start(500_000)
 	if err := eng.RunUntil(600_000); err != nil {
 		t.Fatal(err)
@@ -161,16 +150,6 @@ func TestHotspotTargetsVictim(t *testing.T) {
 	if flits == 0 {
 		t.Fatal("victim router saw no flits under hotspot pattern")
 	}
-}
-
-func TestMustNewGeneratorPanics(t *testing.T) {
-	f, tt, _ := testFabric(t, 7)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewGenerator did not panic")
-		}
-	}()
-	MustNewGenerator(f, jobNodes(tt, 1), DefaultGeneratorConfig())
 }
 
 func TestHostNoiseSamples(t *testing.T) {

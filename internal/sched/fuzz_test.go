@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"dragonfly/internal/arrival"
 	"dragonfly/internal/noise"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
@@ -24,23 +23,17 @@ func (d *fuzzBytes) next() int {
 	return int(b)
 }
 
-// FuzzSchedule runs the one Scheduler core against the reference schedulers
-// (reference_test.go) on two fresh fabrics started at t=0. An even first
-// byte decodes a batch run: 2–4 groups, a placement, backfill on or off, up
-// to 4 reserved nodes and 1–12 jobs (size, arrival, duration,
-// communication-intensive, traffic on or off). An odd one decodes an open
-// stream: 1–3 clients, a placement, traffic on or off and a cut of 50–400
-// jobs. Both sides must produce the same per-job start and finish times,
-// node sets and messages (batch), the same Stats or OpenStats, and the same
-// fabric packet count.
+// FuzzSchedule runs the one Scheduler core against the reference scheduler
+// (reference_test.go) on two fresh fabrics started at t=0. The input decodes
+// a batch run: 2–4 groups, a placement, backfill on or off, up to 4 reserved
+// nodes and 1–12 jobs (size, arrival, duration, communication-intensive,
+// traffic on or off). Both sides must produce the same per-job start and
+// finish times, node sets and messages, the same Stats, and the same fabric
+// packet count.
 func FuzzSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
-		if d.next()%2 == 0 {
-			fuzzBatch(t, &d)
-		} else {
-			fuzzStream(t, &d)
-		}
+		fuzzBatch(t, &d)
 	})
 }
 
@@ -112,56 +105,6 @@ func fuzzBatch(t *testing.T, d *fuzzBytes) {
 	}
 	if got, want := s.Stats(), ref.Stats(); got != want {
 		t.Fatalf("stats %+v\nreference %+v", got, want)
-	}
-	if got, want := f.PacketsInjected(), g.PacketsInjected(); got != want {
-		t.Fatalf("%d packets injected, reference %d", got, want)
-	}
-}
-
-func fuzzStream(t *testing.T, d *fuzzBytes) {
-	groups := 2 + d.next()%3
-	f, g := testFabric(t, groups, 1), testFabric(t, groups, 1)
-	var spec arrival.Spec
-	for n := 1 + d.next()%3; n > 0; n-- {
-		c := arrival.Client{
-			Class:                  arrival.Class(d.next() % arrival.NumClasses),
-			Dist:                   arrival.Distribution(d.next() % 3),
-			MeanInterarrivalCycles: sim.Time(1+d.next()) * 2_000,
-			MinNodes:               1 + d.next()%4,
-			MinDurationCycles:      sim.Time(1+d.next()%64) * 2_000,
-		}
-		c.MaxNodes = min(c.MinNodes+d.next()%12, f.Topology().NumNodes())
-		c.MaxDurationCycles = c.MinDurationCycles * sim.Time(1+d.next()%8)
-		spec.Clients = append(spec.Clients, c)
-	}
-	cfg := OpenConfig{
-		Placement:    AllocationPolicy(d.next() % 4),
-		Seed:         int64(d.next()),
-		MaxJobEvents: 50 + (d.next()<<8|d.next())%351,
-	}
-	if d.next()%2 == 1 {
-		cfg.Traffic = TrafficSpec{Pattern: noise.UniformRandom, MessageBytes: 512, IntervalCycles: 100_000}
-	}
-	o, err := NewOpenStream(f, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := newRefOpenStream(g, spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Start()
-	ref.Start()
-	if err := o.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Compared as Go syntax, which prints every float in full, rather than
-	// with ==: the summaries of a class with no jobs may hold NaNs.
-	if got, want := fmt.Sprintf("%#v", o.Stats()), fmt.Sprintf("%#v", ref.Stats()); got != want {
-		t.Fatalf("open stats %s\nreference %s", got, want)
 	}
 	if got, want := f.PacketsInjected(), g.PacketsInjected(); got != want {
 		t.Fatalf("%d packets injected, reference %d", got, want)

@@ -1,12 +1,9 @@
 package sched
 
-// The reference schedulers: the batch Scheduler and the OpenStream as they
-// were while each kept its own FCFS queue, placement mapping, utilization
-// integral, job start and finish path and drive loop. FuzzSchedule runs them
-// against the one Scheduler core (with OpenStream a source over it) and
-// requires the same schedules, traffic and statistics. The only departure
-// from that code is the fragmentation sampling period, which was an
-// OpenConfig field and is the constant 16 here.
+// The reference scheduler: the batch Scheduler as it was while it kept its
+// own FCFS queue, placement mapping, utilization integral, job start and
+// finish path and drive loop. FuzzSchedule runs it against the one Scheduler
+// core and requires the same schedules, traffic and statistics.
 
 import (
 	"context"
@@ -15,13 +12,11 @@ import (
 	"sort"
 
 	"dragonfly/internal/alloc"
-	"dragonfly/internal/arrival"
 	"dragonfly/internal/mpi"
 	"dragonfly/internal/network"
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/workloads"
 )
@@ -59,10 +54,6 @@ type refJobRecord struct {
 	// AppErr records why a requested App could not run (the job fell back to
 	// the traffic generator), or a rank error the application hit.
 	AppErr error
-	// TrafficErr records a traffic-generator construction failure. The job
-	// still runs (it occupies nodes for its duration) but injects nothing —
-	// without this field that degradation was silent.
-	TrafficErr error
 
 	generator  *noise.Generator
 	comm       *mpi.Comm
@@ -355,14 +346,8 @@ func (s *refScheduler) startJob(rec *refJobRecord) {
 			BurstIdleCycles: 200_000,
 			Seed:            s.cfg.Seed*1_000_003 + int64(rec.ID),
 		}
-		if g, err := noise.FromAllocation(s.fabric, a, cfg); err != nil {
-			// The job still holds its nodes for its duration; record that it
-			// injects nothing instead of dropping the error on the floor.
-			rec.TrafficErr = err
-		} else {
-			rec.generator = g
-			g.Start(eng.Now() + rec.Spec.DurationCycles)
-		}
+		rec.generator = noise.FromAllocation(s.fabric, a, cfg)
+		rec.generator.Start(eng.Now() + rec.Spec.DurationCycles)
 	}
 	eng.After(rec.Spec.DurationCycles, func() { s.finishJob(rec) })
 }
@@ -497,373 +482,4 @@ func (s *refScheduler) SortedByStart() []*refJobRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StartedAt < out[j].StartedAt })
 	return out
-}
-
-// Event opcodes for the refOpenStream handler (the a operand of HandleEvent).
-const (
-	refOpArrival int64 = iota // b = client/stream index
-	refOpFinish               // b = job slot index
-)
-
-// refOpenJob is one in-flight job in the slot arena. Slots are recycled through
-// a free list and the nodes slice is reused across occupants, so the
-// steady-state loop allocates nothing.
-type refOpenJob struct {
-	client    int32
-	nodesWant int32
-	class     arrival.Class
-	submitted sim.Time
-	started   sim.Time
-	duration  sim.Time
-	nodes     []topo.NodeID
-	gen       *noise.Generator
-	alloc     *alloc.Allocation // only set when traffic generation is on
-}
-
-// refOpenStream drives an always-on cluster simulation: jobs arrive from the
-// spec's client streams indefinitely, are placed FCFS (no backfill — the
-// queue discipline itself is a fairness baseline) against the live machine,
-// and release their nodes when their drawn duration elapses. Unlike
-// refScheduler, which keeps a record per job for post-hoc analysis, refOpenStream
-// folds every completed job into fixed-size streaming digests immediately:
-// per-SLO-class slowdown and wait distributions, per-tenant means for the
-// Jain fairness index, utilization and fragmentation. Live heap is O(machine
-// + concurrent jobs), independent of how many million job events the horizon
-// spans.
-type refOpenStream struct {
-	fabric *network.Fabric
-	topo   *topo.Topology
-	cfg    OpenConfig
-	rng    *rand.Rand
-
-	clients []arrival.Client
-	streams []*arrival.Stream
-	// pending holds each stream's drawn-but-not-yet-delivered arrival; the
-	// refOpArrival event for stream i consumes pending[i] and draws the next.
-	pending []arrival.Arrival
-	closed  []bool // stream has passed the admission cut
-
-	nodes   *alloc.Tracker
-	jobs    []refOpenJob
-	free    []int32 // free job slots
-	queue   []int32 // FCFS queue of waiting job slots
-	scratch []topo.NodeID
-
-	started   bool
-	admitted  int
-	startedN  int
-	finishedN int
-	running   int
-	busyCount int
-	maxQueue  int
-	lastAt    sim.Time
-
-	busyNodeCycles uint64
-	lastAccounting sim.Time
-	origin         sim.Time // engine time when Start ran; stream times are relative to it
-
-	slowdown   [arrival.NumClasses]*stats.Digest
-	wait       [arrival.NumClasses]*stats.Digest
-	violations [arrival.NumClasses]int64
-	classDone  [arrival.NumClasses]int64
-
-	clientSlowSum []float64
-	clientDone    []int64
-
-	frag *stats.Digest
-}
-
-// newRefOpenStream builds an open-arrival run over the fabric's machine.
-func newRefOpenStream(f *network.Fabric, spec arrival.Spec, cfg OpenConfig) (*refOpenStream, error) {
-	if cfg.MaxJobEvents <= 0 && cfg.HorizonCycles <= 0 {
-		return nil, fmt.Errorf("sched: open stream needs MaxJobEvents or HorizonCycles (it never stops otherwise)")
-	}
-	spec = spec.Normalize()
-	streams, err := arrival.NewStreams(spec, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t := f.Topology()
-	for _, c := range spec.Clients {
-		if c.MaxNodes > t.NumNodes() {
-			return nil, fmt.Errorf("sched: client %q draws jobs up to %d nodes but the machine has %d",
-				c.Name, c.MaxNodes, t.NumNodes())
-		}
-	}
-	o := &refOpenStream{
-		fabric:        f,
-		topo:          t,
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		clients:       spec.Clients,
-		streams:       streams,
-		pending:       make([]arrival.Arrival, len(streams)),
-		closed:        make([]bool, len(streams)),
-		nodes:         alloc.NewTracker(t),
-		clientSlowSum: make([]float64, len(streams)),
-		clientDone:    make([]int64, len(streams)),
-		frag:          stats.NewDigest(),
-	}
-	for c := range o.slowdown {
-		o.slowdown[c] = stats.NewDigest()
-		o.wait[c] = stats.NewDigest()
-	}
-	return o, nil
-}
-
-// Start draws the first arrival of every client stream and schedules it. It
-// must be called once before the engine runs.
-func (o *refOpenStream) Start() {
-	if o.started {
-		return
-	}
-	o.started = true
-	eng := o.fabric.Engine()
-	o.origin = eng.Now()
-	o.lastAccounting = o.origin
-	for i := range o.streams {
-		o.advanceStream(eng, i)
-	}
-}
-
-// Drive runs the simulation to completion: every admitted job has finished
-// and the event queue has drained. The context, when non-nil, cancels the run.
-func (o *refOpenStream) Drive(ctx context.Context) error {
-	eng := o.fabric.Engine()
-	if ctx == nil {
-		return eng.Run()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stepped, err := eng.Step()
-		if err != nil {
-			return err
-		}
-		if !stepped {
-			return nil
-		}
-	}
-}
-
-// advanceStream draws stream i's next arrival and schedules its event, or
-// closes the stream when the admission cut (job-event budget or horizon) is
-// reached.
-func (o *refOpenStream) advanceStream(eng *sim.Engine, i int) {
-	if o.closed[i] {
-		return
-	}
-	if o.cfg.MaxJobEvents > 0 && o.admitted >= o.cfg.MaxJobEvents {
-		o.closed[i] = true
-		return
-	}
-	a := o.streams[i].Next()
-	if o.cfg.HorizonCycles > 0 && a.At > o.cfg.HorizonCycles {
-		o.closed[i] = true
-		return
-	}
-	o.pending[i] = a
-	o.admitted++
-	eng.ScheduleCall(o.origin+a.At, o, refOpArrival, int64(i))
-}
-
-// HandleEvent dispatches the two event kinds: an arrival admits one job and
-// re-arms its stream; a finish releases one job's nodes.
-func (o *refOpenStream) HandleEvent(e *sim.Engine, op, arg int64) {
-	switch op {
-	case refOpArrival:
-		o.handleArrival(e, int(arg))
-	case refOpFinish:
-		o.finishJob(e, int32(arg))
-	default:
-		panic(fmt.Sprintf("sched: open stream got unknown opcode %d", op))
-	}
-}
-
-// handleArrival turns stream i's pending arrival into a queued job, runs a
-// scheduling pass and draws the stream's next arrival.
-func (o *refOpenStream) handleArrival(eng *sim.Engine, i int) {
-	a := o.pending[i]
-	slot := o.grabSlot()
-	j := &o.jobs[slot]
-	j.client = int32(a.Client)
-	j.nodesWant = int32(a.Nodes)
-	j.class = a.Class
-	j.submitted = eng.Now()
-	j.duration = a.DurationCycles
-	o.queue = append(o.queue, slot)
-	if len(o.queue) > o.maxQueue {
-		o.maxQueue = len(o.queue)
-	}
-	o.trySchedule(eng)
-	o.advanceStream(eng, i)
-}
-
-// grabSlot returns a free job slot, growing the arena only when every slot is
-// occupied (arena size tracks peak concurrency, not total jobs).
-func (o *refOpenStream) grabSlot() int32 {
-	if n := len(o.free); n > 0 {
-		slot := o.free[n-1]
-		o.free = o.free[:n-1]
-		return slot
-	}
-	o.jobs = append(o.jobs, refOpenJob{})
-	return int32(len(o.jobs) - 1)
-}
-
-// trySchedule starts queued jobs FCFS while the head fits. No backfill: a
-// blocked head blocks the queue, which is exactly the discipline whose
-// per-class slowdowns the fairness accounting measures.
-func (o *refOpenStream) trySchedule(eng *sim.Engine) {
-	for len(o.queue) > 0 {
-		slot := o.queue[0]
-		j := &o.jobs[slot]
-		if int(j.nodesWant) > o.nodes.FreeNodes() {
-			return
-		}
-		o.queue = o.queue[:copy(o.queue, o.queue[1:])]
-		o.startJob(eng, slot)
-	}
-	// Reset the queue's backing array position when empty so it cannot crawl
-	// forward forever under append/copy churn.
-	o.queue = o.queue[:0]
-}
-
-// startJob places one job and schedules its completion.
-func (o *refOpenStream) startJob(eng *sim.Engine, slot int32) {
-	j := &o.jobs[slot]
-	o.accountUtilization(eng)
-	nodes, err := o.nodes.Allocate(refPolicyFor(o.cfg.Placement, false), int(j.nodesWant), o.rng, j.nodes[:0])
-	if err != nil {
-		// Cannot happen: trySchedule checked FreeNodes. Requeue at the head.
-		o.queue = append(o.queue, 0)
-		copy(o.queue[1:], o.queue)
-		o.queue[0] = slot
-		return
-	}
-	j.nodes = nodes
-	j.started = eng.Now()
-	o.busyCount += len(nodes)
-	o.running++
-	o.startedN++
-	if o.startedN%16 == 0 {
-		o.frag.Add(o.nodes.Fragmentation())
-	}
-	if o.cfg.Traffic.MessageBytes > 0 && len(nodes) >= 2 {
-		a := alloc.NewAllocation(o.topo, nodes)
-		cfg := noise.GeneratorConfig{
-			Pattern:         o.cfg.Traffic.Pattern,
-			MessageBytes:    o.cfg.Traffic.MessageBytes,
-			IntervalCycles:  o.cfg.Traffic.IntervalCycles,
-			BurstIdleCycles: 200_000,
-			Seed:            o.cfg.Seed*1_000_003 + int64(o.startedN),
-		}
-		if g, err := noise.FromAllocation(o.fabric, a, cfg); err == nil {
-			j.alloc = a
-			j.gen = g
-			g.Start(eng.Now() + j.duration)
-		}
-	}
-	eng.ScheduleCall(eng.Now()+j.duration, o, refOpFinish, int64(slot))
-}
-
-// finishJob releases the job's nodes, folds its wait and slowdown into the
-// class and tenant accumulators, and recycles the slot.
-func (o *refOpenStream) finishJob(eng *sim.Engine, slot int32) {
-	j := &o.jobs[slot]
-	o.accountUtilization(eng)
-	if j.gen != nil {
-		j.gen.Stop()
-		j.gen, j.alloc = nil, nil
-	}
-	o.nodes.Free(j.nodes)
-	o.busyCount -= len(j.nodes)
-	o.running--
-	o.finishedN++
-	if t := eng.Now(); t > o.lastAt {
-		o.lastAt = t
-	}
-
-	wait := j.started - j.submitted
-	run := eng.Now() - j.started
-	if run <= 0 {
-		run = 1
-	}
-	slow := float64(wait+run) / float64(run)
-	c := j.class
-	o.wait[c].Add(float64(wait))
-	o.slowdown[c].Add(slow)
-	o.classDone[c]++
-	if slow > c.TargetSlowdown() {
-		o.violations[c]++
-	}
-	o.clientSlowSum[j.client] += slow
-	o.clientDone[j.client]++
-
-	o.free = append(o.free, slot)
-	o.trySchedule(eng)
-}
-
-// accountUtilization integrates busy node-cycles up to the current time.
-func (o *refOpenStream) accountUtilization(eng *sim.Engine) {
-	now := eng.Now()
-	if now > o.lastAccounting {
-		o.busyNodeCycles += uint64(now-o.lastAccounting) * uint64(o.busyCount)
-		o.lastAccounting = now
-	}
-}
-
-// refPolicyFor maps the scheduler placement policy to an alloc.Policy.
-func refPolicyFor(p AllocationPolicy, commIntensive bool) alloc.Policy {
-	switch p {
-	case PlaceRandom:
-		return alloc.RandomScatter
-	case PlaceGroupStriped:
-		return alloc.GroupStriped
-	case PlaceHybrid:
-		if commIntensive {
-			return alloc.RandomScatter
-		}
-		return alloc.Contiguous
-	default:
-		return alloc.Contiguous
-	}
-}
-
-// Stats computes the summary. Call after Drive has drained the run.
-func (o *refOpenStream) Stats() OpenStats {
-	o.accountUtilization(o.fabric.Engine())
-	st := OpenStats{
-		Admitted:       o.admitted,
-		Started:        o.startedN,
-		Finished:       o.finishedN,
-		MakespanCycles: o.lastAt - o.origin,
-		MaxQueueLength: o.maxQueue,
-		Fragmentation:  o.frag.Summary(),
-	}
-	for c := 0; c < arrival.NumClasses; c++ {
-		cs := ClassStats{
-			Finished:       o.classDone[c],
-			Slowdown:       o.slowdown[c].Summary(),
-			WaitCycles:     o.wait[c].Summary(),
-			TargetSlowdown: arrival.Class(c).TargetSlowdown(),
-		}
-		if o.classDone[c] > 0 {
-			cs.ViolationFrac = float64(o.violations[c]) / float64(o.classDone[c])
-		}
-		st.Classes[c] = cs
-	}
-	means := make([]float64, 0, len(o.clientDone))
-	for i, n := range o.clientDone {
-		if n > 0 {
-			means = append(means, o.clientSlowSum[i]/float64(n))
-		}
-	}
-	st.JainFairness = arrival.JainIndex(means)
-	window := o.lastAt - o.origin
-	if window > 0 {
-		st.Utilization = float64(o.busyNodeCycles) / (float64(window) * float64(o.topo.NumNodes()))
-	}
-	return st
 }

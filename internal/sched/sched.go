@@ -10,10 +10,8 @@
 // The Scheduler places jobs on the simulated fabric and records per-job wait
 // times, placement fragmentation and machine utilization, so experiments can
 // compare allocation policies against (and combined with) the routing-based
-// mitigation the paper proposes. Jobs reach it from a closed list (Submit,
-// GenerateMix) or from an OpenStream, an arrival source that hands each
-// arrival to a Scheduler it owns and folds each finished job into streaming
-// digests. A running job's traffic is represented either by a synthetic
+// mitigation the paper proposes. Jobs reach it as a closed list (Submit,
+// GenerateMix). A running job's traffic is represented either by a synthetic
 // background generator (the historical stand-in) or — when the spec carries
 // an App — by the real workload-driven application itself, whose ranks run
 // on the scheduler's own rank executor, co-scheduled with every other job's
@@ -33,7 +31,6 @@ import (
 	"dragonfly/internal/noise"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/topo"
 	"dragonfly/internal/workloads"
 )
@@ -214,8 +211,6 @@ type JobRecord struct {
 	// AppErr records the first rank error the application hit.
 	AppErr error
 
-	seed      int64 // traffic-generator seed, set by the job's source
-	client    int   // submitting client of an open-stream job
 	generator *noise.Generator
 }
 
@@ -245,10 +240,6 @@ func DefaultConfig() Config {
 	return Config{Placement: PlaceContiguous, Seed: 1}
 }
 
-// fragSampleEvery is how many job starts lie between two samples of the
-// machine fragmentation (each sample scans the whole machine).
-const fragSampleEvery = 16
-
 // Event opcodes of the scheduler's typed events; the operand is the record ID.
 const (
 	opArrival int64 = iota
@@ -264,13 +255,8 @@ type Scheduler struct {
 	cfg    Config
 	rng    *rand.Rand
 
-	// jobs holds every record by ID. Records of submitted jobs are kept;
-	// when retire is set (an open stream's scheduler), each finished record
-	// is handed to it and then reused from free, so the arena tracks peak
-	// concurrency rather than the number of jobs.
+	// jobs holds every submitted record by ID.
 	jobs    []*JobRecord
-	free    []*JobRecord
-	retire  func(*JobRecord)
 	queue   []*JobRecord
 	started bool
 
@@ -290,11 +276,8 @@ type Scheduler struct {
 	// origin is the engine time when Start ran; every statistic measures
 	// from it. lastEnd is the time of the last job completion (origin
 	// before any).
-	origin   sim.Time
-	lastEnd  sim.Time
-	startedN int
-	maxQueue int
-	frag     *stats.Digest // fragmentation sampled every fragSampleEvery starts
+	origin  sim.Time
+	lastEnd sim.Time
 
 	busyNodeCycles uint64
 	lastAccounting sim.Time
@@ -309,7 +292,6 @@ func New(f *network.Fabric, cfg Config) *Scheduler {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		nodes:  alloc.NewTracker(f.Topology()),
 		exec:   mpi.NewScheduler(f.Engine()),
-		frag:   stats.NewDigest(),
 	}
 }
 
@@ -359,9 +341,8 @@ func (s *Scheduler) Submit(spec JobSpec) (*JobRecord, error) {
 	if err := spec.Validate(s.topo.NumNodes() - s.reservedCount); err != nil {
 		return nil, err
 	}
-	rec := s.record()
-	rec.Spec = spec
-	rec.seed = s.cfg.Seed*1_000_003 + int64(rec.ID)
+	rec := &JobRecord{ID: len(s.jobs), Spec: spec}
+	s.jobs = append(s.jobs, rec)
 	if s.started {
 		s.scheduleArrival(rec)
 	}
@@ -374,20 +355,6 @@ func (s *Scheduler) MustSubmit(spec JobSpec) *JobRecord {
 	if err != nil {
 		panic(err)
 	}
-	return rec
-}
-
-// record returns a blank queued record: a recycled one when retire has
-// freed any, else a new one appended to the arena.
-func (s *Scheduler) record() *JobRecord {
-	if n := len(s.free); n > 0 {
-		rec := s.free[n-1]
-		s.free = s.free[:n-1]
-		*rec = JobRecord{ID: rec.ID, Nodes: rec.Nodes[:0]}
-		return rec
-	}
-	rec := &JobRecord{ID: len(s.jobs)}
-	s.jobs = append(s.jobs, rec)
 	return rec
 }
 
@@ -413,21 +380,17 @@ func (s *Scheduler) scheduleArrival(rec *JobRecord) {
 }
 
 // HandleEvent implements sim.Handler for the job events: an arrival queues
-// the job, a finish ends a generator-driven job at its duration.
-func (s *Scheduler) HandleEvent(_ *sim.Engine, op, id int64) {
+// the job and runs a scheduling pass, a finish ends a generator-driven job at
+// its duration.
+func (s *Scheduler) HandleEvent(e *sim.Engine, op, id int64) {
+	rec := s.jobs[id]
 	if op == opArrival {
-		s.arrive(s.jobs[id])
+		rec.SubmittedAt = e.Now()
+		s.queue = append(s.queue, rec)
+		s.trySchedule()
 	} else {
-		s.finishJob(s.jobs[id])
+		s.finishJob(rec)
 	}
-}
-
-// arrive queues a job at the current time and runs a scheduling pass.
-func (s *Scheduler) arrive(rec *JobRecord) {
-	rec.SubmittedAt = s.fabric.Engine().Now()
-	s.queue = append(s.queue, rec)
-	s.maxQueue = max(s.maxQueue, len(s.queue))
-	s.trySchedule()
 }
 
 // accountUtilization integrates busy node-cycles up to the current time.
@@ -437,16 +400,6 @@ func (s *Scheduler) accountUtilization() {
 		s.busyNodeCycles += uint64(now-s.lastAccounting) * uint64(s.busyCount)
 		s.lastAccounting = now
 	}
-}
-
-// utilization returns busy node-cycles over schedulable node-cycles from the
-// origin to end.
-func (s *Scheduler) utilization(end sim.Time) float64 {
-	usable := uint64(s.topo.NumNodes() - s.reservedCount)
-	if end <= s.origin || usable == 0 {
-		return 0
-	}
-	return float64(s.busyNodeCycles) / float64(uint64(end-s.origin)*usable)
 }
 
 // allocPolicyFor maps the scheduler placement policy to an alloc.Policy for
@@ -514,7 +467,7 @@ func (s *Scheduler) backfillCandidate() int {
 func (s *Scheduler) startJob(rec *JobRecord) {
 	s.accountUtilization()
 	eng := s.fabric.Engine()
-	nodes, err := s.nodes.Allocate(s.allocPolicyFor(rec.Spec), rec.Spec.Nodes, s.rng, rec.Nodes[:0])
+	nodes, err := s.nodes.Allocate(s.allocPolicyFor(rec.Spec), rec.Spec.Nodes, s.rng, nil)
 	if err != nil {
 		panic(fmt.Sprintf("sched: job %q fit the free nodes but could not be placed: %v", rec.Spec.Name, err))
 	}
@@ -522,13 +475,9 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 	rec.State = Running
 	rec.StartedAt = eng.Now()
 	s.busyCount += len(nodes)
-	if s.startedN++; s.startedN%fragSampleEvery == 0 {
-		s.frag.Add(s.nodes.Fragmentation())
-	}
 
-	// Validate (and NewOpenStream, for the stream's traffic) admitted only
-	// jobs whose application or generator can start, so an error here is a
-	// bug.
+	// Validate admitted only jobs whose application can start, so an error
+	// here is a bug.
 	if rec.Spec.App != nil {
 		// The application itself decides when the job finishes; no duration
 		// event, no generator.
@@ -543,14 +492,10 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 			MessageBytes:    rec.Spec.Traffic.MessageBytes,
 			IntervalCycles:  rec.Spec.Traffic.IntervalCycles,
 			BurstIdleCycles: 200_000,
-			Seed:            rec.seed,
+			Seed:            s.cfg.Seed*1_000_003 + int64(rec.ID),
 		}
-		g, err := noise.FromAllocation(s.fabric, alloc.NewAllocation(s.topo, nodes), cfg)
-		if err != nil {
-			panic(fmt.Sprintf("sched: job %q: %v", rec.Spec.Name, err))
-		}
-		rec.generator = g
-		g.Start(eng.Now() + rec.Spec.DurationCycles)
+		rec.generator = noise.FromAllocation(s.fabric, alloc.NewAllocation(s.topo, nodes), cfg)
+		rec.generator.Start(eng.Now() + rec.Spec.DurationCycles)
 	}
 	eng.ScheduleCall(eng.Now()+rec.Spec.DurationCycles, s, opFinish, int64(rec.ID))
 }
@@ -596,8 +541,7 @@ func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
 	})
 }
 
-// finishJob releases the job's nodes, hands the record to retire (which
-// recycles it) when set, and re-runs the scheduling pass.
+// finishJob releases the job's nodes and re-runs the scheduling pass.
 func (s *Scheduler) finishJob(rec *JobRecord) {
 	s.accountUtilization()
 	rec.State = Finished
@@ -609,10 +553,6 @@ func (s *Scheduler) finishJob(rec *JobRecord) {
 	}
 	s.nodes.Free(rec.Nodes)
 	s.busyCount -= len(rec.Nodes)
-	if s.retire != nil {
-		s.retire(rec)
-		s.free = append(s.free, rec)
-	}
 	s.trySchedule()
 }
 
@@ -679,7 +619,9 @@ func (s *Scheduler) Stats() Stats {
 	if st.Finished == st.Submitted && s.lastEnd > s.origin {
 		end = s.lastEnd
 	}
-	st.Utilization = s.utilization(end)
+	if usable := uint64(s.topo.NumNodes() - s.reservedCount); end > s.origin && usable > 0 {
+		st.Utilization = float64(s.busyNodeCycles) / float64(uint64(end-s.origin)*usable)
+	}
 	st.MakespanCycles = s.lastEnd - s.origin
 	return st
 }

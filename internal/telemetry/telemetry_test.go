@@ -27,7 +27,7 @@ func startTraffic(t testing.TB, f *network.Fabric, until sim.Time, interval int6
 	a := alloc.MustAllocate(f.Topology(), alloc.GroupStriped, f.Topology().NumNodes(), nil, nil)
 	cfg := noise.DefaultGeneratorConfig()
 	cfg.IntervalCycles = interval
-	g := noise.MustNewGenerator(f, a.Nodes(), cfg)
+	g := noise.NewGenerator(f, a.Nodes(), cfg)
 	g.Start(until)
 	return g
 }

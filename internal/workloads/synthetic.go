@@ -44,12 +44,10 @@ func shift(ranks int, size int64) Workload {
 		if n == 1 {
 			return
 		}
+		// A distance that is a multiple of n would send to the rank itself.
 		d := distance % n
-		if d <= 0 {
-			d += n
-			if d == n {
-				d = 1
-			}
+		if d == 0 {
+			d = 1
 		}
 		recvReq := r.Irecv((r.Rank() - d + n) % n)
 		sendReq := r.Isend((r.Rank()+d)%n, size, core.PointToPoint)

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // mustNew builds a registered workload or fails the test.
 func mustNew(t *testing.T, name string, ranks int, size int64) Workload {
@@ -24,10 +21,12 @@ func TestIncastCompletesAndLoadsVictim(t *testing.T) {
 	}
 }
 
+// TestShiftCompletesForVariousDistances runs shift on every communicator size
+// from 2 to 15. The distance is ranks/2+1, so 2 ranks wrap it to 1 and the
+// others shift by 2 to 8. Every rank sends one 16-packet message to another
+// rank; a send to itself would inject no packets and miss the exact count.
 func TestShiftCompletesForVariousDistances(t *testing.T) {
-	// The distance is ranks/2+1: 2 ranks wrap it to 1, 3 ranks shift by 2,
-	// 6 and 7 ranks by 4.
-	for _, n := range []int{2, 3, 6, 7} {
+	for n := 2; n <= 15; n++ {
 		if _, packets := runWorkload(t, mustNew(t, "shift", n, 1024), n, 43); packets != uint64(n)*16 {
 			t.Fatalf("shift on %d ranks injected %d packets, want %d", n, packets, n*16)
 		}
@@ -115,24 +114,5 @@ func TestRegisteredSyntheticWorkloadsRun(t *testing.T) {
 		if _, packets := runWorkload(t, w, 6, 52); packets == 0 {
 			t.Fatalf("registered workload %q generated no traffic", name)
 		}
-	}
-}
-
-// TestShiftDistanceNormalizationProperty checks that the effective shift
-// destination is never the sender itself for communicators of size >= 2.
-func TestShiftDistanceNormalizationProperty(t *testing.T) {
-	prop := func(distRaw int8, nRaw uint8) bool {
-		n := int(nRaw%14) + 2
-		d := int(distRaw) % n
-		if d <= 0 {
-			d += n
-			if d == n {
-				d = 1
-			}
-		}
-		return d >= 1 && d < n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
 	}
 }
