@@ -48,24 +48,27 @@ func TestPatternStringsAndParse(t *testing.T) {
 
 // TestGeneratorRejectsTinyJobs: a one-node generator would never find a
 // uniform peer and divide by zero in the all-to-all pattern, so building one
-// panics, through NewGenerator and through FromAllocation.
+// from a one-node allocation panics.
 func TestGeneratorRejectsTinyJobs(t *testing.T) {
 	f, tt, _ := testFabric(t, 1)
-	for name, build := range map[string]func(){
-		"NewGenerator": func() { NewGenerator(f, jobNodes(tt, 1), DefaultGeneratorConfig()) },
-		"FromAllocation": func() {
-			FromAllocation(f, alloc.MustAllocate(tt, alloc.Contiguous, 1, nil, nil), DefaultGeneratorConfig())
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s built a single-node generator", name)
-				}
-			}()
-			build()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromAllocation built a single-node generator")
+		}
+	}()
+	FromAllocation(f, alloc.MustAllocate(tt, alloc.Contiguous, 1, nil, nil), DefaultGeneratorConfig())
+}
+
+// TestMustNewGeneratorPanics: NewGenerator has no error to return, so a
+// one-node job is a caller bug and panics.
+func TestMustNewGeneratorPanics(t *testing.T) {
+	f, tt, _ := testFabric(t, 7)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGenerator built a single-node generator")
+		}
+	}()
+	NewGenerator(f, jobNodes(tt, 1), DefaultGeneratorConfig())
 }
 
 func TestGeneratorProducesTraffic(t *testing.T) {

@@ -33,6 +33,20 @@ func TestShiftCompletesForVariousDistances(t *testing.T) {
 	}
 }
 
+// TestShiftDistanceNormalizationProperty: whatever distance the workload was
+// built with, a rank never sends to itself. For every communicator size n in
+// 2…15, constructors of 1, 3, …, 2n-1 ranks give the distances 1…n, so every
+// residue mod n is run, including the multiple of n that wraps to 1.
+func TestShiftDistanceNormalizationProperty(t *testing.T) {
+	for n := 2; n <= 15; n++ {
+		for ranks := 1; ranks < 2*n; ranks += 2 {
+			if _, packets := runWorkload(t, mustNew(t, "shift", ranks, 1024), n, 53); packets != uint64(n)*16 {
+				t.Fatalf("shift built for %d ranks on %d ranks injected %d packets, want %d", ranks, n, packets, n*16)
+			}
+		}
+	}
+}
+
 func TestShiftSingleRankIsNoop(t *testing.T) {
 	if _, packets := runWorkload(t, mustNew(t, "shift", 1, 1024), 1, 44); packets != 0 {
 		t.Fatal("single-rank shift generated traffic")
