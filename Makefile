@@ -136,10 +136,12 @@ golden-examples:
 
 # loc prints the size figure simplification changes report: non-blank lines
 # that are not // comments, over the non-test Go files outside bench/ that git
-# tracks or would add (git ls-files -co --exclude-standard). It gates nothing.
+# tracks or would add (git ls-files -co --exclude-standard) and that are still
+# in the work tree, so a deletion counts before it is staged. It gates nothing.
 loc:
 	@git ls-files -co --exclude-standard -- '*.go' ':!:*_test.go' ':!:bench/' | \
-		xargs cat | grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//'
+		while read -r f; do [ ! -e "$$f" ] || cat "$$f"; done | \
+		grep -cv -e '^[[:space:]]*$$' -e '^[[:space:]]*//'
 
 # quick is the fastest end-to-end smoke: build plus one tiny experiment.
 quick: build

@@ -2,7 +2,8 @@
 // prints the execution time, the NIC counters and (for the application-aware
 // configuration) the selector statistics. It is the quickest way to poke at
 // the simulator from the command line, and the smallest complete consumer of
-// the public dragonfly facade.
+// the public dragonfly facade. It shows what the application sees; link
+// utilization and the hottest links, what the machine sees, are noisescan's.
 //
 // Usage:
 //
@@ -44,7 +45,6 @@ func run(args []string) error {
 		traceFlag    = fs.String("decision-trace", "", "record adaptive routing decisions ('on', a top-k count, or 'k=N'; empty = off) and print a counterfactual scoring table")
 		withNoise    = fs.Bool("noise", false, "add a background interfering job")
 		noiseNodesN  = fs.Int("noise-nodes", 16, "background job size when -noise is set")
-		report       = fs.Int("report", 0, "print a link-utilization report listing the N hottest links")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -136,12 +136,7 @@ func run(args []string) error {
 			st.Messages, st.DefaultTrafficFraction()*100, st.Evaluations, st.Switches)
 	}
 	if traceK > 0 {
-		if err := printCounterfactual(sys, traceK); err != nil {
-			return err
-		}
-	}
-	if *report > 0 {
-		fmt.Print(sys.Fabric().Report(*report))
+		return printCounterfactual(sys, traceK)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func TestRunPingPongDefault(t *testing.T) {
 func TestRunAlltoallAppAwareWithNoiseAndReport(t *testing.T) {
 	args := []string{"-workload", "alltoall", "-size", "512", "-nodes", "8",
 		"-geometry", "medium:3", "-routing", "appaware", "-iterations", "2",
-		"-noise", "-noise-nodes", "6", "-report", "3"}
+		"-noise", "-noise-nodes", "6"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}

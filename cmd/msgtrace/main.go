@@ -49,6 +49,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// msglog.Replay reads a non-positive scale as 1.0, which would replay at
+	// the original pacing while the report prints the scale given.
+	if !(*timeScale > 0) {
+		return fmt.Errorf("-time-scale %v: must be positive", *timeScale)
+	}
 	mode2, err := dragonfly.ParseMode(*routingMode)
 	if err != nil {
 		return err

@@ -34,6 +34,25 @@ func TestRecordThenReplay(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNonPositiveTimeScale: a recorded trace replayed at
+// -time-scale 0 or below is an error, not a replay at the original pacing
+// under a report that prints the scale given.
+func TestReplayRejectsNonPositiveTimeScale(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out bytes.Buffer
+	if err := run([]string{"-mode", "record", "-workload", "alltoall", "-size", "1024",
+		"-nodes", "4", "-geometry", "medium:2", "-trace", trace}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []string{"0", "-3"} {
+		out.Reset()
+		err := run([]string{"-mode", "replay", "-trace", trace, "-geometry", "medium:2", "-time-scale", scale}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-time-scale "+scale) {
+			t.Errorf("replay at -time-scale %s returned %v, want an error naming it\n%s", scale, err, out.String())
+		}
+	}
+}
+
 func TestReplayMissingTraceFails(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-mode", "replay", "-trace", filepath.Join(t.TempDir(), "missing.jsonl")}, &out); err == nil {

@@ -106,6 +106,14 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// StartNoise caps a background job to the free nodes and drops one below
+	// 2 nodes; the scan was asked for a specific interference scenario, so
+	// reject a size the machine cannot honor instead. A measured job larger
+	// than the machine fails in its trial with ErrJobTooLarge.
+	if free := tcfg.Nodes() - *nodes; *noiseKind != "none" && free >= 0 && (*noiseNodesN < 2 || *noiseNodesN > free) {
+		return fmt.Errorf("-noise-nodes %d: a background job needs at least 2 nodes and at most the %d the %d-node measured job leaves free",
+			*noiseNodesN, free, *nodes)
+	}
 	cfg := scanConfig{
 		workload:     *workloadName,
 		size:         *size,
@@ -167,9 +175,11 @@ func scanBody(mode string, cfg scanConfig) func(context.Context, *dragonfly.Syst
 			if err != nil {
 				return nil, err
 			}
-			if g := sys.StartNoise(dragonfly.NoiseConfig{Pattern: pattern, Nodes: cfg.noiseNodes}); g != nil {
-				noiseDesc = fmt.Sprintf("%d nodes, %s pattern", g.NumNodes(), pattern)
+			g := sys.StartNoise(dragonfly.NoiseConfig{Pattern: pattern, Nodes: cfg.noiseNodes})
+			if g == nil {
+				return nil, fmt.Errorf("no room for a %d-node background job", cfg.noiseNodes)
 			}
+			noiseDesc = fmt.Sprintf("%d nodes, %s pattern", g.NumNodes(), pattern)
 		}
 
 		w, err := dragonfly.NewWorkload(cfg.workload, job.Size(), cfg.size)

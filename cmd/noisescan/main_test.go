@@ -61,6 +61,19 @@ func TestNoisescanRejectsJobLargerThanMachine(t *testing.T) {
 	}
 }
 
+// TestNoisescanRejectsUnrunnableNoiseNodes: a background job below 2 nodes,
+// or larger than the nodes the measured job leaves free (28 of the 32 here),
+// is an error instead of a run without noise or with a smaller noise job.
+func TestNoisescanRejectsUnrunnableNoiseNodes(t *testing.T) {
+	for _, n := range []string{"1", "29"} {
+		var out bytes.Buffer
+		err := run([]string{"-geometry", "small:2", "-nodes", "4", "-noise-nodes", n, "-iterations", "1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-noise-nodes "+n) {
+			t.Errorf("-noise-nodes %s returned %v, want an error naming it\n%s", n, err, out.String())
+		}
+	}
+}
+
 func TestNoisescanCSVExport(t *testing.T) {
 	var out bytes.Buffer
 	path := t.TempDir() + "/telemetry.csv"

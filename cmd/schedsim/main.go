@@ -4,19 +4,13 @@
 // used to explore the allocation-based interference mitigation the paper's
 // related work discusses (contiguous vs. random vs. hybrid placement) and to
 // generate the multi-job backdrop of the scheduler-interference experiment.
-//
-// With -apps > 0 a share of the mix runs as *real* workload-driven
-// applications (alltoall, halo3d, allreduce ranks co-scheduled on the shared
-// fabric) instead of synthetic generators, so the interference the measured
-// mix experiences comes from actual application traffic. An app job whose
-// -app-workloads name is not a registered workload is an error; a rank error
-// an application hits is printed as a warning after the report.
+// Every job's traffic is a synthetic generator; real applications sharing the
+// machine are the cotenant experiment's (System.RunConcurrent).
 //
 // Usage:
 //
 //	schedsim -jobs 24 -placement hybrid -backfill
 //	schedsim -placement contiguous -geometry medium:6 -max-nodes 32
-//	schedsim -jobs 16 -apps 0.5 -app-workloads alltoall,halo3d
 package main
 
 import (
@@ -24,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"dragonfly"
 	"dragonfly/internal/sched"
@@ -51,9 +44,6 @@ func run(args []string, out io.Writer) error {
 		interarrive = fs.Int64("interarrival", 200_000, "mean job inter-arrival time (cycles)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		showJobs    = fs.Bool("per-job", true, "print the per-job table")
-		appShare    = fs.Float64("apps", 0, "fraction of jobs that run real workload-driven applications")
-		appNames    = fs.String("app-workloads", "alltoall,halo3d,allreduce", "comma-separated workloads app jobs cycle through")
-		appIters    = fs.Int("app-iterations", 1, "workload repetitions per app job")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,13 +71,6 @@ func run(args []string, out io.Writer) error {
 	mix.CommIntensiveFraction = *commShare
 	mix.MeanInterarrivalCycles = *interarrive
 	mix.Seed = *seed
-	mix.AppFraction = *appShare
-	for _, name := range strings.Split(*appNames, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			mix.AppWorkloads = append(mix.AppWorkloads, name)
-		}
-	}
-	mix.AppIterations = *appIters
 	specs, err := sched.GenerateMix(mix, t.NumNodes())
 	if err != nil {
 		return err
@@ -100,27 +83,21 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	s.Start()
-	if err := s.Drive(nil); err != nil {
+	if err := sys.Engine().Run(); err != nil {
 		return err
 	}
 
-	fmt.Fprintf(out, "machine: %d nodes / %d routers / %d groups; placement=%s backfill=%v apps=%.0f%%\n",
-		t.NumNodes(), t.NumRouters(), t.Config().Groups, policy, *backfill, *appShare*100)
+	fmt.Fprintf(out, "machine: %d nodes / %d routers / %d groups; placement=%s backfill=%v\n",
+		t.NumNodes(), t.NumRouters(), t.Config().Groups, policy, *backfill)
 
 	if *showJobs {
 		table := trace.NewTable("per-job schedule",
-			"job", "nodes", "app", "comm-intensive", "wait (cycles)", "run (cycles)",
-			"routers", "groups", "messages/packets")
+			"job", "nodes", "comm-intensive", "wait (cycles)", "run (cycles)",
+			"routers", "groups", "messages")
 		for _, rec := range s.SortedByStart() {
-			app := "-"
-			traffic := rec.MessagesSent
-			if rec.RanApp {
-				app = rec.Spec.App.Workload
-				traffic = rec.AppPackets
-			}
 			routers, groups := s.Spans(rec)
-			table.AddRow(rec.Spec.Name, rec.Spec.Nodes, app, rec.Spec.CommIntensive,
-				rec.WaitCycles(), rec.FinishedAt-rec.StartedAt, routers, groups, traffic)
+			table.AddRow(rec.Spec.Name, rec.Spec.Nodes, rec.Spec.CommIntensive,
+				rec.WaitCycles(), rec.FinishedAt-rec.StartedAt, routers, groups, rec.MessagesSent)
 		}
 		if err := table.Render(out); err != nil {
 			return err
@@ -128,16 +105,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	st := s.Stats()
-	fmt.Fprintf(out, "\njobs: %d submitted, %d started, %d finished (%d ran real applications)\n",
-		st.Submitted, st.Started, st.Finished, st.AppJobs)
+	fmt.Fprintf(out, "\njobs: %d submitted, %d started, %d finished\n",
+		st.Submitted, st.Started, st.Finished)
 	fmt.Fprintf(out, "waiting: mean %.0f cycles, max %d cycles\n", st.MeanWaitCycles, st.MaxWaitCycles)
 	fmt.Fprintf(out, "fragmentation: %.2f groups spanned per job on average\n", st.MeanGroupsSpanned)
 	fmt.Fprintf(out, "machine utilization: %.1f%%, makespan %d cycles\n", st.Utilization*100, st.MakespanCycles)
 	fmt.Fprintf(out, "fabric: %d packets injected by batch jobs\n", fab.PacketsInjected())
-	for _, rec := range s.Jobs() {
-		if rec.AppErr != nil {
-			fmt.Fprintf(out, "warning: %s: %v\n", rec.Spec.Name, rec.AppErr)
-		}
-	}
 	return nil
 }

@@ -197,8 +197,8 @@ func (c *Comm) OnFinished(fn func()) { c.onFinished = fn }
 // scheduler's pool, and attaches the communicator to the scheduler, which
 // will interleave its ranks with those of every other attached communicator.
 // It returns an error if the previous program has not finished. Start does
-// not advance the simulation: drive it with Scheduler.Run or Scheduler.Drain;
-// a program first runs when the scheduler resumes its rank.
+// not advance the simulation: drive it with Scheduler.Run; a program first
+// runs when the scheduler resumes its rank.
 func (c *Comm) Start(s *Scheduler, program func(*Rank)) error {
 	if c.remaining > 0 {
 		return fmt.Errorf("mpi: Start called on a communicator with %d unfinished ranks", c.remaining)

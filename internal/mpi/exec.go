@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"fmt"
 	"iter"
 
@@ -36,12 +35,12 @@ const checkEverySteps = 4096
 // The coroutines are pooled: when a rank's program returns, its coroutine
 // parks on the scheduler's idle list and runs the next rank started on the
 // scheduler, so a scheduler creates one coroutine per peak-concurrent rank,
-// however many programs it runs. Run and Drain leave the idle coroutines
-// parked for the next Start; Shutdown ends them, and every owner of a
-// scheduler defers it.
+// however many programs it runs. Run leaves the idle coroutines parked for
+// the next Start; Shutdown ends them, and every owner of a scheduler defers
+// it.
 //
-// A Scheduler is not safe for concurrent use; Run/Drain must not be called
-// concurrently with themselves or each other.
+// A Scheduler is not safe for concurrent use; Run must not be called
+// concurrently with itself.
 type Scheduler struct {
 	engine   *sim.Engine
 	runnable []*Rank
@@ -120,7 +119,7 @@ func (co *coroutine) loop(yield func(struct{}) bool) {
 
 // execute runs the bound program and marks its rank finished. It reports
 // false when Shutdown unwound the program instead; any other panic
-// propagates out of the scheduler's next() call into Run or Drain.
+// propagates out of the scheduler's next() call into Run.
 func (co *coroutine) execute() (completed bool) {
 	defer func() {
 		if e := recover(); e != nil && e != errRankAborted {
@@ -231,41 +230,13 @@ func (s *Scheduler) Run(check func() error) error {
 	return nil
 }
 
-// Drain drives the simulation until the event queue is empty and no attached
-// rank remains unfinished. Unlike Run it does not stop when the attached
-// communicators finish: it keeps executing events (job arrivals, background
-// traffic) that may attach *new* communicators mid-run — the batch scheduler
-// relies on this to co-run workload-driven jobs that start at simulated
-// arrival times. It is the rank-aware equivalent of Engine.Run. Panics and
-// the idle pool are handled as in Run.
-func (s *Scheduler) Drain(check func() error) error {
-	defer s.shutdownOnPanic()
-	for {
-		if check != nil {
-			if err := check(); err != nil {
-				return err
-			}
-		}
-		s.runRunnable()
-		if s.engine.Pending() == 0 {
-			if s.live > 0 {
-				return fmt.Errorf("mpi: deadlock, %d ranks blocked with no pending events", s.live)
-			}
-			return nil
-		}
-		if err := s.stepUntil(check); err != nil {
-			return err
-		}
-	}
-}
-
 // shutdownOnPanic releases the scheduler's coroutines when a panic escapes
 // the drive loop (a rank program, a routing provider or host-noise sampler
 // called from a plan round, an engine event callback or an OnFinished hook
 // blowing up), then lets the panic continue. Callers that recover such
 // panics — the trial harness captures them per trial — would otherwise strand
 // every unfinished rank, exactly the leak Shutdown exists to prevent. At every
-// point a panic can escape Run or Drain, the surviving coroutines are parked
+// point a panic can escape Run, the surviving coroutines are parked
 // (a rank's program only executes inside the drive loop's next() call, a plan
 // round runs on the drive loop while its rank stays parked, and a program's
 // panic ends its own coroutine), so Shutdown is safe here.
@@ -301,13 +272,4 @@ func (s *Scheduler) Shutdown() {
 	}
 	s.coros, s.idle = nil, nil
 	s.runnable = s.runnable[:0]
-}
-
-// ContextCheck adapts a context to the scheduler's cancellation hook shape.
-// A nil context yields a nil hook (no checking).
-func ContextCheck(ctx context.Context) func() error {
-	if ctx == nil {
-		return nil
-	}
-	return func() error { return ctx.Err() }
 }

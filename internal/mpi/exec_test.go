@@ -204,7 +204,7 @@ func TestOnFinishedChainsPrograms(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelled: cancellation through ContextCheck interrupts a
+// TestRunContextCancelled: cancellation through the check hook interrupts a
 // Scheduler.Run that still has simulated work to do.
 func TestRunContextCancelled(t *testing.T) {
 	fab, a, _ := execFixture(t, 1)
@@ -216,40 +216,8 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Run(ContextCheck(ctx)); err != context.Canceled {
+	if err := s.Run(func() error { return ctx.Err() }); err != context.Canceled {
 		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
-	}
-}
-
-// TestDrainRunsDynamicallyAttachedComms: Drain keeps executing events after
-// the initial comms finish, so a communicator attached by a later engine
-// event (a batch job arrival) still runs to completion.
-func TestDrainRunsDynamicallyAttachedComms(t *testing.T) {
-	fab, a, b := execFixture(t, 5)
-	s := NewScheduler(fab.Engine())
-	defer s.Shutdown()
-	ca := MustNewComm(fab, a, Config{})
-	ta := make([]sim.Time, a.Size())
-	if err := ca.Start(s, ringProgram(ta)); err != nil {
-		t.Fatal(err)
-	}
-	late := sim.Time(-1)
-	tb := make([]sim.Time, b.Size())
-	fab.Engine().Schedule(1_000_000, func() {
-		c := MustNewComm(fab, b, Config{})
-		c.OnFinished(func() { late = fab.Engine().Now() })
-		if err := c.Start(s, ringProgram(tb)); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Drain(nil); err != nil {
-		t.Fatal(err)
-	}
-	if late < 0 {
-		t.Fatal("dynamically attached communicator did not run")
-	}
-	if late <= 1_000_000 {
-		t.Fatalf("late communicator finished at %d, before it arrived", late)
 	}
 }
 
@@ -348,28 +316,6 @@ func TestRankPanicReachesRun(t *testing.T) {
 	}
 	if sched.Live() != 0 || sched.Idle() != 0 {
 		t.Fatalf("after the panic: %d live ranks, %d idle coroutines; want 0, 0", sched.Live(), sched.Idle())
-	}
-	testutil.WaitGoroutines(t, base)
-}
-
-// TestRankPanicReachesDrain: Scheduler.Drain, the drive loop of the batch
-// scheduler, propagates a rank program's panic the same way, and the parked
-// ranks are released.
-func TestRankPanicReachesDrain(t *testing.T) {
-	base := runtime.NumGoroutine()
-	fab, a, _ := execFixture(t, 34)
-	comm := MustNewComm(fab, a, Config{})
-	sched := NewScheduler(fab.Engine())
-	defer sched.Shutdown()
-	boom := errors.New("rank program blew up")
-	if err := comm.Start(sched, panicAfterCompute(boom)); err != nil {
-		t.Fatal(err)
-	}
-	if got := recovered(func() { _ = sched.Drain(nil) }); got != boom {
-		t.Fatalf("Drain panicked with %v, want %v", got, boom)
-	}
-	if sched.Live() != 0 {
-		t.Fatalf("after the panic: %d live ranks, want 0", sched.Live())
 	}
 	testutil.WaitGoroutines(t, base)
 }

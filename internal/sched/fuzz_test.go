@@ -79,12 +79,8 @@ func fuzzBatch(t *testing.T, d *fuzzBytes) {
 	}
 	s.Start()
 	ref.Start()
-	if err := s.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Drive(nil); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, f)
+	drain(t, g)
 
 	for i, rec := range recs {
 		want := refs[i]

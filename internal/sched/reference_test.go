@@ -1,24 +1,19 @@
 package sched
 
 // The reference scheduler: the batch Scheduler as it was while it kept its
-// own FCFS queue, placement mapping, utilization integral, job start and
-// finish path and drive loop. FuzzSchedule runs it against the one Scheduler
-// core and requires the same schedules, traffic and statistics.
+// own FCFS queue, placement mapping, utilization integral and job start and
+// finish path. FuzzSchedule runs it against the one Scheduler core and
+// requires the same schedules, traffic and statistics.
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
 	"dragonfly/internal/alloc"
-	"dragonfly/internal/mpi"
 	"dragonfly/internal/network"
 	"dragonfly/internal/noise"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
-	"dragonfly/internal/workloads"
 )
 
 // refJobRecord is the scheduler's bookkeeping for one job.
@@ -40,24 +35,11 @@ type refJobRecord struct {
 	// RoutersSpanned and GroupsSpanned record the placement fragmentation.
 	RoutersSpanned int
 	GroupsSpanned  int
-	// MessagesSent is the traffic the job injected while running (generator
-	// jobs only; workload-driven jobs report AppPackets instead).
+	// MessagesSent is the number of messages the job's traffic generator
+	// injected while it ran (0 for a job without traffic).
 	MessagesSent uint64
 
-	// RanApp reports whether the job ran as a real workload-driven
-	// application on the executor (rather than a traffic generator).
-	RanApp bool
-	// AppCycles is the simulated time the application took, and AppPackets
-	// the request packets its nodes injected (both meaningful when RanApp).
-	AppCycles  sim.Time
-	AppPackets uint64
-	// AppErr records why a requested App could not run (the job fell back to
-	// the traffic generator), or a rank error the application hit.
-	AppErr error
-
-	generator  *noise.Generator
-	comm       *mpi.Comm
-	appPackets uint64 // injected-packet snapshot at application start
+	generator *noise.Generator
 }
 
 // WaitCycles returns how long the job waited in the queue (0 while queued).
@@ -93,10 +75,6 @@ type refScheduler struct {
 	// scratch is the recycled destination for tracker allocations.
 	scratch []topo.NodeID
 
-	// exec, when attached, runs workload-driven jobs (JobSpec.App) as real
-	// co-scheduled applications instead of synthetic generators.
-	exec *mpi.Scheduler
-
 	busyNodeCycles uint64
 	lastAccounting sim.Time
 }
@@ -113,42 +91,6 @@ func newRefScheduler(f *network.Fabric, cfg Config) *refScheduler {
 	}
 }
 
-// AttachExecutor hands the scheduler a cooperative rank executor. With one
-// attached, jobs whose spec carries an App run their real application on the
-// fabric — actual workload-driven traffic, completion when the workload
-// completes — instead of being approximated by a traffic generator. Drive the
-// run with Drive (or the executor's Drain) rather than Engine.Run, so the
-// application ranks interleave with the scheduler's events.
-func (s *refScheduler) AttachExecutor(x *mpi.Scheduler) { s.exec = x }
-
-// Drive runs the simulation to completion: through the attached executor when
-// one is present (so workload-driven jobs co-run with the event queue), with
-// a plain engine run otherwise. The context, when non-nil, cancels the run.
-// Drive owns the executor's coroutines: it shuts the executor down on return,
-// releasing the ranks of an aborted drain and the idle pool of a completed one.
-func (s *refScheduler) Drive(ctx context.Context) error {
-	if s.exec != nil {
-		defer s.exec.Shutdown()
-		return s.exec.Drain(mpi.ContextCheck(ctx))
-	}
-	eng := s.fabric.Engine()
-	if ctx == nil {
-		return eng.Run()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stepped, err := eng.Step()
-		if err != nil {
-			return err
-		}
-		if !stepped {
-			return nil
-		}
-	}
-}
-
 // Reserve excludes the given nodes from scheduling. It is used to protect the
 // allocation of a measured foreground job from being handed to batch jobs.
 func (s *refScheduler) Reserve(nodes []topo.NodeID) {
@@ -158,13 +100,6 @@ func (s *refScheduler) Reserve(nodes []topo.NodeID) {
 		}
 	}
 	s.nodes.Reserve(nodes)
-}
-
-// Jobs returns all job records in submission order, as a fresh slice the
-// caller may reorder or truncate freely. (The records themselves are shared;
-// the scheduler keeps updating them as jobs progress.)
-func (s *refScheduler) Jobs() []*refJobRecord {
-	return append([]*refJobRecord(nil), s.jobs...)
 }
 
 // QueueLength returns the number of jobs currently waiting.
@@ -186,15 +121,6 @@ func (s *refScheduler) Submit(spec JobSpec) (*refJobRecord, error) {
 		s.scheduleArrival(rec)
 	}
 	return rec, nil
-}
-
-// MustSubmit is like Submit but panics on error.
-func (s *refScheduler) MustSubmit(spec JobSpec) *refJobRecord {
-	rec, err := s.Submit(spec)
-	if err != nil {
-		panic(err)
-	}
-	return rec
 }
 
 // Start schedules the arrival events of every submitted job. It must be called
@@ -325,19 +251,6 @@ func (s *refScheduler) startJob(rec *refJobRecord) {
 	s.busyCount += a.Size()
 	s.running[rec.ID] = rec
 
-	if rec.Spec.App != nil {
-		if s.exec == nil {
-			rec.AppErr = fmt.Errorf("sched: job %q requests workload %q but no executor is attached",
-				rec.Spec.Name, rec.Spec.App.Workload)
-		} else if err := s.startApp(rec); err != nil {
-			rec.AppErr = err
-		} else {
-			// The application itself decides when the job finishes; no
-			// duration event, no generator.
-			return
-		}
-		// Fall through: represent the job with the traffic generator below.
-	}
 	if rec.Spec.Traffic.MessageBytes > 0 && rec.Spec.Nodes >= 2 {
 		cfg := noise.GeneratorConfig{
 			Pattern:         rec.Spec.Traffic.Pattern,
@@ -350,54 +263,6 @@ func (s *refScheduler) startJob(rec *refJobRecord) {
 		rec.generator.Start(eng.Now() + rec.Spec.DurationCycles)
 	}
 	eng.After(rec.Spec.DurationCycles, func() { s.finishJob(rec) })
-}
-
-// jobPackets sums the request packets injected by the job's nodes so far.
-func (s *refScheduler) jobPackets(a *alloc.Allocation) uint64 {
-	var total uint64
-	for _, n := range a.Nodes() {
-		total += s.fabric.NodeCounters(n).RequestPackets
-	}
-	return total
-}
-
-// startApp builds the communicator and launches the job's real application on
-// the executor. The job finishes — and releases its nodes — when the last
-// rank completes, at the workload's own pace.
-func (s *refScheduler) startApp(rec *refJobRecord) error {
-	app := rec.Spec.App
-	w, err := workloads.New(app.Workload, rec.Allocation.Size(), app.MessageBytes)
-	if err != nil {
-		return err
-	}
-	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.Adaptive} }
-	comm, err := mpi.NewComm(s.fabric, rec.Allocation, mpi.Config{Routing: provider})
-	if err != nil {
-		return err
-	}
-	iters := app.Iterations
-	if iters < 1 {
-		iters = 1
-	}
-	rec.comm = comm
-	rec.RanApp = true
-	rec.appPackets = s.jobPackets(rec.Allocation)
-	comm.OnFinished(func() {
-		for r := 0; r < comm.Size(); r++ {
-			if err := comm.Rank(r).Err(); err != nil {
-				rec.AppErr = fmt.Errorf("sched: job %q rank %d: %w", rec.Spec.Name, r, err)
-				break
-			}
-		}
-		rec.AppCycles = s.fabric.Engine().Now() - rec.StartedAt
-		rec.AppPackets = s.jobPackets(rec.Allocation) - rec.appPackets
-		s.finishJob(rec)
-	})
-	return comm.Start(s.exec, func(r *mpi.Rank) {
-		for i := 0; i < iters; i++ {
-			w.Run(r)
-		}
-	})
 }
 
 // finishJob releases the job's nodes and re-runs the scheduling pass.
@@ -426,12 +291,6 @@ func (s *refScheduler) Stats() Stats {
 	var groupSum float64
 	var lastEnd sim.Time
 	for _, rec := range s.jobs {
-		if rec.RanApp {
-			st.AppJobs++
-		}
-		if rec.AppErr != nil {
-			st.AppErrors++
-		}
 		if rec.State == Queued {
 			continue
 		}

@@ -11,28 +11,22 @@
 // times, placement fragmentation and machine utilization, so experiments can
 // compare allocation policies against (and combined with) the routing-based
 // mitigation the paper proposes. Jobs reach it as a closed list (Submit,
-// GenerateMix). A running job's traffic is represented either by a synthetic
-// background generator (the historical stand-in) or — when the spec carries
-// an App — by the real workload-driven application itself, whose ranks run
-// on the scheduler's own rank executor, co-scheduled with every other job's
-// ranks on the shared fabric.
+// GenerateMix). A running job's traffic is a synthetic background generator;
+// jobs that run real applications side by side go through the facade's
+// System.RunConcurrent instead.
 package sched
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 
 	"dragonfly/internal/alloc"
-	"dragonfly/internal/mpi"
 	"dragonfly/internal/network"
 	"dragonfly/internal/noise"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topo"
-	"dragonfly/internal/workloads"
 )
 
 // AllocationPolicy selects how the scheduler places the nodes of a job.
@@ -90,9 +84,8 @@ type JobSpec struct {
 	Nodes int
 	// ArrivalCycles is the submission time relative to Scheduler.Start.
 	ArrivalCycles sim.Time
-	// DurationCycles is the job's run time once started. For workload-driven
-	// jobs (App set) it is only the walltime *estimate* backfilling reasons
-	// with: the job actually releases its nodes when the workload completes.
+	// DurationCycles is the job's run time once started; backfilling reasons
+	// with it as the job's walltime.
 	DurationCycles sim.Time
 	// CommIntensive marks the job as communication intensive; the hybrid
 	// placement policy scatters such jobs and packs the others.
@@ -101,25 +94,6 @@ type JobSpec struct {
 	// runs. MessageBytes == 0 disables traffic generation (a "compute only"
 	// job that still occupies nodes).
 	Traffic TrafficSpec
-	// App, if non-nil, runs a real workload-driven application on the job's
-	// nodes instead of representing the job with a synthetic traffic
-	// generator; Traffic is then unused. Validate rejects an App whose
-	// workload is not registered.
-	App *AppSpec
-}
-
-// AppSpec describes the real application a workload-driven batch job runs.
-type AppSpec struct {
-	// Workload is the registered workload name (see workloads.New), e.g.
-	// "alltoall", "halo3d", "allreduce".
-	Workload string
-	// MessageBytes is the workload's size parameter as workloads.New
-	// interprets it: per-message bytes for the collectives, the domain edge
-	// for the stencil workloads (halo3d, sweep3d).
-	MessageBytes int64
-	// Iterations is how many times each rank repeats the workload body
-	// (minimum 1). Every message routes with the Adaptive default.
-	Iterations int
 }
 
 // TrafficSpec shapes the traffic a running job injects into the fabric. It
@@ -147,8 +121,6 @@ func (j JobSpec) Validate(machineNodes int) error {
 		return fmt.Errorf("sched: job %q has non-positive duration", j.Name)
 	case j.Traffic.MessageBytes > 0 && j.Traffic.IntervalCycles <= 0:
 		return fmt.Errorf("sched: job %q generates traffic but has no interval", j.Name)
-	case j.App != nil && workloads.Registry()[j.App.Workload] == nil:
-		return fmt.Errorf("sched: job %q runs unknown workload %q", j.Name, j.App.Workload)
 	}
 	return nil
 }
@@ -197,19 +169,9 @@ type JobRecord struct {
 	// queued). It stays set after the job finishes; Scheduler.Spans reports
 	// the placement fragmentation it implies.
 	Nodes []topo.NodeID
-	// MessagesSent is the traffic the job injected while running (generator
-	// jobs only; workload-driven jobs report AppPackets instead).
+	// MessagesSent is the number of messages the job's traffic generator
+	// injected while it ran (0 for a job without traffic).
 	MessagesSent uint64
-
-	// RanApp reports whether the job ran as a real workload-driven
-	// application on the executor (rather than a traffic generator).
-	RanApp bool
-	// AppCycles is the simulated time the application took, and AppPackets
-	// the request packets its nodes injected (both meaningful when RanApp).
-	AppCycles  sim.Time
-	AppPackets uint64
-	// AppErr records the first rank error the application hit.
-	AppErr error
 
 	generator *noise.Generator
 }
@@ -269,10 +231,6 @@ type Scheduler struct {
 	busyCount     int
 	reservedCount int
 
-	// exec runs workload-driven jobs (JobSpec.App) as real co-scheduled
-	// applications; Drive drains it.
-	exec *mpi.Scheduler
-
 	// origin is the engine time when Start ran; every statistic measures
 	// from it. lastEnd is the time of the last job completion (origin
 	// before any).
@@ -291,19 +249,7 @@ func New(f *network.Fabric, cfg Config) *Scheduler {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		nodes:  alloc.NewTracker(f.Topology()),
-		exec:   mpi.NewScheduler(f.Engine()),
 	}
-}
-
-// Drive runs the simulation to completion by draining the scheduler's rank
-// executor, so workload-driven jobs co-run with the event queue. The
-// context, when non-nil, cancels the run. Drive shuts the executor down on
-// return, releasing the ranks of an aborted drain and the idle pool of a
-// completed one. A run with App jobs must be driven by Drive, not by
-// Engine.Run, or their ranks never run.
-func (s *Scheduler) Drive(ctx context.Context) error {
-	defer s.exec.Shutdown()
-	return s.exec.Drain(mpi.ContextCheck(ctx))
 }
 
 // Reserve excludes the given nodes from scheduling. It is used to protect the
@@ -315,13 +261,6 @@ func (s *Scheduler) Reserve(nodes []topo.NodeID) {
 		}
 	}
 	s.nodes.Reserve(nodes)
-}
-
-// Jobs returns all job records in submission order, as a fresh slice the
-// caller may reorder or truncate freely. (The records themselves are shared;
-// the scheduler keeps updating them as jobs progress.)
-func (s *Scheduler) Jobs() []*JobRecord {
-	return append([]*JobRecord(nil), s.jobs...)
 }
 
 // FreeNodes returns the number of nodes that are neither busy nor reserved.
@@ -349,15 +288,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*JobRecord, error) {
 	return rec, nil
 }
 
-// MustSubmit is like Submit but panics on error.
-func (s *Scheduler) MustSubmit(spec JobSpec) *JobRecord {
-	rec, err := s.Submit(spec)
-	if err != nil {
-		panic(err)
-	}
-	return rec
-}
-
 // Start schedules the arrival events of every submitted job and sets the
 // origin the statistics measure from. It must be called once, before or
 // during the simulation run.
@@ -380,8 +310,7 @@ func (s *Scheduler) scheduleArrival(rec *JobRecord) {
 }
 
 // HandleEvent implements sim.Handler for the job events: an arrival queues
-// the job and runs a scheduling pass, a finish ends a generator-driven job at
-// its duration.
+// the job and runs a scheduling pass, a finish ends a job at its duration.
 func (s *Scheduler) HandleEvent(e *sim.Engine, op, id int64) {
 	rec := s.jobs[id]
 	if op == opArrival {
@@ -462,8 +391,8 @@ func (s *Scheduler) backfillCandidate() int {
 	return -1
 }
 
-// startJob allocates nodes, starts the job's application or traffic
-// generator and schedules its completion.
+// startJob allocates nodes, starts the job's traffic generator and schedules
+// its completion.
 func (s *Scheduler) startJob(rec *JobRecord) {
 	s.accountUtilization()
 	eng := s.fabric.Engine()
@@ -476,16 +405,6 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 	rec.StartedAt = eng.Now()
 	s.busyCount += len(nodes)
 
-	// Validate admitted only jobs whose application can start, so an error
-	// here is a bug.
-	if rec.Spec.App != nil {
-		// The application itself decides when the job finishes; no duration
-		// event, no generator.
-		if err := s.startApp(rec, alloc.NewAllocation(s.topo, nodes)); err != nil {
-			panic(fmt.Sprintf("sched: job %q: %v", rec.Spec.Name, err))
-		}
-		return
-	}
 	if rec.Spec.Traffic.MessageBytes > 0 && len(nodes) >= 2 {
 		cfg := noise.GeneratorConfig{
 			Pattern:         rec.Spec.Traffic.Pattern,
@@ -498,47 +417,6 @@ func (s *Scheduler) startJob(rec *JobRecord) {
 		rec.generator.Start(eng.Now() + rec.Spec.DurationCycles)
 	}
 	eng.ScheduleCall(eng.Now()+rec.Spec.DurationCycles, s, opFinish, int64(rec.ID))
-}
-
-// jobPackets sums the request packets injected by the job's nodes so far.
-func (s *Scheduler) jobPackets(rec *JobRecord) uint64 {
-	var total uint64
-	for _, n := range rec.Nodes {
-		total += s.fabric.NodeCounters(n).RequestPackets
-	}
-	return total
-}
-
-// startApp builds the communicator and launches the job's real application on
-// the executor. The job finishes — and releases its nodes — when the last
-// rank completes, at the workload's own pace.
-func (s *Scheduler) startApp(rec *JobRecord, a *alloc.Allocation) error {
-	app := rec.Spec.App
-	w, err := workloads.New(app.Workload, a.Size(), app.MessageBytes)
-	if err != nil {
-		return err
-	}
-	provider := func(int) mpi.RoutingProvider { return mpi.StaticRouting{Mode: routing.Adaptive} }
-	comm, err := mpi.NewComm(s.fabric, a, mpi.Config{Routing: provider})
-	if err != nil {
-		return err
-	}
-	iters := max(app.Iterations, 1)
-	rec.RanApp = true
-	base := s.jobPackets(rec)
-	comm.OnFinished(func() {
-		if err := comm.Err(); err != nil {
-			rec.AppErr = fmt.Errorf("sched: job %q %w", rec.Spec.Name, err)
-		}
-		rec.AppCycles = s.fabric.Engine().Now() - rec.StartedAt
-		rec.AppPackets = s.jobPackets(rec) - base
-		s.finishJob(rec)
-	})
-	return comm.Start(s.exec, func(r *mpi.Rank) {
-		for i := 0; i < iters; i++ {
-			w.Run(r)
-		}
-	})
 }
 
 // finishJob releases the job's nodes and re-runs the scheduling pass.
@@ -574,11 +452,6 @@ type Stats struct {
 	Utilization float64
 	// MakespanCycles is the time between Start and the last job completion.
 	MakespanCycles sim.Time
-	// AppJobs counts jobs that ran as real workload-driven applications.
-	AppJobs int
-	// AppErrors counts applications whose ranks hit an error (see
-	// JobRecord.AppErr).
-	AppErrors int
 }
 
 // Stats computes the summary over all submitted jobs. It should be called
@@ -588,12 +461,6 @@ func (s *Scheduler) Stats() Stats {
 	st := Stats{Submitted: len(s.jobs)}
 	var waitSum, groupSum float64
 	for _, rec := range s.jobs {
-		if rec.RanApp {
-			st.AppJobs++
-		}
-		if rec.AppErr != nil {
-			st.AppErrors++
-		}
 		if rec.State == Queued {
 			continue
 		}

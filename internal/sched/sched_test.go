@@ -29,6 +29,26 @@ func drain(t testing.TB, f *network.Fabric) {
 	}
 }
 
+// submit submits spec and fails the test if the scheduler rejects it.
+func submit(t testing.TB, s *Scheduler, spec JobSpec) *JobRecord {
+	t.Helper()
+	rec, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// generateMix generates the mix and fails the test if the config is rejected.
+func generateMix(t testing.TB, cfg MixConfig, maxJobNodes int) []JobSpec {
+	t.Helper()
+	specs, err := GenerateMix(cfg, maxJobNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
+}
+
 func computeJob(name string, nodes int, arrival, duration sim.Time) JobSpec {
 	return JobSpec{Name: name, Nodes: nodes, ArrivalCycles: arrival, DurationCycles: duration}
 }
@@ -46,7 +66,7 @@ func trafficJob(name string, nodes int, arrival, duration sim.Time) JobSpec {
 func TestSingleJobLifecycle(t *testing.T) {
 	f := testFabric(t, 2, 1)
 	s := New(f, DefaultConfig())
-	rec := s.MustSubmit(computeJob("a", 4, 100, 10_000))
+	rec := submit(t, s, computeJob("a", 4, 100, 10_000))
 	s.Start()
 	drain(t, f)
 	if rec.State != Finished {
@@ -73,8 +93,8 @@ func TestJobsQueueWhenMachineFull(t *testing.T) {
 	f := testFabric(t, 2, 2) // 2 groups x 2 chassis x 4 blades x 2 nodes = 32 nodes
 	total := f.Topology().NumNodes()
 	s := New(f, DefaultConfig())
-	a := s.MustSubmit(computeJob("big", total, 0, 50_000))
-	b := s.MustSubmit(computeJob("next", 4, 0, 10_000))
+	a := submit(t, s, computeJob("big", total, 0, 50_000))
+	b := submit(t, s, computeJob("next", 4, 0, 10_000))
 	s.Start()
 	drain(t, f)
 	if a.State != Finished || b.State != Finished {
@@ -92,9 +112,9 @@ func TestFCFSOrderWithoutBackfill(t *testing.T) {
 	f := testFabric(t, 2, 3)
 	total := f.Topology().NumNodes()
 	s := New(f, Config{Placement: PlaceContiguous, Backfill: false, Seed: 1})
-	s.MustSubmit(computeJob("running", total/2, 0, 100_000))
-	blocked := s.MustSubmit(computeJob("head-too-big", total, 10, 10_000))
-	small := s.MustSubmit(computeJob("small", 2, 20, 1_000))
+	submit(t, s, computeJob("running", total/2, 0, 100_000))
+	blocked := submit(t, s, computeJob("head-too-big", total, 10, 10_000))
+	small := submit(t, s, computeJob("small", 2, 20, 1_000))
 	s.Start()
 	drain(t, f)
 	// Without backfilling, the small job must not overtake the blocked head.
@@ -108,10 +128,10 @@ func TestBackfillLetsSmallJobOvertake(t *testing.T) {
 	f := testFabric(t, 2, 4)
 	total := f.Topology().NumNodes()
 	s := New(f, Config{Placement: PlaceContiguous, Backfill: true, Seed: 1})
-	s.MustSubmit(computeJob("running", total/2, 0, 100_000))
-	blocked := s.MustSubmit(computeJob("head-too-big", total, 10, 10_000))
+	submit(t, s, computeJob("running", total/2, 0, 100_000))
+	blocked := submit(t, s, computeJob("head-too-big", total, 10, 10_000))
 	// Short enough to finish before the running job frees the machine.
-	small := s.MustSubmit(computeJob("small", 2, 20, 1_000))
+	small := submit(t, s, computeJob("small", 2, 20, 1_000))
 	s.Start()
 	drain(t, f)
 	if small.StartedAt >= blocked.StartedAt {
@@ -127,10 +147,10 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	f := testFabric(t, 2, 5)
 	total := f.Topology().NumNodes()
 	s := New(f, Config{Placement: PlaceContiguous, Backfill: true, Seed: 1})
-	s.MustSubmit(computeJob("running", total-2, 0, 50_000))
-	head := s.MustSubmit(computeJob("head", total, 10, 10_000))
+	submit(t, s, computeJob("running", total-2, 0, 50_000))
+	head := submit(t, s, computeJob("head", total, 10, 10_000))
 	// Too long to fit in the shadow window: would push the head back.
-	long := s.MustSubmit(computeJob("long", 2, 20, 500_000))
+	long := submit(t, s, computeJob("long", 2, 20, 500_000))
 	s.Start()
 	drain(t, f)
 	if long.StartedAt < head.StartedAt {
@@ -145,7 +165,7 @@ func TestReserveExcludesForegroundNodes(t *testing.T) {
 	reserved := []topo.NodeID{0, 1, 2, 3}
 	s := New(f, Config{Placement: PlaceContiguous, Seed: 1})
 	s.Reserve(reserved)
-	rec := s.MustSubmit(computeJob("a", total-len(reserved), 0, 1_000))
+	rec := submit(t, s, computeJob("a", total-len(reserved), 0, 1_000))
 	s.Start()
 	drain(t, f)
 	if rec.State != Finished {
@@ -167,7 +187,7 @@ func TestReserveExcludesForegroundNodes(t *testing.T) {
 func TestTrafficJobInjectsMessages(t *testing.T) {
 	f := testFabric(t, 2, 7)
 	s := New(f, Config{Placement: PlaceGroupStriped, Seed: 1})
-	rec := s.MustSubmit(trafficJob("noisy", 8, 0, 500_000))
+	rec := submit(t, s, trafficJob("noisy", 8, 0, 500_000))
 	s.Start()
 	drain(t, f)
 	if rec.MessagesSent == 0 {
@@ -184,8 +204,8 @@ func TestHybridPlacementScattersCommIntensiveJobs(t *testing.T) {
 	quiet := computeJob("quiet", 8, 0, 10_000)
 	noisy := computeJob("noisy", 8, 0, 10_000)
 	noisy.CommIntensive = true
-	q := s.MustSubmit(quiet)
-	n := s.MustSubmit(noisy)
+	q := submit(t, s, quiet)
+	n := submit(t, s, noisy)
 	s.Start()
 	drain(t, f)
 	if _, groups := s.Spans(q); groups != 1 {
@@ -201,7 +221,7 @@ func TestContiguousVersusRandomFragmentation(t *testing.T) {
 		f := testFabric(t, 4, seed)
 		s := New(f, Config{Placement: placement, Seed: seed})
 		for i := 0; i < 4; i++ {
-			s.MustSubmit(computeJob("j", 6, sim.Time(i*10), 5_000))
+			submit(t, s, computeJob("j", 6, sim.Time(i*10), 5_000))
 		}
 		s.Start()
 		drain(t, f)
@@ -218,8 +238,8 @@ func TestContiguousVersusRandomFragmentation(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	f := testFabric(t, 2, 10)
 	s := New(f, DefaultConfig())
-	s.MustSubmit(computeJob("a", 4, 0, 10_000))
-	s.MustSubmit(computeJob("b", 4, 0, 10_000))
+	submit(t, s, computeJob("a", 4, 0, 10_000))
+	submit(t, s, computeJob("b", 4, 0, 10_000))
 	s.Start()
 	drain(t, f)
 	st := s.Stats()
@@ -241,7 +261,7 @@ func TestSubmitAfterStart(t *testing.T) {
 	f := testFabric(t, 2, 11)
 	s := New(f, DefaultConfig())
 	s.Start()
-	rec := s.MustSubmit(computeJob("late", 2, 500, 1_000))
+	rec := submit(t, s, computeJob("late", 2, 500, 1_000))
 	drain(t, f)
 	if rec.State != Finished {
 		t.Fatalf("late-submitted job did not finish: %v", rec.State)
@@ -259,18 +279,14 @@ func TestJobSpecValidation(t *testing.T) {
 		{Name: "zero-duration", Nodes: 1, DurationCycles: 0},
 		{Name: "traffic-no-interval", Nodes: 2, DurationCycles: 1,
 			Traffic: TrafficSpec{MessageBytes: 64}},
-		{Name: "unknown-workload", Nodes: 2, DurationCycles: 1,
-			App: &AppSpec{Workload: "no-such-workload", MessageBytes: 64}},
 	}
 	for _, c := range cases {
 		if err := c.Validate(32); err == nil {
 			t.Errorf("spec %q unexpectedly valid", c.Name)
 		}
 	}
-	for _, ok := range []JobSpec{computeJob("ok", 2, 0, 10), appJob("ok-app", 2, 0, 10, "alltoall")} {
-		if err := ok.Validate(32); err != nil {
-			t.Errorf("valid spec %q rejected: %v", ok.Name, err)
-		}
+	if err := computeJob("ok", 2, 0, 10).Validate(32); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
 	}
 }
 
@@ -323,8 +339,8 @@ func TestGenerateMixProperties(t *testing.T) {
 
 func TestGenerateMixIsDeterministic(t *testing.T) {
 	cfg := DefaultMixConfig()
-	a := MustGenerateMix(cfg, 16)
-	b := MustGenerateMix(cfg, 16)
+	a := generateMix(t, cfg, 16)
+	b := generateMix(t, cfg, 16)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -371,10 +387,10 @@ func TestSchedulerNeverOversubscribes(t *testing.T) {
 	cfg := DefaultMixConfig()
 	cfg.Jobs = 20
 	cfg.MaxNodes = 12
-	specs := MustGenerateMix(cfg, f.Topology().NumNodes())
+	specs := generateMix(t, cfg, f.Topology().NumNodes())
 	s := New(f, Config{Placement: PlaceRandom, Backfill: true, Seed: 5})
 	for _, spec := range specs {
-		s.MustSubmit(spec)
+		submit(t, s, spec)
 	}
 	s.Start()
 	drain(t, f)
@@ -416,7 +432,7 @@ func TestStatsMeasureFromStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New(f, DefaultConfig())
-		s.MustSubmit(computeJob("a", 4, 0, 10_000))
+		submit(t, s, computeJob("a", 4, 0, 10_000))
 		s.Start()
 		drain(t, f)
 		return s.Stats()

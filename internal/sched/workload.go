@@ -7,7 +7,6 @@ import (
 
 	"dragonfly/internal/noise"
 	"dragonfly/internal/sim"
-	"dragonfly/internal/workloads"
 )
 
 // MixConfig shapes a synthetic batch workload: a stream of jobs with
@@ -32,17 +31,6 @@ type MixConfig struct {
 	// send uniform-random messages of mixMessageBytes; communication-intensive
 	// jobs send twice as large messages with an all-to-all "bully" pattern.
 	IntervalCycles int64
-	// AppFraction is the probability that a job runs a real workload-driven
-	// application (JobSpec.App) instead of being represented by a synthetic
-	// traffic generator. 0 reproduces the historical all-synthetic mix
-	// byte-for-byte.
-	AppFraction float64
-	// AppWorkloads are the registered workload names app jobs cycle through
-	// deterministically; empty means alltoall, halo3d, allreduce.
-	AppWorkloads []string
-	// AppIterations is how many times each app job repeats its workload body
-	// (minimum 1).
-	AppIterations int
 	// Seed seeds the mix's private random stream.
 	Seed int64
 }
@@ -78,8 +66,6 @@ func (c MixConfig) Validate() error {
 		return fmt.Errorf("sched: mix duration bounds [%d, %d] are invalid", c.MinDurationCycles, c.MaxDurationCycles)
 	case c.CommIntensiveFraction < 0 || c.CommIntensiveFraction > 1:
 		return fmt.Errorf("sched: CommIntensiveFraction must be in [0, 1]")
-	case c.AppFraction < 0 || c.AppFraction > 1:
-		return fmt.Errorf("sched: AppFraction must be in [0, 1]")
 	case c.IntervalCycles <= 0:
 		return fmt.Errorf("sched: IntervalCycles must be positive")
 	}
@@ -114,13 +100,8 @@ func GenerateMix(cfg MixConfig, maxJobNodes int) ([]JobSpec, error) {
 			maxJobNodes, cfg.MinNodes)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	appWorkloads := cfg.AppWorkloads
-	if len(appWorkloads) == 0 {
-		appWorkloads = []string{"alltoall", "halo3d", "allreduce"}
-	}
 	specs := make([]JobSpec, 0, cfg.Jobs)
 	var arrival sim.Time
-	apps := 0
 	for i := 0; i < cfg.Jobs; i++ {
 		nodes := int(logUniform(rng, int64(cfg.MinNodes), int64(cfg.MaxNodes)))
 		if nodes > maxJobNodes {
@@ -137,18 +118,6 @@ func GenerateMix(cfg MixConfig, maxJobNodes int) ([]JobSpec, error) {
 			traffic.Pattern = noise.AlltoallBully
 			traffic.MessageBytes = mixMessageBytes * 2
 		}
-		// The app draw is guarded so an AppFraction of 0 consumes no random
-		// numbers: the historical all-synthetic mixes stay byte-identical.
-		var app *AppSpec
-		if cfg.AppFraction > 0 && nodes >= 2 && rng.Float64() < cfg.AppFraction {
-			name := appWorkloads[apps%len(appWorkloads)]
-			app = &AppSpec{
-				Workload:     name,
-				MessageBytes: workloads.SizeFor(name, traffic.MessageBytes),
-				Iterations:   max(cfg.AppIterations, 1),
-			}
-			apps++
-		}
 		specs = append(specs, JobSpec{
 			Name:           fmt.Sprintf("job-%03d", i),
 			Nodes:          nodes,
@@ -156,7 +125,6 @@ func GenerateMix(cfg MixConfig, maxJobNodes int) ([]JobSpec, error) {
 			DurationCycles: duration,
 			CommIntensive:  commIntensive,
 			Traffic:        traffic,
-			App:            app,
 		})
 		gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanInterarrivalCycles))
 		if gap < 1 {
@@ -165,13 +133,4 @@ func GenerateMix(cfg MixConfig, maxJobNodes int) ([]JobSpec, error) {
 		arrival += gap
 	}
 	return specs, nil
-}
-
-// MustGenerateMix is like GenerateMix but panics on error.
-func MustGenerateMix(cfg MixConfig, maxJobNodes int) []JobSpec {
-	specs, err := GenerateMix(cfg, maxJobNodes)
-	if err != nil {
-		panic(err)
-	}
-	return specs
 }

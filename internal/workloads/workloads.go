@@ -44,8 +44,8 @@ func (f Func) Run(r *mpi.Rank) { f.Body(r) }
 // per-message bytes for the collectives, but a laptop-scale domain edge for
 // the stencil workloads — their size parameter is an edge length, and feeding
 // a byte count there would explode into terabyte-scale faces. Callers that
-// size heterogeneous workloads from one byte-count knob (the batch mix, the
-// co-tenancy experiment) go through this one mapping.
+// size heterogeneous workloads from one byte-count knob (the co-tenancy and
+// full-machine experiments) go through this one mapping.
 func SizeFor(name string, messageBytes int64) int64 {
 	switch name {
 	case "halo3d", "sweep3d":

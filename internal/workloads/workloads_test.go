@@ -108,6 +108,17 @@ func TestRegistryAndNames(t *testing.T) {
 	}
 }
 
+// TestStencilAppSizeIsDomainEdge: SizeFor maps stencil workloads to a sane
+// domain edge instead of interpreting message bytes as an edge length.
+func TestStencilAppSizeIsDomainEdge(t *testing.T) {
+	if got := SizeFor("halo3d", 32<<10); got != 256 {
+		t.Fatalf("SizeFor(halo3d) = %d, want 256", got)
+	}
+	if got := SizeFor("alltoall", 32<<10); got != 32<<10 {
+		t.Fatalf("SizeFor(alltoall) = %d, want %d", got, 32<<10)
+	}
+}
+
 func TestFuncAdapter(t *testing.T) {
 	called := false
 	w := Func{WorkloadName: "custom", Body: func(r *mpi.Rank) { called = true }}
